@@ -30,6 +30,7 @@ from .events import MEM_ORIGINS, RECONFIG_OPS, TRACE_EVENT_KINDS, TraceEvent
 from .monitor import (
     ContractMonitor,
     ContractViolation,
+    StreamError,
     load_trace,
     replay_trace,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "NoStaleGenerationContract",
     "RECONFIG_OPS",
     "RollbackAtomicityContract",
+    "StreamError",
     "TRACE_EVENT_KINDS",
     "TraceEvent",
     "TrustedMemConfinementContract",

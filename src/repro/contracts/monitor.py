@@ -23,6 +23,14 @@ Two pieces of stream discipline keep the shadows honest:
   so contracts judge a machine world whose kernel configured domains
   long before monitoring started.
 
+A malformed transaction bracket — a ``begin`` inside an open
+transaction, or a ``commit``/``abort`` with none open — is a
+:class:`StreamError`, reported apart from the contracts' violations.
+Live trusted memory raises on a nested ``begin_transaction``, so only
+generated, replayed or shrunk traces carry one.  The stream is then
+read as written: a nested ``begin`` keeps the reconfigs already
+buffered for whichever commit or abort closes the transaction.
+
 Waivers: in a fault campaign an injected fault *should* trip contracts
 — that is the detection working.  A violation is waived when the
 driver's ``waiver_probe`` reports an armed-and-fired fault (or a
@@ -74,6 +82,14 @@ class ContractViolation:
         }
 
 
+@dataclass
+class StreamError:
+    """An event that breaks the stream's transaction bracket."""
+
+    index: int                     # event index within the trace
+    detail: str
+
+
 class ContractMonitor:
     """Fan one event stream into all registered contracts."""
 
@@ -96,6 +112,8 @@ class ContractMonitor:
         #: string while an injected fault is armed/fired, else None.
         self.waiver_probe: Optional[Callable[[], Optional[str]]] = None
         self.violations: List[ContractViolation] = []
+        #: Malformed transaction brackets; not part of :meth:`counts`.
+        self.stream_errors: List[StreamError] = []
         self.events_seen = 0
         self._index = 0
         self._armed_detail: Optional[str] = None
@@ -206,6 +224,11 @@ class ContractMonitor:
             self._deliver(event)
             return
         if kind == "txn":
+            if (event.op == "begin") == self._in_txn:
+                self.stream_errors.append(StreamError(
+                    event.index, "malformed transaction bracket: txn %s "
+                    "%s an open transaction" % (
+                        event.op, "inside" if self._in_txn else "without")))
             if event.op == "begin":
                 self._in_txn = True
                 self._txn_touched = {}

@@ -377,21 +377,23 @@ class PrivilegeCheckUnit:
         monitor must see every call), a recycled tenant slot
         (generation mismatch — the per-instruction path raises the
         architectural :class:`StaleGenerationFault`), and a cold or
-        foreign bypass register.  The probe itself never mutates
-        privilege or statistics state beyond :attr:`block_stats`,
-        which is deliberately outside :class:`PcuStats`.
+        foreign bypass register.  Each refusal is counted by reason.
+        The probe itself never mutates privilege or statistics state
+        beyond :attr:`block_stats`, which is deliberately outside
+        :class:`PcuStats`.
         """
         if not self.enabled:
             return BLOCK_SILENT
         block_stats = self.block_stats
         block_stats.probes += 1
-        if (
-            not self._block_capable
-            or not self._fast
-            or self._tap is not None
-            or "check" in self.__dict__
-        ):
-            block_stats.refusals += 1
+        if not self._block_capable or not self._fast:
+            block_stats.refused_decompiled += 1
+            return BLOCK_REFUSED
+        if self._tap is not None:
+            block_stats.refused_tap += 1
+            return BLOCK_REFUSED
+        if "check" in self.__dict__:
+            block_stats.refused_shadowed += 1
             return BLOCK_REFUSED
         domain = self.registers.domain
         if domain == DOMAIN_0:
@@ -399,16 +401,19 @@ class PrivilegeCheckUnit:
             return BLOCK_DOMAIN0
         table = self.generation_table
         if table is not None and table.get(domain, 0) != self._entry_generation:
-            block_stats.refusals += 1
+            block_stats.refused_stale += 1
             return BLOCK_REFUSED
         bypass = self.bypass
-        if bypass._domain != domain or summary.csrs:
-            block_stats.refusals += 1
+        if bypass._domain != domain:
+            block_stats.refused_bypass += 1
+            return BLOCK_REFUSED
+        if summary.csrs:
+            block_stats.refused_csr += 1
             return BLOCK_REFUSED
         words = bypass._words
         for index, needed in summary.class_words:
             if words[index] & needed != needed:
-                block_stats.refusals += 1
+                block_stats.refused_class += 1
                 return BLOCK_REFUSED
         block_stats.hits += 1
         return BLOCK_BYPASS

@@ -7,7 +7,7 @@ ablation (fully-associative CAM lookups saved by the bypass register).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict
 
 
@@ -56,13 +56,46 @@ class BlockSummaryStats:
     bit-identical between the per-instruction and block-summary paths
     (that equality is an acceptance gate), which is only possible if
     the block bookkeeping lives outside it.
+
+    Every probe refusal and every executor fallback to one reference
+    ``step()`` is counted by reason, and only on those paths, so a warm
+    block pays nothing for the explanation.  ``coverage`` is the share
+    of the executor's instructions that retired inside blocks: where
+    ``hit_rate`` reads 1.0 for an executor that almost never probes,
+    ``coverage`` reads near 0.
     """
 
     probes: int = 0         # check_block_summary calls (one per warm block)
     hits: int = 0           # probes that served the whole block
-    refusals: int = 0       # probes that fell back to per-instruction checks
     insts: int = 0          # instructions retired under a block summary
     invalidations: int = 0  # block-cache flushes (icache coherence)
+    # Probe refusals, by reason.
+    refused_decompiled: int = 0  # not block-capable, or no verdict plan
+    refused_tap: int = 0         # an armed contract tap
+    refused_shadowed: int = 0    # ``check`` shadowed on the instance
+    refused_stale: int = 0       # recycled tenant slot (stale generation)
+    refused_bypass: int = 0      # cold or foreign bypass register
+    refused_csr: int = 0         # the summary touches CSRs
+    refused_class: int = 0       # a needed class word bit is not granted
+    # Executor fallbacks to one reference step(), by reason.
+    fallback_translated: int = 0  # RISC-V translation is not Bare
+    fallback_no_block: int = 0    # no block forms at this pc
+    fallback_budget: int = 0      # the block would overrun max_steps
+    fallback_refused: int = 0     # the probe refused
+
+    @property
+    def refusals(self) -> int:
+        """Probes that fell back to per-instruction checks."""
+        return (self.refused_decompiled + self.refused_tap
+                + self.refused_shadowed + self.refused_stale
+                + self.refused_bypass + self.refused_csr
+                + self.refused_class)
+
+    @property
+    def fallbacks(self) -> int:
+        """Instructions the executor ran through the reference step()."""
+        return (self.fallback_translated + self.fallback_no_block
+                + self.fallback_budget + self.fallback_refused)
 
     @property
     def hit_rate(self) -> float:
@@ -71,25 +104,37 @@ class BlockSummaryStats:
             return 1.0
         return self.hits / self.probes
 
+    @property
+    def coverage(self) -> float:
+        """Share in [0, 1] of the executor's instructions retired
+        inside blocks; 0.0 when the executor never ran."""
+        total = self.insts + self.fallbacks
+        return self.insts / total if total else 0.0
+
+    def add_fallbacks(self, no_block: int, budget: int, refused: int,
+                      translated: int = 0) -> None:
+        """Fold in one executor run's fallback counts."""
+        self.fallback_no_block += no_block
+        self.fallback_budget += budget
+        self.fallback_refused += refused
+        self.fallback_translated += translated
+
     def reset(self) -> None:
-        self.probes = self.hits = self.refusals = 0
-        self.insts = self.invalidations = 0
+        for spec in fields(self):
+            setattr(self, spec.name, 0)
 
     def merge(self, other: "BlockSummaryStats") -> None:
-        self.probes += other.probes
-        self.hits += other.hits
-        self.refusals += other.refusals
-        self.insts += other.insts
-        self.invalidations += other.invalidations
+        for spec in fields(self):
+            setattr(self, spec.name,
+                    getattr(self, spec.name) + getattr(other, spec.name))
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "probes": self.probes,
-            "hits": self.hits,
+            **asdict(self),
             "refusals": self.refusals,
-            "insts": self.insts,
-            "invalidations": self.invalidations,
+            "fallbacks": self.fallbacks,
             "hit_rate": self.hit_rate,
+            "coverage": self.coverage,
         }
 
 

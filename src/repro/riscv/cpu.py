@@ -47,6 +47,13 @@ from .isa import (
     SSTATUS_SPP,
     SSTATUS_SUM,
 )
+from .mmu import (
+    ACCESS_FETCH,
+    ACCESS_LOAD,
+    ACCESS_STORE,
+    SATP_MODE_SHIFT,
+    Sv39Mmu,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -469,9 +476,9 @@ class RiscvCpu:
         # pc -> CompiledBlock | NO_BLOCK (DESIGN §3.18): superblocks
         # over the decode entries, each carrying a privilege summary so
         # a warm block costs one PCU probe.  Blocks are only formed and
-        # entered in Bare mode (satp == 0, where pa == pc) and are
-        # invalidated with the decode cache; privilege edits need no
-        # explicit invalidation because the summary is re-proved
+        # entered while translation is Bare (satp.MODE = 0, so pa == pc)
+        # and are invalidated with the decode cache; privilege edits need
+        # no explicit invalidation because the summary is re-proved
         # against the *live* bypass register on every entry.
         self._block_cache: Dict[int, object] = {}
         # Block formation bakes the Rocket timing model into the member
@@ -481,8 +488,6 @@ class RiscvCpu:
         # Optional Sv39 translation: identity (Bare) until software
         # writes a Sv39-mode SATP.  The decode cache is keyed by
         # *physical* address, so address-space switches stay coherent.
-        from .mmu import ACCESS_FETCH, ACCESS_LOAD, ACCESS_STORE, Sv39Mmu
-
         self.mmu = Sv39Mmu(machine.memory, machine.hierarchy)
         self._ACCESS_FETCH = ACCESS_FETCH
         self._ACCESS_LOAD = ACCESS_LOAD
@@ -493,11 +498,9 @@ class RiscvCpu:
     # Address translation.
     # ------------------------------------------------------------------
     def _translate(
-        self, vaddr: int, access: str, info: StepInfo, satp: int = -1
+        self, vaddr: int, access: str, info: StepInfo, satp: int
     ) -> int:
-        if satp < 0:
-            satp = self.csrs[self._satp_address]
-        if satp == 0:  # Bare mode fast path
+        if not satp >> SATP_MODE_SHIFT:  # Bare mode fast path
             return vaddr
         paddr, cycles = self.mmu.translate(
             vaddr,
@@ -619,7 +622,7 @@ class RiscvCpu:
         info = StepInfo(pc)
         try:
             satp = self.csrs[self._satp_address]
-            if satp:
+            if satp >> SATP_MODE_SHIFT:
                 fetch_pa = self._translate(pc, self._ACCESS_FETCH, info, satp)
             else:  # Bare mode fast path, inlined
                 fetch_pa = pc
@@ -729,14 +732,14 @@ class RiscvCpu:
     def _form_block(self, start: int):
         """Compile a superblock at ``start``, or ``NO_BLOCK``.
 
-        Only called in Bare mode (satp == 0), where pc == pa and the
-        per-pc decode cache is directly addressable.  Members are
-        straight-line instructions whose only PCU interaction is the
-        plain instruction-class check; the first control transfer
-        (branch/jal/jalr) ends the block as its final member.  Gates,
-        CSR access, sret/wfi/sfence, ecall/ebreak, pfch/pflh and halt
-        refuse membership, so a block can never contain a domain
-        switch, privilege edit or satp write.
+        Only called while translation is Bare (satp.MODE = 0), where
+        pc == pa and the per-pc decode cache is directly addressable.
+        Members are straight-line instructions whose only PCU
+        interaction is the plain instruction-class check; the first
+        control transfer (branch/jal/jalr) ends the block as its final
+        member.  Gates, CSR access, sret/wfi/sfence, ecall/ebreak,
+        pfch/pflh and halt refuse membership, so a block can never
+        contain a domain switch, privilege edit or satp write.
         """
         decode_cache = self._decode_cache
         ops = []
@@ -796,26 +799,29 @@ class RiscvCpu:
 
         Called by :meth:`Machine.run` instead of its per-instruction
         loop when block summaries are enabled.  Any cold/ineligible pc,
-        refused probe, or translated fetch (satp != 0) falls back to
-        the reference ``step()`` for exactly one instruction, so
+        refused probe, or translated fetch (satp.MODE not Bare) falls
+        back to the reference ``step()`` for exactly one instruction, so
         semantics, cycles and statistics are bit-identical to the
-        per-instruction loop by construction.
+        per-instruction loop by construction.  Each fallback is counted
+        by reason into the PCU's ``block_stats`` on exit.
         """
         blocks = self._block_cache
         pcu = self.pcu
         csrs = self.csrs
         satp_address = self._satp_address
+        satp_shift = SATP_MODE_SHIFT
         step = self.step
         probe = None if pcu is None else pcu.check_block_summary
         account = None if pcu is None else pcu.account_block
         insts = mstats.instructions
         cyc = mstats.cycles
         traps = 0
+        translated = no_block = budget = refused = 0
         remaining = max_steps
         try:
             while remaining > 0:
                 mode = BLOCK_REFUSED
-                if not csrs[satp_address]:
+                if not csrs[satp_address] >> satp_shift:
                     pc = self.pc
                     block = blocks.get(pc)
                     if block is None:
@@ -827,6 +833,16 @@ class RiscvCpu:
                             else probe(block.summary)
                         )
                 if mode == BLOCK_REFUSED:
+                    # No step() ran since the gate, so satp and ``block``
+                    # still say why this instruction falls back.
+                    if csrs[satp_address] >> satp_shift:
+                        translated += 1
+                    elif block is NO_BLOCK:
+                        no_block += 1
+                    elif block.n > remaining:
+                        budget += 1
+                    else:
+                        refused += 1
                     # Reference path for one instruction.  Flush the
                     # stats mirrors first: the cycle/instret CSRs and
                     # trap handlers observe them live.
@@ -882,6 +898,9 @@ class RiscvCpu:
             mstats.instructions = insts
             mstats.cycles = cyc
             mstats.traps += traps
+            if pcu is not None:
+                pcu.block_stats.add_fallbacks(
+                    no_block, budget, refused, translated)
 
     # ------------------------------------------------------------------
     # Decode-and-dispatch cache.  One decode resolves the handler, the
@@ -978,7 +997,7 @@ class RiscvCpu:
     def _op_load(self, inst: Instruction, pc: int, info: StepInfo, extra) -> None:
         address = (self.regs[inst.rs1] + inst.imm) & MASK64
         satp = self.csrs[self._satp_address]
-        if satp:
+        if satp >> SATP_MODE_SHIFT:
             physical = self._translate(address, self._ACCESS_LOAD, info, satp)
         else:  # Bare mode fast path, inlined
             physical = address
@@ -997,7 +1016,7 @@ class RiscvCpu:
     def _op_store(self, inst: Instruction, pc: int, info: StepInfo, width) -> None:
         address = (self.regs[inst.rs1] + inst.imm) & MASK64
         satp = self.csrs[self._satp_address]
-        if satp:
+        if satp >> SATP_MODE_SHIFT:
             physical = self._translate(address, self._ACCESS_STORE, info, satp)
         else:  # Bare mode fast path, inlined
             physical = address

@@ -421,6 +421,8 @@ class X86Cpu:
         or refused probe falls back to the reference ``step()`` for
         exactly one instruction, so semantics, cycles and statistics
         are bit-identical to the per-instruction loop by construction.
+        Each fallback is counted by reason into the PCU's
+        ``block_stats`` on exit.
         """
         blocks = self._block_cache
         pcu = self.pcu
@@ -431,6 +433,7 @@ class X86Cpu:
         insts = mstats.instructions
         cyc = mstats.cycles
         traps = 0
+        no_block = budget = refused = 0
         remaining = max_steps
         try:
             while remaining > 0:
@@ -444,6 +447,12 @@ class X86Cpu:
                 else:
                     mode = BLOCK_REFUSED
                 if mode == BLOCK_REFUSED:
+                    if block is NO_BLOCK:
+                        no_block += 1
+                    elif block.n > remaining:
+                        budget += 1
+                    else:
+                        refused += 1
                     # Reference path for one instruction.  Flush the
                     # stats mirrors first: rdtsc-style reads and trap
                     # handlers observe them live.
@@ -508,6 +517,8 @@ class X86Cpu:
             mstats.instructions = insts
             mstats.cycles = cyc
             mstats.traps += traps
+            if pcu is not None:
+                pcu.block_stats.add_fallbacks(no_block, budget, refused)
 
     #: Classes whose only PCU interaction is the plain instruction-class
     #: check; their AccessInfo is prebuilt into the decode entry and the

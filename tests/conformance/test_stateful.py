@@ -7,7 +7,7 @@ weights never would, and shrinks any divergence to a minimal rule
 sequence by itself.
 """
 
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.conformance import CONFORMANCE_CONFIGS, ConformanceWorld, make_backend
@@ -20,6 +20,8 @@ from repro.conformance.events import (
     N_INST_SLOTS,
     Event,
 )
+
+from ..profiles import stateful_settings
 
 DOMAIN_SLOT = st.integers(min_value=1, max_value=N_DOMAIN_SLOTS)
 INST_SLOT = st.integers(min_value=0, max_value=N_INST_SLOTS - 1)
@@ -149,13 +151,13 @@ class FlushOnSwitchConformancePair(ConformancePair):
 
 
 TestConformancePair = ConformancePair.TestCase
-TestConformancePair.settings = settings(
-    max_examples=25, stateful_step_count=40, deadline=None)
+TestConformancePair.settings = stateful_settings(
+    max_examples=25, stateful_step_count=40)
 
 TestDracoConformancePair = DracoConformancePair.TestCase
-TestDracoConformancePair.settings = settings(
-    max_examples=15, stateful_step_count=40, deadline=None)
+TestDracoConformancePair.settings = stateful_settings(
+    max_examples=15, stateful_step_count=40)
 
 TestFlushOnSwitchConformancePair = FlushOnSwitchConformancePair.TestCase
-TestFlushOnSwitchConformancePair.settings = settings(
-    max_examples=10, stateful_step_count=30, deadline=None)
+TestFlushOnSwitchConformancePair.settings = stateful_settings(
+    max_examples=10, stateful_step_count=30)

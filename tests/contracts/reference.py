@@ -17,20 +17,27 @@ from repro.contracts import TraceEvent
 DOMAIN_0 = 0
 
 
-def normalize(events) -> List[TraceEvent]:
-    """Reproduce the monitor's delivery order.
+def normalize(events) -> Tuple[List[TraceEvent], List[int]]:
+    """Reproduce the monitor's delivery order and its stream errors.
 
     Reconfig events inside an open transaction are held back until the
     commit (and dropped by an abort, like the mutation they describe);
-    everything else is delivered in feed order.
+    everything else is delivered in feed order.  A ``begin`` inside an
+    open transaction, or a ``commit``/``abort`` with none open, is a
+    malformed bracket: its position is returned as a stream error, and
+    a nested ``begin`` keeps what is held for whatever closes the
+    transaction.
     """
     out: List[TraceEvent] = []
     buffer: List[TraceEvent] = []
+    errors: List[int] = []
     in_txn = False
-    for event in events:
+    for position, event in enumerate(events):
         if event.kind == "txn":
+            if (event.op == "begin") == in_txn:
+                errors.append(position)
             if event.op == "begin":
-                in_txn, buffer = True, []
+                in_txn = True
                 out.append(event)
             elif event.op == "commit":
                 in_txn = False
@@ -44,7 +51,7 @@ def normalize(events) -> List[TraceEvent]:
             buffer.append(event)
         else:
             out.append(event)
-    return out
+    return out, errors
 
 
 def _inst_counts(stream) -> List[int]:
@@ -302,9 +309,11 @@ def _unseal_counts(stream, masked) -> List[int]:
     return out
 
 
-def reference_verdict(events, geometry) -> Tuple[Dict[str, int], int]:
-    """Counts per contract plus the unwaived total, independently derived."""
-    stream = normalize(events)
+def reference_verdict(events, geometry) -> Tuple[Dict[str, int], int,
+                                                 List[int]]:
+    """Counts per contract, the unwaived total and the stream-error
+    positions, independently derived."""
+    stream, errors = normalize(events)
     masked = set(geometry.get("masked_csrs", ()))
     per_contract = {
         "inst_retirement": _inst_counts(stream),
@@ -325,4 +334,4 @@ def reference_verdict(events, geometry) -> Tuple[Dict[str, int], int]:
         if not armed:
             unwaived += sum(rows[position]
                             for rows in per_contract.values())
-    return counts, unwaived
+    return counts, unwaived, errors

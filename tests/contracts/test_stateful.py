@@ -11,11 +11,17 @@ to a minimal rule sequence.
 
 from dataclasses import replace
 
-from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.contracts import CONTRACT_NAMES, TraceEvent, replay_trace
 
+from ..profiles import stateful_settings
 from .reference import reference_verdict
 
 GEOMETRY = {"n_inst_classes": 6, "n_csrs": 4, "masked_csrs": (3,)}
@@ -38,6 +44,7 @@ class ContractStream(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.events = []
+        self.in_txn = False
 
     def emit(self, kind, **fields):
         self.events.append(TraceEvent(kind=kind, **fields))
@@ -126,17 +133,28 @@ class ContractStream(RuleBasedStateMachine):
         self.emit("mem_write", op=origin, domain=domain, address=address,
                   value=value, old=old)
 
+    @precondition(lambda self: not self.in_txn)
     @rule()
     def txn_begin(self):
+        self.emit("txn", op="begin")
+        self.in_txn = True
+
+    @precondition(lambda self: self.in_txn)
+    @rule()
+    def txn_nested_begin(self):
+        # On purpose: a malformed bracket, which both sides must report
+        # as a stream error while keeping the buffered reconfigs.
         self.emit("txn", op="begin")
 
     @rule()
     def txn_commit(self):
         self.emit("txn", op="commit")
+        self.in_txn = False
 
     @rule(values=st.dictionaries(ADDRESS, VALUE, max_size=3))
     def txn_abort(self, values):
         self.emit("txn", op="abort", values=values)
+        self.in_txn = False
 
     @rule()
     def inject_fault(self):
@@ -145,18 +163,54 @@ class ContractStream(RuleBasedStateMachine):
     # -- the cross-check -------------------------------------------------
     @invariant()
     def monitor_matches_reference(self):
-        monitor = replay_trace([replace(event) for event in self.events],
-                               geometry=GEOMETRY)
-        counts, unwaived = reference_verdict(self.events, GEOMETRY)
-        assert monitor.counts() == counts, (
-            "per-contract counts diverged: monitor=%r reference=%r"
-            % (monitor.counts(), counts))
-        assert monitor.unwaived_violations == unwaived, (
-            "unwaived totals diverged: monitor=%d reference=%d"
-            % (monitor.unwaived_violations, unwaived))
-        assert set(monitor.counts()) == set(CONTRACT_NAMES)
+        assert_monitor_matches_reference(self.events)
+
+
+def assert_monitor_matches_reference(events):
+    monitor = replay_trace([replace(event) for event in events],
+                           geometry=GEOMETRY)
+    counts, unwaived, stream_errors = reference_verdict(events, GEOMETRY)
+    assert monitor.counts() == counts, (
+        "per-contract counts diverged: monitor=%r reference=%r"
+        % (monitor.counts(), counts))
+    assert monitor.unwaived_violations == unwaived, (
+        "unwaived totals diverged: monitor=%d reference=%d"
+        % (monitor.unwaived_violations, unwaived))
+    assert [error.index for error in monitor.stream_errors] == stream_errors
+    assert set(monitor.counts()) == set(CONTRACT_NAMES)
+    return counts, stream_errors
 
 
 TestContractStream = ContractStream.TestCase
-TestContractStream.settings = settings(
-    max_examples=20, stateful_step_count=30, deadline=None)
+TestContractStream.settings = stateful_settings(
+    max_examples=20, stateful_step_count=30)
+
+
+def test_nested_begin_is_a_stream_error_on_both_sides():
+    # The stream hypothesis shrank a monitor/reference split to: the
+    # monitor kept the sync_domain(1) buffered before the nested begin,
+    # the reference dropped it, so gate_only_switches read 2 against 1.
+    counts, stream_errors = assert_monitor_matches_reference([
+        TraceEvent(kind="txn", op="begin"),
+        TraceEvent(kind="reconfig", op="sync_domain", domain=1),
+        TraceEvent(kind="txn", op="begin"),
+        TraceEvent(kind="txn", op="commit"),
+        TraceEvent(kind="gate", op="hccall", gate=0, pre_domain=0,
+                   domain=0),
+    ])
+    assert stream_errors == [2]
+    # The commit released sync_domain(1), so the hccall from domain 0
+    # is both a switch outside a gate and an unregistered gate.
+    assert counts["gate_only_switches"] == 2
+    assert sum(counts.values()) == 2
+
+
+def test_stray_commit_and_abort_are_stream_errors():
+    counts, stream_errors = assert_monitor_matches_reference([
+        TraceEvent(kind="txn", op="commit"),
+        TraceEvent(kind="txn", op="begin"),
+        TraceEvent(kind="txn", op="abort", values={}),
+        TraceEvent(kind="txn", op="abort", values={}),
+    ])
+    assert stream_errors == [0, 3]
+    assert sum(counts.values()) == 0

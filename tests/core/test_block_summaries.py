@@ -14,7 +14,7 @@ per-instruction checks on the other, and requires bit-identical
 """
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import (
@@ -35,7 +35,10 @@ from repro.core.pcu import (
     BLOCK_REFUSED,
     BLOCK_SILENT,
 )
+from repro.core.stats import BlockSummaryStats
 from repro.sim.blocks import BlockSummary, summarize_classes
+
+from ..profiles import stateful_settings
 
 CLASSES = ["alu", "load", "store", "csr", "sysop", "halt"]
 CSRS = [
@@ -88,7 +91,7 @@ class TestBlockProbe:
         warm(isa_map, pcu, manager, classes=("alu",))
         summary = summary_of(isa_map, ["alu", "store"])
         assert pcu.check_block_summary(summary) == BLOCK_REFUSED
-        assert pcu.block_stats.refusals == 1
+        assert pcu.block_stats.refusals == pcu.block_stats.refused_class == 1
 
     def test_csr_touches_always_refuse(self):
         # Blocks with CSR members are never formed; a summary carrying
@@ -97,6 +100,7 @@ class TestBlockProbe:
         warm(isa_map, pcu, manager, classes=("alu", "csr"))
         summary = summary_of(isa_map, ["alu"], csrs=(1,))
         assert pcu.check_block_summary(summary) == BLOCK_REFUSED
+        assert pcu.block_stats.refused_csr == 1
 
     def test_domain0_authorizes_without_bypass(self):
         isa_map, pcu, _ = build_pcu()
@@ -118,6 +122,7 @@ class TestBlockProbe:
         # No warm check yet: the bypass register is cold.
         summary = summary_of(isa_map, ["alu"])
         assert pcu.check_block_summary(summary) == BLOCK_REFUSED
+        assert pcu.block_stats.refused_bypass == 1
         pcu.check(AccessInfo(inst_class=isa_map.inst_class("alu")))
         assert pcu.check_block_summary(summary) == BLOCK_BYPASS
 
@@ -135,6 +140,7 @@ class TestBlockProbe:
         warm(isa_map, pcu, manager)
         assert (pcu.check_block_summary(summary_of(isa_map, ["alu"]))
                 == BLOCK_REFUSED)
+        assert pcu.block_stats.refused_decompiled == 1
 
     @pytest.mark.parametrize("fields", [
         {"fast_path": False},
@@ -162,6 +168,7 @@ class TestBlockProbe:
         summary = summary_of(isa_map, ["alu"])
         pcu._tap = object()
         assert pcu.check_block_summary(summary) == BLOCK_REFUSED
+        assert pcu.block_stats.refused_tap == 1
         pcu._tap = None
         assert pcu.check_block_summary(summary) == BLOCK_BYPASS
 
@@ -175,6 +182,7 @@ class TestBlockProbe:
         original = pcu.check
         pcu.check = lambda access: original(access)
         assert pcu.check_block_summary(summary) == BLOCK_REFUSED
+        assert pcu.block_stats.refused_shadowed == 1
         del pcu.check
         assert pcu.check_block_summary(summary) == BLOCK_BYPASS
 
@@ -259,6 +267,7 @@ class TestBlockInvalidationEntryPoints:
         assert pcu.check_block_summary(summary) == BLOCK_BYPASS
         pcu.generation_table[domain.domain_id] += 1
         assert pcu.check_block_summary(summary) == BLOCK_REFUSED
+        assert pcu.block_stats.refused_stale == 1
 
 
 class TestBlockAccounting:
@@ -287,6 +296,33 @@ class TestBlockAccounting:
         pcu.account_block(BLOCK_SILENT, 9)
         assert pcu.stats.as_dict() == before
         assert pcu.block_stats.insts == 9
+
+
+class TestBlockSummaryStats:
+    def test_coverage_counts_every_fallback(self):
+        stats = BlockSummaryStats(insts=90)
+        stats.add_fallbacks(no_block=5, budget=1, refused=3, translated=1)
+        assert stats.fallbacks == 10
+        assert stats.coverage == 0.9
+
+    def test_an_idle_executor_reads_zero_coverage(self):
+        # hit_rate reads a perfect 1.0 when nothing was probed;
+        # coverage must not let a disabled executor look healthy.
+        stats = BlockSummaryStats()
+        assert stats.hit_rate == 1.0
+        assert stats.coverage == 0.0
+
+    def test_merge_reset_and_as_dict_cover_every_counter(self):
+        one = BlockSummaryStats(probes=4, hits=1, refused_tap=2,
+                                refused_class=1, fallback_budget=3)
+        total = BlockSummaryStats()
+        total.merge(one)
+        total.merge(one)
+        assert total.refusals == 6
+        assert total.as_dict()["refused_tap"] == 4
+        assert total.as_dict()["fallbacks"] == 6
+        total.reset()
+        assert total == BlockSummaryStats()
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +497,6 @@ class BlockSummaryLockstep(RuleBasedStateMachine):
         assert self.blocky.registers.domain == self.plain.registers.domain
 
 
-BlockSummaryLockstep.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=40, deadline=None
-)
+BlockSummaryLockstep.TestCase.settings = stateful_settings(
+    max_examples=25, stateful_step_count=40)
 TestBlockSummaryLockstep = BlockSummaryLockstep.TestCase

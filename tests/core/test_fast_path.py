@@ -11,7 +11,7 @@ cycles and full ``PcuStats`` after every step.
 """
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import (
@@ -27,6 +27,8 @@ from repro.core import (
 )
 from repro.core.errors import PrivilegeFault
 from repro.core.pcu import DOMAIN_0
+
+from ..profiles import stateful_settings
 
 CLASSES = ["alu", "load", "store", "csr", "sysop", "halt"]
 CSRS = [
@@ -332,7 +334,6 @@ class FastSlowLockstep(RuleBasedStateMachine):
         assert self.slow.verdict_plan() is None
 
 
-FastSlowLockstep.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=40, deadline=None
-)
+FastSlowLockstep.TestCase.settings = stateful_settings(
+    max_examples=25, stateful_step_count=40)
 TestFastSlowLockstep = FastSlowLockstep.TestCase

@@ -16,7 +16,7 @@ binding dies (retire, eviction, recycle), the next tenant in that slot
 MUST NOT inherit the seal mask — a granted class checks ok again.
 """
 
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.core import (
@@ -35,6 +35,8 @@ from repro.core import (
 )
 from repro.core.errors import PrivilegeFault
 from repro.core.pcu import DOMAIN_0
+
+from ..profiles import stateful_settings
 
 CLASSES = ["alu", "load", "store", "csr", "sysop", "halt"]
 MAX_SLOTS = 3
@@ -177,5 +179,5 @@ class VirtualizerMachine(RuleBasedStateMachine):
 
 
 TestVirtualizerMachine = VirtualizerMachine.TestCase
-TestVirtualizerMachine.settings = settings(
-    max_examples=25, stateful_step_count=40, deadline=None)
+TestVirtualizerMachine.settings = stateful_settings(
+    max_examples=25, stateful_step_count=40)

@@ -6,13 +6,17 @@ path) and with ``fast_path=False`` (reference slow path) must produce
 bit-identical instructions, cycles, traps, architectural registers and
 ``PcuStats``.  This suite drives small assembled programs and the
 gate-stress kernel workload through all three modes on both backends,
-exercises the mid-block fault and escaping-exception paths, and pins
+exercises the mid-block fault and escaping-exception paths, runs RISC-V
+programs under Bare and Sv39 translation (with a seeded bug in the
+executor's translation gate that the Sv39 check must catch), and pins
 the escape hatches (``PcuConfig(block_summaries=False)``, the
 ``Machine.block_summaries`` flag, step hooks, an attached contract
 monitor) that must keep the reference path in charge.
 """
 
 import dataclasses
+import inspect
+import textwrap
 
 import pytest
 
@@ -21,9 +25,14 @@ from repro.core import CONFIG_8E
 from repro.kernel import RiscvKernel, X86Kernel
 from repro.riscv import (
     KERNEL_BASE as RISCV_BASE,
+    PageTableBuilder,
+    RiscvCpu,
     assemble as riscv_assemble,
     build_riscv_system,
+    make_satp,
 )
+from repro.riscv import cpu as riscv_cpu
+from repro.riscv.mmu import PAGE_SHIFT, PTE_R, PTE_W, PTE_X
 from repro.sim import MemoryAccessError, SimulationLimitExceeded
 from repro.workloads import GATE_STRESS
 from repro.workloads.generator import riscv_user_program, x86_user_program
@@ -76,8 +85,77 @@ def run_x86(config, source=X86_LOOP, *, max_steps=100_000):
     return system
 
 
+#: Sv39 tables for the paged programs: code identity-mapped, and one
+#: data page whose virtual address differs from its physical one.
+PT_BASE = 0x0200_0000
+DATA_VA = 0x4000_0000
+DATA_PA = 0x0062_0000
+SV39_SATP = make_satp(PT_BASE >> PAGE_SHIFT)
+#: MODE = Bare with other bits set, as the kernels' mmap installs.
+BARE_SATP = 0x5000
+
+#: Writes ``satp`` (all that runs before ``paged``), then loops over
+#: loads and stores through ``data``.
+PAGED_LOOP = """
+entry:
+    li t0, %(satp)d
+    csrw satp, t0
+paged:
+    sfence.vma
+    li t4, %(data)d
+    li t0, 40
+loop:
+    addi t1, t1, 3
+    sd t1, 0(t4)
+    ld t2, 0(t4)
+    add t3, t3, t2
+    addi t0, t0, -1
+    bnez t0, loop
+    halt
+"""
+
+#: Alternates Sv39 and Bare phases over the same physical data word.
+SWITCHING = """
+entry:
+    li s2, %(sv39)d
+    li s3, %(bare)d
+    li s4, %(data_va)d
+    li s5, %(data_pa)d
+    li s6, 4
+outer:
+    csrw satp, s2
+    sfence.vma
+    li t0, 10
+paged:
+    addi t1, t1, 3
+    sd t1, 0(s4)
+    ld t2, 0(s4)
+    add t3, t3, t2
+    addi t0, t0, -1
+    bnez t0, paged
+    csrw satp, s3
+    sfence.vma
+    li t0, 10
+bare:
+    addi t1, t1, 5
+    sd t1, 8(s5)
+    ld t2, 0(s5)
+    add t3, t3, t2
+    addi t0, t0, -1
+    bnez t0, bare
+    addi s6, s6, -1
+    bnez s6, outer
+    halt
+""" % {"sv39": SV39_SATP, "bare": BARE_SATP, "data_va": DATA_VA,
+       "data_pa": DATA_PA}
+
+
 def run_riscv(config, source=RISCV_LOOP, *, max_steps=100_000):
     system = build_riscv_system(config)
+    tables = PageTableBuilder(system.machine.memory, PT_BASE)
+    tables.identity_map(RISCV_BASE, 0x10000, PTE_R | PTE_X)
+    tables.map_page(DATA_VA, DATA_PA, PTE_R | PTE_W)
+    assert tables.satp() == SV39_SATP
     domain = system.manager.create_domain("all")
     system.manager.allow_all_instructions(domain.domain_id)
     program = riscv_assemble(source, base=RISCV_BASE)
@@ -96,6 +174,30 @@ def snapshot(system):
         "regs": tuple(system.cpu.regs),
         "pcu": system.pcu.stats.as_dict(),
     }
+
+
+def paged_snapshot(system):
+    mmu = system.cpu.mmu
+    return dict(snapshot(system),
+                tlb=(mmu.walks, mmu.tlb_hits, mmu.tlb_misses))
+
+
+def instructions_before(source, label):
+    """Instructions from ``entry`` to ``label``: each runs once."""
+    program = riscv_assemble(source, base=RISCV_BASE)
+    return (program.symbol(label) - program.symbol("entry")) // 4
+
+
+def bare_gate_mutant():
+    """``RiscvCpu.run_blocks`` with a seeded bug in its translation
+    gate: it takes every satp for Bare, so it enters blocks under Sv39
+    while ``step`` and the load/store handlers still translate."""
+    source = textwrap.dedent(inspect.getsource(RiscvCpu.run_blocks))
+    gate = "if not csrs[satp_address] >> satp_shift:"
+    assert source.count(gate) == 1
+    namespace = {}
+    exec(source.replace(gate, "if True:"), vars(riscv_cpu), namespace)
+    return namespace["run_blocks"]
 
 
 class TestX86Identity:
@@ -261,6 +363,58 @@ class TestRiscvIdentity:
         assert snaps[0] == snaps[1]
 
 
+class TestRiscvTranslationGate:
+    """Blocks run whenever satp.MODE is Bare, whatever satp's other
+    bits hold, and stay off under Sv39 — with the TLB counters, too,
+    identical in all three modes."""
+
+    def three_way(self, source):
+        blocky, off, slow = (run_riscv(config, source)
+                             for config in ALL_MODES)
+        reference = paged_snapshot(off)
+        assert paged_snapshot(blocky) == reference
+        assert paged_snapshot(slow) == reference
+        assert off.pcu.block_stats.probes == slow.pcu.block_stats.probes == 0
+        return blocky
+
+    def test_nonzero_bare_satp_keeps_blocks_on(self):
+        source = PAGED_LOOP % {"satp": BARE_SATP, "data": DATA_PA}
+        stats = self.three_way(source).pcu.block_stats
+        # Only the instructions before ``paged`` ran before the write.
+        assert stats.insts > instructions_before(source, "paged")
+        assert stats.fallback_translated == 0
+
+    def test_sv39_keeps_blocks_off(self):
+        source = PAGED_LOOP % {"satp": SV39_SATP, "data": DATA_VA}
+        blocky = self.three_way(source)
+        before = instructions_before(source, "paged")
+        stats = blocky.pcu.block_stats
+        assert stats.insts <= before
+        assert (stats.fallback_translated
+                == blocky.machine.stats.instructions - before)
+        # The stores really went through the non-identity mapping.
+        assert blocky.machine.memory.load(DATA_PA, 8) == blocky.cpu.regs[6]
+
+    def test_switching_between_bare_and_sv39_mid_run(self):
+        stats = self.three_way(SWITCHING).pcu.block_stats
+        assert stats.insts > 0
+        assert stats.fallback_translated > 0
+
+    def test_seeded_gate_bug_is_caught(self, monkeypatch):
+        # Mutation check for the Sv39 identity test: a gate that treats
+        # every satp as Bare skips fetch translation inside blocks and
+        # drops the data walks' cycles, and the snapshot must show it.
+        source = PAGED_LOOP % {"satp": SV39_SATP, "data": DATA_VA}
+        reference = paged_snapshot(run_riscv(BLOCK_OFF, source))
+        monkeypatch.setattr(RiscvCpu, "run_blocks", bare_gate_mutant())
+        mutant = run_riscv(CONFIG_8E, source)
+        assert (mutant.pcu.block_stats.insts
+                > instructions_before(source, "paged"))
+        observed = paged_snapshot(mutant)
+        assert observed["regs"] == reference["regs"]
+        assert observed != reference
+
+
 class TestKernelWorkloadIdentity:
     """The gate-stress kernel exercises BYPASS-mode blocks: domain
     entries through gates, privilege revocations, ISA-Grid faults and
@@ -293,7 +447,7 @@ class TestKernelWorkloadIdentity:
         for key, (observed, _) in results.items():
             assert observed == reference, "mode %r diverged" % (key,)
         blocky = results[True, True][1]
-        assert blocky.system.pcu.block_stats.hits > 0
+        assert blocky.system.pcu.block_stats.coverage > 0.9
         assert results[True, False][1].system.pcu.block_stats.probes == 0
 
     def test_riscv_gate_stress_three_way(self):
@@ -304,7 +458,11 @@ class TestKernelWorkloadIdentity:
         reference = results[True, False][0]
         for key, (observed, _) in results.items():
             assert observed == reference, "mode %r diverged" % (key,)
-        assert results[True, True][1].system.pcu.block_stats.hits > 0
+        # The kernel's mmap leaves a non-zero Bare satp behind, which
+        # must not turn the executor off.
+        stats = results[True, True][1].system.pcu.block_stats
+        assert stats.coverage > 0.9
+        assert stats.insts > 0.9 * reference["instructions"]
 
     def test_attached_monitor_forces_per_instruction_cadence(self):
         # An armed contract tap must see every check: probes refuse,
@@ -318,7 +476,10 @@ class TestKernelWorkloadIdentity:
             monitor = ContractMonitor(seed=0)
             monitor.attach(kernel.system.pcu, kernel.system.manager)
             kernel.run(x86_user_program(profile), max_steps=self.MAX_STEPS)
-            assert kernel.system.pcu.block_stats.hits == 0
+            stats = kernel.system.pcu.block_stats
+            assert stats.hits == 0 and stats.coverage == 0.0
+            assert stats.refused_tap == stats.refusals == stats.fallback_refused
+            assert (stats.refused_tap > 0) == config.block_summaries
             assert monitor.total_violations == 0
             monitors.append(monitor)
         assert monitors[0].events_seen == monitors[1].events_seen > 0
