@@ -126,11 +126,11 @@ def _run_smoke_hooked(fast_path: bool, block_cache: bool = True) -> Dict[str, ob
     """``smoke`` with a no-op per-step hook installed on the machine.
 
     The machine-level fault campaigns interpose on
-    :attr:`repro.sim.machine.Machine.step_hook`; this rig holds that
-    injection point to the same ips floor as ``smoke``, so a hook-path
-    regression in the hot loop can't hide behind the hook-free branch.
-    The simulated work must be identical to ``smoke`` — only wall-clock
-    may move.
+    :attr:`repro.sim.machine.Machine.step_hook`, which keeps
+    ``Machine.run`` on its per-instruction loop; this rig holds that
+    loop to the same ips floor as ``smoke``, which runs the block
+    executor.  The simulated work must be identical to ``smoke`` —
+    only wall-clock may move.
     """
     import dataclasses
 

@@ -116,10 +116,12 @@ class PrivilegeCheckUnit:
         # store, so every condition that forbids ``_fast_capable``
         # (bypass disabled, armed Draco entries, ``fast_path=False``)
         # forbids block summaries too, plus the dedicated
-        # ``block_summaries`` escape hatch.  The *live* conditions
-        # (degraded mode, armed contract tap, shadowed ``check``, cold
-        # or foreign bypass, stale generation) are re-tested on every
-        # probe in :meth:`check_block_summary`.
+        # ``block_summaries`` escape hatch.  An observer that must see
+        # every per-instruction ``check`` (the machine campaigns'
+        # lockstep monitor) clears it while installed.  The *live*
+        # conditions (degraded mode, armed contract tap, cold or foreign
+        # bypass, stale generation) are re-tested on every probe in
+        # :meth:`check_block_summary`.
         self._block_capable = config.block_summaries and self._fast_capable
         self.block_stats = BlockSummaryStats()
         # Contract-monitor tap (repro.contracts, DESIGN §3.16).  ``None``
@@ -359,9 +361,9 @@ class PrivilegeCheckUnit:
         """One probe deciding a whole straight-line block.
 
         ``summary`` is the union of everything the block's instructions
-        would ask :meth:`check` for — inst-bitmap bits per 64-bit word
-        and CSR touches (blocks containing CSR accesses are never
-        formed, so a non-empty CSR set always refuses).  Returns a
+        would ask :meth:`check` for: the inst-bitmap bits they need, as
+        sparse ``(word_index, mask)`` pairs (blocks never contain CSR
+        accesses, gates or other self-checking instructions).  Returns a
         ``BLOCK_*`` mode: anything but :data:`BLOCK_REFUSED` proves
         that running :meth:`check` once per member would pass with zero
         stall and touch only the counters
@@ -371,10 +373,10 @@ class PrivilegeCheckUnit:
         Refusal is always safe (the CPU falls back to per-instruction
         checks, the reference semantics), so every live condition the
         verdict plan invalidates on refuses here: degraded mode and
-        decompiled plans (``_fast``), an armed contract tap (per-check
-        events must keep their per-instruction cadence), an
-        instance-shadowed ``check`` (the machine campaigns' lockstep
-        monitor must see every call), a recycled tenant slot
+        decompiled plans (``_fast``), a cleared ``_block_capable`` (the
+        machine campaigns' lockstep monitor must see every call), an
+        armed contract tap (per-check events must keep their
+        per-instruction cadence), a recycled tenant slot
         (generation mismatch — the per-instruction path raises the
         architectural :class:`StaleGenerationFault`), and a cold or
         foreign bypass register.  Each refusal is counted by reason.
@@ -392,9 +394,6 @@ class PrivilegeCheckUnit:
         if self._tap is not None:
             block_stats.refused_tap += 1
             return BLOCK_REFUSED
-        if "check" in self.__dict__:
-            block_stats.refused_shadowed += 1
-            return BLOCK_REFUSED
         domain = self.registers.domain
         if domain == DOMAIN_0:
             block_stats.hits += 1
@@ -407,11 +406,8 @@ class PrivilegeCheckUnit:
         if bypass._domain != domain:
             block_stats.refused_bypass += 1
             return BLOCK_REFUSED
-        if summary.csrs:
-            block_stats.refused_csr += 1
-            return BLOCK_REFUSED
         words = bypass._words
-        for index, needed in summary.class_words:
+        for index, needed in summary:
             if words[index] & needed != needed:
                 block_stats.refused_class += 1
                 return BLOCK_REFUSED

@@ -72,10 +72,8 @@ class BlockSummaryStats:
     # Probe refusals, by reason.
     refused_decompiled: int = 0  # not block-capable, or no verdict plan
     refused_tap: int = 0         # an armed contract tap
-    refused_shadowed: int = 0    # ``check`` shadowed on the instance
     refused_stale: int = 0       # recycled tenant slot (stale generation)
     refused_bypass: int = 0      # cold or foreign bypass register
-    refused_csr: int = 0         # the summary touches CSRs
     refused_class: int = 0       # a needed class word bit is not granted
     # Executor fallbacks to one reference step(), by reason.
     fallback_translated: int = 0  # RISC-V translation is not Bare
@@ -87,8 +85,7 @@ class BlockSummaryStats:
     def refusals(self) -> int:
         """Probes that fell back to per-instruction checks."""
         return (self.refused_decompiled + self.refused_tap
-                + self.refused_shadowed + self.refused_stale
-                + self.refused_bypass + self.refused_csr
+                + self.refused_stale + self.refused_bypass
                 + self.refused_class)
 
     @property

@@ -161,7 +161,9 @@ class LockstepMonitor:
 
     Installed by shadowing the PCU's bound methods with instance
     attributes — the CPUs look the methods up per call, so no core code
-    changes.  The real PCU always runs *first*; an
+    changes — and by clearing the PCU's ``_block_capable`` flag, so no
+    block probe compresses the per-instruction ``check`` calls away
+    while it is installed.  The real PCU always runs *first*; an
     :class:`InjectedFault` from it propagates before the oracle is
     consulted, so both sides agree the instruction never executed and a
     retry stays in lockstep (the injected faults are one-shot).
@@ -188,10 +190,13 @@ class LockstepMonitor:
         pcu.check = self._check
         pcu.execute_gate = self._execute_gate
         pcu.check_memory_access = self._check_memory_access
+        self._block_capable = pcu._block_capable
+        pcu._block_capable = False
 
     def uninstall(self) -> None:
         for name in ("check", "execute_gate", "check_memory_access"):
             self.pcu.__dict__.pop(name, None)
+        self.pcu._block_capable = self._block_capable
 
     # -- helpers --------------------------------------------------------
     def _diverge(self, description: str) -> None:

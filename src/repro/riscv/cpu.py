@@ -14,15 +14,8 @@ from typing import Dict, Optional
 
 from repro.core.errors import PrivilegeFault, TrustedMemoryFault
 from repro.core.isa_extension import AccessInfo, CacheId, GateKind
-from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT, PrivilegeCheckUnit
-from repro.sim.blocks import (
-    MAX_BLOCK_LEN,
-    MIN_BLOCK_LEN,
-    NO_BLOCK,
-    BlockSummary,
-    CompiledBlock,
-    summarize_classes,
-)
+from repro.core.pcu import PrivilegeCheckUnit
+from repro.sim import blocks
 from repro.sim.machine import Machine
 from repro.sim.pipeline import InOrderPipelineModel, StepInfo
 from repro.sim.trap import Trap, TrapKind
@@ -729,11 +722,10 @@ class RiscvCpu:
 
         return op
 
-    def _form_block(self, start: int):
-        """Compile a superblock at ``start``, or ``NO_BLOCK``.
+    def _block_member(self, entry: tuple, pc: int):
+        """Block membership (DESIGN §3.18): ``(op, size, inst_class,
+        ends)`` for the instruction decoded as ``entry``, or ``None``.
 
-        Only called while translation is Bare (satp.MODE = 0), where
-        pc == pa and the per-pc decode cache is directly addressable.
         Members are straight-line instructions whose only PCU
         interaction is the plain instruction-class check; the first
         control transfer (branch/jal/jalr) ends the block as its final
@@ -741,173 +733,47 @@ class RiscvCpu:
         pfch/pflh and halt refuse membership, so a block can never
         contain a domain switch, privilege edit or satp write.
         """
-        decode_cache = self._decode_cache
-        ops = []
-        pcs = []
-        classes = []
-        touches_memory = False
-        ended = False
-        pc = start
-        while len(ops) < MAX_BLOCK_LEN:
-            entry = decode_cache.get(pc)
-            if entry is None:
-                try:
-                    entry = self._decode_entry(pc, pc)
-                except Trap:
-                    # Undecodable tail: executing it live must raise
-                    # the same trap via the reference path, so end the
-                    # block here and don't cache the decode failure.
-                    break
-                decode_cache[pc] = entry
-            inst, handler, access, extra = entry
-            if access is None:
-                break
-            cls = inst.inst_class
-            mnemonic = inst.mnemonic
-            if cls == "alu" or cls == "mul" or cls == "fence":
-                op = self._block_op_pure(handler, inst, pc, extra)
-            elif cls == "load":
-                op = self._block_op_mem(handler, inst, pc, extra, False)
-                touches_memory = True
-            elif cls == "store":
-                op = self._block_op_mem(handler, inst, pc, extra, True)
-                touches_memory = True
-            elif cls == "branch":
-                op = self._block_op_branch(handler, inst, pc, extra)
-                ended = True
-            elif mnemonic == "jal" or mnemonic == "jalr":
-                op = self._block_op_pure(handler, inst, pc, extra)
-                ended = True
-            else:
-                # ecall/ebreak/pfch/pflh/halt: never block members.
-                break
-            ops.append(op)
-            pcs.append(pc)
-            classes.append(access.inst_class)
-            pc += 4
-            if ended:
-                break
-        if len(ops) < MIN_BLOCK_LEN:
-            return NO_BLOCK
-        summary = BlockSummary(summarize_classes(classes), (), touches_memory)
-        # Every RISC-V handler writes self.pc itself, so sets_pc=True:
-        # the executor never needs the end_pc store.
-        return CompiledBlock(summary, ops, pcs, [4] * len(ops), pc, True)
+        inst, handler, access, extra = entry
+        if access is None:
+            return None
+        cls = inst.inst_class
+        mnemonic = inst.mnemonic
+        ends = False
+        if cls == "alu" or cls == "mul" or cls == "fence":
+            op = self._block_op_pure(handler, inst, pc, extra)
+        elif cls == "load":
+            op = self._block_op_mem(handler, inst, pc, extra, False)
+        elif cls == "store":
+            op = self._block_op_mem(handler, inst, pc, extra, True)
+        elif cls == "branch":
+            op = self._block_op_branch(handler, inst, pc, extra)
+            ends = True
+        elif mnemonic == "jal" or mnemonic == "jalr":
+            op = self._block_op_pure(handler, inst, pc, extra)
+            ends = True
+        else:
+            # ecall/ebreak/pfch/pflh/halt: never block members.
+            return None
+        return op, 4, access.inst_class, ends
 
-    def run_blocks(self, max_steps: int, mstats, instruction_cycles) -> None:
-        """Hot loop: execute warm blocks under one PCU probe each.
+    def _block_gate(self) -> bool:
+        """Blocks are formed and entered only while translation is Bare
+        (satp.MODE = 0), where every fetch, load and store is the
+        identity at zero cycles and pc == pa."""
+        return not self.csrs[self._satp_address] >> SATP_MODE_SHIFT
 
-        Called by :meth:`Machine.run` instead of its per-instruction
-        loop when block summaries are enabled.  Any cold/ineligible pc,
-        refused probe, or translated fetch (satp.MODE not Bare) falls
-        back to the reference ``step()`` for exactly one instruction, so
-        semantics, cycles and statistics are bit-identical to the
-        per-instruction loop by construction.  Each fallback is counted
-        by reason into the PCU's ``block_stats`` on exit.
-        """
-        blocks = self._block_cache
-        pcu = self.pcu
-        csrs = self.csrs
-        satp_address = self._satp_address
-        satp_shift = SATP_MODE_SHIFT
-        step = self.step
-        probe = None if pcu is None else pcu.check_block_summary
-        account = None if pcu is None else pcu.account_block
-        insts = mstats.instructions
-        cyc = mstats.cycles
-        traps = 0
-        translated = no_block = budget = refused = 0
-        remaining = max_steps
-        try:
-            while remaining > 0:
-                mode = BLOCK_REFUSED
-                if not csrs[satp_address] >> satp_shift:
-                    pc = self.pc
-                    block = blocks.get(pc)
-                    if block is None:
-                        block = self._form_block(pc)
-                        blocks[pc] = block
-                    if block is not NO_BLOCK and block.n <= remaining:
-                        mode = (
-                            BLOCK_SILENT if probe is None
-                            else probe(block.summary)
-                        )
-                if mode == BLOCK_REFUSED:
-                    # No step() ran since the gate, so satp and ``block``
-                    # still say why this instruction falls back.
-                    if csrs[satp_address] >> satp_shift:
-                        translated += 1
-                    elif block is NO_BLOCK:
-                        no_block += 1
-                    elif block.n > remaining:
-                        budget += 1
-                    else:
-                        refused += 1
-                    # Reference path for one instruction.  Flush the
-                    # stats mirrors first: the cycle/instret CSRs and
-                    # trap handlers observe them live.
-                    mstats.instructions = insts
-                    mstats.cycles = cyc
-                    info = step()
-                    insts += 1
-                    cyc += instruction_cycles(info)
-                    remaining -= 1
-                    if info.trapped:
-                        traps += 1
-                    if info.halted:
-                        mstats.halted = True
-                        return
-                    continue
-                ops = block.ops
-                n = block.n
-                i = 0
-                try:
-                    while i < n:
-                        cyc += ops[i]()
-                        i += 1
-                except (Trap, PrivilegeFault) as error:
-                    # Mid-block fault: members [0, i) retired normally;
-                    # the faulting member vectors exactly like step().
-                    insts += i
-                    info = StepInfo(block.pcs[i])
-                    self._dispatch_fault(error, block.pcs[i], info)
-                    insts += 1
-                    cyc += instruction_cycles(info)
-                    traps += 1
-                    remaining -= i + 1
-                    if account is not None:
-                        # The faulting member's check preceded its
-                        # handler on the reference path, so it counts.
-                        account(mode, i + 1)
-                    continue
-                except BaseException:
-                    # e.g. MemoryAccessError escaping the run, as on
-                    # the per-instruction path; attribute the retired
-                    # members before unwinding.  The faulting member's
-                    # check preceded its memory access there, so it
-                    # counts here too.
-                    insts += i
-                    if account is not None:
-                        account(mode, i + 1)
-                    raise
-                insts += n
-                remaining -= n
-                if account is not None:
-                    account(mode, n)
-        finally:
-            mstats.instructions = insts
-            mstats.cycles = cyc
-            mstats.traps += traps
-            if pcu is not None:
-                pcu.block_stats.add_fallbacks(
-                    no_block, budget, refused, translated)
+    run_blocks = blocks.run_blocks
 
     # ------------------------------------------------------------------
     # Decode-and-dispatch cache.  One decode resolves the handler, the
     # prebuilt plain-check AccessInfo and any static operands, so the
     # steady-state step never re-examines mnemonics or classes.
     # ------------------------------------------------------------------
-    def _decode_entry(self, fetch_pa: int, pc: int) -> tuple:
+    def _decode_entry(self, fetch_pa: int, pc: Optional[int] = None) -> tuple:
+        """Decode the word at ``fetch_pa``, fetched from virtual ``pc``
+        (by default the same address, as under Bare translation)."""
+        if pc is None:
+            pc = fetch_pa
         try:
             word = self.memory.load(fetch_pa, 4)
             inst = decode(word)

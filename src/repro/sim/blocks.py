@@ -1,9 +1,9 @@
-"""Superblock cache scaffolding: privilege summaries for basic blocks.
+"""Superblocks: privilege summaries for basic blocks, and their executor.
 
 DESIGN §3.18.  The per-pc decode caches resolve one instruction at a
 time; the block cache extends them with straight-line *superblocks* —
 maximal runs of block-eligible decoded instructions ending at the first
-control transfer — each carrying a :class:`BlockSummary` of every
+control transfer — each carrying a summary of every instruction-class
 privilege the run needs.  A warm block for the current domain and
 generation then costs one
 :meth:`~repro.core.pcu.PrivilegeCheckUnit.check_block_summary` probe
@@ -11,18 +11,40 @@ instead of N per-instruction checks, and its members execute through
 pre-fused closures that fold the work and the pipeline-timing model of
 each instruction into a single call.
 
-The containers here are shared by both backends; the formation rules,
-member closures and executor loops live with their CPUs
-(:mod:`repro.riscv.cpu`, :mod:`repro.x86.cpu`) because both are
-ISA- and pipeline-specific.  The coherence contract — what may be in a
-block, when a probe must refuse, and why the fallback path is always
-the reference semantics — is documented in DESIGN §3.18 and enforced
-by the block lockstep test suite.
+Block formation (:func:`form_block`) and the executor
+(:func:`run_blocks`) live here and serve both backends; each CPU class
+binds ``run_blocks = blocks.run_blocks`` and supplies only what is ISA-
+or pipeline-specific:
+
+* ``_block_member(entry, pc)`` — the membership rule over one decode
+  entry, returning ``(op, size, inst_class, ends)`` for a member (its
+  fused closure, its byte size, its inst-bitmap class, and whether it
+  is the control transfer that ends the block) or ``None``;
+* ``_dispatch_fault(error, pc, info)`` — the trap path ``step()`` takes;
+* ``_block_gate`` — ``None``, or a method saying whether blocks may run
+  at all (RISC-V: only while translation is Bare).  Only a reference
+  ``step()`` can change its answer, so the executor evaluates it on
+  entry and after each reference step, and nowhere else.
+
+The O3 pipeline's store-queue window (``_instructions_since_push``,
+``None`` on the in-order model and whenever no push is in flight)
+advances by every member a block retires.  The coherence contract —
+what may be in a block, when a probe must refuse, and why the fallback
+path is always the reference semantics — is documented in DESIGN §3.18
+and enforced by the block lockstep test suite.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence, Tuple
+
+from repro.core.errors import PrivilegeFault
+from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT
+
+from .pipeline import StepInfo
+from .trap import Trap
+
+MASK64 = (1 << 64) - 1
 
 #: Blocks shorter than this are not worth the probe + accounting
 #: overhead; the per-instruction path serves them.
@@ -38,42 +60,10 @@ MAX_BLOCK_LEN = 64
 NO_BLOCK = False
 
 
-class BlockSummary:
-    """Union of every privilege a block's members need.
-
-    ``class_words`` holds the inst-bitmap union as sparse
-    ``(word_index, bit_mask)`` pairs, matching the bypass register's
-    word layout so the probe is one AND-compare per touched word.
-    ``csrs`` is the tuple of CSR indices the block would access —
-    always empty for blocks the CPUs form today (CSR instructions are
-    never block members), but carried so the probe can refuse any
-    future summary that does carry them instead of silently skipping
-    the read/write/mask checks.  ``touches_memory`` records whether any
-    member performs a load or store; those members keep their *live*
-    ``check_data_access`` call (trusted-memory ranges and generations
-    are enforced per access, not summarized — addresses are dynamic).
-    """
-
-    __slots__ = ("class_words", "csrs", "touches_memory")
-
-    def __init__(
-        self,
-        class_words: Tuple[Tuple[int, int], ...],
-        csrs: Tuple[int, ...] = (),
-        touches_memory: bool = False,
-    ):
-        self.class_words = class_words
-        self.csrs = csrs
-        self.touches_memory = touches_memory
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "BlockSummary(words=%r, csrs=%r, mem=%r)" % (
-            self.class_words, self.csrs, self.touches_memory
-        )
-
-
 def summarize_classes(inst_classes: Iterable[int]) -> Tuple[Tuple[int, int], ...]:
-    """Fold instruction-class indices into sparse bypass-word masks."""
+    """Fold instruction-class indices into a block summary: sparse
+    ``(word_index, bit_mask)`` pairs matching the bypass register's word
+    layout, so the probe is one AND-compare per touched word."""
     words: Dict[int, int] = {}
     for inst_class in inst_classes:
         index = inst_class >> 6
@@ -83,6 +73,12 @@ def summarize_classes(inst_classes: Iterable[int]) -> Tuple[Tuple[int, int], ...
 
 class CompiledBlock:
     """One formed superblock: summary + fused member closures.
+
+    ``summary`` is the :func:`summarize_classes` union of the members'
+    instruction classes.  Loads and stores keep their *live*
+    ``check_data_access`` call inside their closures (trusted-memory
+    ranges and generations are enforced per access, not summarized —
+    addresses are dynamic).
 
     ``ops[i]()`` performs member ``i``'s architectural work *and* its
     pipeline-timing accounting (instruction fetch, data access, branch
@@ -99,7 +95,7 @@ class CompiledBlock:
 
     def __init__(
         self,
-        summary: BlockSummary,
+        summary: Tuple[Tuple[int, int], ...],
         ops: Sequence,
         pcs: Sequence[int],
         sizes: Sequence[int],
@@ -118,3 +114,158 @@ class CompiledBlock:
         return "CompiledBlock(n=%d, pc=0x%x..0x%x, sets_pc=%r)" % (
             self.n, self.pcs[0], self.pcs[-1], self.sets_pc
         )
+
+
+def form_block(cpu, start: int):
+    """Compile the superblock at ``start`` for ``cpu``, or ``NO_BLOCK``.
+
+    Walks the decode cache from ``start`` while ``cpu._block_member``
+    admits each instruction, up to ``MAX_BLOCK_LEN`` members; a member
+    that ends the block is included as its last.  Only called where
+    pc == pa (RISC-V forms under Bare translation only).
+    """
+    decode_cache = cpu._decode_cache
+    member = cpu._block_member
+    ops = []
+    pcs = []
+    sizes = []
+    classes = []
+    ends = False
+    pc = start
+    while not ends and len(ops) < MAX_BLOCK_LEN:
+        entry = decode_cache.get(pc)
+        if entry is None:
+            try:
+                entry = cpu._decode_entry(pc)
+            except Trap:
+                # Undecodable tail: executing it live must raise the
+                # same trap via the reference path, so end the block
+                # here and do not cache the decode failure.
+                break
+            decode_cache[pc] = entry
+        fused = member(entry, pc)
+        if fused is None:
+            break
+        op, size, inst_class, ends = fused
+        ops.append(op)
+        pcs.append(pc)
+        sizes.append(size)
+        classes.append(inst_class)
+        pc = (pc + size) & MASK64
+    if len(ops) < MIN_BLOCK_LEN:
+        return NO_BLOCK
+    return CompiledBlock(summarize_classes(classes), ops, pcs, sizes, pc, ends)
+
+
+def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
+    """Hot loop: execute warm blocks under one PCU probe each.
+
+    Bound as a method of both CPU classes and called by
+    :meth:`~repro.sim.machine.Machine.run` instead of its
+    per-instruction loop when block summaries are enabled.  Any closed
+    gate, cold/ineligible pc or refused probe falls back to the
+    reference ``step()`` for exactly one instruction, so semantics,
+    cycles and statistics are bit-identical to the per-instruction loop
+    by construction.  Each fallback is counted by reason into the PCU's
+    ``block_stats`` on exit.
+    """
+    blocks = cpu._block_cache
+    pcu = cpu.pcu
+    pipeline = cpu.machine.pipeline
+    step = cpu.step
+    gate = cpu._block_gate
+    probe = None if pcu is None else pcu.check_block_summary
+    account = None if pcu is None else pcu.account_block
+    insts = mstats.instructions
+    cyc = mstats.cycles
+    traps = 0
+    translated = no_block = budget = refused = 0
+    gate_open = gate is None or gate()
+    remaining = max_steps
+    try:
+        while remaining > 0:
+            mode = BLOCK_REFUSED
+            if not gate_open:
+                translated += 1
+            else:
+                pc = cpu.pc
+                block = blocks.get(pc)
+                if block is None:
+                    block = blocks[pc] = form_block(cpu, pc)
+                if block is NO_BLOCK:
+                    no_block += 1
+                elif block.n > remaining:
+                    budget += 1
+                else:
+                    mode = BLOCK_SILENT if probe is None else probe(block.summary)
+                    if mode == BLOCK_REFUSED:
+                        refused += 1
+            if mode == BLOCK_REFUSED:
+                # Reference path for one instruction.  Flush the stats
+                # mirrors first: rdtsc, the cycle/instret CSRs and trap
+                # handlers observe them live.
+                mstats.instructions = insts
+                mstats.cycles = cyc
+                info = step()
+                insts += 1
+                cyc += instruction_cycles(info)
+                remaining -= 1
+                if info.trapped:
+                    traps += 1
+                if info.halted:
+                    mstats.halted = True
+                    return
+                if gate is not None:
+                    gate_open = gate()
+                continue
+            ops = block.ops
+            n = block.n
+            isp = pipeline._instructions_since_push
+            i = 0
+            try:
+                while i < n:
+                    cyc += ops[i]()
+                    i += 1
+            except (Trap, PrivilegeFault) as error:
+                # Mid-block fault: members [0, i) retired normally; the
+                # faulting member vectors exactly like step().
+                insts += i
+                if isp is not None:
+                    pipeline._instructions_since_push = isp + i
+                info = StepInfo(block.pcs[i], block.sizes[i])
+                cpu._dispatch_fault(error, block.pcs[i], info)
+                insts += 1
+                cyc += instruction_cycles(info)
+                traps += 1
+                remaining -= i + 1
+                if account is not None:
+                    # The faulting member's check preceded its handler
+                    # on the reference path, so it counts.
+                    account(mode, i + 1)
+                continue
+            except BaseException:
+                # e.g. MemoryAccessError escaping the run, as on the
+                # per-instruction path; attribute the retired members
+                # before unwinding.  The faulting member's check
+                # preceded its memory access there, so it counts here
+                # too.
+                insts += i
+                if isp is not None:
+                    pipeline._instructions_since_push = isp + i
+                if account is not None:
+                    account(mode, i + 1)
+                raise
+            if isp is not None:
+                pipeline._instructions_since_push = isp + n
+            insts += n
+            remaining -= n
+            if not block.sets_pc:
+                cpu.pc = block.end_pc
+            if account is not None:
+                account(mode, n)
+    finally:
+        mstats.instructions = insts
+        mstats.cycles = cyc
+        mstats.traps += traps
+        if pcu is not None:
+            pcu.block_stats.add_fallbacks(no_block, budget, refused, translated)

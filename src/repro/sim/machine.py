@@ -67,12 +67,14 @@ class Machine:
         self.pcu = pcu
         self.cpu: Optional[Core] = None
         self.stats = MachineStats()
-        #: Optional per-step observation hook (fault campaigns, probes):
-        #: called after every retired instruction with its StepInfo; a
-        #: truthy return stops ``run`` early (stats stay consistent).
-        #: ``None`` (the default) keeps the hoisted hot loop untouched —
-        #: the hook branch is selected once per ``run`` call, so a
-        #: hook-free run pays nothing per instruction.
+        #: Optional per-step observation hook (fault campaigns, the
+        #: Tracer): called with the StepInfo of every instruction
+        #: retired through ``step`` or ``run``, the halting one included,
+        #: once ``instructions`` and ``cycles`` count it.  In ``run`` a
+        #: truthy return stops the run early (stats stay consistent).
+        #: Installing a hook keeps ``run`` on its per-instruction loop,
+        #: so the hook sees each instruction; ``None`` (the default)
+        #: lets warm blocks retire under the block executor.
         self.step_hook: Optional[Callable[[StepInfo], bool]] = None
         #: Master switch for the block-summary executor (DESIGN §3.18).
         #: The system builders copy ``PcuConfig.block_summaries`` here so
@@ -95,7 +97,8 @@ class Machine:
     # Run loop.
     # ------------------------------------------------------------------
     def step(self) -> StepInfo:
-        """Execute one instruction and account its cycles."""
+        """Execute one instruction, account its cycles and offer it to
+        the step hook (whose return value is ignored here)."""
         if self.cpu is None:
             raise RuntimeError("no CPU attached")
         info = self.cpu.step()
@@ -105,6 +108,8 @@ class Machine:
             self.stats.traps += 1
         if info.halted:
             self.stats.halted = True
+        if self.step_hook is not None:
+            self.step_hook(info)
         return info
 
     def run(self, max_steps: int = 2_000_000, *, require_halt: bool = True) -> MachineStats:
@@ -114,63 +119,42 @@ class Machine:
         :class:`SimulationLimitExceeded` — runaway programs are a bug in
         the experiment, not a result.
 
-        This is the simulator's hottest loop, so :meth:`step` is inlined
-        with the per-instruction lookups hoisted into locals.  The
-        ``instructions`` and ``cycles`` counters must stay live on
-        ``self.stats`` every iteration — the CPUs serve them
-        architecturally mid-run (RISC-V ``cycle``/``instret`` CSRs, x86
-        ``rdtsc``) — so only the trap count, which nothing reads mid-run,
-        is accumulated in a local and flushed on every exit path.
+        Two loops.  Without a step hook, and when the CPU formed its
+        member closures against this pipeline model and its PCU (if
+        any) is block-capable, the block-summary executor (DESIGN
+        §3.18) retires warm straight-line blocks under one PCU probe
+        each and falls back to the reference ``step()`` per
+        instruction wherever a probe refuses, so results are
+        bit-identical to the per-instruction loop.  Otherwise that
+        loop runs, with :meth:`step` inlined and the per-instruction
+        lookups hoisted into locals.  The ``instructions`` and
+        ``cycles`` counters stay live on ``self.stats`` every
+        iteration — the CPUs serve them architecturally mid-run
+        (RISC-V ``cycle``/``instret`` CSRs, x86 ``rdtsc``) — so only
+        the trap count, which nothing reads mid-run, is accumulated in
+        a local and flushed on every exit path.
         """
         cpu = self.cpu
         if cpu is None:
             raise RuntimeError("no CPU attached")
         hook = self.step_hook
-        if "step" in self.__dict__:
-            # Something (the Tracer) wrapped ``step`` on this instance;
-            # honour the wrapper instead of the inlined loop.
-            for _ in range(max_steps):
-                info = self.step()
-                if info.halted:
-                    return self.stats
-                if hook is not None and hook(info):
-                    return self.stats
-            if require_halt:
-                raise SimulationLimitExceeded(
-                    "no halt after %d instructions (pc=0x%x)"
-                    % (max_steps, cpu.pc)
-                )
-            return self.stats
-        if hook is None and self.block_summaries:
-            # Block-summary executor (DESIGN §3.18): warm straight-line
-            # blocks retire under one PCU probe instead of N checks.
-            # Only taken when the CPU formed its member closures against
-            # this pipeline model and its PCU (if any) was configured
-            # block-capable; the executor itself falls back to the
-            # reference ``step()`` per instruction whenever a probe
-            # refuses, so results are bit-identical to the loops below.
-            run_blocks = getattr(cpu, "run_blocks", None)
-            if (
-                run_blocks is not None
-                and cpu.blocks_supported
-                and (cpu.pcu is None or cpu.pcu._block_capable)
-            ):
-                stats = self.stats
-                run_blocks(max_steps, stats, self.pipeline.instruction_cycles)
-                if stats.halted:
-                    return stats
-                if require_halt:
-                    raise SimulationLimitExceeded(
-                        "no halt after %d instructions (pc=0x%x)"
-                        % (max_steps, cpu.pc)
-                    )
-                return stats
-        cpu_step = cpu.step
-        instruction_cycles = self.pipeline.instruction_cycles
         stats = self.stats
-        traps = 0
-        try:
-            if hook is None:
+        run_blocks = getattr(cpu, "run_blocks", None)
+        if (
+            hook is None
+            and self.block_summaries
+            and run_blocks is not None
+            and cpu.blocks_supported
+            and (cpu.pcu is None or cpu.pcu._block_capable)
+        ):
+            run_blocks(max_steps, stats, self.pipeline.instruction_cycles)
+            if stats.halted:
+                return stats
+        else:
+            cpu_step = cpu.step
+            instruction_cycles = self.pipeline.instruction_cycles
+            traps = 0
+            try:
                 for _ in range(max_steps):
                     info = cpu_step()
                     stats.instructions += 1
@@ -179,24 +163,10 @@ class Machine:
                         traps += 1
                     if info.halted:
                         stats.halted = True
+                    if (hook is not None and hook(info)) or info.halted:
                         return stats
-            else:
-                # Same loop with the hook call appended.  Kept as a
-                # separate branch so the hook-free hot path stays free
-                # of the extra call and None test per instruction.
-                for _ in range(max_steps):
-                    info = cpu_step()
-                    stats.instructions += 1
-                    stats.cycles += instruction_cycles(info)
-                    if info.trapped:
-                        traps += 1
-                    if info.halted:
-                        stats.halted = True
-                        return stats
-                    if hook(info):
-                        return stats
-        finally:
-            stats.traps += traps
+            finally:
+                stats.traps += traps
         if require_halt:
             raise SimulationLimitExceeded(
                 "no halt after %d instructions (pc=0x%x)" % (max_steps, cpu.pc)

@@ -80,6 +80,11 @@ class PipelineModel:
         self._access_data = hierarchy.access_data
         self._predictor_update = self.predictor.update
         self._mispredict_penalty = float(getattr(self, "MISPREDICT_PENALTY", 0))
+        # Instructions retired since the last trusted-stack push that is
+        # still in the store queue (``None``: no push in flight).  Only
+        # the O3 model opens that window; the block executor advances
+        # it by each block's members, as the per-instruction path would.
+        self._instructions_since_push: Optional[int] = None
 
     def instruction_cycles(self, info: StepInfo) -> float:
         raise NotImplementedError
@@ -190,7 +195,6 @@ class OutOfOrderPipelineModel(PipelineModel):
         if predictor is None:
             predictor = TournamentPredictor(local_bits=14, global_bits=14)
         super().__init__(hierarchy, predictor)
-        self._instructions_since_push: Optional[int] = None
         self._inv_width = 1.0 / self.WIDTH
 
     def instruction_cycles(self, info: StepInfo) -> float:

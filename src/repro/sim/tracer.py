@@ -49,9 +49,11 @@ class TraceRecord:
 class Tracer:
     """Ring-buffered per-instruction trace of one machine.
 
-    Wraps ``machine.step`` non-invasively; detach with :meth:`detach`.
-    An optional ``watch`` callback fires on every record (return ``True``
-    from it to stop collecting further records).
+    Installs itself as the machine's ``step_hook``, chaining any hook
+    already installed (whose return value still decides whether ``run``
+    stops); :meth:`detach` restores that hook.  An optional ``watch``
+    callback fires on every record (return ``True`` from it to stop
+    collecting further records).
     """
 
     def __init__(
@@ -67,12 +69,11 @@ class Tracer:
         self.records: Deque[TraceRecord] = deque(maxlen=capacity)
         self._count = 0
         self._active = True
-        self._original_step = machine.step
-        machine.step = self._traced_step  # type: ignore[method-assign]
+        self._previous_hook = machine.step_hook
+        machine.step_hook = self._on_step
 
     # ------------------------------------------------------------------
-    def _traced_step(self) -> StepInfo:
-        info = self._original_step()
+    def _on_step(self, info: StepInfo) -> bool:
         if self._active:
             record = TraceRecord(
                 index=self._count,
@@ -94,11 +95,12 @@ class Tracer:
             self._count += 1
             if self.watch is not None and self.watch(record):
                 self._active = False
-        return info
+        previous = self._previous_hook
+        return previous is not None and previous(info)
 
     def detach(self) -> None:
-        """Restore the machine's original step function."""
-        self.machine.step = self._original_step  # type: ignore[method-assign]
+        """Restore the machine's previous step hook."""
+        self.machine.step_hook = self._previous_hook
 
     # ------------------------------------------------------------------
     @property

@@ -18,15 +18,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.errors import PrivilegeFault, TrustedMemoryFault
 from repro.core.isa_extension import AccessInfo, CacheId, GateKind
-from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT, PrivilegeCheckUnit
-from repro.sim.blocks import (
-    MAX_BLOCK_LEN,
-    MIN_BLOCK_LEN,
-    NO_BLOCK,
-    BlockSummary,
-    CompiledBlock,
-    summarize_classes,
-)
+from repro.core.pcu import PrivilegeCheckUnit
+from repro.sim import blocks
 from repro.sim.machine import Machine
 from repro.sim.pipeline import OutOfOrderPipelineModel, StepInfo
 from repro.sim.trap import Trap, TrapKind
@@ -335,8 +328,9 @@ class X86Cpu:
 
         return op
 
-    def _form_block(self, start: int):
-        """Compile a superblock at ``start``, or ``NO_BLOCK``.
+    def _block_member(self, entry: tuple, rip: int):
+        """Block membership (DESIGN §3.18): ``(op, size, inst_class,
+        ends)`` for the instruction decoded as ``entry``, or ``None``.
 
         Members are straight-line ring-3-eligible instructions whose
         only PCU interaction is the plain instruction-class check and
@@ -346,179 +340,43 @@ class X86Cpu:
         rdtsc/rdpmc, syscall/int/iret, hlt — refuses membership, so a
         block can never contain a domain switch or privilege edit.
         """
-        decode_cache = self._decode_cache
-        ops = []
-        pcs = []
-        sizes = []
-        classes = []
-        touches_memory = False
-        sets_pc = False
-        pc = start
-        while len(ops) < MAX_BLOCK_LEN:
-            entry = decode_cache.get(pc)
-            if entry is None:
-                try:
-                    entry = self._decode_entry(pc)
-                except Trap:
-                    # Undecodable tail: executing it live must raise the
-                    # same trap via the reference path, so end the block
-                    # here and do not cache the decode failure.
-                    break
-                decode_cache[pc] = entry
-            inst, handler, size, extra_cycles, needs_ring0, special, access = entry
-            if access is None or needs_ring0 or special or extra_cycles:
-                break
-            cls = inst.inst_class
-            mnemonic = inst.mnemonic
-            ender = False
-            if cls in ("nop", "alu"):
-                op = self._block_op_pure(handler, inst, pc, size)
-            elif cls == "mov":
-                if mnemonic == "mov_load":
-                    op = self._block_op_mem(handler, inst, pc, size, False)
-                    touches_memory = True
-                elif mnemonic == "mov_store":
-                    op = self._block_op_mem(handler, inst, pc, size, True)
-                    touches_memory = True
-                else:
-                    op = self._block_op_pure(handler, inst, pc, size)
-            elif cls == "stack":
-                op = self._block_op_mem(handler, inst, pc, size,
-                                        mnemonic == "push")
-                touches_memory = True
-            elif cls == "branch":
-                ender = True
-                if mnemonic == "jmp":
-                    op = self._block_op_pure(handler, inst, pc, size)
-                else:
-                    op = self._block_op_jcc(handler, inst, pc, size)
-            elif cls == "call":
-                ender = True
-                op = self._block_op_mem(handler, inst, pc, size,
-                                        mnemonic == "call")
-                touches_memory = True
+        inst, handler, size, extra_cycles, needs_ring0, special, access = entry
+        if access is None or needs_ring0 or special or extra_cycles:
+            return None
+        cls = inst.inst_class
+        mnemonic = inst.mnemonic
+        ends = False
+        if cls in ("nop", "alu"):
+            op = self._block_op_pure(handler, inst, rip, size)
+        elif cls == "mov":
+            if mnemonic == "mov_load":
+                op = self._block_op_mem(handler, inst, rip, size, False)
+            elif mnemonic == "mov_store":
+                op = self._block_op_mem(handler, inst, rip, size, True)
             else:
-                # string (reserved), syscall/int/iret: never members.
-                break
-            ops.append(op)
-            pcs.append(pc)
-            sizes.append(size)
-            classes.append(access.inst_class)
-            pc = (pc + size) & MASK64
-            if ender:
-                sets_pc = True
-                break
-        if len(ops) < MIN_BLOCK_LEN:
-            return NO_BLOCK
-        summary = BlockSummary(summarize_classes(classes), (), touches_memory)
-        return CompiledBlock(summary, ops, pcs, sizes, pc, sets_pc)
+                op = self._block_op_pure(handler, inst, rip, size)
+        elif cls == "stack":
+            op = self._block_op_mem(handler, inst, rip, size,
+                                    mnemonic == "push")
+        elif cls == "branch":
+            ends = True
+            if mnemonic == "jmp":
+                op = self._block_op_pure(handler, inst, rip, size)
+            else:
+                op = self._block_op_jcc(handler, inst, rip, size)
+        elif cls == "call":
+            ends = True
+            op = self._block_op_mem(handler, inst, rip, size,
+                                    mnemonic == "call")
+        else:
+            # string (reserved), syscall/int/iret: never members.
+            return None
+        return op, size, access.inst_class, ends
 
-    def run_blocks(self, max_steps: int, mstats, instruction_cycles) -> None:
-        """Hot loop: execute warm blocks under one PCU probe each.
+    #: Blocks may run in any state; only RISC-V gates them.
+    _block_gate = None
 
-        Called by :meth:`Machine.run` instead of its per-instruction
-        loop when block summaries are enabled.  Any cold/ineligible pc
-        or refused probe falls back to the reference ``step()`` for
-        exactly one instruction, so semantics, cycles and statistics
-        are bit-identical to the per-instruction loop by construction.
-        Each fallback is counted by reason into the PCU's
-        ``block_stats`` on exit.
-        """
-        blocks = self._block_cache
-        pcu = self.pcu
-        pipeline = self.machine.pipeline
-        step = self.step
-        probe = None if pcu is None else pcu.check_block_summary
-        account = None if pcu is None else pcu.account_block
-        insts = mstats.instructions
-        cyc = mstats.cycles
-        traps = 0
-        no_block = budget = refused = 0
-        remaining = max_steps
-        try:
-            while remaining > 0:
-                pc = self.pc
-                block = blocks.get(pc)
-                if block is None:
-                    block = self._form_block(pc)
-                    blocks[pc] = block
-                if block is not NO_BLOCK and block.n <= remaining:
-                    mode = BLOCK_SILENT if probe is None else probe(block.summary)
-                else:
-                    mode = BLOCK_REFUSED
-                if mode == BLOCK_REFUSED:
-                    if block is NO_BLOCK:
-                        no_block += 1
-                    elif block.n > remaining:
-                        budget += 1
-                    else:
-                        refused += 1
-                    # Reference path for one instruction.  Flush the
-                    # stats mirrors first: rdtsc-style reads and trap
-                    # handlers observe them live.
-                    mstats.instructions = insts
-                    mstats.cycles = cyc
-                    info = step()
-                    insts += 1
-                    cyc += instruction_cycles(info)
-                    remaining -= 1
-                    if info.trapped:
-                        traps += 1
-                    if info.halted:
-                        mstats.halted = True
-                        return
-                    continue
-                ops = block.ops
-                n = block.n
-                isp = pipeline._instructions_since_push
-                i = 0
-                try:
-                    while i < n:
-                        cyc += ops[i]()
-                        i += 1
-                except (Trap, PrivilegeFault) as error:
-                    # Mid-block fault: members [0, i) retired normally;
-                    # the faulting member vectors exactly like step().
-                    insts += i
-                    if isp is not None:
-                        pipeline._instructions_since_push = isp + i
-                    info = StepInfo(block.pcs[i], block.sizes[i])
-                    self._dispatch_fault(error, block.pcs[i], info)
-                    insts += 1
-                    cyc += instruction_cycles(info)
-                    traps += 1
-                    remaining -= i + 1
-                    if account is not None:
-                        # The faulting member's check preceded its
-                        # handler on the reference path, so it counts.
-                        account(mode, i + 1)
-                    continue
-                except BaseException:
-                    # e.g. MemoryAccessError escaping the run, as on
-                    # the per-instruction path; attribute the retired
-                    # members before unwinding.  The faulting member's
-                    # check preceded its memory access there, so it
-                    # counts here too.
-                    insts += i
-                    if isp is not None:
-                        pipeline._instructions_since_push = isp + i
-                    if account is not None:
-                        account(mode, i + 1)
-                    raise
-                if isp is not None:
-                    pipeline._instructions_since_push = isp + n
-                insts += n
-                remaining -= n
-                if not block.sets_pc:
-                    self.pc = block.end_pc
-                if account is not None:
-                    account(mode, n)
-        finally:
-            mstats.instructions = insts
-            mstats.cycles = cyc
-            mstats.traps += traps
-            if pcu is not None:
-                pcu.block_stats.add_fallbacks(no_block, budget, refused)
+    run_blocks = blocks.run_blocks
 
     #: Classes whose only PCU interaction is the plain instruction-class
     #: check; their AccessInfo is prebuilt into the decode entry and the

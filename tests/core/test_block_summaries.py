@@ -5,8 +5,8 @@ probe protocol: ``check_block_summary`` may only authorize a block when
 N per-instruction checks would all pass with zero stall, and every
 invalidation entry point (``invalidate_privileges`` wide and narrow,
 ``pflh`` flushes, gate switches, degraded mode, tenant slot recycling,
-an armed contract tap, a shadowed ``check``) must make the next probe
-refuse.  The hypothesis state machine then drives a block-capable PCU
+an armed contract tap, an installed lockstep monitor) must make the
+next probe refuse.  The hypothesis state machine then drives a block-capable PCU
 and a ``block_summaries=False`` PCU through identical operation storms,
 executing accepted blocks via probe + ``account_block`` on one side and
 per-instruction checks on the other, and requires bit-identical
@@ -36,7 +36,8 @@ from repro.core.pcu import (
     BLOCK_SILENT,
 )
 from repro.core.stats import BlockSummaryStats
-from repro.sim.blocks import BlockSummary, summarize_classes
+from repro.faults import LockstepMonitor
+from repro.sim.blocks import summarize_classes
 
 from ..profiles import stateful_settings
 
@@ -73,9 +74,8 @@ def warm(isa_map, pcu, manager, *, classes=("alu", "load"), at=0x1000):
     return domain
 
 
-def summary_of(isa_map, names, csrs=()):
-    classes = [isa_map.inst_class(name) for name in names]
-    return BlockSummary(summarize_classes(classes), tuple(csrs))
+def summary_of(isa_map, names):
+    return summarize_classes(isa_map.inst_class(name) for name in names)
 
 
 class TestBlockProbe:
@@ -92,15 +92,6 @@ class TestBlockProbe:
         summary = summary_of(isa_map, ["alu", "store"])
         assert pcu.check_block_summary(summary) == BLOCK_REFUSED
         assert pcu.block_stats.refusals == pcu.block_stats.refused_class == 1
-
-    def test_csr_touches_always_refuse(self):
-        # Blocks with CSR members are never formed; a summary carrying
-        # them must refuse rather than skip the read/write/mask checks.
-        isa_map, pcu, manager = build_pcu()
-        warm(isa_map, pcu, manager, classes=("alu", "csr"))
-        summary = summary_of(isa_map, ["alu"], csrs=(1,))
-        assert pcu.check_block_summary(summary) == BLOCK_REFUSED
-        assert pcu.block_stats.refused_csr == 1
 
     def test_domain0_authorizes_without_bypass(self):
         isa_map, pcu, _ = build_pcu()
@@ -172,18 +163,20 @@ class TestBlockProbe:
         pcu._tap = None
         assert pcu.check_block_summary(summary) == BLOCK_BYPASS
 
-    def test_shadowed_check_refuses(self):
-        # The machine fault campaigns' lockstep monitor shadows
-        # ``check`` on the instance; it must see every per-instruction
-        # call, so blocks may not compress them away.
+    def test_lockstep_monitor_turns_probes_off(self):
+        # The machine fault campaigns' lockstep monitor must see every
+        # per-instruction ``check``, so while it is installed the PCU
+        # is not block-capable and every probe refuses.
         isa_map, pcu, manager = build_pcu()
         warm(isa_map, pcu, manager)
         summary = summary_of(isa_map, ["alu"])
-        original = pcu.check
-        pcu.check = lambda access: original(access)
+        monitor = LockstepMonitor(pcu, oracle=None, stats=None)
+        monitor.install()
+        assert not pcu._block_capable
         assert pcu.check_block_summary(summary) == BLOCK_REFUSED
-        assert pcu.block_stats.refused_shadowed == 1
-        del pcu.check
+        assert pcu.block_stats.refused_decompiled == 1
+        monitor.uninstall()
+        assert pcu._block_capable
         assert pcu.check_block_summary(summary) == BLOCK_BYPASS
 
 

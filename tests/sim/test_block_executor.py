@@ -6,20 +6,25 @@ path) and with ``fast_path=False`` (reference slow path) must produce
 bit-identical instructions, cycles, traps, architectural registers and
 ``PcuStats``.  This suite drives small assembled programs and the
 gate-stress kernel workload through all three modes on both backends,
-exercises the mid-block fault and escaping-exception paths, runs RISC-V
-programs under Bare and Sv39 translation (with a seeded bug in the
-executor's translation gate that the Sv39 check must catch), and pins
-the escape hatches (``PcuConfig(block_summaries=False)``, the
-``Machine.block_summaries`` flag, step hooks, an attached contract
-monitor) that must keep the reference path in charge.
+exercises the mid-block fault and escaping-exception paths, jumps into
+the hidden gadgets of the unintended-instruction streams, runs RISC-V
+programs under Bare and Sv39 translation (with seeded bugs in the
+translation gate that the Sv39 checks must catch), pins the O3
+store-queue window across blocks (with a seeded bug that drops its
+update), and pins the escape hatches (``PcuConfig(block_summaries=
+False)``, the ``Machine.block_summaries`` flag, step hooks, an
+attached contract monitor) that must keep the reference path in
+charge.
 """
 
 import dataclasses
 import inspect
+import random
 import textwrap
 
 import pytest
 
+from repro.attacks.unintended import DEFAULT_STREAM_LEN, build_stream
 from repro.contracts import ContractMonitor
 from repro.core import CONFIG_8E
 from repro.kernel import RiscvKernel, X86Kernel
@@ -31,18 +36,30 @@ from repro.riscv import (
     build_riscv_system,
     make_satp,
 )
-from repro.riscv import cpu as riscv_cpu
 from repro.riscv.mmu import PAGE_SHIFT, PTE_R, PTE_W, PTE_X
-from repro.sim import MemoryAccessError, SimulationLimitExceeded
+from repro.sim import (
+    MemoryAccessError,
+    OutOfOrderPipelineModel,
+    SimulationLimitExceeded,
+    TrapKind,
+    blocks,
+)
 from repro.workloads import GATE_STRESS
 from repro.workloads.generator import riscv_user_program, x86_user_program
+from repro.workloads.micro import _X86_GATE_LOOP
 from repro.x86 import (
     IDT_BASE,
     KERNEL_BASE as X86_BASE,
+    VEC_GP,
+    VEC_ISA_GRID,
+    VEC_TRUSTED_MEMORY,
     VEC_UD,
+    X86Cpu,
     assemble as x86_assemble,
     build_x86_system,
 )
+from repro.x86.isa import BASE_COMPUTE_CLASSES
+from repro.x86.registers import MSR_SPEC_CTRL
 
 BLOCK_OFF = dataclasses.replace(CONFIG_8E, block_summaries=False)
 SLOW_PATH = dataclasses.replace(CONFIG_8E, fast_path=False)
@@ -188,16 +205,121 @@ def instructions_before(source, label):
     return (program.symbol(label) - program.symbol("entry")) // 4
 
 
-def bare_gate_mutant():
-    """``RiscvCpu.run_blocks`` with a seeded bug in its translation
-    gate: it takes every satp for Bare, so it enters blocks under Sv39
-    while ``step`` and the load/store handlers still translate."""
-    source = textwrap.dedent(inspect.getsource(RiscvCpu.run_blocks))
-    gate = "if not csrs[satp_address] >> satp_shift:"
-    assert source.count(gate) == 1
+def bare_gate_mutant(cpu):
+    """A seeded bug in ``RiscvCpu._block_gate``: it takes every satp
+    for Bare, so the executor enters blocks under Sv39 while ``step``
+    and the load/store handlers still translate."""
+    return True
+
+
+def executor_mutant(line, replacement):
+    """The shared ``run_blocks`` with a seeded bug: its one source line
+    holding ``line`` gets ``replacement`` in its place."""
+    source = textwrap.dedent(inspect.getsource(blocks.run_blocks))
+    assert source.count(line) == 1
     namespace = {}
-    exec(source.replace(gate, "if True:"), vars(riscv_cpu), namespace)
+    exec(source.replace(line, replacement), vars(blocks), namespace)
     return namespace["run_blocks"]
+
+
+#: x86 loop of ``hccalls`` -> a callee of straight-line ``add``s ->
+#: ``hcrets``.  The O3 model saves FORWARDING_SAVING cycles on hcrets
+#: only while the hccalls push is within STORE_QUEUE_WINDOW retired
+#: instructions, so the callee's block must advance that window.
+GATE_CALL_BODY = "g0:\n    hccalls r10\nafter0:"
+
+
+def run_gate_call_loop(config, adds, iterations=50):
+    system = build_x86_system(config)
+    manager = system.manager
+    domain = manager.create_domain("bench")
+    manager.allow_all_instructions(domain.domain_id)
+    manager.allocate_trusted_stack(frames=16)
+    tail = "fn:\n" + "    add rax, 1\n" * adds + "    hcrets"
+    program = x86_assemble(
+        _X86_GATE_LOOP % {"iters": iterations, "body": GATE_CALL_BODY,
+                          "tail": tail},
+        base=X86_BASE)
+    system.load(program)
+    for gate, target in (("g_d0", "bench_start"), ("g0", "fn")):
+        manager.register_gate(program.symbol(gate), program.symbol(target),
+                              domain.domain_id)
+    system.run(program.symbol("entry"), max_steps=100_000)
+    return system
+
+
+def gadget_samples(n_streams=8):
+    """(stream, offset) of the first planted gadget of each kind in the
+    unintended-instruction campaign's streams."""
+    samples = {}
+    for index in range(n_streams):
+        stream, planted = build_stream(random.Random(index), index,
+                                       DEFAULT_STREAM_LEN)
+        for gadget in planted:
+            samples.setdefault(gadget.kind, (stream, gadget.offset))
+    return samples
+
+
+GADGETS = gadget_samples()
+
+#: Domain 0 points every fault vector at ``handler`` and enters a
+#: domain granted only the base compute classes through ``g0``.  That
+#: domain runs a short block whose ``jmp`` lands inside a carrier
+#: immediate; the hidden gadget must fault in the PCU (``rcx`` names a
+#: real MSR, so ``wrmsr`` passes the #GP check first), and ``handler``
+#: leaves through ``g1`` for domain 0, which halts.
+GADGET_JUMP = """
+entry:
+    mov rsp, 0x6e0000
+%(vectors)s
+    mov rbx, %(idt)d
+    mov rcx, 0x610000
+    mov [rcx+0], rbx
+    mov rbx, 4095
+    mov [rcx+8], rbx
+    lidt [rcx+0]
+    mov r10, 0
+g0:
+    hccall r10
+done:
+    hlt
+attack:
+    mov rax, 1
+    add rax, 2
+    mov rcx, %(msr)d
+    jmp gadget
+handler:
+    mov r10, 1
+g1:
+    hccall r10
+stream:
+    .byte %(before)s
+gadget:
+    .byte %(after)s
+"""
+
+
+def run_gadget_jump(config, stream, offset):
+    system = build_x86_system(config)
+    manager = system.manager
+    domain = manager.create_domain("restricted")
+    manager.allow_instructions(domain.domain_id, BASE_COMPUTE_CLASSES)
+    vectors = "\n".join(
+        "    mov rax, %d\n    mov rbx, handler\n    mov [rax+%d], rbx"
+        % (IDT_BASE, 8 * vector)
+        for vector in (VEC_UD, VEC_GP, VEC_ISA_GRID, VEC_TRUSTED_MEMORY))
+    program = x86_assemble(GADGET_JUMP % {
+        "vectors": vectors, "idt": IDT_BASE, "msr": MSR_SPEC_CTRL,
+        "before": ", ".join(map(str, stream[:offset])),
+        "after": ", ".join(map(str, stream[offset:])),
+    }, base=X86_BASE)
+    system.load(program)
+    for gate, (at, target, owner) in enumerate((
+            ("g0", "attack", domain.domain_id), ("g1", "done", 0))):
+        assert manager.register_gate(program.symbol(at),
+                                     program.symbol(target), owner) == gate
+    system.run(program.symbol("entry"), max_steps=10_000)
+    return system, program.symbol("gadget")
 
 
 class TestX86Identity:
@@ -314,9 +436,8 @@ class TestX86Identity:
         system.load(program)
         system.run(program.symbol("entry"))
         assert system.pcu.block_stats.probes == 0
-        # The hook saw every instruction (the halting one returns
-        # before the hook call, as the reference loop always did).
-        assert len(seen) == system.machine.stats.instructions - 1
+        # The hook saw every instruction, the halting one included.
+        assert len(seen) == system.machine.stats.instructions
 
     def test_reload_flushes_the_block_cache(self):
         system = run_x86(CONFIG_8E)
@@ -326,6 +447,31 @@ class TestX86Identity:
         system.load(program)  # icache coherence: flush_decode_cache
         assert not system.cpu._block_cache
         assert system.pcu.block_stats.invalidations == invalidations + 1
+
+
+class TestGadgetJumpIntoImmediate:
+    """A real ``jmp`` into a carrier's immediate, from a domain without
+    the hidden gadget's class.  The block cache is keyed by entry pc, so
+    the misaligned target gets a fresh formation attempt over hidden
+    bytes; the gadget must fault identically in all three modes."""
+
+    @pytest.mark.parametrize("kind", sorted(GADGETS))
+    def test_gadget_faults_identically(self, kind):
+        stream, offset = GADGETS[kind]
+        runs = [run_gadget_jump(config, stream, offset)
+                for config in ALL_MODES]
+        observed = []
+        for system, gadget_pc in runs:
+            trap = system.cpu.last_trap
+            assert system.machine.stats.halted
+            assert system.cpu.trap_count == 1 and trap.pc == gadget_pc
+            assert trap.kind is TrapKind.ISA_GRID_FAULT
+            observed.append(dict(
+                snapshot(system),
+                trap=(trap.kind, trap.cause, type(trap.fault).__name__)))
+        assert observed[1] == observed[0]
+        assert observed[2] == observed[0]
+        assert runs[0][0].pcu.block_stats.insts > 0
 
 
 class TestRiscvIdentity:
@@ -406,13 +552,58 @@ class TestRiscvTranslationGate:
         # drops the data walks' cycles, and the snapshot must show it.
         source = PAGED_LOOP % {"satp": SV39_SATP, "data": DATA_VA}
         reference = paged_snapshot(run_riscv(BLOCK_OFF, source))
-        monkeypatch.setattr(RiscvCpu, "run_blocks", bare_gate_mutant())
+        monkeypatch.setattr(RiscvCpu, "_block_gate", bare_gate_mutant)
         mutant = run_riscv(CONFIG_8E, source)
         assert (mutant.pcu.block_stats.insts
                 > instructions_before(source, "paged"))
         observed = paged_snapshot(mutant)
         assert observed["regs"] == reference["regs"]
         assert observed != reference
+
+    @pytest.mark.parametrize("source", [
+        PAGED_LOOP % {"satp": SV39_SATP, "data": DATA_VA},
+        SWITCHING,
+    ], ids=["sv39", "switching"])
+    def test_gate_read_only_on_entry_is_caught(self, monkeypatch, source):
+        # Mutation check for re-reading the gate after each reference
+        # step: the ``csrw satp`` that turns Sv39 on retires through
+        # step(), and a gate read only on entry misses it.
+        reference = paged_snapshot(run_riscv(BLOCK_OFF, source))
+        mutant = executor_mutant("gate_open = gate()", "pass")
+        monkeypatch.setattr(RiscvCpu, "run_blocks", mutant)
+        observed = paged_snapshot(run_riscv(CONFIG_8E, source))
+        assert observed["regs"] == reference["regs"]
+        assert observed != reference
+
+
+class TestStoreQueueWindow:
+    """The O3 store-queue window survives a block: its members count
+    toward STORE_QUEUE_WINDOW exactly as per-instruction retirements
+    do, so hcrets takes the forwarding saving in neither or both."""
+
+    @pytest.mark.parametrize("adds", [8, 40])
+    def test_three_way_bit_identity(self, adds):
+        # 8 adds keep hcrets inside the 32-instruction window, 40 push
+        # it out.
+        assert OutOfOrderPipelineModel.STORE_QUEUE_WINDOW == 32
+        blocky, off, slow = (run_gate_call_loop(config, adds)
+                             for config in ALL_MODES)
+        reference = snapshot(off)
+        assert snapshot(blocky) == reference
+        assert snapshot(slow) == reference
+        assert blocky.pcu.block_stats.insts >= 50 * (adds - 1)
+
+    def test_seeded_window_bug_is_caught(self, monkeypatch):
+        # Mutation check: an executor that forgets to advance the
+        # window after a block lets hcrets forward from a push 40
+        # instructions back.
+        reference = snapshot(run_gate_call_loop(BLOCK_OFF, 40))
+        mutant = executor_mutant(
+            "pipeline._instructions_since_push = isp + n", "pass")
+        monkeypatch.setattr(X86Cpu, "run_blocks", mutant)
+        observed = snapshot(run_gate_call_loop(CONFIG_8E, 40))
+        assert observed["instructions"] == reference["instructions"]
+        assert observed["cycles"] < reference["cycles"]
 
 
 class TestKernelWorkloadIdentity:

@@ -106,8 +106,8 @@ class TestStepHook:
         a, b = hooked.run(), plain.run()
         assert (a.instructions, a.cycles, a.traps) == \
             (b.instructions, b.cycles, b.traps)
-        # the halting step is not offered to the hook (run returns first)
-        assert len(seen) == a.instructions - 1
+        # the halting step is offered to the hook too
+        assert len(seen) == a.instructions
 
     def test_truthy_hook_stops_the_run_with_stats_flushed(self):
         machine = make_machine()
@@ -119,13 +119,12 @@ class TestStepHook:
         assert stats.traps == 3  # flushed despite the early return
         assert not stats.halted
 
-    def test_hook_runs_under_a_wrapped_step(self):
-        # The Tracer wraps ``step`` on the instance; the hook must be
-        # honoured on that fallback path too.
+    def test_machine_step_offers_its_instruction_to_the_hook(self):
         machine = make_machine()
-        machine.attach_cpu(ScriptedCore([StepInfo(pc=0)] * 10))
-        inner = machine.step
-        machine.step = lambda: inner()
-        machine.step_hook = lambda info: machine.stats.instructions >= 2
-        stats = machine.run(max_steps=100, require_halt=False)
-        assert stats.instructions == 2
+        machine.attach_cpu(ScriptedCore([StepInfo(pc=0), StepInfo(pc=4)]))
+        seen = []
+        machine.step_hook = lambda info: seen.append(info.pc) or True
+        machine.step()
+        machine.step()
+        assert seen == [0, 4]
+        assert machine.stats.instructions == 2

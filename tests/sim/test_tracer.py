@@ -4,6 +4,8 @@ import pytest
 
 from repro.riscv import KERNEL_BASE, assemble, build_riscv_system
 from repro.sim import Tracer
+from repro.x86 import KERNEL_BASE as X86_KERNEL_BASE
+from repro.x86 import assemble as x86_assemble, build_x86_system
 
 
 def traced_system(source, *, capacity=4096, watch=None, with_isagrid=False,
@@ -102,6 +104,51 @@ entry:
         system.cpu.pc = KERNEL_BASE
         system.machine.step()
         assert tracer.total_records == before
+
+    def test_chains_and_restores_an_installed_hook(self):
+        system = build_riscv_system()
+        program = assemble("""
+entry:
+    li a0, 1
+    li a1, 2
+    li a2, 3
+    halt
+""", base=KERNEL_BASE)
+        system.load(program)
+        seen = []
+
+        def hook(info):
+            seen.append(info.pc)
+            return len(seen) == 2  # stop the run after two instructions
+
+        system.machine.step_hook = hook
+        tracer = Tracer(system.machine)
+        system.cpu.pc = program.symbol("entry")
+        system.machine.run(max_steps=100, require_halt=False)
+        assert tracer.total_records == len(seen) == 2
+        tracer.detach()
+        assert system.machine.step_hook is hook
+
+    def test_traces_every_instruction_of_a_block_capable_machine(self):
+        # A block-capable x86 machine: the tracer's hook keeps ``run``
+        # on the per-instruction loop, so no instruction goes unseen.
+        system = build_x86_system()
+        program = x86_assemble("""
+entry:
+    mov rcx, 5
+loop:
+    add rax, 1
+    add rbx, 2
+    sub rcx, 1
+    cmp rcx, 0
+    jne loop
+    hlt
+""", base=X86_KERNEL_BASE)
+        system.load(program)
+        tracer = Tracer(system.machine)
+        system.run(program.symbol("entry"), max_steps=1000)
+        assert tracer.total_records == system.machine.stats.instructions
+        assert tracer.records[-1].halted
 
     def test_render_tail(self):
         system, tracer = traced_system("""
