@@ -356,25 +356,13 @@ def run_unintended_campaigns(
     n_streams: int = DEFAULT_STREAMS,
     stream_len: int = DEFAULT_STREAM_LEN,
     *,
-    jobs: int = 1,
     contracts: bool = True,
 ) -> List[AttackCampaignResult]:
-    """Run one campaign per seed, optionally on a process pool.
+    """Run one campaign per seed, serially, in ``seeds`` order.
 
-    Each seed is self-contained and results are ordered by the ``seeds``
-    argument, so the merged report is byte-identical for any ``jobs``.
+    ``python -m repro attacks --campaign`` shards the same per-seed
+    campaigns through the orchestrator; this loop is their reference.
     """
-    seeds = list(seeds)
-    if jobs > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            futures = [
-                pool.submit(run_unintended_campaign, seed, n_streams,
-                            stream_len, contracts=contracts)
-                for seed in seeds
-            ]
-            return [future.result() for future in futures]
     return [
         run_unintended_campaign(seed, n_streams, stream_len,
                                 contracts=contracts)
@@ -382,31 +370,35 @@ def run_unintended_campaigns(
     ]
 
 
+def gadget_counts(record: Dict[str, object]) -> Dict[str, int]:
+    """A campaign record's per-kind gadget counts, summed over kinds."""
+    rows = record["per_kind"].values()
+    return {key: sum(row[key] for row in rows)
+            for key in ("generated", "scanner_detected", "pcu_blocked",
+                        "scanner_missed_pcu_blocked")}
+
+
 def write_attack_report(
-    results: Sequence[AttackCampaignResult], path: str
+    records: Sequence[Dict[str, object]], path: str
 ) -> Dict[str, object]:
-    """Aggregate campaign results into one JSON report."""
+    """Aggregate :meth:`AttackCampaignResult.to_dict` records into one
+    JSON report."""
     per_kind: Dict[str, Counter] = {}
     totals: Counter = Counter()
     contract_totals: Counter = Counter()
-    for result in results:
-        for kind, row in result.per_kind().items():
+    for record in records:
+        for kind, row in record["per_kind"].items():
             per_kind.setdefault(kind, Counter()).update(row)
         totals.update(
-            generated=len(result.gadgets),
-            scanner_detected=sum(g.scanner_detected for g in result.gadgets),
-            pcu_blocked=sum(g.pcu_blocked for g in result.gadgets),
-            scanner_missed_pcu_blocked=sum(
-                g.pcu_blocked and not g.scanner_detected
-                for g in result.gadgets),
-            legit_checks=result.legit_checks,
-            legit_faults=result.legit_faults,
-            sealed_probes=result.sealed_probes,
-            sealed_blocked=result.sealed_blocked,
-            rewrite_corrupted=result.rewrite_corrupted,
-            rewrite_unsafe_streams=result.rewrite_unsafe_streams,
+            **gadget_counts(record),
+            legit_checks=record["legit_checks"],
+            legit_faults=record["legit_faults"],
+            sealed_probes=record["sealed_probes"],
+            sealed_blocked=record["sealed_blocked"],
+            rewrite_corrupted=record["rewrite_corrupted"],
+            rewrite_unsafe_streams=record["rewrite_unsafe_streams"],
         )
-        contract_totals.update(result.contract_counts)
+        contract_totals.update(record["contract_counts"])
     generated = totals.get("generated", 0) or 1
     payload = {
         "format": "isagrid-attack-campaign-v1",
@@ -422,8 +414,8 @@ def write_attack_report(
         "per_kind": {kind: dict(row) for kind, row in sorted(per_kind.items())},
         "contract_counts": dict(sorted(contract_totals.items())),
         "unwaived_contract_violations": sum(
-            r.unwaived_contract_violations for r in results),
-        "campaigns": [result.to_dict() for result in results],
+            record["unwaived_contract_violations"] for record in records),
+        "campaigns": list(records),
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as handle:

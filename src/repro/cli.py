@@ -17,20 +17,22 @@ Usage::
     python -m repro orchestrate       # status of parallel campaign runs
     python -m repro contracts         # the universal-contract layer
 
-``conformance`` and ``faults`` monitor every run against the
-universal ISA-Grid contracts by default (``--no-contracts`` turns the
-tap off); any *unwaived* violation — one not attributable to an armed
-fault injector — fails the run.  ``contracts --explain`` documents
-each contract and the events it consumes.
+The campaign commands (``conformance``, ``faults``, ``faults
+--machine``, ``churn`` and ``attacks --campaign``) monitor every run
+against the universal ISA-Grid contracts by default (``--no-contracts``
+turns the tap off); any *unwaived* violation — one not attributable to
+an armed fault injector — fails the run.  ``contracts --explain``
+documents each contract and the events it consumes.
 
-``conformance`` and ``faults`` accept ``--jobs N`` to run their matrix
-sharded over a supervised worker pool (with ``--resume`` and
-``--shard-timeout``); reports stay byte-identical with ``--jobs 1``.
-``bench`` always runs through the orchestrator and writes a
-``BENCH_<stamp>.json`` trajectory (instructions/s and wall-clock per
-rig) that ``--baseline`` diffs against for the CI regression gate.
-All three accept ``--profile`` for per-shard cProfile dumps in the run
-directory.
+The campaign commands and ``bench`` take one CLI path (see
+:func:`_run_campaign_command`) and share the orchestration flags:
+``--jobs N`` runs the matrix sharded over a supervised worker pool,
+with ``--resume``, ``--run-dir``, ``--shard-timeout`` and ``--profile``
+(per-shard cProfile dumps in the run directory).  At ``--jobs 1`` with
+none of the others the shards run in-process; reports are
+byte-identical either way.  ``bench`` writes a ``BENCH_<stamp>.json``
+trajectory (instructions/s and wall-clock per rig) that ``--baseline``
+diffs against for the CI regression gate.
 """
 
 from __future__ import annotations
@@ -124,13 +126,14 @@ def _cmd_attacks(args) -> int:
 def _run_attack_campaigns(args) -> int:
     """Unintended-instruction campaigns: binary-scan baseline vs PCU.
 
-    Gadget-bearing streams are generated per seed; the ERIM-style
-    scanner and the PCU-enforced decode race on every planted gadget.
-    Fails unless the baseline misses at least one gadget the PCU
-    faults on, the legitimate stream stays fault-free, every sealed
-    probe is denied, and no unwaived contract violation fired.
+    Gadget-bearing streams are generated per seed (one shard per seed);
+    the ERIM-style scanner and the PCU-enforced decode race on every
+    planted gadget.  Fails unless the baseline misses at least one
+    gadget the PCU faults on, the legitimate stream stays fault-free,
+    every sealed probe is denied, and no unwaived contract violation
+    fired.
     """
-    from repro.attacks import run_unintended_campaigns, write_attack_report
+    from repro.attacks import gadget_counts, write_attack_report
 
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s != ""]
@@ -141,52 +144,49 @@ def _run_attack_campaigns(args) -> int:
     if not seeds:
         print("no seeds given", file=sys.stderr)
         return 2
-    results = run_unintended_campaigns(
-        seeds, args.streams, args.stream_len, jobs=args.jobs,
-        contracts=args.contracts,
-    )
-    for result in results:
-        detected = sum(g.scanner_detected for g in result.gadgets)
-        blocked = sum(g.pcu_blocked for g in result.gadgets)
-        missed = sum(g.pcu_blocked and not g.scanner_detected
-                     for g in result.gadgets)
-        print("seed %-4d %3d streams  %4d gadgets  scanner=%d/%d  "
-              "pcu=%d/%d  missed-but-blocked=%d  rewrite-corrupted=%d  "
-              "unwaived=%d"
-              % (result.seed, result.n_streams, len(result.gadgets),
-                 detected, len(result.gadgets), blocked,
-                 len(result.gadgets), missed, result.rewrite_corrupted,
-                 result.unwaived_contract_violations))
-    payload = write_attack_report(results, args.report)
-    print("report written to %s" % args.report)
-    print("scanner miss rate %.1f%%  pcu block rate %.1f%%  "
-          "baseline missed %d gadget(s) the PCU blocks"
-          % (payload["scanner_miss_rate"] * 100,
-             payload["pcu_block_rate"] * 100,
-             payload["baseline_missed_pcu_blocked"]))
-    failed = False
-    if not payload["baseline_missed_pcu_blocked"]:
-        print("FAIL: the scanner caught everything the PCU caught — the "
-              "campaign demonstrates nothing", file=sys.stderr)
-        failed = True
-    totals = payload["totals"]
-    if totals.get("pcu_blocked") != totals.get("generated"):
-        print("FAIL: %d gadget(s) escaped the PCU"
-              % (totals.get("generated", 0) - totals.get("pcu_blocked", 0)),
-              file=sys.stderr)
-        failed = True
-    if totals.get("legit_faults"):
-        print("FAIL: %d false positive(s) on the legitimate stream"
-              % totals["legit_faults"], file=sys.stderr)
-        failed = True
-    if totals.get("sealed_blocked") != totals.get("sealed_probes"):
-        print("FAIL: a sealed-class probe executed", file=sys.stderr)
-        failed = True
-    if payload["unwaived_contract_violations"]:
-        print("FAIL: %d unwaived contract violation(s)"
-              % payload["unwaived_contract_violations"], file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+
+    def report(records) -> List[str]:
+        for record in records:
+            counts = gadget_counts(record)
+            print("seed %-4d %3d streams  %4d gadgets  scanner=%d/%d  "
+                  "pcu=%d/%d  missed-but-blocked=%d  rewrite-corrupted=%d  "
+                  "unwaived=%d"
+                  % (record["seed"], record["n_streams"], counts["generated"],
+                     counts["scanner_detected"], counts["generated"],
+                     counts["pcu_blocked"], counts["generated"],
+                     counts["scanner_missed_pcu_blocked"],
+                     record["rewrite_corrupted"],
+                     record["unwaived_contract_violations"]))
+        payload = write_attack_report(records, args.report)
+        print("report written to %s" % args.report)
+        print("scanner miss rate %.1f%%  pcu block rate %.1f%%  "
+              "baseline missed %d gadget(s) the PCU blocks"
+              % (payload["scanner_miss_rate"] * 100,
+                 payload["pcu_block_rate"] * 100,
+                 payload["baseline_missed_pcu_blocked"]))
+        totals = payload["totals"]
+        reasons = []
+        if not payload["baseline_missed_pcu_blocked"]:
+            reasons.append("the scanner caught everything the PCU caught "
+                           "— the campaign demonstrates nothing")
+        if totals.get("pcu_blocked") != totals.get("generated"):
+            reasons.append("%d gadget(s) escaped the PCU"
+                           % (totals.get("generated", 0)
+                              - totals.get("pcu_blocked", 0)))
+        if totals.get("legit_faults"):
+            reasons.append("%d false positive(s) on the legitimate stream"
+                           % totals["legit_faults"])
+        if totals.get("sealed_blocked") != totals.get("sealed_probes"):
+            reasons.append("a sealed-class probe executed")
+        if payload["unwaived_contract_violations"]:
+            reasons.append("%d unwaived contract violation(s)"
+                           % payload["unwaived_contract_violations"])
+        return reasons
+
+    return _run_campaign_command(args, "attacks", {
+        "seeds": seeds, "n_streams": args.streams,
+        "stream_len": args.stream_len, "contracts": args.contracts,
+    }, report)
 
 
 def _cmd_decompose(_args) -> int:
@@ -264,25 +264,99 @@ def _cmd_contracts(args) -> int:
     return 0
 
 
+def _run_campaign_command(args, kind: str, params, report) -> int:
+    """The one CLI path of every campaign command.
+
+    Runs the campaign — in-process at ``--jobs 1`` with no ``--resume``,
+    ``--run-dir`` or ``--profile``, otherwise on the supervised pool —
+    then lets ``report(merged)`` print the family's summary lines and
+    write its report, prints quarantined shards and run metrics, and
+    the ``FAIL:`` reasons ``report`` returned.  Exit 0 when clean, 1 on
+    a failure reason or a quarantined shard, 2 when ``--resume`` names
+    a run directory bound to a different campaign.
+    """
+    from repro.orchestrator import KINDS, RunDirConflict, run_campaign
+
+    if args.profile:
+        params["profile"] = True
+    try:
+        merged, run, run_dir = run_campaign(
+            KINDS[kind], params, jobs=args.jobs, run_dir=args.run_dir,
+            resume=args.resume, shard_timeout=args.shard_timeout)
+    except RunDirConflict as error:
+        print(error, file=sys.stderr)
+        return 2
+    reasons = report(merged)
+    quarantined = []
+    if run is not None:
+        quarantined = run.quarantined
+        for spec in quarantined:
+            print("QUARANTINED shard %s (params %s) — see %s/quarantine.json"
+                  % (spec.shard_id, spec.params, run_dir), file=sys.stderr)
+        print(run.metrics.render())
+        print("run directory: %s" % run_dir)
+    for reason in reasons:
+        print("FAIL: %s" % reason, file=sys.stderr)
+    return 1 if reasons or quarantined else 0
+
+
+def _parse_configs(text: str):
+    """``--config`` names (comma-separated, or 'all'); None after
+    printing the error when one is unknown."""
+    from repro.conformance import CONFORMANCE_CONFIGS
+
+    configs = (tuple(CONFORMANCE_CONFIGS) if text == "all"
+               else tuple(text.split(",")))
+    unknown = [name for name in configs if name not in CONFORMANCE_CONFIGS]
+    if unknown:
+        print("unknown config %s (choose from %s)"
+              % (", ".join(unknown), ", ".join(CONFORMANCE_CONFIGS)),
+              file=sys.stderr)
+        return None
+    return configs
+
+
+def _backends(args):
+    return ("riscv", "x86") if args.backend == "both" else (args.backend,)
+
+
+def _matrix_report(summarize, write, path):
+    """The fault, machine and churn ``report``: ``summarize(matrix,
+    counts)`` prints each matrix's lines, followed by its widening silent
+    divergences; ``write`` writes the report to ``path``."""
+    from repro.faults import CLASSIFICATIONS
+
+    def report(matrices) -> List[str]:
+        for matrix in matrices:
+            summarize(matrix, " ".join("%s=%d" % (name, matrix.counts[name])
+                                       for name in CLASSIFICATIONS))
+            for result in matrix.widening_silent:
+                print("    WIDENING SILENT DIVERGENCE: campaign %d %s (%s)"
+                      % (result.campaign, result.spec.to_dict(),
+                         result.detail))
+        payload = write(matrices, path)
+        print("report written to %s" % path)
+        reasons = []
+        if payload["widening_silent_divergences"]:
+            reasons.append("%d widening fault(s) diverged with no detection"
+                           % payload["widening_silent_divergences"])
+        if payload["unwaived_contract_violations"]:
+            reasons.append("%d unwaived contract violation(s) — not "
+                           "attributable to any armed fault"
+                           % payload["unwaived_contract_violations"])
+        return reasons
+
+    return report
+
+
 def _cmd_conformance(args) -> int:
     """Differential conformance fuzz: cached PCU vs the oracle spec."""
     from repro.conformance import (
-        BACKEND_NAMES,
-        CONFORMANCE_CONFIGS,
         DEFAULT_CONFIGS,
         DifferentialRunner,
-        fuzz_backend,
+        inject_cache_fill_bug,
         load_reproducer,
     )
-
-    mutate = None
-    if args.inject_bug:
-        # Deliberate cache-fill corruption: every instruction-bitmap fill
-        # flips the allow-bit of class 0.  The runner must catch it.
-        def mutate(pcu):
-            cache = pcu.hpt_cache.inst
-            original = cache.fill
-            cache.fill = lambda tag, payload: original(tag, payload ^ 1)
 
     if args.replay:
         try:
@@ -290,8 +364,9 @@ def _cmd_conformance(args) -> int:
         except OSError as error:
             print("cannot read reproducer: %s" % error, file=sys.stderr)
             return 2
-        runner = DifferentialRunner(backend, config=config, mutate=mutate,
-                                    layer=args.layer)
+        runner = DifferentialRunner(
+            backend, config=config, layer=args.layer,
+            mutate=inject_cache_fill_bug if args.inject_bug else None)
         divergence = runner.replay(events)
         if divergence is None:
             print("%s/%s: replay of %d events: no divergence"
@@ -301,48 +376,25 @@ def _cmd_conformance(args) -> int:
                                            divergence.describe()))
         return 1
 
-    backends = BACKEND_NAMES if args.backend == "both" else (args.backend,)
-    configs = (tuple(CONFORMANCE_CONFIGS) if args.config == "all"
-               else tuple(args.config.split(",")) if args.config
-               else DEFAULT_CONFIGS)
-    unknown = [name for name in configs if name not in CONFORMANCE_CONFIGS]
-    if unknown:
-        print("unknown config %s (choose from %s)"
-              % (", ".join(unknown), ", ".join(CONFORMANCE_CONFIGS)),
-              file=sys.stderr)
+    configs = _parse_configs(args.config or ",".join(DEFAULT_CONFIGS))
+    if configs is None:
         return 2
-    if args.jobs > 1 or args.resume or args.run_dir or args.profile:
-        if mutate is not None:
-            print("--inject-bug needs the in-process path; drop --jobs",
-                  file=sys.stderr)
-            return 2
-        from repro.orchestrator import orchestrate_conformance
+    params = {
+        "backends": _backends(args), "configs": configs, "seed": args.seed,
+        "n_events": args.events, "layer": args.layer,
+        "scrub_interval": args.scrub_interval,
+        "oracle_only": args.oracle_only, "dump_dir": ".",
+        "contracts": args.contracts,
+    }
+    if args.inject_bug:
+        params["inject_bug"] = True
 
-        payloads, run, run_dir = orchestrate_conformance(
-            backends, configs, args.seed, args.events,
-            jobs=args.jobs, layer=args.layer,
-            scrub_interval=args.scrub_interval,
-            oracle_only=args.oracle_only, dump_dir=".",
-            profile=args.profile, contracts=args.contracts,
-            run_dir=args.run_dir, resume=args.resume,
-            shard_timeout=args.shard_timeout,
-        )
-        failures = sum(_print_conformance_summary(p) for p in payloads)
-        failures += _report_quarantine(run, run_dir)
-        print(run.metrics.render())
-        print("run directory: %s" % run_dir)
-        return 1 if failures else 0
-    failures = 0
-    for backend in backends:
-        for config in configs:
-            result = fuzz_backend(
-                backend, args.seed, args.events, config=config,
-                mutate=mutate, oracle_only=args.oracle_only, dump_dir=".",
-                layer=args.layer, scrub_interval=args.scrub_interval,
-                contracts=args.contracts,
-            )
-            failures += _print_conformance_summary(result.summary())
-    return 1 if failures else 0
+    def report(payloads) -> List[str]:
+        failed = sum(_print_conformance_summary(p) for p in payloads)
+        return (["%d (backend, config) pair(s) diverged or broke a contract"
+                 % failed] if failed else [])
+
+    return _run_campaign_command(args, "conformance", params, report)
 
 
 def _print_conformance_summary(payload) -> int:
@@ -378,81 +430,31 @@ def _print_conformance_summary(payload) -> int:
     return 1
 
 
-def _report_quarantine(run, run_dir: str) -> int:
-    """Surface quarantined shards; they fail the run but not the merge."""
-    for spec in run.quarantined:
-        print("QUARANTINED shard %s (params %s) — see %s/quarantine.json"
-              % (spec.shard_id, spec.params, run_dir), file=sys.stderr)
-    return len(run.quarantined)
-
-
 def _cmd_faults(args) -> int:
     """Seeded fault-injection campaigns with scrub/rollback recovery."""
-    from repro.conformance import CONFORMANCE_CONFIGS
-    from repro.faults import CLASSIFICATIONS, run_campaigns, write_report
+    from repro.faults import write_report
 
-    backends = ("riscv", "x86") if args.backend == "both" else (args.backend,)
     if args.machine:
-        return _run_machine_faults(args, backends)
-    configs = (tuple(CONFORMANCE_CONFIGS) if args.config == "all"
-               else tuple(args.config.split(",")))
-    unknown = [name for name in configs if name not in CONFORMANCE_CONFIGS]
-    if unknown:
-        print("unknown config %s (choose from %s)"
-              % (", ".join(unknown), ", ".join(CONFORMANCE_CONFIGS)),
-              file=sys.stderr)
+        return _run_machine_faults(args)
+    configs = _parse_configs(args.config)
+    if configs is None:
         return 2
-    quarantined = 0
-    if args.jobs > 1 or args.resume or args.run_dir or args.profile:
-        from repro.orchestrator import orchestrate_faults
 
-        matrices, run, run_dir = orchestrate_faults(
-            backends, configs, args.seed, args.events, args.campaign,
-            jobs=args.jobs, scrub_interval=args.scrub_interval,
-            faults_per_campaign=args.faults_per_campaign,
-            profile=args.profile, contracts=args.contracts,
-            run_dir=args.run_dir, resume=args.resume,
-            shard_timeout=args.shard_timeout,
-        )
-    else:
-        matrices = [
-            run_campaigns(
-                backend, args.seed, args.events, args.campaign,
-                config=config, scrub_interval=args.scrub_interval,
-                faults_per_campaign=args.faults_per_campaign,
-                contracts=args.contracts,
-            )
-            for backend in backends for config in configs
-        ]
-        run = run_dir = None
-    for matrix in matrices:
-        counts = " ".join("%s=%d" % (name, matrix.counts[name])
-                          for name in CLASSIFICATIONS)
+    def summarize(matrix, counts) -> None:
         print("%-6s %-10s %d campaigns x %d events  %s  "
               "contracts=%d unwaived=%d"
               % (matrix.backend, matrix.config, len(matrix.results),
-                 args.events, counts, matrix.contract_violations,
+                 matrix.n_events, counts, matrix.contract_violations,
                  matrix.unwaived_contract_violations))
-        for result in matrix.widening_silent:
-            print("    WIDENING SILENT DIVERGENCE: campaign %d %s (%s)"
-                  % (result.campaign, result.spec.to_dict(),
-                     result.detail))
-    payload = write_report(matrices, args.report)
-    print("report written to %s" % args.report)
-    if run is not None:
-        quarantined = _report_quarantine(run, run_dir)
-        print(run.metrics.render())
-        print("run directory: %s" % run_dir)
-    if payload["widening_silent_divergences"]:
-        print("FAIL: %d widening fault(s) diverged with no detection"
-              % payload["widening_silent_divergences"], file=sys.stderr)
-        return 1
-    if payload["unwaived_contract_violations"]:
-        print("FAIL: %d unwaived contract violation(s) — not attributable "
-              "to any armed fault"
-              % payload["unwaived_contract_violations"], file=sys.stderr)
-        return 1
-    return 1 if quarantined else 0
+
+    return _run_campaign_command(args, "faults", {
+        "backends": _backends(args), "configs": configs, "seed": args.seed,
+        "n_events": args.events, "n_campaigns": args.campaign,
+        "scrub_interval": args.scrub_interval,
+        "faults_per_campaign": args.faults_per_campaign,
+        "contracts": args.contracts,
+    }, _matrix_report(summarize, write_report,
+                      args.report or "results/fault_campaigns.json"))
 
 
 def _cmd_churn(args) -> int:
@@ -463,41 +465,11 @@ def _cmd_churn(args) -> int:
     faults (mid-recycle store faults, generation flips, dropped
     flush-on-reuse) try to leak one tenant's privileges into the next.
     Every campaign runs in lockstep with the oracle and is monitored
-    against all seven contracts — ``no_stale_generation`` included.
+    against all eight contracts — ``no_stale_generation`` included.
     """
-    from repro.faults import (
-        CLASSIFICATIONS,
-        run_churn_campaigns,
-        write_churn_report,
-    )
+    from repro.faults import write_churn_report
 
-    backends = ("riscv", "x86") if args.backend == "both" else (args.backend,)
-    quarantined = 0
-    if args.jobs > 1 or args.resume or args.run_dir or args.profile:
-        from repro.orchestrator import orchestrate_churn
-
-        matrices, run, run_dir = orchestrate_churn(
-            backends, args.seed, args.ops, args.campaign,
-            jobs=args.jobs, max_slots=args.slots, config=args.config,
-            scrub_interval=args.scrub_interval,
-            profile=args.profile, contracts=args.contracts,
-            run_dir=args.run_dir, resume=args.resume,
-            shard_timeout=args.shard_timeout,
-        )
-    else:
-        matrices = [
-            run_churn_campaigns(
-                backend, args.seed, args.ops, args.campaign,
-                max_slots=args.slots, config=args.config,
-                scrub_interval=args.scrub_interval,
-                contracts=args.contracts,
-            )
-            for backend in backends
-        ]
-        run = run_dir = None
-    for matrix in matrices:
-        counts = " ".join("%s=%d" % (name, matrix.counts[name])
-                          for name in CLASSIFICATIONS)
+    def summarize(matrix, counts) -> None:
         percentiles = matrix.to_dict()["latency_percentiles"]
         print("%-6s churn  %d campaigns x %d ops  %s  contracts "
               "unwaived=%d" % (matrix.backend, len(matrix.results),
@@ -508,31 +480,16 @@ def _cmd_churn(args) -> int:
               % (matrix.logical_domains, matrix.max_slots,
                  matrix.slot_exhausted, percentiles["p50"],
                  percentiles["p99"]))
-        for result in matrix.widening_silent:
-            print("    WIDENING SILENT DIVERGENCE: campaign %d %s (%s)"
-                  % (result.campaign, result.spec.to_dict(), result.detail))
-    payload = write_churn_report(matrices, args.report)
-    print("report written to %s" % args.report)
-    if run is not None:
-        quarantined = _report_quarantine(run, run_dir)
-        print(run.metrics.render())
-        print("run directory: %s" % run_dir)
-    if payload["widening_silent_divergences"]:
-        print("FAIL: %d widening fault(s) diverged with no detection"
-              % payload["widening_silent_divergences"], file=sys.stderr)
-        return 1
-    if payload["unwaived_contract_violations"]:
-        print("FAIL: %d unwaived contract violation(s) — not attributable "
-              "to any armed fault"
-              % payload["unwaived_contract_violations"], file=sys.stderr)
-        return 1
-    return 1 if quarantined else 0
+
+    return _run_campaign_command(args, "churn", {
+        "backends": _backends(args), "seed": args.seed, "n_ops": args.ops,
+        "n_campaigns": args.campaign, "max_slots": args.slots,
+        "config": args.config, "scrub_interval": args.scrub_interval,
+        "contracts": args.contracts,
+    }, _matrix_report(summarize, write_churn_report, args.report))
 
 
-_MACHINE_REPORT_DEFAULT = "results/machine_fault_campaigns.json"
-
-
-def _run_machine_faults(args, backends) -> int:
+def _run_machine_faults(args) -> int:
     """Machine-level campaigns: faults under the fetch-execute loop.
 
     ``--events``, ``--config`` and ``--scrub-interval`` are abstract-
@@ -540,87 +497,44 @@ def _run_machine_faults(args, backends) -> int:
     pulse/scrub cadence from the workload geometry (overridable with
     ``--iterations`` / ``--pulse-interval``).
     """
-    from repro.faults import (
-        CLASSIFICATIONS,
-        DEFAULT_MACHINE_ITERATIONS,
-        run_machine_campaigns,
-        write_machine_report,
-    )
+    from repro.faults import DEFAULT_MACHINE_ITERATIONS, write_machine_report
 
-    iterations = (args.iterations if args.iterations is not None
-                  else DEFAULT_MACHINE_ITERATIONS)
-    report_path = args.report
-    if report_path == "results/fault_campaigns.json":
-        report_path = _MACHINE_REPORT_DEFAULT
-    quarantined = 0
-    if args.jobs > 1 or args.resume or args.run_dir or args.profile:
-        from repro.orchestrator import orchestrate_machine_faults
+    params = {
+        "backends": _backends(args), "seed": args.seed,
+        "n_campaigns": args.campaign,
+        "iterations": (args.iterations if args.iterations is not None
+                       else DEFAULT_MACHINE_ITERATIONS),
+        "faults_per_campaign": args.faults_per_campaign,
+        "scrub_interval": None, "pulse_interval": args.pulse_interval,
+        "contracts": args.contracts,
+    }
+    if args.state_changing_pulses:
+        params["state_changing_pulses"] = True
 
-        matrices, run, run_dir = orchestrate_machine_faults(
-            backends, args.seed, args.campaign,
-            jobs=args.jobs, iterations=iterations,
-            faults_per_campaign=args.faults_per_campaign,
-            pulse_interval=args.pulse_interval,
-            profile=args.profile, contracts=args.contracts,
-            state_changing_pulses=args.state_changing_pulses,
-            run_dir=args.run_dir, resume=args.resume,
-            shard_timeout=args.shard_timeout,
-        )
-    else:
-        matrices = [
-            run_machine_campaigns(
-                backend, args.seed, args.campaign,
-                iterations=iterations,
-                faults_per_campaign=args.faults_per_campaign,
-                pulse_interval=args.pulse_interval,
-                contracts=args.contracts,
-                state_changing_pulses=args.state_changing_pulses,
-            )
-            for backend in backends
-        ]
-        run = run_dir = None
-    for matrix in matrices:
-        counts = " ".join("%s=%d" % (name, matrix.counts[name])
-                          for name in CLASSIFICATIONS)
+    def summarize(matrix, counts) -> None:
         print("%-6s machine  %d campaigns x %d iterations  %s  "
               "rollbacks=%d contracts=%d unwaived=%d"
               % (matrix.backend, len(matrix.results), matrix.iterations,
                  counts, matrix.rollbacks, matrix.contract_violations,
                  matrix.unwaived_contract_violations))
-        for result in matrix.widening_silent:
-            print("    WIDENING SILENT DIVERGENCE: campaign %d %s (%s)"
-                  % (result.campaign, result.spec.to_dict(), result.detail))
-    payload = write_machine_report(matrices, report_path)
-    print("report written to %s" % report_path)
-    if run is not None:
-        quarantined = _report_quarantine(run, run_dir)
-        print(run.metrics.render())
-        print("run directory: %s" % run_dir)
-    if payload["widening_silent_divergences"]:
-        print("FAIL: %d widening fault(s) diverged with no detection"
-              % payload["widening_silent_divergences"], file=sys.stderr)
-        return 1
-    if payload["unwaived_contract_violations"]:
-        print("FAIL: %d unwaived contract violation(s) — not attributable "
-              "to any armed fault"
-              % payload["unwaived_contract_violations"], file=sys.stderr)
-        return 1
-    return 1 if quarantined else 0
+
+    return _run_campaign_command(
+        args, "machine_faults", params,
+        _matrix_report(summarize, write_machine_report, args.report
+                       or "results/machine_fault_campaigns.json"))
 
 
 def _cmd_bench(args) -> int:
-    """Run the evaluation rigs sharded; emit a perf trajectory file."""
+    """Run the evaluation rigs; emit a perf trajectory file."""
     import os
     import time
 
     from repro.bench import (
         build_trajectory,
-        compare_trajectories,
         load_trajectory,
         resolve_rigs,
         write_trajectory,
     )
-    from repro.orchestrator import orchestrate_bench
 
     if args.compare:
         current_path, baseline_path = args.compare
@@ -632,64 +546,61 @@ def _cmd_bench(args) -> int:
             return 2
         print("comparing %s (current) vs %s (baseline)"
               % (current_path, baseline_path))
-        lines, regressions = compare_trajectories(
-            current, baseline, args.regress_threshold)
-        for line in lines:
-            print(line)
-        if regressions:
-            print("FAIL: %d rig(s) regressed by more than %.0f%% "
-                  "instructions/s" % (len(regressions),
-                                      args.regress_threshold * 100),
-                  file=sys.stderr)
-            return 1
-        return 0
+        reasons = _compare_trajectories(current, baseline, baseline_path,
+                                        args.regress_threshold)
+        for reason in reasons:
+            print("FAIL: %s" % reason, file=sys.stderr)
+        return 1 if reasons else 0
 
     try:
         rigs = resolve_rigs(args.rigs)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
-    fast_path = not args.slow_path
-    block_cache = not args.no_block_cache
-    payloads, run, run_dir = orchestrate_bench(
-        rigs, fast_path=fast_path, block_cache=block_cache, jobs=args.jobs,
-        profile=args.profile, run_dir=args.run_dir, resume=args.resume,
-        shard_timeout=args.shard_timeout,
-    )
-    for payload in payloads:
-        print("%-16s %10d inst  %14.0f cyc  %8.3f s  %10.0f inst/s"
-              % (payload["rig"], payload["instructions"], payload["cycles"],
-                 payload["wall_s"], payload["ips"]))
-    failures = _report_quarantine(run, run_dir)
-    print(run.metrics.render())
-    print("run directory: %s" % run_dir)
-
-    stamp = args.stamp or time.strftime("%Y%m%d-%H%M%S")
-    out = args.out or os.path.join("results", "bench",
-                                   "BENCH_%s.json" % stamp)
-    trajectory = build_trajectory(payloads, label=args.label,
-                                  fast_path=fast_path,
-                                  block_cache=block_cache, stamp=stamp)
-    write_trajectory(trajectory, out)
-    print("trajectory written to %s" % out)
-
+    baseline = None
     if args.baseline:
         try:
             baseline = load_trajectory(args.baseline)
         except (OSError, ValueError) as error:
             print("cannot read baseline: %s" % error, file=sys.stderr)
             return 2
-        lines, regressions = compare_trajectories(
-            trajectory, baseline, args.regress_threshold)
-        for line in lines:
-            print(line)
-        if regressions:
-            print("FAIL: %d rig(s) regressed by more than %.0f%% "
-                  "instructions/s vs %s"
-                  % (len(regressions), args.regress_threshold * 100,
-                     args.baseline), file=sys.stderr)
-            return 1
-    return 1 if failures else 0
+    fast_path = not args.slow_path
+    block_cache = not args.no_block_cache
+
+    def report(payloads) -> List[str]:
+        for payload in payloads:
+            print("%-16s %10d inst  %14.0f cyc  %8.3f s  %10.0f inst/s"
+                  % (payload["rig"], payload["instructions"],
+                     payload["cycles"], payload["wall_s"], payload["ips"]))
+        stamp = args.stamp or time.strftime("%Y%m%d-%H%M%S")
+        out = args.out or os.path.join("results", "bench",
+                                       "BENCH_%s.json" % stamp)
+        trajectory = build_trajectory(payloads, label=args.label,
+                                      fast_path=fast_path,
+                                      block_cache=block_cache, stamp=stamp)
+        write_trajectory(trajectory, out)
+        print("trajectory written to %s" % out)
+        if baseline is None:
+            return []
+        return _compare_trajectories(trajectory, baseline, args.baseline,
+                                     args.regress_threshold)
+
+    return _run_campaign_command(args, "bench", {
+        "rigs": rigs, "fast_path": fast_path, "block_cache": block_cache,
+    }, report)
+
+
+def _compare_trajectories(current, baseline, baseline_path,
+                          threshold) -> List[str]:
+    """Print the rig-by-rig comparison; the FAIL reason on regression."""
+    from repro.bench import compare_trajectories
+
+    lines, regressions = compare_trajectories(current, baseline, threshold)
+    for line in lines:
+        print(line)
+    return (["%d rig(s) regressed by more than %.0f%% instructions/s vs %s"
+             % (len(regressions), threshold * 100, baseline_path)]
+            if regressions else [])
 
 
 def _cmd_orchestrate(args) -> int:
@@ -703,9 +614,9 @@ def _cmd_orchestrate(args) -> int:
     run_dir = args.run_dir or latest_run_dir()
     if run_dir is None or not os.path.isfile(
             os.path.join(run_dir, MANIFEST_NAME)):
-        print("no orchestrated run found%s; start one with "
-              "'python -m repro faults --jobs N' or "
-              "'python -m repro conformance --jobs N'"
+        print("no orchestrated run found%s; start one with --jobs N on "
+              "any campaign command (conformance, faults, churn, "
+              "attacks --campaign, bench)"
               % (" at %s" % run_dir if run_dir else ""), file=sys.stderr)
         return 2
     journal = RunJournal(run_dir)
@@ -750,6 +661,18 @@ _COMMANDS = {
 }
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "%r is not an integer" % text) from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % jobs)
+    return jobs
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -764,7 +687,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         subparsers.add_parser(name, help="regenerate the %r artifact" % name)
 
     def add_orchestration_flags(subparser) -> None:
-        subparser.add_argument("--jobs", type=int, default=1,
+        subparser.add_argument("--jobs", type=_jobs, default=1,
                                help="worker processes; >1 runs through the "
                                     "orchestrator (same streams, same "
                                     "report bytes as --jobs 1)")
@@ -805,12 +728,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="gadget-bearing streams per seed")
     attacks.add_argument("--stream-len", type=int, default=48,
                          help="instructions per stream")
-    attacks.add_argument("--jobs", type=int, default=1,
-                         help="process-pool workers over the seeds "
-                              "(report bytes identical to --jobs 1)")
     attacks.add_argument("--report", default="results/attack_campaigns.json",
                          help="JSON report output path")
     add_contracts_flag(attacks)
+    add_orchestration_flags(attacks)
     conformance = subparsers.add_parser(
         "conformance",
         help="differentially fuzz the cached PCU against the oracle spec",
@@ -856,8 +777,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated PCU config names, or 'all'")
     faults.add_argument("--scrub-interval", type=int, default=64,
                         help="events between watchdog scrubs")
-    faults.add_argument("--report", default="results/fault_campaigns.json",
-                        help="JSON report output path")
+    faults.add_argument("--report", default=None,
+                        help="JSON report output path (default: "
+                             "results/fault_campaigns.json, or "
+                             "results/machine_fault_campaigns.json with "
+                             "--machine)")
     faults.add_argument("--faults-per-campaign", type=int, default=1,
                         help="concurrent faults scheduled per campaign "
                              "(2 = dual-fault mode)")

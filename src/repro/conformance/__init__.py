@@ -34,6 +34,7 @@ from .runner import (
     Divergence,
     Outcome,
     fuzz_backend,
+    inject_cache_fill_bug,
     load_reproducer,
 )
 
@@ -52,6 +53,7 @@ __all__ = [
     "Outcome",
     "canonicalize_events",
     "fuzz_backend",
+    "inject_cache_fill_bug",
     "generate_events",
     "load_reproducer",
     "make_backend",

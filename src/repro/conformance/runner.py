@@ -569,6 +569,14 @@ class ConformanceResult:
         }
 
 
+def inject_cache_fill_bug(pcu: PrivilegeCheckUnit) -> None:
+    """The seeded bug behind ``--inject-bug``: every instruction-bitmap
+    cache fill flips the allow-bit of class 0.  The runner must catch it."""
+    cache = pcu.hpt_cache.inst
+    original = cache.fill
+    cache.fill = lambda tag, payload: original(tag, payload ^ 1)
+
+
 def fuzz_backend(
     backend_name: str,
     seed: int,

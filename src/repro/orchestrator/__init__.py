@@ -1,14 +1,21 @@
 """Parallel campaign orchestration (the scalability substrate).
 
 Every heavy harness in this reproduction — the differential conformance
-fuzzer, the fault-injection campaigns, and whatever workload PRs come
-next — boils down to "replay a seeded matrix of event streams and merge
-the verdicts".  This package makes that one scalable operation:
+fuzzer, the fault, machine and churn campaigns, the attack campaigns
+and the bench rigs — boils down to "replay a seeded matrix of event
+streams and merge the verdicts".  This package makes that one
+operation, shared by every campaign family:
 
-* :mod:`~repro.orchestrator.shards` — deterministic partitioning of a
-  campaign's seed space into JSON-plain :class:`ShardSpec` units, with
-  a layout that depends only on the campaign parameters (never on
-  ``--jobs``), so parallelism can never change which streams run;
+* :mod:`~repro.orchestrator.campaigns` — the :data:`KINDS` registry
+  (one :class:`CampaignKind` per family) and :func:`run_campaign`,
+  which plans, executes (in-process, or supervised for ``--jobs N``)
+  and merges any campaign into the exact structures the serial
+  drivers produce (``--jobs N`` is bit-compatible with ``--jobs 1``);
+* :mod:`~repro.orchestrator.shards` — :func:`plan_shards`, the
+  deterministic partitioning of a campaign's seed space into
+  JSON-plain :class:`ShardSpec` units, with a layout that depends only
+  on the campaign parameters (never on ``--jobs``), so parallelism can
+  never change which streams run;
 * :mod:`~repro.orchestrator.worker` — the dumb per-shard process that
   publishes its :class:`ShardResult` with an atomic rename;
 * :mod:`~repro.orchestrator.supervisor` — the policy loop: per-shard
@@ -19,26 +26,14 @@ the verdicts".  This package makes that one scalable operation:
 * :mod:`~repro.orchestrator.metrics` — events/sec per worker, shard
   latency histogram, retry/quarantine counters and peak worker RSS,
   persisted per run and printable via
-  ``python -m repro orchestrate --status``;
-* :mod:`~repro.orchestrator.api` — the merge layer that reassembles
-  shard payloads into the exact report structures the serial paths
-  emit (``--jobs N`` is bit-compatible with ``--jobs 1``).
+  ``python -m repro orchestrate --status``.
 
 CLI: ``python -m repro faults --jobs 4`` /
 ``python -m repro conformance --jobs 4 --resume`` /
 ``python -m repro orchestrate --status``.
 """
 
-from .api import (
-    merge_churn_results,
-    merge_fault_results,
-    merge_machine_fault_results,
-    orchestrate_bench,
-    orchestrate_churn,
-    orchestrate_conformance,
-    orchestrate_faults,
-    orchestrate_machine_faults,
-)
+from .campaigns import KINDS, RunDirConflict, run_campaign
 from .checkpoint import (
     RunJournal,
     default_run_dir,
@@ -47,14 +42,11 @@ from .checkpoint import (
 from .metrics import RunMetrics, render_metrics
 from .shards import (
     FAULT_SHARDS_PER_UNIT,
+    CampaignKind,
     ShardPlan,
     ShardResult,
     ShardSpec,
-    plan_bench_shards,
-    plan_churn_shards,
-    plan_conformance_shards,
-    plan_fault_shards,
-    plan_machine_fault_shards,
+    plan_shards,
 )
 from .supervisor import (
     DEFAULT_MAX_RETRIES,
@@ -66,6 +58,9 @@ from .worker import execute_shard, worker_entry
 __all__ = [
     "DEFAULT_MAX_RETRIES",
     "FAULT_SHARDS_PER_UNIT",
+    "KINDS",
+    "CampaignKind",
+    "RunDirConflict",
     "RunJournal",
     "RunMetrics",
     "ShardPlan",
@@ -76,19 +71,8 @@ __all__ = [
     "default_run_dir",
     "execute_shard",
     "latest_run_dir",
-    "merge_churn_results",
-    "merge_fault_results",
-    "merge_machine_fault_results",
-    "orchestrate_bench",
-    "orchestrate_churn",
-    "orchestrate_conformance",
-    "orchestrate_faults",
-    "orchestrate_machine_faults",
-    "plan_bench_shards",
-    "plan_churn_shards",
-    "plan_conformance_shards",
-    "plan_fault_shards",
-    "plan_machine_fault_shards",
+    "plan_shards",
     "render_metrics",
+    "run_campaign",
     "worker_entry",
 ]

@@ -11,16 +11,18 @@ parameters.  Two invariants make parallel runs trustworthy:
   state.  ``--jobs 4`` therefore generates exactly the streams that
   ``--jobs 1`` generates, and a resumed run slots its completed shards
   back into the same layout.
-* **Order-independent merging** — every shard result carries enough
-  indexing (backend, config, campaign range) for the merge step to
-  reassemble results in canonical matrix order no matter which worker
-  finished first.
+* **Order-independent merging** — the merge step walks the plan, not
+  the order results arrived in, so it reassembles results in canonical
+  matrix order no matter which worker finished first.
 
-Shard granularity: the conformance fuzzer replays one stateful stream
-per (backend, config) pair, so that pair is the smallest splittable
-unit.  Fault campaigns are independent per campaign index, so each
-(backend, config) unit is further chunked into contiguous campaign
-ranges; the chunk size is derived from the campaign count alone (see
+Shard granularity: every campaign family is a :class:`CampaignKind`,
+and :func:`plan_shards` is the one planner for all of them.  A *unit*
+is one point of the kind's axes — a (backend, config) pair, a backend,
+a seed or a rig.  The conformance fuzzer replays one stateful stream
+per unit, so the unit is its smallest splittable slice.  Fault, machine
+and churn campaigns are independent per campaign index, so their units
+are further chunked into contiguous campaign ranges; the chunk size is
+derived from the campaign count alone (see
 :data:`FAULT_SHARDS_PER_UNIT`) so the layout survives re-planning with
 a different worker count.
 """
@@ -28,9 +30,10 @@ a different worker count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: How many shards one (backend, config) fault unit is split into, at
 #: most.  A policy constant, not a tunable: changing it changes shard
@@ -49,7 +52,7 @@ class ShardSpec:
     """
 
     shard_id: str
-    kind: str                      # "faults" | "conformance" | "bench"
+    kind: str                      # a CampaignKind.name, e.g. "faults"
     params: Dict[str, object] = field(default_factory=dict, hash=False)
     weight: int = 0                # events this shard replays (metrics)
     sabotage: Optional[Dict[str, object]] = field(default=None, hash=False)
@@ -147,276 +150,66 @@ def _fault_chunk(n_campaigns: int) -> int:
     return max(1, -(-n_campaigns // FAULT_SHARDS_PER_UNIT))
 
 
-def plan_fault_shards(
-    backends: Sequence[str],
-    configs: Sequence[str],
-    seed: int,
-    n_events: int,
-    n_campaigns: int,
-    scrub_interval: int,
-    faults_per_campaign: int = 1,
-    profile: bool = False,
-    contracts: bool = True,
-) -> ShardPlan:
-    """Chunk the (backend x config x campaign) fault matrix into shards.
+@dataclass(frozen=True)
+class CampaignKind:
+    """What one campaign family adds to the shared plan/run/merge path.
 
-    Each shard runs the contiguous campaign range ``[lo, hi)`` of one
-    (backend, config) pair.  Workers re-derive the campaign's
-    :class:`~repro.faults.plan.FaultPlan` draws from campaign 0, so a
-    shard's fault specs are identical to the ones a serial run would
-    hand those campaign indices.
+    Everything else — planning, in-process or supervised execution,
+    checkpoints, merging in plan order — is common to every kind.
     """
-    chunk = _fault_chunk(n_campaigns)
-    shards: List[ShardSpec] = []
-    for backend in backends:
-        for config in configs:
-            for lo in range(0, n_campaigns, chunk):
-                hi = min(lo + chunk, n_campaigns)
-                params = {
-                    "backend": backend,
-                    "config": config,
-                    "seed": seed,
-                    "n_events": n_events,
-                    "n_campaigns": n_campaigns,
-                    "campaign_lo": lo,
-                    "campaign_hi": hi,
-                    "scrub_interval": scrub_interval,
-                    "faults_per_campaign": faults_per_campaign,
-                    "contracts": bool(contracts),
-                }
-                # Only present when set, so profiled and plain runs of
-                # the same campaign share shard ids but not run dirs
-                # (plan params feed the fingerprint) and pre-profile
-                # checkpoints stay resumable.
-                if profile:
-                    params["profile"] = True
-                shards.append(ShardSpec(
-                    shard_id="faults-%s-%s-c%04d-c%04d" % (backend, config,
-                                                           lo, hi),
-                    kind="faults",
-                    params=params,
-                    weight=(hi - lo) * n_events,
-                ))
-    plan_params = {
-        "backends": list(backends), "configs": list(configs),
-        "seed": seed, "n_events": n_events, "n_campaigns": n_campaigns,
-        "scrub_interval": scrub_interval,
-        "faults_per_campaign": faults_per_campaign,
-        "contracts": bool(contracts),
-    }
-    if profile:
-        plan_params["profile"] = True
-    return ShardPlan(kind="faults", params=plan_params, shards=shards)
+
+    name: str                      # ShardSpec.kind; the registry key
+    prefix: str                    # shard-id prefix
+    #: List-valued plan params whose product is the set of units, e.g.
+    #: ``("backends", "configs")``.  A shard sees each axis under its
+    #: singular name (``backend``, ``config``) — see :attr:`unit_keys`.
+    axes: Tuple[str, ...]
+    #: Chunk each unit into ``[campaign_lo, campaign_hi)`` ranges of
+    #: ``params["n_campaigns"]``.
+    split: bool
+    #: Simulated work of one campaign of a unit (shard params in), for
+    #: the run metrics' events/sec.
+    weight: Callable[[Dict[str, object]], int]
+    #: Shard params -> JSON-plain payload; ``events_run`` is metrics.
+    run_shard: Callable[[Dict[str, object]], Dict[str, object]]
+    #: (a unit's shard params, its payloads in plan order) -> the object
+    #: the family's serial driver returns for that unit.
+    merge: Callable[[Dict[str, object], List[Dict[str, object]]], object]
+
+    @property
+    def unit_keys(self) -> Tuple[str, ...]:
+        """The shard-param name of each axis (``backends`` -> ``backend``)."""
+        return tuple(axis[:-1] for axis in self.axes)
 
 
-def plan_machine_fault_shards(
-    backends: Sequence[str],
-    seed: int,
-    n_campaigns: int,
-    iterations: int,
-    faults_per_campaign: int = 1,
-    scrub_interval: Optional[int] = None,
-    pulse_interval: Optional[int] = None,
-    profile: bool = False,
-    contracts: bool = True,
-    state_changing_pulses: bool = False,
-) -> ShardPlan:
-    """Chunk the machine-level (backend x campaign) matrix into shards.
+def plan_shards(kind: CampaignKind, params: Dict[str, object]) -> ShardPlan:
+    """Lay one campaign of ``kind`` out as shards, in canonical order.
 
-    Machine campaigns draw their fault specs from a per-campaign RNG
-    (see :meth:`repro.faults.plan.FaultPlan.draw_machine_specs`), so a
-    worker executes exactly its ``[lo, hi)`` range — no replay of
-    earlier campaigns is needed for stream identity.  The shard weight
-    is the geometry's estimated instruction count, making the metrics'
-    events/sec a simulated-instructions rate.
+    ``params`` are the campaign-level parameters: one list per axis of
+    ``kind`` plus scalars shared by every shard.  Each shard's params
+    are the scalars plus its unit's axis values (and, for a splitting
+    kind, its campaign range).  Flags that default off (``profile``,
+    ``state_changing_pulses``, ``inject_bug``) belong in ``params`` only
+    when set, so a plain run keeps the plan fingerprint — and the run
+    directory — it had before the flag existed.
     """
-    from repro.faults.machine import machine_geometry
-
-    chunk = _fault_chunk(n_campaigns)
+    scalars = {key: value for key, value in params.items()
+               if key not in kind.axes}
     shards: List[ShardSpec] = []
-    for backend in backends:
-        n_steps = machine_geometry(backend, iterations,
-                                   scrub_interval, pulse_interval).n_steps
+    for unit in itertools.product(*(params[axis] for axis in kind.axes)):
+        unit_params = dict(zip(kind.unit_keys, unit), **scalars)
+        unit_id = "-".join([kind.prefix] + [str(value) for value in unit])
+        weight = kind.weight(unit_params)
+        if not kind.split:
+            shards.append(ShardSpec(unit_id, kind.name, unit_params, weight))
+            continue
+        n_campaigns = params["n_campaigns"]
+        chunk = _fault_chunk(n_campaigns)
         for lo in range(0, n_campaigns, chunk):
             hi = min(lo + chunk, n_campaigns)
-            params = {
-                "backend": backend,
-                "seed": seed,
-                "n_campaigns": n_campaigns,
-                "campaign_lo": lo,
-                "campaign_hi": hi,
-                "iterations": iterations,
-                "faults_per_campaign": faults_per_campaign,
-                "scrub_interval": scrub_interval,
-                "pulse_interval": pulse_interval,
-                "contracts": bool(contracts),
-            }
-            if profile:
-                params["profile"] = True
-            # Like "profile": present only when set, so the default
-            # (state-neutral) layout keeps its historical shard ids.
-            if state_changing_pulses:
-                params["state_changing_pulses"] = True
             shards.append(ShardSpec(
-                shard_id="mfaults-%s-c%04d-c%04d" % (backend, lo, hi),
-                kind="machine_faults",
-                params=params,
-                weight=(hi - lo) * n_steps,
+                "%s-c%04d-c%04d" % (unit_id, lo, hi), kind.name,
+                dict(unit_params, campaign_lo=lo, campaign_hi=hi),
+                (hi - lo) * weight,
             ))
-    plan_params = {
-        "backends": list(backends), "seed": seed,
-        "n_campaigns": n_campaigns, "iterations": iterations,
-        "faults_per_campaign": faults_per_campaign,
-        "scrub_interval": scrub_interval, "pulse_interval": pulse_interval,
-        "contracts": bool(contracts),
-    }
-    if profile:
-        plan_params["profile"] = True
-    if state_changing_pulses:
-        plan_params["state_changing_pulses"] = True
-    return ShardPlan(kind="machine_faults", params=plan_params, shards=shards)
-
-
-def plan_churn_shards(
-    backends: Sequence[str],
-    seed: int,
-    n_ops: int,
-    n_campaigns: int,
-    max_slots: int,
-    config: str = "stress",
-    scrub_interval: int = 0,
-    profile: bool = False,
-    contracts: bool = True,
-) -> ShardPlan:
-    """Chunk the tenant-churn (backend x campaign) matrix into shards.
-
-    Churn campaigns draw their recycle-window fault specs from a
-    per-campaign RNG (:meth:`repro.faults.plan.FaultPlan.draw_churn_specs`)
-    and each campaign's tenant stream is seeded ``seed + campaign``, so —
-    like the machine matrix — a worker executes exactly its ``[lo, hi)``
-    range with no replay of earlier campaigns.  The shard weight is the
-    churn-op count the range will generate.
-    """
-    chunk = _fault_chunk(n_campaigns)
-    shards: List[ShardSpec] = []
-    for backend in backends:
-        for lo in range(0, n_campaigns, chunk):
-            hi = min(lo + chunk, n_campaigns)
-            params = {
-                "backend": backend,
-                "seed": seed,
-                "n_ops": n_ops,
-                "n_campaigns": n_campaigns,
-                "campaign_lo": lo,
-                "campaign_hi": hi,
-                "max_slots": max_slots,
-                "config": config,
-                "scrub_interval": scrub_interval,
-                "contracts": bool(contracts),
-            }
-            if profile:
-                params["profile"] = True
-            shards.append(ShardSpec(
-                shard_id="churn-%s-c%04d-c%04d" % (backend, lo, hi),
-                kind="churn",
-                params=params,
-                weight=(hi - lo) * n_ops,
-            ))
-    plan_params = {
-        "backends": list(backends), "seed": seed, "n_ops": n_ops,
-        "n_campaigns": n_campaigns, "max_slots": max_slots,
-        "config": config, "scrub_interval": scrub_interval,
-        "contracts": bool(contracts),
-    }
-    if profile:
-        plan_params["profile"] = True
-    return ShardPlan(kind="churn", params=plan_params, shards=shards)
-
-
-def plan_conformance_shards(
-    backends: Sequence[str],
-    configs: Sequence[str],
-    seed: int,
-    n_events: int,
-    layer: str = "pcu",
-    scrub_interval: int = 0,
-    oracle_only: bool = False,
-    dump_dir: Optional[str] = ".",
-    profile: bool = False,
-    contracts: bool = True,
-) -> ShardPlan:
-    """One shard per (backend, config) pair of the conformance matrix.
-
-    A conformance stream is stateful from its first event, so the pair
-    is the smallest unit that can move to another process without
-    changing which streams get generated.
-    """
-    shards = []
-    for backend in backends:
-        for config in configs:
-            params = {
-                "backend": backend,
-                "config": config,
-                "seed": seed,
-                "n_events": n_events,
-                "layer": layer,
-                "scrub_interval": scrub_interval,
-                "oracle_only": oracle_only,
-                "dump_dir": dump_dir,
-                "contracts": bool(contracts),
-            }
-            if profile:
-                params["profile"] = True
-            shards.append(ShardSpec(
-                shard_id="conformance-%s-%s-s%d" % (backend, config, seed),
-                kind="conformance",
-                params=params,
-                weight=n_events,
-            ))
-    plan_params = {
-        "backends": list(backends), "configs": list(configs),
-        "seed": seed, "n_events": n_events, "layer": layer,
-        "scrub_interval": scrub_interval, "oracle_only": oracle_only,
-        "contracts": bool(contracts),
-    }
-    if profile:
-        plan_params["profile"] = True
-    return ShardPlan(kind="conformance", params=plan_params, shards=shards)
-
-
-def plan_bench_shards(
-    rigs: Sequence[str],
-    fast_path: bool = True,
-    block_cache: bool = True,
-    profile: bool = False,
-) -> ShardPlan:
-    """One shard per benchmark rig.
-
-    A rig is self-contained (it boots its own kernels), so the rig is
-    the natural distribution unit; the shard weight is the rig's rough
-    dynamic instruction count so the run metrics report a meaningful
-    events/sec.  ``fast_path`` is part of the layout: a ``--slow-path``
-    run fingerprints (and checkpoints) separately from a fast one, and
-    ``block_cache`` likewise (``--no-block-cache``).
-    """
-    from repro.bench.rigs import RIGS
-
-    shards = []
-    for rig in rigs:
-        params = {"rig": rig, "fast_path": bool(fast_path),
-                  "block_cache": bool(block_cache)}
-        if profile:
-            params["profile"] = True
-        suffix = "fast" if fast_path else "slow"
-        if not block_cache:
-            suffix += "-noblocks"
-        shards.append(ShardSpec(
-            shard_id="bench-%s-%s" % (rig, suffix),
-            kind="bench",
-            params=params,
-            weight=RIGS[rig].approx_instructions,
-        ))
-    plan_params = {"rigs": list(rigs), "fast_path": bool(fast_path)}
-    if profile:
-        plan_params["profile"] = True
-    return ShardPlan(kind="bench", params=plan_params, shards=shards)
+    return ShardPlan(kind=kind.name, params=dict(params), shards=shards)

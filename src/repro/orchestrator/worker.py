@@ -28,7 +28,7 @@ import os
 import signal
 import sys
 import time
-from typing import Dict, List
+from typing import Dict
 
 try:  # Unix-only; absent on some platforms, so peak RSS degrades to 0.
     import resource
@@ -59,153 +59,6 @@ def _apply_sabotage(sabotage, attempt: int) -> None:
     elif kind == "exception":
         raise RuntimeError("sabotaged shard (test hook)")
 
-
-def run_fault_shard(params: Dict[str, object]) -> Dict[str, object]:
-    """Execute the campaign range ``[campaign_lo, campaign_hi)``.
-
-    The worker re-derives the full :class:`~repro.faults.plan.FaultPlan`
-    sequence from campaign 0 so the specs for its range are drawn from
-    exactly the RNG state a serial run would have reached — the heart of
-    the "``--jobs N`` never changes the streams" contract.
-    """
-    from repro.faults.campaign import run_campaign
-    from repro.faults.plan import FaultPlan
-
-    plan = FaultPlan(int(params["seed"]))
-    lo, hi = int(params["campaign_lo"]), int(params["campaign_hi"])
-    per_campaign = int(params.get("faults_per_campaign", 1))
-    n_events = int(params["n_events"])
-    results: List[Dict[str, object]] = []
-    events_run = 0
-    for campaign in range(hi):
-        specs = plan.draw_specs(campaign, n_events, count=per_campaign)
-        if campaign < lo:
-            continue  # drawn only to advance the plan's RNG
-        result = run_campaign(
-            params["backend"], specs[0],
-            stream_seed=int(params["seed"]) + campaign,
-            n_events=n_events,
-            config=params["config"],
-            scrub_interval=int(params["scrub_interval"]),
-            campaign=campaign,
-            extra_specs=specs[1:],
-            contracts=bool(params.get("contracts", True)),
-        )
-        results.append(result.to_dict())
-        events_run += result.events_run
-    return {
-        "backend": params["backend"],
-        "config": params["config"],
-        "campaign_lo": lo,
-        "campaign_hi": hi,
-        "results": results,
-        "events_run": events_run,
-    }
-
-
-def run_machine_fault_shard(params: Dict[str, object]) -> Dict[str, object]:
-    """Execute the machine-level campaign range ``[campaign_lo, campaign_hi)``.
-
-    Unlike :func:`run_fault_shard` there is nothing to replay: machine
-    campaigns use a per-campaign RNG, so drawing campaign ``k`` in a
-    worker is byte-identical to drawing it in a serial loop.
-    ``events_run`` reports simulated instructions (the machine-level
-    analogue of replayed events).
-    """
-    from repro.faults.machine import run_planned_machine_campaign
-
-    lo, hi = int(params["campaign_lo"]), int(params["campaign_hi"])
-    scrub_interval = params.get("scrub_interval")
-    pulse_interval = params.get("pulse_interval")
-    results: List[Dict[str, object]] = []
-    events_run = 0
-    for campaign in range(lo, hi):
-        result = run_planned_machine_campaign(
-            params["backend"], int(params["seed"]), campaign,
-            iterations=int(params["iterations"]),
-            faults_per_campaign=int(params.get("faults_per_campaign", 1)),
-            scrub_interval=(None if scrub_interval is None
-                            else int(scrub_interval)),
-            pulse_interval=(None if pulse_interval is None
-                            else int(pulse_interval)),
-            contracts=bool(params.get("contracts", True)),
-            state_changing_pulses=bool(
-                params.get("state_changing_pulses", False)),
-        )
-        results.append(result.to_dict())
-        events_run += result.instructions
-    return {
-        "backend": params["backend"],
-        "campaign_lo": lo,
-        "campaign_hi": hi,
-        "results": results,
-        "events_run": events_run,
-    }
-
-
-def run_churn_shard(params: Dict[str, object]) -> Dict[str, object]:
-    """Execute the tenant-churn campaign range ``[campaign_lo, campaign_hi)``.
-
-    Like the machine matrix, churn campaigns draw from a per-campaign
-    RNG and seed their tenant stream ``seed + campaign``, so the worker
-    runs exactly its range.  ``events_run`` reports churn ops executed.
-    """
-    from repro.faults.churn import run_churn_campaigns
-
-    lo, hi = int(params["campaign_lo"]), int(params["campaign_hi"])
-    matrix = run_churn_campaigns(
-        params["backend"], int(params["seed"]), int(params["n_ops"]),
-        int(params["n_campaigns"]),
-        max_slots=int(params["max_slots"]),
-        config=params.get("config", "stress"),
-        scrub_interval=int(params.get("scrub_interval", 0)),
-        contracts=bool(params.get("contracts", True)),
-        campaign_lo=lo, campaign_hi=hi,
-    )
-    return {
-        "backend": params["backend"],
-        "campaign_lo": lo,
-        "campaign_hi": hi,
-        "results": [result.to_dict() for result in matrix.results],
-        "events_run": sum(result.ops_run for result in matrix.results),
-    }
-
-
-def run_conformance_shard(params: Dict[str, object]) -> Dict[str, object]:
-    """Fuzz one (backend, config) pair; mirror of the serial CLI path."""
-    from repro.conformance.runner import fuzz_backend
-
-    result = fuzz_backend(
-        params["backend"], int(params["seed"]), int(params["n_events"]),
-        config=params["config"],
-        oracle_only=bool(params.get("oracle_only")),
-        dump_dir=params.get("dump_dir"),
-        layer=params.get("layer", "pcu"),
-        scrub_interval=int(params.get("scrub_interval", 0)),
-        contracts=bool(params.get("contracts", True)),
-    )
-    payload = result.summary()
-    payload["events_run"] = result.events
-    return payload
-
-
-def run_bench_shard(params: Dict[str, object]) -> Dict[str, object]:
-    """Execute one benchmark rig; the payload is a trajectory record."""
-    from repro.bench.rigs import run_rig
-
-    payload = run_rig(params["rig"], fast_path=bool(params["fast_path"]),
-                      block_cache=bool(params.get("block_cache", True)))
-    payload["events_run"] = payload["instructions"]
-    return payload
-
-
-_SHARD_RUNNERS = {
-    "faults": run_fault_shard,
-    "machine_faults": run_machine_fault_shard,
-    "churn": run_churn_shard,
-    "conformance": run_conformance_shard,
-    "bench": run_bench_shard,
-}
 
 #: How many cumulative-time rows a per-shard profile dump keeps.
 PROFILE_TOP_N = 40
@@ -246,8 +99,10 @@ def _profiled_execute(spec_dict: Dict[str, object],
 
 
 def execute_shard(spec_dict: Dict[str, object]) -> Dict[str, object]:
-    """Dispatch one shard spec dict to its runner (in-process)."""
-    return _SHARD_RUNNERS[spec_dict["kind"]](spec_dict["params"])
+    """Dispatch one shard spec dict to its kind's runner (in-process)."""
+    from .campaigns import KINDS
+
+    return KINDS[spec_dict["kind"]].run_shard(spec_dict["params"])
 
 
 def worker_entry(spec_dict: Dict[str, object], attempt: int,

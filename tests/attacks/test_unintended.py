@@ -63,8 +63,12 @@ class TestCampaign:
         assert result.sealed_blocked == result.sealed_probes > 0
         assert result.unwaived_contract_violations == 0
 
-    def test_jobs_do_not_change_results(self):
-        serial = run_unintended_campaigns([0, 1], 3, 24, jobs=1)
-        parallel = run_unintended_campaigns([0, 1], 3, 24, jobs=2)
-        assert [r.to_dict() for r in serial] == [r.to_dict()
-                                                 for r in parallel]
+    def test_jobs_do_not_change_results(self, tmp_path):
+        from repro.orchestrator import KINDS, run_campaign
+
+        serial = run_unintended_campaigns([0, 1], 3, 24)
+        parallel, _, _ = run_campaign(
+            KINDS["attacks"],
+            {"seeds": [0, 1], "n_streams": 3, "stream_len": 24},
+            jobs=2, run_dir=str(tmp_path / "run"))
+        assert [r.to_dict() for r in serial] == parallel

@@ -145,13 +145,15 @@ class TestChurnMatrix:
 class TestOrchestration:
     def test_jobs_2_report_is_byte_identical_to_serial(self, tmp_path,
                                                        matrix):
-        from repro.orchestrator import orchestrate_churn
+        from repro.orchestrator import KINDS, run_campaign
 
         serial_path = tmp_path / "serial.json"
         write_churn_report([matrix], str(serial_path))
-        matrices, run, _ = orchestrate_churn(
-            ["riscv"], 0, N_OPS, 4, jobs=2, max_slots=SLOTS,
-            run_dir=str(tmp_path / "run"))
+        matrices, run, _ = run_campaign(
+            KINDS["churn"],
+            {"backends": ["riscv"], "seed": 0, "n_ops": N_OPS,
+             "n_campaigns": 4, "max_slots": SLOTS},
+            jobs=2, run_dir=str(tmp_path / "run"))
         assert run.complete
         parallel_path = tmp_path / "parallel.json"
         write_churn_report(matrices, str(parallel_path))

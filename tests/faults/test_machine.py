@@ -148,11 +148,13 @@ class TestOrchestration:
         # computed full matrices (campaign draws are campaign-local, so
         # a prefix is exactly what a 4-campaign serial run produces) —
         # this test only pays for the sharded side.
-        from repro.orchestrator import orchestrate_machine_faults
+        from repro.orchestrator import KINDS, run_campaign
 
-        sharded, run, _ = orchestrate_machine_faults(
-            ("riscv", "x86"), 7, 4, jobs=2, iterations=2,
-            run_dir=str(tmp_path / "run"))
+        sharded, run, _ = run_campaign(
+            KINDS["machine_faults"],
+            {"backends": ("riscv", "x86"), "seed": 7, "n_campaigns": 4,
+             "iterations": 2},
+            jobs=2, run_dir=str(tmp_path / "run"))
         assert run.quarantined == []
         assert [[r.to_dict() for r in m.results] for m in sharded] == \
             [[r.to_dict() for r in matrices[backend].results[:4]]

@@ -96,3 +96,152 @@ class TestAttackCampaignCli:
     def test_bad_seeds_is_usage_error(self, capsys):
         assert main(["attacks", "--campaign", "--seeds", "zero"]) == 2
         assert "seeds" in capsys.readouterr().err
+
+
+class TestCampaignCommandExitCodes:
+    """Every campaign command's exit contract: 0 clean (report written),
+    1 on a failed gate, 2 on bad input.  Runs are tiny and in-process,
+    from a temporary working directory."""
+
+    FAULTS = ["faults", "--events", "60", "--seed", "0", "--campaign", "2",
+              "--backend", "riscv", "--config", "stress"]
+
+    @pytest.fixture(autouse=True)
+    def _tmp_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def _report(path):
+        import json
+
+        with open(path) as handle:
+            return json.load(handle)
+
+    def test_faults_clean_run(self, capsys):
+        assert main(self.FAULTS + ["--report", "f.json"]) == 0
+        assert self._report("f.json")["widening_silent_divergences"] == 0
+        assert "report written to f.json" in capsys.readouterr().out
+
+    def test_machine_faults_clean_run(self):
+        assert main(["faults", "--machine", "--seed", "0", "--campaign", "1",
+                     "--iterations", "1", "--backend", "riscv",
+                     "--report", "m.json"]) == 0
+        report = self._report("m.json")
+        assert report["format"] == "isagrid-machine-fault-campaign-v1"
+
+    def test_churn_clean_run(self):
+        assert main(["churn", "--ops", "60", "--seed", "0", "--campaign",
+                     "1", "--slots", "8", "--backend", "riscv",
+                     "--report", "c.json"]) == 0
+        assert self._report("c.json")["format"] == "isagrid-churn-campaign-v1"
+
+    def test_conformance_clean_run(self, capsys):
+        assert main(["conformance", "--events", "200", "--seed", "0",
+                     "--backend", "riscv", "--config", "stress"]) == 0
+        assert "divergences=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["faults", "--events", "60", "--campaign", "1"],
+        ["conformance", "--events", "60"],
+    ])
+    def test_unknown_config_is_usage_error(self, command, capsys):
+        assert main(command + ["--config", "bogus"]) == 2
+        assert "unknown config bogus" in capsys.readouterr().err
+
+    def test_inject_bug_fails_and_its_reproducer_replays_clean(
+            self, tmp_path, capsys):
+        command = ["conformance", "--events", "200", "--seed", "0",
+                   "--backend", "riscv", "--config", "stress"]
+        assert main(command + ["--inject-bug"]) == 1
+        assert "DIVERGENCE" in capsys.readouterr().out
+        dumps = sorted(tmp_path.glob("conformance-repro-*.json"))
+        assert len(dumps) == 1
+        assert main(["conformance", "--replay", str(dumps[0])]) == 0
+        assert "no divergence" in capsys.readouterr().out
+
+    @staticmethod
+    def _doctor_campaigns(monkeypatch, widen=False, **changes):
+        """Rewrite every fault campaign's result in-process."""
+        import dataclasses
+
+        from repro.faults import campaign
+
+        real = campaign.run_campaign
+
+        def doctored(*args, **kwargs):
+            result = dataclasses.replace(real(*args, **kwargs), **changes)
+            if widen:  # a "set" bit op widens whatever the fault kind
+                result = dataclasses.replace(
+                    result, spec=dataclasses.replace(result.spec,
+                                                     bit_op="set"))
+            return result
+
+        monkeypatch.setattr(campaign, "run_campaign", doctored)
+
+    def test_widening_silent_divergence_fails_faults(self, monkeypatch,
+                                                     capsys):
+        self._doctor_campaigns(monkeypatch, widen=True,
+                               classification="silent_divergence")
+        assert main(self.FAULTS + ["--report", "f.json"]) == 1
+        captured = capsys.readouterr()
+        assert "WIDENING SILENT DIVERGENCE" in captured.out
+        assert "FAIL: 2 widening fault(s)" in captured.err
+        assert self._report("f.json")["widening_silent_divergences"] == 2
+
+    def test_unwaived_contract_violation_fails_faults(self, monkeypatch,
+                                                      capsys):
+        self._doctor_campaigns(monkeypatch, contract_violations=1,
+                               unwaived_contract_violations=1)
+        assert main(self.FAULTS + ["--report", "f.json"]) == 1
+        assert "FAIL: 2 unwaived contract violation(s)" \
+            in capsys.readouterr().err
+        assert self._report("f.json")["unwaived_contract_violations"] == 2
+
+
+class TestOrchestrationFlags:
+    """Bad orchestration input is a usage error (exit 2), not a
+    traceback; ``--inject-bug`` runs sharded; and a mode's default
+    report path never rewrites an explicit ``--report``."""
+
+    @pytest.fixture(autouse=True)
+    def _tmp_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("command", [
+        ["faults"], ["faults", "--machine"], ["churn"], ["conformance"],
+        ["attacks", "--campaign"], ["bench", "--rigs", "smoke"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_rejected(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_resume_into_another_campaigns_run_dir(self, capsys):
+        command = ["faults", "--events", "60", "--campaign", "1",
+                   "--backend", "riscv", "--config", "stress",
+                   "--run-dir", "run", "--report", "f.json"]
+        assert main(command) == 0
+        capsys.readouterr()
+        assert main(command + ["--seed", "1", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "holds a different campaign" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_inject_bug_is_caught_when_sharded(self, tmp_path, capsys):
+        assert main(["conformance", "--events", "200", "--seed", "0",
+                     "--backend", "riscv", "--config", "stress,draco",
+                     "--inject-bug", "--jobs", "2"]) == 1
+        assert "run directory:" in capsys.readouterr().out
+        assert len(list(tmp_path.glob("conformance-repro-*.json"))) == 2
+
+    def test_machine_mode_keeps_an_explicit_report_path(self, tmp_path):
+        machine = ["faults", "--machine", "--seed", "0", "--campaign", "1",
+                   "--iterations", "1", "--backend", "riscv"]
+        assert main(machine + ["--report", "results/fault_campaigns.json"]) \
+            == 0
+        results = tmp_path / "results"
+        assert [p.name for p in results.iterdir()] == ["fault_campaigns.json"]
+        assert main(machine) == 0
+        assert (results / "machine_fault_campaigns.json").is_file()

@@ -1,27 +1,39 @@
 """Shard planning: layout determinism, coverage, fingerprints."""
 
 from repro.orchestrator import (
+    KINDS,
     ShardPlan,
     ShardResult,
     ShardSpec,
-    plan_conformance_shards,
-    plan_fault_shards,
+    plan_shards,
 )
 from repro.orchestrator.shards import FAULT_SHARDS_PER_UNIT, _fault_chunk
 
 
+def fault_plan(backends, configs, seed, n_events, n_campaigns,
+               scrub_interval, **params):
+    return plan_shards(KINDS["faults"], dict(
+        backends=backends, configs=configs, seed=seed, n_events=n_events,
+        n_campaigns=n_campaigns, scrub_interval=scrub_interval, **params))
+
+
+def conformance_plan(backends, configs, seed, n_events):
+    return plan_shards(KINDS["conformance"], dict(
+        backends=backends, configs=configs, seed=seed, n_events=n_events))
+
+
 class TestFaultPlanning:
     def test_layout_is_pure_function_of_campaign_params(self):
-        a = plan_fault_shards(["riscv", "x86"], ["stress"], 0, 500, 20, 200)
-        b = plan_fault_shards(["riscv", "x86"], ["stress"], 0, 500, 20, 200)
+        a = fault_plan(["riscv", "x86"], ["stress"], 0, 500, 20, 200)
+        b = fault_plan(["riscv", "x86"], ["stress"], 0, 500, 20, 200)
         assert [s.shard_id for s in a.shards] == [s.shard_id for s in b.shards]
         assert [s.params for s in a.shards] == [s.params for s in b.shards]
         assert a.fingerprint() == b.fingerprint()
 
     def test_campaign_ranges_tile_the_matrix_exactly(self):
         for n_campaigns in (1, 7, 8, 9, 50, 100):
-            plan = plan_fault_shards(["riscv"], ["stress"], 0, 100,
-                                     n_campaigns, 200)
+            plan = fault_plan(["riscv"], ["stress"], 0, 100,
+                              n_campaigns, 200)
             covered = []
             for shard in plan.shards:
                 lo = shard.params["campaign_lo"]
@@ -39,27 +51,27 @@ class TestFaultPlanning:
         assert _fault_chunk(100) == 13
 
     def test_fingerprint_tracks_campaign_parameters(self):
-        base = plan_fault_shards(["riscv"], ["stress"], 0, 500, 20, 200)
+        base = fault_plan(["riscv"], ["stress"], 0, 500, 20, 200)
         for other in (
-            plan_fault_shards(["riscv"], ["stress"], 1, 500, 20, 200),
-            plan_fault_shards(["riscv"], ["stress"], 0, 501, 20, 200),
-            plan_fault_shards(["riscv"], ["stress"], 0, 500, 21, 200),
-            plan_fault_shards(["riscv"], ["draco"], 0, 500, 20, 200),
-            plan_fault_shards(["riscv"], ["stress"], 0, 500, 20, 200,
-                              faults_per_campaign=2),
+            fault_plan(["riscv"], ["stress"], 1, 500, 20, 200),
+            fault_plan(["riscv"], ["stress"], 0, 501, 20, 200),
+            fault_plan(["riscv"], ["stress"], 0, 500, 21, 200),
+            fault_plan(["riscv"], ["draco"], 0, 500, 20, 200),
+            fault_plan(["riscv"], ["stress"], 0, 500, 20, 200,
+                       faults_per_campaign=2),
         ):
             assert other.fingerprint() != base.fingerprint()
 
     def test_weight_accounts_every_event(self):
-        plan = plan_fault_shards(["riscv", "x86"], ["stress", "draco"],
-                                 0, 500, 20, 200)
+        plan = fault_plan(["riscv", "x86"], ["stress", "draco"],
+                          0, 500, 20, 200)
         assert plan.total_weight == 2 * 2 * 20 * 500
 
 
 class TestConformancePlanning:
     def test_one_shard_per_backend_config_pair(self):
-        plan = plan_conformance_shards(["riscv", "x86"], ["stress", "draco"],
-                                       7, 1000)
+        plan = conformance_plan(["riscv", "x86"], ["stress", "draco"],
+                                7, 1000)
         assert len(plan.shards) == 4
         pairs = {(s.params["backend"], s.params["config"])
                  for s in plan.shards}
@@ -67,8 +79,8 @@ class TestConformancePlanning:
                          ("x86", "stress"), ("x86", "draco")}
 
     def test_layout_deterministic(self):
-        a = plan_conformance_shards(["riscv"], ["stress"], 0, 100)
-        b = plan_conformance_shards(["riscv"], ["stress"], 0, 100)
+        a = conformance_plan(["riscv"], ["stress"], 0, 100)
+        b = conformance_plan(["riscv"], ["stress"], 0, 100)
         assert a.fingerprint() == b.fingerprint()
 
 

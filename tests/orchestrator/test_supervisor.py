@@ -16,11 +16,7 @@ import os
 import pytest
 
 from repro.faults import run_campaigns, write_report
-from repro.orchestrator import (
-    RunJournal,
-    orchestrate_conformance,
-    orchestrate_faults,
-)
+from repro.orchestrator import KINDS, RunJournal, run_campaign
 
 BACKENDS = ["riscv"]
 CONFIGS = ["stress"]
@@ -33,13 +29,17 @@ SCRUB_INTERVAL = 64
 VICTIM = "faults-riscv-stress-c0002-c0003"
 
 
+def fault_params(seed=SEED):
+    return {"backends": BACKENDS, "configs": CONFIGS, "seed": seed,
+            "n_events": N_EVENTS, "n_campaigns": N_CAMPAIGNS,
+            "scrub_interval": SCRUB_INTERVAL}
+
+
 def run_parallel(tmp_path, **kwargs):
-    """orchestrate_faults over the shared tiny matrix."""
+    """run_campaign over the shared tiny fault matrix."""
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("run_dir", str(tmp_path / "run"))
-    return orchestrate_faults(
-        BACKENDS, CONFIGS, SEED, N_EVENTS, N_CAMPAIGNS,
-        scrub_interval=SCRUB_INTERVAL, **kwargs)
+    return run_campaign(KINDS["faults"], fault_params(), **kwargs)
 
 
 def report_bytes(matrices, path) -> bytes:
@@ -66,6 +66,15 @@ class TestReportEquivalence:
         assert report_bytes(matrices, tmp_path / "parallel.json") \
             == serial_report
 
+    def test_in_process_run_matches_serial_byte_for_byte(self, tmp_path,
+                                                        serial_report):
+        # --jobs 1 with no run directory runs the same shards in-process.
+        matrices, run, run_dir = run_campaign(KINDS["faults"],
+                                              fault_params())
+        assert run is None and run_dir is None
+        assert report_bytes(matrices, tmp_path / "in_process.json") \
+            == serial_report
+
     def test_conformance_payloads_match_serial_summaries(self, tmp_path):
         from repro.conformance.runner import fuzz_backend
 
@@ -76,9 +85,11 @@ class TestReportEquivalence:
             summary = result.summary()
             summary["events_run"] = result.events
             serial.append(summary)
-        payloads, run, _ = orchestrate_conformance(
-            ["riscv", "x86"], ["stress"], SEED, 400, jobs=2, dump_dir=None,
-            run_dir=str(tmp_path / "run"))
+        payloads, run, _ = run_campaign(
+            KINDS["conformance"],
+            {"backends": ["riscv", "x86"], "configs": ["stress"],
+             "seed": SEED, "n_events": 400, "dump_dir": None},
+            jobs=2, run_dir=str(tmp_path / "run"))
         assert run.complete
         assert payloads == serial
 
@@ -170,10 +181,8 @@ class TestResume:
         run_dir = str(tmp_path / "run")
         run_parallel(tmp_path, run_dir=run_dir)
         with pytest.raises(ValueError, match="different campaign"):
-            orchestrate_faults(
-                BACKENDS, CONFIGS, SEED + 1, N_EVENTS, N_CAMPAIGNS,
-                scrub_interval=SCRUB_INTERVAL, jobs=2, run_dir=run_dir,
-                resume=True)
+            run_campaign(KINDS["faults"], fault_params(seed=SEED + 1),
+                         jobs=2, run_dir=run_dir, resume=True)
 
     def test_fresh_run_clears_stale_checkpoints(self, tmp_path):
         run_dir = str(tmp_path / "run")
