@@ -155,9 +155,13 @@ def _run_smoke_contracts(fast_path: bool, block_cache: bool = True) -> Dict[str,
 
     The contract tap (see DESIGN §3.16) must be invisible when armed on
     a healthy run: zero violations, and ``instructions``/``cycles``/
-    hit-rates identical to the unmonitored ``smoke`` rig.  Keeping this
-    rig in the registry makes that claim a perf-trajectory row, so a
-    tap-path slowdown shows up as an ips regression next to ``smoke``.
+    hit-rates identical to the unmonitored ``smoke`` rig.  Blocks run
+    under the armed tap, each narrated as one ``block`` event, so this
+    rig contract-checks the block executor, the path ``smoke`` runs:
+    ``detail`` reports the share of instructions retired in blocks
+    (``block_coverage``) next to the event count.  Keeping this rig in
+    the registry makes that claim a perf-trajectory row, so a tap-path
+    slowdown shows up as an ips regression next to ``smoke``.
     """
     import dataclasses
 
@@ -178,6 +182,7 @@ def _run_smoke_contracts(fast_path: bool, block_cache: bool = True) -> Dict[str,
         "hit_rates": {name: round(rate, 6) for name, rate in hit_rates.items()},
         "syscalls": kernel.syscall_count,
         "contract_events": monitor.events_seen,
+        "block_coverage": round(kernel.system.pcu.block_stats.coverage, 6),
         "contract_counts": monitor.counts(),
     })
 

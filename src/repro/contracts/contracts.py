@@ -7,7 +7,16 @@ events, and judges every observable event against it — so a checker
 never trusts the hardware model it is checking.  ``observe`` returns a
 list of human-readable problem strings (empty almost always); the
 :class:`~repro.contracts.monitor.ContractMonitor` turns those into
-violation records with reproducer context.
+violation records with reproducer context.  The monitor only hands a
+contract the event kinds its ``vocabulary`` names; ``observe`` still
+returns ``[]`` and leaves its shadow alone for any other kind.
+
+A ``block`` event stands for one ``ok`` ``check`` event per member
+class.  Every contract that consumes checks judges it exactly as it
+would judge that expansion, with the same number of problems: one per
+offending member for C1, C5 and C8, one per member for C7, and at most
+one for C3, whose first member check would resync its shadow.  C2
+ignores blocks, which never hold a CSR access.
 
 Contracts are deliberately *strict*: they state what the architecture
 guarantees, not what the current implementation happens to do.  In a
@@ -26,6 +35,9 @@ from .events import TraceEvent
 #: The architectural root domain (mirrors ``repro.core.domain.DOMAIN_0``;
 #: kept literal so this package stays importable without the core).
 DOMAIN_0 = 0
+
+#: The shadow of a domain no reconfig has mentioned yet.
+_EMPTY: frozenset = frozenset()
 
 
 class Contract:
@@ -66,7 +78,7 @@ class InstRetirementContract(Contract):
     name = "inst_retirement"
     description = ("an ok verdict outside domain-0 requires the issuing "
                    "domain's inst-bitmap bit for that instruction class")
-    vocabulary = ("check", "reconfig")
+    vocabulary = ("check", "block", "reconfig")
 
     def reset(self) -> None:
         self.allowed: Dict[int, Set[int]] = {}
@@ -81,14 +93,22 @@ class InstRetirementContract(Contract):
                 self.allowed.setdefault(event.domain,
                                         set()).discard(event.inst)
             return []
-        if event.kind != "check" or event.status != "ok":
+        if event.status != "ok" or event.domain == DOMAIN_0:
             return []
-        if event.domain == DOMAIN_0 or event.inst < 0:
+        allowed = self.allowed.get(event.domain, _EMPTY)
+        if event.kind == "block":
+            if allowed.issuperset(event.classes):
+                return []
+            return [self._ungranted(inst, event.domain)
+                    for inst in event.classes if inst not in allowed]
+        if event.kind != "check" or event.inst < 0 or event.inst in allowed:
             return []
-        if event.inst not in self.allowed.get(event.domain, ()):
-            return ["instruction class %d retired in domain %d without an "
-                    "inst-bitmap grant" % (event.inst, event.domain)]
-        return []
+        return [self._ungranted(event.inst, event.domain)]
+
+    @staticmethod
+    def _ungranted(inst: int, domain: int) -> str:
+        return ("instruction class %d retired in domain %d without an "
+                "inst-bitmap grant" % (inst, domain))
 
 
 class CsrRetirementContract(Contract):
@@ -173,7 +193,7 @@ class GateOnlySwitchContract(Contract):
     name = "gate_only_switches"
     description = ("the core's domain only ever changes through a "
                    "successful, registered gate instruction")
-    vocabulary = ("check", "gate", "mem_write", "reconfig")
+    vocabulary = ("check", "block", "gate", "mem_write", "reconfig")
 
     def reset(self) -> None:
         self.expected = DOMAIN_0
@@ -194,9 +214,9 @@ class GateOnlySwitchContract(Contract):
             elif event.op == "sync_domain":
                 self.expected = event.domain
             return []
-        if event.kind == "check":
+        if event.kind == "check" or event.kind == "block":
             if event.domain != self.expected:
-                return self._resync(event, "a check")
+                return self._resync(event, "a " + event.kind)
             return []
         if event.kind == "mem_write":
             if event.domain >= 0 and event.domain != self.expected:
@@ -276,7 +296,7 @@ class CoherenceAfterRevokeContract(Contract):
     name = "coherence_after_revoke"
     description = ("an ok verdict never consumes a privilege whose grant "
                    "was revoked before the check (no stale caches)")
-    vocabulary = ("check", "reconfig")
+    vocabulary = ("check", "block", "reconfig")
 
     def reset(self) -> None:
         self.inst_allowed: Dict[int, Set[int]] = {}
@@ -335,16 +355,19 @@ class CoherenceAfterRevokeContract(Contract):
                     self._revoke(self.write_allowed, self.write_revoked,
                                  domain, event.csr)
             return []
-        if event.kind != "check" or event.status != "ok":
+        if event.status != "ok" or event.domain == DOMAIN_0:
             return []
-        if event.domain == DOMAIN_0:
+        revoked = self.inst_revoked.get(event.domain, _EMPTY)
+        if event.kind == "block":
+            if revoked.isdisjoint(event.classes):
+                return []
+            return [self._stale(inst, event.domain)
+                    for inst in event.classes if inst in revoked]
+        if event.kind != "check":
             return []
         problems: List[str] = []
-        if event.inst in self.inst_revoked.get(event.domain, ()):
-            problems.append(
-                "verdict honoured instruction class %d in domain %d after "
-                "its grant was revoked (stale cached privilege)"
-                % (event.inst, event.domain))
+        if event.inst in revoked:
+            problems.append(self._stale(event.inst, event.domain))
         if event.csr >= 0:
             if event.read and event.csr in self.read_revoked.get(
                     event.domain, ()):
@@ -358,6 +381,12 @@ class CoherenceAfterRevokeContract(Contract):
                     "verdict honoured a write of CSR %d in domain %d after "
                     "the write grant was revoked" % (event.csr, event.domain))
         return problems
+
+    @staticmethod
+    def _stale(inst: int, domain: int) -> str:
+        return ("verdict honoured instruction class %d in domain %d after "
+                "its grant was revoked (stale cached privilege)"
+                % (inst, domain))
 
 
 class RollbackAtomicityContract(Contract):
@@ -431,7 +460,7 @@ class NoStaleGenerationContract(Contract):
     description = ("an ok verdict in a virtualized slot requires the slot "
                    "to be bound and the core's entry generation to match "
                    "the slot's current generation")
-    vocabulary = ("check", "gate", "reconfig")
+    vocabulary = ("check", "block", "gate", "reconfig")
 
     def reset(self) -> None:
         #: physical slot -> current generation (tracked slots only)
@@ -456,21 +485,25 @@ class NoStaleGenerationContract(Contract):
             if event.domain in self.slot_gen:
                 self.entry_gen[event.domain] = self.slot_gen[event.domain]
             return []
-        if event.kind != "check":
+        if event.kind != "check" and event.kind != "block":
             return []
         domain = event.domain
         if domain == DOMAIN_0 or domain not in self.slot_gen:
             return []
         current = self.slot_gen[domain]
-        if domain not in self.bound:
-            return ["check retired ok in slot %d after its tenant was "
-                    "recycled away (generation %d)" % (domain, current)]
         entered = self.entry_gen.get(domain, current)
-        if entered != current:
-            return ["check retired ok in slot %d at generation %d but the "
-                    "core entered at generation %d — a prior tenant's "
-                    "verdict" % (domain, current, entered)]
-        return []
+        if domain not in self.bound:
+            problem = ("check retired ok in slot %d after its tenant was "
+                       "recycled away (generation %d)" % (domain, current))
+        elif entered != current:
+            problem = ("check retired ok in slot %d at generation %d but "
+                       "the core entered at generation %d — a prior "
+                       "tenant's verdict" % (domain, current, entered))
+        else:
+            return []
+        if event.kind == "block":
+            return [problem] * len(event.classes)
+        return [problem]
 
 
 class NoUnsealContract(Contract):
@@ -494,7 +527,7 @@ class NoUnsealContract(Contract):
     name = "no_unseal"
     description = ("an ok verdict never consumes a privilege that was "
                    "sealed earlier in the domain's lifetime")
-    vocabulary = ("check", "reconfig")
+    vocabulary = ("check", "block", "reconfig")
 
     def reset(self) -> None:
         self.sealed_inst: Dict[int, Set[int]] = {}
@@ -520,15 +553,19 @@ class NoUnsealContract(Contract):
                         self.sealed_write.setdefault(domain,
                                                      set()).add(event.csr)
             return []
-        if event.kind != "check" or event.status != "ok":
+        if event.status != "ok" or event.domain == DOMAIN_0:
             return []
-        if event.domain == DOMAIN_0:
+        sealed = self.sealed_inst.get(event.domain, _EMPTY)
+        if event.kind == "block":
+            if sealed.isdisjoint(event.classes):
+                return []
+            return [self._unsealed(inst, event.domain)
+                    for inst in event.classes if inst in sealed]
+        if event.kind != "check":
             return []
         problems: List[str] = []
-        if event.inst in self.sealed_inst.get(event.domain, ()):
-            problems.append(
-                "verdict honoured instruction class %d in domain %d after "
-                "it was sealed" % (event.inst, event.domain))
+        if event.inst in sealed:
+            problems.append(self._unsealed(event.inst, event.domain))
         if event.csr >= 0:
             if event.read and event.csr in self.sealed_read.get(
                     event.domain, ()):
@@ -543,6 +580,11 @@ class NoUnsealContract(Contract):
                         "verdict honoured a write of sealed CSR %d in "
                         "domain %d" % (event.csr, event.domain))
         return problems
+
+    @staticmethod
+    def _unsealed(inst: int, domain: int) -> str:
+        return ("verdict honoured instruction class %d in domain %d after "
+                "it was sealed" % (inst, domain))
 
 
 #: Registry, in canonical report order.

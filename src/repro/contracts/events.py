@@ -2,7 +2,7 @@
 
 Every driver (conformance runner, abstract fault campaigns, machine
 lockstep) narrates its run as a stream of :class:`TraceEvent` records —
-one flat, JSON-plain shape for all six event kinds, so a trace can be
+one flat, JSON-plain shape for all seven event kinds, so a trace can be
 committed as a regression corpus and replayed without any live
 hardware model behind it.
 
@@ -14,6 +14,15 @@ Kinds and the fields they carry:
     access touches no CSR) with ``read``/``write`` intent and, for
     writes, ``value``/``old``.  ``status`` is ``"ok"`` or the fault
     class name the check raised (``PrivilegeFault``, ...).
+
+``block``
+    One block of straight-line instructions retired by the block
+    executor (DESIGN §3.18) under one PCU probe.  ``classes`` holds
+    the retired members' decoded instruction classes in order (at
+    least one, all non-negative) and ``domain`` the running domain.
+    It stands for the member ``check`` events the per-instruction path
+    would emit — ``status`` ``"ok"``, no CSR — and every contract
+    judges it exactly as it would judge them (DESIGN §3.16).
 
 ``gate``
     One gate-instruction execution.  ``op`` is the gate kind
@@ -53,10 +62,11 @@ Kinds and the fields they carry:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 #: The trace vocabulary, in narration order of a typical run.
-TRACE_EVENT_KINDS = ("check", "gate", "mem_write", "reconfig", "txn", "fault")
+TRACE_EVENT_KINDS = ("check", "block", "gate", "mem_write", "reconfig",
+                     "txn", "fault")
 
 #: Reconfiguration sub-operations (``TraceEvent.op`` when kind is
 #: ``reconfig``).
@@ -96,12 +106,14 @@ class TraceEvent:
     detail: str = ""
     #: Post-abort word values keyed by address (``txn``/``abort`` only).
     values: Optional[Dict[int, int]] = None
+    #: Member instruction classes, in retirement order (``block`` only).
+    classes: Optional[Tuple[int, ...]] = None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-plain form, defaults elided so corpora stay readable."""
         data: Dict[str, object] = {"kind": self.kind}
         for spec in fields(self):
-            if spec.name in ("kind", "values"):
+            if spec.name in ("kind", "values", "classes"):
                 continue
             value = getattr(self, spec.name)
             if value != spec.default:
@@ -109,15 +121,20 @@ class TraceEvent:
         if self.values is not None:
             data["values"] = {str(addr): val
                               for addr, val in sorted(self.values.items())}
+        if self.classes is not None:
+            data["classes"] = list(self.classes)
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TraceEvent":
         payload = dict(data)
         values = payload.pop("values", None)
+        classes = payload.pop("classes", None)
         event = cls(**payload)
         if values is not None:
             # JSON turns integer keys into strings; undo that here.
             event.values = {int(addr): int(val)
                             for addr, val in values.items()}
+        if classes is not None:
+            event.classes = tuple(classes)
         return event

@@ -3,13 +3,14 @@
 The :class:`ContractMonitor` is both the fan-out hub and the *tap* the
 core models call into (``PrivilegeCheckUnit._tap``,
 ``TrustedMemory._tap``, ``DomainManager._tap``).  Attached to a live
-world it narrates checks, gates, trusted-memory stores, transactions
-and reconfigurations as :class:`~repro.contracts.events.TraceEvent`
-records; fed a committed corpus it replays the same records with no
-hardware behind them.  Either way every event reaches every registered
-contract, and each problem a contract reports becomes a
-:class:`ContractViolation` carrying first-violation reproducer context:
-the seed, the campaign id and the event index.
+world it narrates checks, retired blocks, gates, trusted-memory
+stores, transactions and reconfigurations as
+:class:`~repro.contracts.events.TraceEvent` records; fed a committed
+corpus it replays the same records with no hardware behind them.
+Either way each event reaches every registered contract whose
+``vocabulary`` names its kind, and each problem a contract reports
+becomes a :class:`ContractViolation` carrying first-violation
+reproducer context: the seed, the campaign id and the event index.
 
 Two pieces of stream discipline keep the shadows honest:
 
@@ -100,6 +101,12 @@ class ContractMonitor:
         self.contracts: List[Contract] = (list(contracts)
                                           if contracts is not None
                                           else make_contracts())
+        #: Event kind -> the contracts whose vocabulary names it, in
+        #: registration order; a kind no contract consumes is absent.
+        self._routes: Dict[str, List[Contract]] = {}
+        for contract in self.contracts:
+            for kind in contract.vocabulary:
+                self._routes.setdefault(kind, []).append(contract)
         self.seed = seed
         self.campaign = campaign
         #: With ``record=True`` every fed event is appended to
@@ -256,7 +263,7 @@ class ContractMonitor:
         self._deliver(event)
 
     def _deliver(self, event: TraceEvent) -> None:
-        for contract in self.contracts:
+        for contract in self._routes.get(event.kind, ()):
             problems = contract.observe(event)
             if not problems:
                 continue
@@ -292,6 +299,10 @@ class ContractMonitor:
             write=bool(getattr(access, "csr_write", False)),
             value=getattr(access, "write_value", None) or 0,
             old=getattr(access, "old_value", None) or 0))
+
+    def on_block(self, pcu, classes) -> None:
+        self.feed(TraceEvent(kind="block", domain=pcu.registers.domain,
+                             classes=classes))
 
     def on_gate(self, pcu, kind, gate_id: int, pre_domain: int,
                 status: str) -> None:

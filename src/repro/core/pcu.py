@@ -116,11 +116,13 @@ class PrivilegeCheckUnit:
         # store, so every condition that forbids ``_fast_capable``
         # (bypass disabled, armed Draco entries, ``fast_path=False``)
         # forbids block summaries too, plus the dedicated
-        # ``block_summaries`` escape hatch.  An observer that must see
-        # every per-instruction ``check`` (the machine campaigns'
-        # lockstep monitor) clears it while installed.  The *live*
-        # conditions (degraded mode, armed contract tap, cold or foreign
-        # bypass, stale generation) are re-tested on every probe in
+        # ``block_summaries`` escape hatch.  The machine campaigns'
+        # lockstep monitor, which must see every per-instruction
+        # ``check``, clears it while installed; it is the only observer
+        # that does (an armed contract tap gets one ``block`` event per
+        # retired block from :meth:`account_block` instead).  The
+        # *live* conditions (degraded mode, cold or foreign bypass,
+        # stale generation) are re-tested on every probe in
         # :meth:`check_block_summary`.
         self._block_capable = config.block_summaries and self._fast_capable
         self.block_stats = BlockSummaryStats()
@@ -374,12 +376,13 @@ class PrivilegeCheckUnit:
         checks, the reference semantics), so every live condition the
         verdict plan invalidates on refuses here: degraded mode and
         decompiled plans (``_fast``), a cleared ``_block_capable`` (the
-        machine campaigns' lockstep monitor must see every call), an
-        armed contract tap (per-check events must keep their
-        per-instruction cadence), a recycled tenant slot
-        (generation mismatch — the per-instruction path raises the
-        architectural :class:`StaleGenerationFault`), and a cold or
-        foreign bypass register.  Each refusal is counted by reason.
+        machine campaigns' lockstep monitor must see every call), a
+        recycled tenant slot (generation mismatch — the per-instruction
+        path raises the architectural :class:`StaleGenerationFault`),
+        and a cold or foreign bypass register.  Each refusal is counted
+        by reason.  An armed contract tap does not refuse: the block's
+        one ``block`` event from :meth:`account_block` stands for the
+        member ``check`` events the per-instruction path would emit.
         The probe itself never mutates privilege or statistics state
         beyond :attr:`block_stats`, which is deliberately outside
         :class:`PcuStats`.
@@ -390,9 +393,6 @@ class PrivilegeCheckUnit:
         block_stats.probes += 1
         if not self._block_capable or not self._fast:
             block_stats.refused_decompiled += 1
-            return BLOCK_REFUSED
-        if self._tap is not None:
-            block_stats.refused_tap += 1
             return BLOCK_REFUSED
         domain = self.registers.domain
         if domain == DOMAIN_0:
@@ -414,23 +414,31 @@ class PrivilegeCheckUnit:
         block_stats.hits += 1
         return BLOCK_BYPASS
 
-    def account_block(self, mode: int, retired: int) -> None:
-        """Replay the counters ``retired`` per-instruction checks would
-        have bumped under ``mode``.
+    def account_block(self, mode: int, classes) -> None:
+        """Replay what the per-instruction checks of the retired
+        members would have done under ``mode``.
 
-        Called after the block (or its faulting prefix) executed, with
-        the exact retired count, so a mid-block trap accounts the same
-        checks the per-instruction path would have run — the check of
-        a faulting instruction precedes its handler, so the faulting
-        member itself is included by the caller.
+        ``classes`` holds the retired members' decoded instruction
+        classes, in order: the whole block, or its prefix up to and
+        including a faulting member — the check of a faulting
+        instruction precedes its trap, so the caller includes it and
+        calls this before dispatching the trap.  The counters those
+        checks would have bumped are replayed, and an armed contract
+        tap receives one ``block`` event naming the classes, which a
+        contract judges exactly as the member ``check`` events it
+        stands for.  A disabled PCU (:data:`BLOCK_SILENT`) runs no
+        checks, so it emits nothing.
         """
-        stats = self.stats
-        if mode == BLOCK_BYPASS:
-            stats.inst_checks += retired
-            stats.bypass_hits += retired
-        elif mode == BLOCK_DOMAIN0:
-            stats.inst_checks += retired
+        retired = len(classes)
         self.block_stats.insts += retired
+        if mode == BLOCK_SILENT:
+            return
+        stats = self.stats
+        stats.inst_checks += retired
+        if mode == BLOCK_BYPASS:
+            stats.bypass_hits += retired
+        if self._tap is not None:
+            self._tap.on_block(self, classes)
 
     def _check_instruction(self, domain: int, access: AccessInfo) -> int:
         if self.config.bypass_enabled:

@@ -71,7 +71,6 @@ class BlockSummaryStats:
     invalidations: int = 0  # block-cache flushes (icache coherence)
     # Probe refusals, by reason.
     refused_decompiled: int = 0  # not block-capable, or no verdict plan
-    refused_tap: int = 0         # an armed contract tap
     refused_stale: int = 0       # recycled tenant slot (stale generation)
     refused_bypass: int = 0      # cold or foreign bypass register
     refused_class: int = 0       # a needed class word bit is not granted
@@ -84,9 +83,8 @@ class BlockSummaryStats:
     @property
     def refusals(self) -> int:
         """Probes that fell back to per-instruction checks."""
-        return (self.refused_decompiled + self.refused_tap
-                + self.refused_stale + self.refused_bypass
-                + self.refused_class)
+        return (self.refused_decompiled + self.refused_stale
+                + self.refused_bypass + self.refused_class)
 
     @property
     def fallbacks(self) -> int:

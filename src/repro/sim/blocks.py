@@ -89,13 +89,20 @@ class CompiledBlock:
     ``sizes`` attribute a mid-block fault to its member; ``sets_pc``
     records that the final member is a control transfer which wrote
     ``cpu.pc`` itself (otherwise the executor stores ``end_pc`` once).
+
+    ``classes`` holds the members' decoded instruction classes, in
+    order, as ``_block_member`` returned them.  The contract monitor's
+    ``block`` event is built from them, never from ``summary``: a
+    summary that lost a class must not lose it from the event too.
     """
 
-    __slots__ = ("summary", "ops", "pcs", "sizes", "n", "end_pc", "sets_pc")
+    __slots__ = ("summary", "classes", "ops", "pcs", "sizes", "n",
+                 "end_pc", "sets_pc")
 
     def __init__(
         self,
         summary: Tuple[Tuple[int, int], ...],
+        classes: Sequence[int],
         ops: Sequence,
         pcs: Sequence[int],
         sizes: Sequence[int],
@@ -103,6 +110,7 @@ class CompiledBlock:
         sets_pc: bool,
     ):
         self.summary = summary
+        self.classes = tuple(classes)
         self.ops = list(ops)
         self.pcs = tuple(pcs)
         self.sizes = tuple(sizes)
@@ -154,7 +162,8 @@ def form_block(cpu, start: int):
         pc = (pc + size) & MASK64
     if len(ops) < MIN_BLOCK_LEN:
         return NO_BLOCK
-    return CompiledBlock(summarize_classes(classes), ops, pcs, sizes, pc, ends)
+    return CompiledBlock(summarize_classes(classes), classes, ops, pcs,
+                         sizes, pc, ends)
 
 
 def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
@@ -167,7 +176,11 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
     reference ``step()`` for exactly one instruction, so semantics,
     cycles and statistics are bit-identical to the per-instruction loop
     by construction.  Each fallback is counted by reason into the PCU's
-    ``block_stats`` on exit.
+    ``block_stats`` on exit.  Every executed block, or its retired
+    prefix when a member faults, is accounted through
+    ``pcu.account_block``, which also gives an armed contract tap one
+    ``block`` event for it; a faulting member's trap is dispatched
+    after that event, as on the per-instruction path.
     """
     blocks = cpu._block_cache
     pcu = cpu.pcu
@@ -228,20 +241,20 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
                     i += 1
             except (Trap, PrivilegeFault) as error:
                 # Mid-block fault: members [0, i) retired normally; the
-                # faulting member vectors exactly like step().
+                # faulting member vectors exactly like step().  Its
+                # check preceded its trap on the reference path, so it
+                # is accounted, event included, before the dispatch.
                 insts += i
                 if isp is not None:
                     pipeline._instructions_since_push = isp + i
+                if account is not None:
+                    account(mode, block.classes[:i + 1])
                 info = StepInfo(block.pcs[i], block.sizes[i])
                 cpu._dispatch_fault(error, block.pcs[i], info)
                 insts += 1
                 cyc += instruction_cycles(info)
                 traps += 1
                 remaining -= i + 1
-                if account is not None:
-                    # The faulting member's check preceded its handler
-                    # on the reference path, so it counts.
-                    account(mode, i + 1)
                 continue
             except BaseException:
                 # e.g. MemoryAccessError escaping the run, as on the
@@ -253,7 +266,7 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
                 if isp is not None:
                     pipeline._instructions_since_push = isp + i
                 if account is not None:
-                    account(mode, i + 1)
+                    account(mode, block.classes[:i + 1])
                 raise
             if isp is not None:
                 pipeline._instructions_since_push = isp + n
@@ -262,7 +275,7 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
             if not block.sets_pc:
                 cpu.pc = block.end_pc
             if account is not None:
-                account(mode, n)
+                account(mode, block.classes)
     finally:
         mstats.instructions = insts
         mstats.cycles = cyc

@@ -4,17 +4,39 @@ An independent re-derivation of what the eight universal contracts
 should report for a given event stream, written as flat single-purpose
 passes (one list of per-event violation counts each) plus an explicit
 model of the monitor's delivery discipline (transaction buffering,
-waiver arming).  The stateful test cross-checks
+waiver arming).  A ``block`` event is delivered as what it stands for:
+one ``check`` event per member class, so the passes below never see a
+block.  The stateful test cross-checks
 :func:`repro.contracts.replay_trace` against this on random streams:
 agreement on every per-contract count *and* on the unwaived total is
 the acceptance bar.
 """
 
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.contracts import TraceEvent
 
 DOMAIN_0 = 0
+
+
+def expand_block(event) -> List[TraceEvent]:
+    """The member ``check`` events one ``block`` event stands for."""
+    return [TraceEvent(kind="check", domain=event.domain,
+                       status=event.status, inst=inst)
+            for inst in event.classes]
+
+
+def expanded_stream(events) -> List[TraceEvent]:
+    """``events`` with every block expanded and every stream index
+    cleared, for comparing a blocks-on recording with a blocks-off one."""
+    out: List[TraceEvent] = []
+    for event in events:
+        if event.kind == "block":
+            out.extend(expand_block(event))
+        else:
+            out.append(replace(event, index=-1))
+    return out
 
 
 def normalize(events) -> Tuple[List[TraceEvent], List[int]]:
@@ -26,7 +48,8 @@ def normalize(events) -> Tuple[List[TraceEvent], List[int]]:
     open transaction, or a ``commit``/``abort`` with none open, is a
     malformed bracket: its position is returned as a stream error, and
     a nested ``begin`` keeps what is held for whatever closes the
-    transaction.
+    transaction.  Blocks are expanded where they are delivered; error
+    positions count them once, as the monitor's stream index does.
     """
     out: List[TraceEvent] = []
     buffer: List[TraceEvent] = []
@@ -49,6 +72,8 @@ def normalize(events) -> Tuple[List[TraceEvent], List[int]]:
                 out.append(event)
         elif event.kind == "reconfig" and in_txn:
             buffer.append(event)
+        elif event.kind == "block":
+            out.extend(expand_block(event))
         else:
             out.append(event)
     return out, errors

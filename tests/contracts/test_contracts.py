@@ -3,14 +3,26 @@
 Each contract gets a minimal clean stream and a minimal violating
 stream; the monitor-level tests pin the stream discipline (transaction
 buffering, waiver arming, reproducer context) the drivers rely on.
+The block tests pin the equal-count rule (a ``block`` event is judged
+exactly as its member ``check`` events), and the routing tests that
+handing a contract only its vocabulary loses nothing.
 """
 
+import copy
+import json
+
+import pytest
+
 from repro.contracts import (
+    CONTRACT_CLASSES,
     CONTRACT_NAMES,
+    TRACE_EVENT_KINDS,
     ContractMonitor,
     TraceEvent,
     replay_trace,
 )
+
+from .reference import expand_block
 
 GEOMETRY = {"n_inst_classes": 6, "n_csrs": 4, "masked_csrs": (3,)}
 
@@ -279,3 +291,123 @@ class TestMonitorDiscipline:
     def test_event_roundtrips_through_dict(self):
         event = E("txn", op="abort", values={0x20: 5, 0x28: 7})
         assert TraceEvent.from_dict(event.to_dict()) == event
+
+
+#: Domain 1 holds classes 0 and 1 and has lost class 2 to a revoke;
+#: the core entered slot 1 through gate 0, the slot was then recycled
+#: away, and class 1 is sealed (a recycle drops older seals).  Domain 3
+#: holds nothing.
+BLOCK_WORLD = [
+    E("reconfig", op="create_domain", domain=1),
+    E("reconfig", op="create_domain", domain=3),
+    E("reconfig", op="allow_inst", domain=1, inst=0),
+    E("reconfig", op="allow_inst", domain=1, inst=1),
+    E("reconfig", op="allow_inst", domain=1, inst=2),
+    E("reconfig", op="deny_inst", domain=1, inst=2),
+    E("reconfig", op="register_gate", gate=0, dest=1),
+    E("reconfig", op="bind_slot", domain=1, bits=0, dest=100),
+    E("gate", op="hccall", gate=0, pre_domain=0, domain=1),
+    E("reconfig", op="recycle_slot", domain=1, bits=1, dest=100),
+    E("reconfig", op="seal", domain=1, inst=1),
+]
+
+
+class TestBlockEvents:
+    """A block is judged exactly as its member checks: the same count
+    per contract, for clean and offending members alike."""
+
+    @pytest.mark.parametrize("domain, classes, expected", [
+        (1, (0, 0, 0), {"no_stale_generation": 3}),
+        (1, (0, 1, 2, 2, 3, 1),
+         {"inst_retirement": 3, "coherence_after_revoke": 2,
+          "no_unseal": 2, "no_stale_generation": 6}),
+        (3, (0, 4), {"inst_retirement": 2, "gate_only_switches": 1}),
+        (0, (2, 3, 5), {"gate_only_switches": 1}),
+    ], ids=["clean-members", "offending-members", "wrong-domain",
+            "domain-0"])
+    def test_block_counts_equal_its_expansion(self, domain, classes,
+                                              expected):
+        block = E("block", domain=domain, classes=classes)
+        as_block = replay(*BLOCK_WORLD, block)
+        as_checks = replay(*BLOCK_WORLD, *expand_block(block))
+        assert as_block.counts() == as_checks.counts()
+        assert as_block.nonzero_counts() == expected
+        assert (as_block.unwaived_violations
+                == as_checks.unwaived_violations
+                == sum(expected.values()))
+
+    def test_faulted_block_is_not_a_retirement(self):
+        block = E("block", domain=3, classes=(4, 5), status="PrivilegeFault")
+        as_block = replay(*BLOCK_WORLD, block)
+        as_checks = replay(*BLOCK_WORLD, *expand_block(block))
+        assert as_block.counts() == as_checks.counts()
+
+    def test_csr_retirement_ignores_blocks(self):
+        monitor = replay(
+            E("reconfig", op="create_domain", domain=1),
+            E("reconfig", op="sync_domain", domain=1),
+            E("block", domain=1, classes=(0, 1)),
+        )
+        assert monitor.counts()["csr_retirement"] == 0
+        assert monitor.counts()["inst_retirement"] == 2
+
+    def test_block_classes_roundtrip_through_json(self):
+        event = E("block", domain=2, classes=(3, 0, 3))
+        data = event.to_dict()
+        assert data == {"kind": "block", "domain": 2, "classes": [3, 0, 3]}
+        back = TraceEvent.from_dict(json.loads(json.dumps(data)))
+        assert back == event
+        assert isinstance(back.classes, tuple)
+
+    def test_events_without_classes_keep_their_dict(self):
+        # Existing corpora and recorded traces keep their bytes.
+        assert "classes" not in E("check", domain=1, inst=2).to_dict()
+
+
+#: One sample of every kind, with fields a contract would act on.
+EVERY_KIND = [
+    E("check", domain=1, inst=2, csr=1, read=True, write=True, value=3),
+    E("block", domain=1, classes=(0, 2)),
+    E("gate", op="hccall", gate=0, pre_domain=0, domain=2),
+    E("mem_write", op="sw", domain=1, address=0x10, value=5, old=4),
+    E("reconfig", op="create_domain", domain=1),
+    E("reconfig", op="allow_inst", domain=1, inst=2),
+    E("reconfig", op="bind_slot", domain=1, bits=2, dest=100),
+    E("reconfig", op="seal", domain=1, inst=3, csr=0, read=True),
+    E("txn", op="begin"),
+    E("txn", op="abort", values={0x10: 1}),
+    E("fault", op="injected", detail="routing test"),
+]
+
+
+class TestVocabularyRouting:
+    def test_every_kind_is_sampled(self):
+        assert {event.kind for event in EVERY_KIND} == set(TRACE_EVENT_KINDS)
+
+    @pytest.mark.parametrize("cls", CONTRACT_CLASSES,
+                             ids=[cls.name for cls in CONTRACT_CLASSES])
+    def test_kinds_outside_the_vocabulary_are_inert(self, cls):
+        # The monitor skips these deliveries, so they must be no-ops.
+        contract = cls()
+        contract.configure(GEOMETRY)
+        for event in BLOCK_WORLD + [E("txn", op="begin"),
+                                    E("mem_write", op="sw", domain=1,
+                                      address=0x18, old=7, value=8)]:
+            contract.observe(copy.copy(event))
+        for event in EVERY_KIND:
+            if event.kind in cls.vocabulary:
+                continue
+            shadow = copy.deepcopy(vars(contract))
+            assert contract.observe(copy.copy(event)) == []
+            assert vars(contract) == shadow, event
+
+    def test_monitor_routes_by_vocabulary(self):
+        monitor = ContractMonitor()
+        for kind in TRACE_EVENT_KINDS:
+            routed = [contract.name
+                      for contract in monitor._routes.get(kind, ())]
+            assert routed == [contract.name for contract in monitor.contracts
+                              if kind in contract.vocabulary]
+        assert [contract.name for contract in monitor._routes["block"]] == [
+            "inst_retirement", "gate_only_switches", "coherence_after_revoke",
+            "no_stale_generation", "no_unseal"]

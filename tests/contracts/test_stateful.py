@@ -1,8 +1,9 @@
 """Stateful cross-check: the contract monitor vs a brute-force reference.
 
 Hypothesis drives random event streams — valid runs, deliberately
-violating runs, transactions that commit or abort, injected-fault
-arming — and after every rule the full stream is replayed through
+violating runs, retired blocks, transactions that commit or abort,
+injected-fault arming — and after every rule the full stream is
+replayed through
 :func:`repro.contracts.replay_trace` and through the independent
 reference in :mod:`tests.contracts.reference`.  Per-contract counts and
 the unwaived total must agree exactly; hypothesis shrinks any mismatch
@@ -28,6 +29,9 @@ GEOMETRY = {"n_inst_classes": 6, "n_csrs": 4, "masked_csrs": (3,)}
 
 DOMAIN = st.integers(min_value=0, max_value=3)
 INST = st.integers(min_value=-1, max_value=5)
+#: A retired block's member classes: decoded, so never negative.
+BLOCK_CLASSES = st.lists(st.integers(min_value=0, max_value=5),
+                         min_size=1, max_size=6)
 CSR = st.integers(min_value=-1, max_value=3)
 GATE = st.integers(min_value=0, max_value=2)
 VALUE = st.integers(min_value=0, max_value=255)
@@ -120,6 +124,12 @@ class ContractStream(RuleBasedStateMachine):
     def check(self, domain, status, inst, csr, read, write, value, old):
         self.emit("check", domain=domain, status=status, inst=inst,
                   csr=csr, read=read, write=write, value=value, old=old)
+
+    @rule(domain=DOMAIN, classes=BLOCK_CLASSES)
+    def block(self, domain, classes):
+        # Any domain and any classes: ungranted, revoked, sealed,
+        # stale-slot and wrong-domain blocks all occur.
+        self.emit("block", domain=domain, classes=tuple(classes))
 
     @rule(op=GATE_OP, gate=GATE, pre_domain=DOMAIN, domain=DOMAIN,
           status=st.sampled_from(["ok", "ok", "GateFault"]))

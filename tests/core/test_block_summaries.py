@@ -5,8 +5,9 @@ probe protocol: ``check_block_summary`` may only authorize a block when
 N per-instruction checks would all pass with zero stall, and every
 invalidation entry point (``invalidate_privileges`` wide and narrow,
 ``pflh`` flushes, gate switches, degraded mode, tenant slot recycling,
-an armed contract tap, an installed lockstep monitor) must make the
-next probe refuse.  The hypothesis state machine then drives a block-capable PCU
+an installed lockstep monitor) must make the next probe refuse, while
+an armed contract tap gets one ``block`` event per accounted block.
+The hypothesis state machine then drives a block-capable PCU
 and a ``block_summaries=False`` PCU through identical operation storms,
 executing accepted blocks via probe + ``account_block`` on one side and
 per-instruction checks on the other, and requires bit-identical
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.contracts import ContractMonitor
 from repro.core import (
     AccessInfo,
     CacheId,
@@ -74,8 +76,12 @@ def warm(isa_map, pcu, manager, *, classes=("alu", "load"), at=0x1000):
     return domain
 
 
+def classes_of(isa_map, names):
+    return tuple(isa_map.inst_class(name) for name in names)
+
+
 def summary_of(isa_map, names):
-    return summarize_classes(isa_map.inst_class(name) for name in names)
+    return summarize_classes(classes_of(isa_map, names))
 
 
 class TestBlockProbe:
@@ -151,17 +157,25 @@ class TestBlockProbe:
         assert (pcu.check_block_summary(summary_of(isa_map, ["alu"]))
                 == BLOCK_REFUSED)
 
-    def test_armed_tap_refuses(self):
-        # Per-check contract events must keep their per-instruction
-        # cadence; any tap object suffices for the probe's None test.
+    def test_armed_tap_authorizes_and_emits_a_block(self):
+        # An armed contract tap does not refuse the probe: the block's
+        # accounting hands it one ``block`` event naming the retired
+        # members' classes, here a faulting block's prefix.
         isa_map, pcu, manager = build_pcu()
-        warm(isa_map, pcu, manager)
-        summary = summary_of(isa_map, ["alu"])
-        pcu._tap = object()
-        assert pcu.check_block_summary(summary) == BLOCK_REFUSED
-        assert pcu.block_stats.refused_tap == 1
-        pcu._tap = None
-        assert pcu.check_block_summary(summary) == BLOCK_BYPASS
+        domain = warm(isa_map, pcu, manager)
+        monitor = ContractMonitor(record=True)
+        monitor.attach(pcu, manager)
+        classes = classes_of(isa_map, ["alu", "load", "alu", "load"])
+        seeded = len(monitor.recorded)
+        assert (pcu.check_block_summary(summarize_classes(classes))
+                == BLOCK_BYPASS)
+        assert pcu.block_stats.refusals == 0
+        pcu.account_block(BLOCK_BYPASS, classes[:3])
+        (event,) = monitor.recorded[seeded:]
+        assert event.kind == "block"
+        assert event.domain == domain.domain_id
+        assert event.classes == classes[:3]
+        assert monitor.total_violations == 0
 
     def test_lockstep_monitor_turns_probes_off(self):
         # The machine fault campaigns' lockstep monitor must see every
@@ -268,7 +282,7 @@ class TestBlockAccounting:
         isa_map, pcu, manager = build_pcu()
         warm(isa_map, pcu, manager)
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_BYPASS, 7)
+        pcu.account_block(BLOCK_BYPASS, classes_of(isa_map, ["alu"] * 7))
         after = pcu.stats.as_dict()
         assert after.pop("inst_checks") == before.pop("inst_checks") + 7
         assert after.pop("bypass_hits") == before.pop("bypass_hits") + 7
@@ -278,7 +292,7 @@ class TestBlockAccounting:
     def test_domain0_mode_replays_checks_only(self):
         isa_map, pcu, _ = build_pcu()
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_DOMAIN0, 5)
+        pcu.account_block(BLOCK_DOMAIN0, classes_of(isa_map, ["alu"] * 5))
         after = pcu.stats.as_dict()
         assert after.pop("inst_checks") == before.pop("inst_checks") + 5
         assert after == before
@@ -286,9 +300,24 @@ class TestBlockAccounting:
     def test_silent_mode_touches_nothing_but_block_stats(self):
         isa_map, pcu, _ = build_pcu()
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_SILENT, 9)
+        pcu.account_block(BLOCK_SILENT, classes_of(isa_map, ["alu"] * 9))
         assert pcu.stats.as_dict() == before
         assert pcu.block_stats.insts == 9
+
+    def test_only_checking_modes_emit_block_events(self):
+        # A disabled PCU emits no check events, so BLOCK_SILENT emits no
+        # block event; a checking mode emits exactly one.
+        isa_map, pcu, manager = build_pcu()
+        monitor = ContractMonitor(record=True)
+        monitor.attach(pcu, manager)
+        seeded = len(monitor.recorded)
+        classes = classes_of(isa_map, ["alu", "sysop", "alu"])
+        pcu.account_block(BLOCK_SILENT, classes)
+        assert len(monitor.recorded) == seeded
+        pcu.account_block(BLOCK_DOMAIN0, classes)
+        (event,) = monitor.recorded[seeded:]
+        assert (event.kind, event.domain, event.classes) == (
+            "block", 0, classes)
 
 
 class TestBlockSummaryStats:
@@ -306,13 +335,13 @@ class TestBlockSummaryStats:
         assert stats.coverage == 0.0
 
     def test_merge_reset_and_as_dict_cover_every_counter(self):
-        one = BlockSummaryStats(probes=4, hits=1, refused_tap=2,
+        one = BlockSummaryStats(probes=4, hits=1, refused_stale=2,
                                 refused_class=1, fallback_budget=3)
         total = BlockSummaryStats()
         total.merge(one)
         total.merge(one)
         assert total.refusals == 6
-        assert total.as_dict()["refused_tap"] == 4
+        assert total.as_dict()["refused_stale"] == 4
         assert total.as_dict()["fallbacks"] == 6
         total.reset()
         assert total == BlockSummaryStats()
@@ -470,7 +499,7 @@ class BlockSummaryLockstep(RuleBasedStateMachine):
                     "probe authorized mode %d but member %r cost %r"
                     % (mode, CLASSES[inst], outcome)
                 )
-            self.blocky.account_block(mode, len(members))
+            self.blocky.account_block(mode, tuple(members))
         else:
             # Fallback semantics: both worlds run the reference path,
             # stopping at the first fault exactly like the executors.

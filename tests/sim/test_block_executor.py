@@ -12,9 +12,11 @@ programs under Bare and Sv39 translation (with seeded bugs in the
 translation gate that the Sv39 checks must catch), pins the O3
 store-queue window across blocks (with a seeded bug that drops its
 update), and pins the escape hatches (``PcuConfig(block_summaries=
-False)``, the ``Machine.block_summaries`` flag, step hooks, an
-attached contract monitor) that must keep the reference path in
-charge.
+False)``, the ``Machine.block_summaries`` flag, step hooks) that must
+keep the reference path in charge.  An attached contract monitor is
+not one: blocks run under it, each narrated as one ``block`` event,
+and a seeded summary bug that drops a class must show up as contract
+violations.
 """
 
 import dataclasses
@@ -54,12 +56,15 @@ from repro.x86 import (
     VEC_ISA_GRID,
     VEC_TRUSTED_MEMORY,
     VEC_UD,
+    X86_ISA_MAP,
     X86Cpu,
     assemble as x86_assemble,
     build_x86_system,
 )
 from repro.x86.isa import BASE_COMPUTE_CLASSES
 from repro.x86.registers import MSR_SPEC_CTRL
+
+from ..contracts.reference import expanded_stream
 
 BLOCK_OFF = dataclasses.replace(CONFIG_8E, block_summaries=False)
 SLOW_PATH = dataclasses.replace(CONFIG_8E, fast_path=False)
@@ -263,12 +268,10 @@ def gadget_samples(n_streams=8):
 GADGETS = gadget_samples()
 
 #: Domain 0 points every fault vector at ``handler`` and enters a
-#: domain granted only the base compute classes through ``g0``.  That
-#: domain runs a short block whose ``jmp`` lands inside a carrier
-#: immediate; the hidden gadget must fault in the PCU (``rcx`` names a
-#: real MSR, so ``wrmsr`` passes the #GP check first), and ``handler``
-#: leaves through ``g1`` for domain 0, which halts.
-GADGET_JUMP = """
+#: restricted domain at ``attack`` through ``g0``.  ``attack`` runs in
+#: that domain and ends in ``handler``, which leaves through ``g1`` for
+#: domain 0, which halts.  ``data`` follows the code.
+RESTRICTED = """
 entry:
     mov rsp, 0x6e0000
 %(vectors)s
@@ -284,42 +287,79 @@ g0:
 done:
     hlt
 attack:
-    mov rax, 1
-    add rax, 2
-    mov rcx, %(msr)d
-    jmp gadget
+%(attack)s
 handler:
     mov r10, 1
 g1:
     hccall r10
-stream:
-    .byte %(before)s
-gadget:
-    .byte %(after)s
+%(data)s
 """
 
+#: The restricted domain (granted only the base compute classes) runs a
+#: short block whose ``jmp`` lands inside a carrier immediate; the
+#: hidden gadget must fault in the PCU (``rcx`` names a real MSR, so
+#: ``wrmsr`` passes the #GP check first).
+GADGET_ATTACK = """
+    mov rax, 1
+    add rax, 2
+    mov rcx, %d
+    jmp gadget""" % MSR_SPEC_CTRL
 
-def run_gadget_jump(config, stream, offset):
+#: 20 iterations of a 7-member block with a ``push`` and a ``pop``, run
+#: in a domain granted ``NO_STACK``: the first ``push`` must take an
+#: ISA-Grid fault into ``handler``.
+NO_STACK = tuple(name for name in BASE_COMPUTE_CLASSES if name != "stack")
+STACK_LOOP = """
+    mov rcx, 20
+loop:
+    mov rax, 5
+    add rax, 7
+    sub rcx, 1
+    push rax
+    pop rbx
+    cmp rcx, 0
+    jne loop"""
+
+
+def run_restricted(config, attack, data="", *,
+                   classes=BASE_COMPUTE_CLASSES, monitor=None):
+    """Run ``attack`` in a domain granted ``classes`` (``RESTRICTED``),
+    with ``monitor`` attached before the run if given."""
     system = build_x86_system(config)
     manager = system.manager
     domain = manager.create_domain("restricted")
-    manager.allow_instructions(domain.domain_id, BASE_COMPUTE_CLASSES)
+    manager.allow_instructions(domain.domain_id, classes)
     vectors = "\n".join(
         "    mov rax, %d\n    mov rbx, handler\n    mov [rax+%d], rbx"
         % (IDT_BASE, 8 * vector)
         for vector in (VEC_UD, VEC_GP, VEC_ISA_GRID, VEC_TRUSTED_MEMORY))
-    program = x86_assemble(GADGET_JUMP % {
-        "vectors": vectors, "idt": IDT_BASE, "msr": MSR_SPEC_CTRL,
-        "before": ", ".join(map(str, stream[:offset])),
-        "after": ", ".join(map(str, stream[offset:])),
+    program = x86_assemble(RESTRICTED % {
+        "vectors": vectors, "idt": IDT_BASE, "attack": attack, "data": data,
     }, base=X86_BASE)
     system.load(program)
     for gate, (at, target, owner) in enumerate((
             ("g0", "attack", domain.domain_id), ("g1", "done", 0))):
         assert manager.register_gate(program.symbol(at),
                                      program.symbol(target), owner) == gate
+    if monitor is not None:
+        monitor.attach(system.pcu, manager)
     system.run(program.symbol("entry"), max_steps=10_000)
+    return system, program
+
+
+def run_gadget_jump(config, stream, offset):
+    system, program = run_restricted(
+        config, GADGET_ATTACK, "stream:\n    .byte %s\ngadget:\n    .byte %s"
+        % (", ".join(map(str, stream[:offset])),
+           ", ".join(map(str, stream[offset:]))))
     return system, program.symbol("gadget")
+
+
+def summary_without_stack(inst_classes, summarize=blocks.summarize_classes):
+    """A seeded bug in ``blocks.summarize_classes``: the summary leaves
+    out the x86 ``stack`` class, so the probe never asks for it."""
+    stack = X86_ISA_MAP.inst_class("stack")
+    return summarize(c for c in inst_classes if c != stack)
 
 
 class TestX86Identity:
@@ -365,6 +405,52 @@ class TestX86Identity:
         assert snapshot(blocky) == snapshot(off)
         assert blocky.machine.stats.traps == 1
         assert blocky.pcu.block_stats.insts > 0
+
+    def test_monitored_mid_block_trap_accounts_the_prefix(self):
+        # The div faults at member 3 of a 6-member block: its checks,
+        # and the monitor's block event, cover members 0..3 only, as
+        # the per-instruction path's four checks do.
+        source = """
+        entry:
+            mov rsp, 0x6e0000
+            mov rax, %d
+            mov rbx, handler
+            mov [rax+%d], rbx
+            mov rbx, %d
+            mov rcx, 0x610000
+            mov [rcx+0], rbx
+            mov rbx, 4095
+            mov [rcx+8], rbx
+            lidt [rcx+0]
+            mov rax, 8
+            mov rbx, 0
+            add rax, 4
+            div rbx
+            add rax, 1
+            add rax, 2
+            hlt
+        handler:
+            mov rdi, 99
+            hlt
+        """ % (IDT_BASE, 8 * VEC_UD, IDT_BASE)
+        runs = []
+        for config in (CONFIG_8E, BLOCK_OFF):
+            system = build_x86_system(config)
+            domain = system.manager.create_domain("all")
+            system.manager.allow_all_instructions(domain.domain_id)
+            monitor = ContractMonitor(record=True)
+            monitor.attach(system.pcu, system.manager)
+            program = x86_assemble(source, base=X86_BASE)
+            system.load(program)
+            system.run(program.symbol("entry"))
+            assert system.machine.stats.traps == 1
+            runs.append((snapshot(system), expanded_stream(monitor.recorded),
+                         monitor.recorded))
+        assert runs[0][:2] == runs[1][:2]
+        mov, alu = (X86_ISA_MAP.inst_class(name) for name in ("mov", "alu"))
+        last_block = [event.classes for event in runs[0][2]
+                      if event.kind == "block"][-1]
+        assert last_block == (mov, mov, alu, alu)
 
     def test_escaping_exception_inside_a_block(self):
         # An out-of-range load escapes the run on the reference path;
@@ -472,6 +558,34 @@ class TestGadgetJumpIntoImmediate:
         assert observed[1] == observed[0]
         assert observed[2] == observed[0]
         assert runs[0][0].pcu.block_stats.insts > 0
+
+
+class TestSeededSummaryBug:
+    """A summary that drops a member's class lets the probe authorize a
+    block the domain may not run.  The ``block`` event names the classes
+    from decode, not from the summary, so the monitor must catch it."""
+
+    def test_reference_traps_on_the_first_push(self):
+        runs = [run_restricted(config, STACK_LOOP, classes=NO_STACK)[0]
+                for config in ALL_MODES]
+        for system in runs:
+            assert system.machine.stats.traps == 1
+            assert system.cpu.last_trap.kind is TrapKind.ISA_GRID_FAULT
+        assert snapshot(runs[0]) == snapshot(runs[1]) == snapshot(runs[2])
+
+    def test_seeded_summary_bug_is_caught(self, monkeypatch):
+        monkeypatch.setattr(blocks, "summarize_classes",
+                            summary_without_stack)
+        silent, _ = run_restricted(CONFIG_8E, STACK_LOOP, classes=NO_STACK)
+        # The bug: 20 denied pushes and 20 denied pops retire, no trap.
+        assert silent.machine.stats.traps == 0
+        assert silent.pcu.block_stats.insts >= 20 * 7
+        monitor = ContractMonitor(seed=0)
+        monitored, _ = run_restricted(CONFIG_8E, STACK_LOOP, classes=NO_STACK,
+                                      monitor=monitor)
+        assert monitored.machine.stats.traps == 0
+        assert monitor.nonzero_counts() == {"inst_retirement": 40}
+        assert monitor.unwaived_violations == 40
 
 
 class TestRiscvIdentity:
@@ -614,10 +728,12 @@ class TestKernelWorkloadIdentity:
     ITERATIONS = 8
     MAX_STEPS = 1_000_000
 
-    def run_kernel(self, kernel_class, user_program, config):
+    def run_kernel(self, kernel_class, user_program, config, monitor=None):
         profile = dataclasses.replace(GATE_STRESS,
                                       outer_iterations=self.ITERATIONS)
         kernel = kernel_class("decomposed", config)
+        if monitor is not None:
+            monitor.attach(kernel.system.pcu, kernel.system.manager)
         stats = kernel.run(user_program(profile), max_steps=self.MAX_STEPS)
         observed = {
             "instructions": stats.instructions,
@@ -655,22 +771,24 @@ class TestKernelWorkloadIdentity:
         assert stats.coverage > 0.9
         assert stats.insts > 0.9 * reference["instructions"]
 
-    def test_attached_monitor_forces_per_instruction_cadence(self):
-        # An armed contract tap must see every check: probes refuse,
-        # and the monitored event stream is identical with blocks
-        # configured on or off.
-        monitors = []
+    @pytest.mark.parametrize("kernel_class, user_program", [
+        (X86Kernel, x86_user_program),
+        (RiscvKernel, riscv_user_program),
+    ], ids=["x86", "riscv"])
+    def test_blocks_under_the_monitor(self, kernel_class, user_program):
+        # Blocks run under an armed contract tap, one ``block`` event
+        # each.  Blocks on and off give identical results, and each
+        # block event expanded into its members' checks gives exactly
+        # the blocks-off stream.
+        runs = []
         for config in (CONFIG_8E, BLOCK_OFF):
-            profile = dataclasses.replace(GATE_STRESS,
-                                          outer_iterations=self.ITERATIONS)
-            kernel = X86Kernel("decomposed", config)
-            monitor = ContractMonitor(seed=0)
-            monitor.attach(kernel.system.pcu, kernel.system.manager)
-            kernel.run(x86_user_program(profile), max_steps=self.MAX_STEPS)
-            stats = kernel.system.pcu.block_stats
-            assert stats.hits == 0 and stats.coverage == 0.0
-            assert stats.refused_tap == stats.refusals == stats.fallback_refused
-            assert (stats.refused_tap > 0) == config.block_summaries
+            monitor = ContractMonitor(seed=0, record=True)
+            observed, kernel = self.run_kernel(
+                kernel_class, user_program, config, monitor=monitor)
             assert monitor.total_violations == 0
-            monitors.append(monitor)
-        assert monitors[0].events_seen == monitors[1].events_seen > 0
+            runs.append((observed, expanded_stream(monitor.recorded),
+                         kernel.system.pcu.block_stats))
+        (blocky, blocky_stream, stats), (off, off_stream, _) = runs
+        assert blocky == off
+        assert blocky_stream == off_stream
+        assert stats.coverage > 0.9
