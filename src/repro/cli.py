@@ -316,14 +316,21 @@ def _parse_configs(text: str):
     return configs
 
 
+def _usage_error(message: str) -> int:
+    """Print one line of bad campaign input to stderr; exit code 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _backends(args):
     return ("riscv", "x86") if args.backend == "both" else (args.backend,)
 
 
-def _matrix_report(summarize, write, path):
+def _matrix_report(summarize, matrix_cls, path):
     """The fault, machine and churn ``report``: ``summarize(matrix,
     counts)`` prints each matrix's lines, followed by its widening silent
-    divergences; ``write`` writes the report to ``path``."""
+    divergences; ``matrix_cls.write_report`` writes the report to
+    ``path``."""
     from repro.faults import CLASSIFICATIONS
 
     def report(matrices) -> List[str]:
@@ -334,7 +341,7 @@ def _matrix_report(summarize, write, path):
                 print("    WIDENING SILENT DIVERGENCE: campaign %d %s (%s)"
                       % (result.campaign, result.spec.to_dict(),
                          result.detail))
-        payload = write(matrices, path)
+        payload = matrix_cls.write_report(matrices, path)
         print("report written to %s" % path)
         reasons = []
         if payload["widening_silent_divergences"]:
@@ -432,8 +439,11 @@ def _print_conformance_summary(payload) -> int:
 
 def _cmd_faults(args) -> int:
     """Seeded fault-injection campaigns with scrub/rollback recovery."""
-    from repro.faults import write_report
+    from repro.faults import CampaignMatrix
 
+    if args.faults_per_campaign < 1:
+        return _usage_error("--faults-per-campaign must be at least 1, got %d"
+                            % args.faults_per_campaign)
     if args.machine:
         return _run_machine_faults(args)
     configs = _parse_configs(args.config)
@@ -453,7 +463,7 @@ def _cmd_faults(args) -> int:
         "scrub_interval": args.scrub_interval,
         "faults_per_campaign": args.faults_per_campaign,
         "contracts": args.contracts,
-    }, _matrix_report(summarize, write_report,
+    }, _matrix_report(summarize, CampaignMatrix,
                       args.report or "results/fault_campaigns.json"))
 
 
@@ -467,7 +477,16 @@ def _cmd_churn(args) -> int:
     Every campaign runs in lockstep with the oracle and is monitored
     against all eight contracts — ``no_stale_generation`` included.
     """
-    from repro.faults import write_churn_report
+    from repro.conformance import CONFORMANCE_CONFIGS
+    from repro.faults import ChurnMatrix
+
+    if args.config not in CONFORMANCE_CONFIGS:
+        return _usage_error("unknown config %s (choose from %s)"
+                            % (args.config, ", ".join(CONFORMANCE_CONFIGS)))
+    max_domains = CONFORMANCE_CONFIGS[args.config].max_domains
+    if not 1 <= args.slots < max_domains:
+        return _usage_error("--slots must be between 1 and %d, got %d"
+                            % (max_domains - 1, args.slots))
 
     def summarize(matrix, counts) -> None:
         percentiles = matrix.to_dict()["latency_percentiles"]
@@ -486,7 +505,7 @@ def _cmd_churn(args) -> int:
         "n_campaigns": args.campaign, "max_slots": args.slots,
         "config": args.config, "scrub_interval": args.scrub_interval,
         "contracts": args.contracts,
-    }, _matrix_report(summarize, write_churn_report, args.report))
+    }, _matrix_report(summarize, ChurnMatrix, args.report))
 
 
 def _run_machine_faults(args) -> int:
@@ -497,7 +516,7 @@ def _run_machine_faults(args) -> int:
     pulse/scrub cadence from the workload geometry (overridable with
     ``--iterations`` / ``--pulse-interval``).
     """
-    from repro.faults import DEFAULT_MACHINE_ITERATIONS, write_machine_report
+    from repro.faults import DEFAULT_MACHINE_ITERATIONS, MachineCampaignMatrix
 
     params = {
         "backends": _backends(args), "seed": args.seed,
@@ -520,7 +539,7 @@ def _run_machine_faults(args) -> int:
 
     return _run_campaign_command(
         args, "machine_faults", params,
-        _matrix_report(summarize, write_machine_report, args.report
+        _matrix_report(summarize, MachineCampaignMatrix, args.report
                        or "results/machine_fault_campaigns.json"))
 
 

@@ -9,17 +9,22 @@ coherence sweeps and fail stores mid-reconfiguration, while the
 digest), the PCU's degraded mode and the DomainManager's transactional
 reconfiguration try to detect and contain the damage.
 
+Three campaign families share one :class:`FaultSession` (backing,
+injectors, scrubber, contract waivers, final audit and classification)
+and one result/matrix/report core; each family is only its world and
+its loop: :mod:`.campaign` replays conformance events, :mod:`.machine`
+pauses a running kernel, :mod:`.churn` applies tenant-churn ops.  The
+orchestrator's shard runners loop over campaign ranges, and each
+matrix class writes its family's report (``write_report``).
+
 CLI: ``python -m repro faults --events 2000 --seed 0 --campaign 50``.
 """
 
 from .campaign import (
-    CLASSIFICATIONS,
     DEFAULT_SCRUB_INTERVAL,
     CampaignMatrix,
     CampaignResult,
     run_campaign,
-    run_campaigns,
-    write_report,
 )
 from .churn import (
     DEFAULT_CHURN_OPS,
@@ -29,8 +34,6 @@ from .churn import (
     ChurnWorld,
     latency_percentiles,
     run_churn_campaign,
-    run_churn_campaigns,
-    write_churn_report,
 )
 from .injector import FaultInjector, FaultyWordBacking
 from .machine import (
@@ -43,9 +46,7 @@ from .machine import (
     ReconfigPulser,
     machine_geometry,
     run_machine_campaign,
-    run_machine_campaigns,
     run_planned_machine_campaign,
-    write_machine_report,
 )
 from .plan import (
     CACHE_MODULES,
@@ -57,6 +58,7 @@ from .plan import (
     FaultSpec,
 )
 from .scrub import IntegrityScrubber, ScrubReport, make_scrubber
+from .session import CLASSIFICATIONS, FaultSession
 
 __all__ = [
     "CACHE_MODULES",
@@ -74,6 +76,7 @@ __all__ = [
     "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
+    "FaultSession",
     "FaultSpec",
     "FaultyWordBacking",
     "IntegrityScrubber",
@@ -90,11 +93,7 @@ __all__ = [
     "machine_geometry",
     "make_scrubber",
     "run_campaign",
-    "run_campaigns",
     "run_churn_campaign",
-    "run_churn_campaigns",
     "run_machine_campaign",
-    "run_machine_campaigns",
     "run_planned_machine_campaign",
-    "write_machine_report",
 ]

@@ -1,51 +1,27 @@
 """Seeded fault-injection campaigns over the conformance generator.
 
-One *campaign* = one fault spec + one event stream, replayed through the
-lockstep (cached PCU, oracle) pair with a periodic integrity-scrub
-watchdog.  Each campaign classifies as exactly one of:
-
-* ``detected_recovered`` — something fired (scrub repair, transactional
-  rollback, degraded-mode entry) and the run finished lockstep-clean
-  with a clean final audit;
-* ``detected_halted`` — corruption was detected but could not be
-  repaired (live stack frame) or was detected only after the
-  implementations had already diverged: the core halts;
-* ``benign`` — the fault landed somewhere architecture never looked (a
-  dead stack word, an already-set bit, an evicted cache line): no
-  divergence, nothing to detect, clean final audit;
-* ``silent_divergence`` — the PCU and the oracle disagreed and *no*
-  detection mechanism fired, then or at the post-divergence audit.  For
-  privilege-widening faults this count must be zero: it would mean a
-  fault can grant privilege invisibly.
-
-Classification notes: faults in the *shared* trusted-memory words can
-never show up as lockstep divergence (the oracle reads the same words),
-so they must be caught by the scrub watchdog — that is precisely what
-the memory-vs-mirror checksums are for.  Cache/bypass/Draco faults are
-invisible to the scrubber's memory pass but diverge in lockstep, and the
-post-divergence audit must then pin the blame on the cache layer.
+One *campaign* = one fault spec (plus optional concurrent extras) and
+one event stream, replayed through the lockstep (cached PCU, oracle)
+pair of a :class:`~repro.conformance.runner.ConformanceWorld` with a
+periodic integrity-scrub watchdog.  The loop here is only the stream:
+inject at each spec's event index, apply the event, stop at the first
+divergence, scrub every ``scrub_interval`` events.  The
+:class:`~repro.faults.session.FaultSession` owns the rest — backing,
+injectors, scrubber, contract monitor, the final audit and the
+four-way classification.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.conformance.events import generate_events
 from repro.conformance.generator import make_backend
 from repro.conformance.runner import CONFORMANCE_CONFIGS, ConformanceWorld
-from repro.core.errors import InjectedFault
 
-from .injector import FaultInjector, FaultyWordBacking
-from .plan import FaultPlan, FaultSpec
-from .scrub import IntegrityScrubber
-
-CLASSIFICATIONS = (
-    "detected_recovered", "detected_halted", "benign", "silent_divergence",
-)
+from .plan import FaultSpec
+from .session import FaultMatrix, FaultRecord, FaultSession
 
 #: Default watchdog period (events between scrubs).  Small enough that a
 #: shared-memory fault is caught within one cache generation, large
@@ -54,70 +30,27 @@ DEFAULT_SCRUB_INTERVAL = 64
 
 
 @dataclass
-class CampaignResult:
-    """Outcome of one fault campaign."""
+class CampaignResult(FaultRecord):
+    """Outcome of one abstract fault campaign."""
 
     campaign: int
     stream_seed: int
     spec: FaultSpec
+    extra_specs: List[FaultSpec]
     classification: str
     events_run: int
     fired: bool
     detail: str
-    divergence_index: Optional[int] = None
-    detections: List[str] = field(default_factory=list)
-    rollbacks: int = 0
-    #: Injected store faults that fired with no transaction open (e.g.
-    #: on a gate-event trusted-stack push).  Nothing rolled back, so
-    #: these are *not* detections — the classifier judges the damage on
-    #: its own merits.
-    escaped_faults: int = 0
-    scrub_repairs: int = 0
-    degraded_entries: int = 0
-    degraded_checks: int = 0
-    extra_specs: List[FaultSpec] = field(default_factory=list)
-    #: Universal-contract accounting (DESIGN §3.16).  Violations the
-    #: monitor attributed to a fired injected fault are *waived*; an
-    #: unwaived violation is a genuine guarantee breach and fails the
-    #: campaign report.
-    contract_violations: int = 0
-    unwaived_contract_violations: int = 0
-    contract_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def widening(self) -> bool:
-        """Could *any* fault in this campaign grant withheld privilege?"""
-        return self.spec.widening or any(s.widening for s in self.extra_specs)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "campaign": self.campaign,
-            "stream_seed": self.stream_seed,
-            "spec": self.spec.to_dict(),
-            "extra_specs": [s.to_dict() for s in self.extra_specs],
-            "classification": self.classification,
-            "events_run": self.events_run,
-            "fired": self.fired,
-            "detail": self.detail,
-            "divergence_index": self.divergence_index,
-            "detections": list(self.detections),
-            "rollbacks": self.rollbacks,
-            "escaped_faults": self.escaped_faults,
-            "scrub_repairs": self.scrub_repairs,
-            "degraded_entries": self.degraded_entries,
-            "degraded_checks": self.degraded_checks,
-            "contract_violations": self.contract_violations,
-            "unwaived_contract_violations": self.unwaived_contract_violations,
-            "contract_counts": dict(self.contract_counts),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CampaignResult":
-        data = dict(data)
-        data["spec"] = FaultSpec.from_dict(data["spec"])
-        data["extra_specs"] = [FaultSpec.from_dict(s)
-                               for s in data.get("extra_specs", [])]
-        return cls(**data)
+    divergence_index: Optional[int]
+    detections: List[str]
+    rollbacks: int
+    escaped_faults: int
+    scrub_repairs: int
+    degraded_entries: int
+    degraded_checks: int
+    contract_violations: int
+    unwaived_contract_violations: int
+    contract_counts: Dict[str, int]
 
 
 def run_campaign(
@@ -135,169 +68,46 @@ def run_campaign(
 
     ``extra_specs`` schedules additional concurrent faults over the same
     stream (each with its own trigger), modelling multi-event upsets;
-    the classification then answers for the *combined* damage.
-
-    With ``contracts`` (the default) the world runs under a
-    :class:`~repro.contracts.monitor.ContractMonitor` whose waiver
-    probe attributes violations to fired injected faults — an injected
-    HPT flip legitimately makes verdicts disagree with the contract
-    shadow, and that *is* the fault model working.  Unwaived violations
-    are reported in the result and fail the campaign report.
+    the classification then answers for the *combined* damage.  With
+    ``contracts`` (the default) the run is monitored against the
+    universal contracts, seeded with ``stream_seed``.
     """
-    backend = make_backend(backend_name)
-    world = ConformanceWorld(backend, CONFORMANCE_CONFIGS[config])
-    # Interpose the faulty backing *under* the already-initialised
-    # trusted memory: existing words carry over untouched.
-    backing = FaultyWordBacking(world.trusted_memory._backing,
-                                trusted_memory=world.trusted_memory)
-    world.trusted_memory._backing = backing
-    injectors = [FaultInjector(world, backing, s)
-                 for s in (spec, *extra_specs)]
-    scrubber = IntegrityScrubber(world.pcu, world.manager)
-    monitor = None
-    if contracts:
-        from repro.contracts import ContractMonitor
-
-        def waiver_probe():
-            if any(i.fired for i in injectors) or backing.store_faults_fired:
-                return ("; ".join(i.detail for i in injectors if i.fired)
-                        or backing.last_fired_detail or "injected fault")
-            return None
-
-        monitor = ContractMonitor(seed=stream_seed, campaign=campaign)
-        monitor.attach(world.pcu, world.manager)
-        monitor.waiver_probe = waiver_probe
-
-    events = generate_events(stream_seed, n_events)
-    detections: List[str] = []
+    world = ConformanceWorld(make_backend(backend_name),
+                             CONFORMANCE_CONFIGS[config])
+    session = FaultSession(world, (spec, *extra_specs), contracts=contracts,
+                           seed=stream_seed, campaign=campaign)
     divergence_index: Optional[int] = None
-    halted = False
     events_run = 0
-    escaped_faults = 0
-    stats = world.pcu.stats
-
-    def fault_owner() -> FaultInjector:
-        # The backing records which injector armed the fault that fired;
-        # fall back to the first store-ish spec only for armings made
-        # behind the injector's back (tests arming the backing directly).
-        if backing.last_fired_owner is not None:
-            return backing.last_fired_owner
-        return next((i for i in injectors
-                     if i.spec.kind in ("store_fault", "commit_store_fault",
-                                        "commit_flip_journalled")),
-                    injectors[0])
-
-    def settle_injected_fault() -> None:
-        # An injected store fault escaped to us.  Only credit a rollback
-        # when the DomainManager actually rolled a transaction back —
-        # a store can just as well fail outside any commit window (a
-        # gate-event trusted-stack push, a scrub repair), and crediting
-        # a phantom recovery there would upgrade genuine half-written
-        # corruption to detected_recovered.
-        nonlocal escaped_faults
-        if stats.reconfig_rollbacks > rollbacks_before:
-            fault_owner().note_rollback()
-        else:
-            fault_owner().note_escaped()
-            escaped_faults += 1
-
-    def note(report) -> None:
-        if report.memory_repairs:
-            detections.append("scrub repaired %d word(s)" % report.memory_repairs)
-        detections.extend(report.cache_detections)
-        detections.extend("UNREPAIRABLE: " + u for u in report.unrepairable)
-
-    def safe_scrub():
-        # A still-armed store fault can fire on a scrub *repair* store;
-        # that interrupted pass is itself an escaped, non-transactional
-        # fault.  The fault is one-shot, so the retry completes.
-        nonlocal rollbacks_before
-        rollbacks_before = stats.reconfig_rollbacks
-        try:
-            return scrubber.scrub()
-        except InjectedFault:
-            settle_injected_fault()
-            return scrubber.scrub()
-
-    rollbacks_before = stats.reconfig_rollbacks
-    for index, event in enumerate(events):
-        for injector in injectors:
+    for index, event in enumerate(generate_events(stream_seed, n_events)):
+        for injector in session.injectors:
             injector.on_event(index)
-        rollbacks_before = stats.reconfig_rollbacks
-        try:
-            cached, oracle = world.apply(event)
-        except InjectedFault:
-            settle_injected_fault()
-            events_run = index + 1
-            continue
+        outcome = session.run(world.apply, event)
         events_run = index + 1
+        if outcome is None:
+            continue
+        cached, oracle = outcome
         if cached != oracle:
             divergence_index = index
             break
-        if scrub_interval and (index + 1) % scrub_interval == 0:
-            report = safe_scrub()
-            note(report)
-            if report.unrepairable:
-                halted = True
-                break
+        if (scrub_interval and events_run % scrub_interval == 0
+                and session.scrub().unrepairable):
+            break
 
-    # Final audit: always run one more scrub.  After a divergence this is
-    # the "why did we diverge" post-mortem; on a clean run it catches
-    # anything the watchdog cadence missed.
-    audit = safe_scrub()
-    note(audit)
-    if audit.unrepairable:
-        halted = True
-
-    rollbacks = sum(i.rollbacks_seen for i in injectors)
-    # Escaped (non-transactional) store faults are deliberately absent
-    # here: nothing detected or recovered anything, so they only shape
-    # the outcome through what the lockstep diff and the audit saw.
-    detected = bool(detections) or rollbacks > 0
-    if divergence_index is not None:
-        classification = "detected_halted" if detected else "silent_divergence"
-    elif halted:
-        classification = "detected_halted"
-    elif detected:
-        # Recovery claim: the final audit must either have found nothing
-        # (the watchdog already repaired everything) or its own repairs
-        # must verify in place.  The targeted re-check replaces the full
-        # confirmation scrub the classifier used to pay for — one pass
-        # over the stream, one audit, no second replay of the state.
-        classification = ("detected_recovered"
-                          if audit.clean or scrubber.verify_repaired(audit)
-                          else "detected_halted")
-    else:
-        classification = "benign"
-
+    shared = session.finish(divergence_index is not None)
+    stats = world.pcu.stats
     return CampaignResult(
-        campaign=campaign,
         stream_seed=stream_seed,
-        spec=spec,
-        classification=classification,
         events_run=events_run,
-        fired=any(i.fired for i in injectors),
-        detail="; ".join(i.detail for i in injectors),
         divergence_index=divergence_index,
-        detections=detections,
-        rollbacks=rollbacks,
-        escaped_faults=escaped_faults,
-        scrub_repairs=stats.scrub_repairs,
         degraded_entries=stats.degraded_entries,
         degraded_checks=stats.degraded_checks,
-        extra_specs=list(extra_specs),
-        contract_violations=(0 if monitor is None
-                             else monitor.total_violations),
-        unwaived_contract_violations=(0 if monitor is None
-                                      else monitor.unwaived_violations),
-        contract_counts=({} if monitor is None
-                         else monitor.nonzero_counts()),
+        **shared,
     )
 
 
 @dataclass
-class CampaignMatrix:
-    """All campaigns of one (backend, config) pair."""
+class CampaignMatrix(FaultMatrix):
+    """All abstract campaigns of one (backend, config) pair."""
 
     backend: str
     config: str
@@ -305,94 +115,4 @@ class CampaignMatrix:
     n_events: int
     results: List[CampaignResult]
 
-    @property
-    def counts(self) -> Dict[str, int]:
-        counter = Counter(r.classification for r in self.results)
-        return {name: counter.get(name, 0) for name in CLASSIFICATIONS}
-
-    @property
-    def widening_silent(self) -> List[CampaignResult]:
-        """The must-be-empty set: widening faults that diverged silently."""
-        return [r for r in self.results
-                if r.classification == "silent_divergence" and r.widening]
-
-    @property
-    def contract_violations(self) -> int:
-        return sum(r.contract_violations for r in self.results)
-
-    @property
-    def unwaived_contract_violations(self) -> int:
-        """The must-be-zero set: contract breaches no fault accounts for."""
-        return sum(r.unwaived_contract_violations for r in self.results)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "config": self.config,
-            "seed": self.seed,
-            "events": self.n_events,
-            "campaigns": len(self.results),
-            "classification_counts": self.counts,
-            "widening_silent_divergences": len(self.widening_silent),
-            "contract_violations": self.contract_violations,
-            "unwaived_contract_violations": self.unwaived_contract_violations,
-            "results": [r.to_dict() for r in self.results],
-        }
-
-
-def run_campaigns(
-    backend_name: str,
-    seed: int,
-    n_events: int,
-    n_campaigns: int,
-    config: str = "stress",
-    scrub_interval: int = DEFAULT_SCRUB_INTERVAL,
-    faults_per_campaign: int = 1,
-    contracts: bool = True,
-) -> CampaignMatrix:
-    """K campaigns, each with its own derived stream seed and fault(s)."""
-    plan = FaultPlan(seed)
-    results = []
-    for campaign in range(n_campaigns):
-        specs = plan.draw_specs(campaign, n_events, faults_per_campaign)
-        results.append(run_campaign(
-            backend_name, specs[0],
-            stream_seed=seed + campaign,
-            n_events=n_events,
-            config=config,
-            scrub_interval=scrub_interval,
-            campaign=campaign,
-            extra_specs=specs[1:],
-            contracts=contracts,
-        ))
-    return CampaignMatrix(backend_name, config, seed, n_events, results)
-
-
-def write_report(matrices: List[CampaignMatrix], path: str) -> Dict[str, object]:
-    """Aggregate matrices into one JSON report under ``results/``."""
-    from repro.contracts import CONTRACT_NAMES
-
-    totals: "Counter[str]" = Counter()
-    contract_totals: "Counter[str]" = Counter()
-    widening_silent = 0
-    unwaived = 0
-    for matrix in matrices:
-        totals.update(matrix.counts)
-        widening_silent += len(matrix.widening_silent)
-        unwaived += matrix.unwaived_contract_violations
-        for result in matrix.results:
-            contract_totals.update(result.contract_counts)
-    payload = {
-        "format": "isagrid-fault-campaign-v2",
-        "classification_counts": {name: totals.get(name, 0)
-                                  for name in CLASSIFICATIONS},
-        "widening_silent_divergences": widening_silent,
-        "contract_counts": {name: contract_totals.get(name, 0)
-                            for name in CONTRACT_NAMES},
-        "unwaived_contract_violations": unwaived,
-        "matrices": [matrix.to_dict() for matrix in matrices],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return payload
+    FORMAT = "isagrid-fault-campaign-v2"

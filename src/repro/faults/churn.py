@@ -22,10 +22,8 @@ detected/benign/silent-divergence matrix as every other campaign.
 
 from __future__ import annotations
 
-import json
-import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.events import N_CSR_SLOTS, N_INST_SLOTS
@@ -40,14 +38,13 @@ from repro.core import (
     SlotExhausted,
     TrustedMemory,
 )
-from repro.core.errors import InjectedFault, PrivilegeFault
+from repro.core.errors import PrivilegeFault
 from repro.conformance.oracle import OraclePcu
 from repro.workloads.tenant_churn import ChurnOp, generate_churn_ops
 
-from .campaign import CLASSIFICATIONS, DEFAULT_SCRUB_INTERVAL
-from .injector import FaultInjector, FaultyWordBacking
-from .plan import FaultPlan, FaultSpec
-from .scrub import IntegrityScrubber
+from .campaign import DEFAULT_SCRUB_INTERVAL
+from .plan import FaultSpec
+from .session import FaultMatrix, FaultRecord, FaultSession
 
 #: Trusted-memory window (matches the conformance worlds).
 TMEM_BASE = 0x100000
@@ -294,73 +291,34 @@ class ChurnWorld:
 
 
 @dataclass
-class ChurnCampaignResult:
+class ChurnCampaignResult(FaultRecord):
     """Outcome of one churn campaign (fault matrix + churn totals)."""
 
     campaign: int
     stream_seed: int
     spec: FaultSpec
+    extra_specs: List[FaultSpec]
     classification: str
     ops_run: int
     pairs_run: int
     fired: bool
     detail: str
-    divergence_index: Optional[int] = None
-    detections: List[str] = field(default_factory=list)
-    rollbacks: int = 0
-    escaped_faults: int = 0
-    scrub_repairs: int = 0
-    extra_specs: List[FaultSpec] = field(default_factory=list)
-    contract_violations: int = 0
-    unwaived_contract_violations: int = 0
-    contract_counts: Dict[str, int] = field(default_factory=dict)
+    divergence_index: Optional[int]
+    detections: List[str]
+    rollbacks: int
+    escaped_faults: int
+    scrub_repairs: int
+    contract_violations: int
+    unwaived_contract_violations: int
+    contract_counts: Dict[str, int]
     #: Virtualizer lifetime counters (spawned/retired/binds/recycles/
     #: evictions/slot_exhausted) — the churn-specific half of the story.
-    virtualizer: Dict[str, int] = field(default_factory=dict)
-    checks_run: int = 0
-    backpressured: int = 0
+    virtualizer: Dict[str, int]
+    checks_run: int
+    backpressured: int
     #: Check-stall histogram {stall cycles: count}; percentiles derive
     #: from it without storing per-check samples.
-    latency: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def widening(self) -> bool:
-        return self.spec.widening or any(s.widening for s in self.extra_specs)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "campaign": self.campaign,
-            "stream_seed": self.stream_seed,
-            "spec": self.spec.to_dict(),
-            "extra_specs": [s.to_dict() for s in self.extra_specs],
-            "classification": self.classification,
-            "ops_run": self.ops_run,
-            "pairs_run": self.pairs_run,
-            "fired": self.fired,
-            "detail": self.detail,
-            "divergence_index": self.divergence_index,
-            "detections": list(self.detections),
-            "rollbacks": self.rollbacks,
-            "escaped_faults": self.escaped_faults,
-            "scrub_repairs": self.scrub_repairs,
-            "contract_violations": self.contract_violations,
-            "unwaived_contract_violations": self.unwaived_contract_violations,
-            "contract_counts": dict(self.contract_counts),
-            "virtualizer": dict(self.virtualizer),
-            "checks_run": self.checks_run,
-            "backpressured": self.backpressured,
-            "latency": {str(k): v for k, v in sorted(self.latency.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChurnCampaignResult":
-        data = dict(data)
-        data["spec"] = FaultSpec.from_dict(data["spec"])
-        data["extra_specs"] = [FaultSpec.from_dict(s)
-                               for s in data.get("extra_specs", [])]
-        data["latency"] = {int(k): v
-                           for k, v in data.get("latency", {}).items()}
-        return cls(**data)
+    latency: Dict[int, int]
 
 
 def latency_percentiles(histogram: Dict[int, int]) -> Dict[str, int]:
@@ -397,145 +355,50 @@ def run_churn_campaign(
 ) -> ChurnCampaignResult:
     """Run one faulted churn stream in lockstep and classify the outcome.
 
-    The classification ladder is deliberately identical to
-    :func:`~repro.faults.campaign.run_campaign` — recycle-window faults
-    answer to the same detected/benign/silent-divergence matrix as every
-    other fault kind, they just get a richer world to do damage in.
+    The :class:`~repro.faults.session.FaultSession` classifies it on the
+    same ladder as every other campaign — recycle-window faults answer
+    to the same detected/benign/silent-divergence matrix as every other
+    fault kind, they just get a richer world to do damage in.
     """
-    backend = make_backend(backend_name)
-    world = ChurnWorld(backend, max_slots=max_slots, config=config)
-    backing = FaultyWordBacking(world.trusted_memory._backing,
-                                trusted_memory=world.trusted_memory)
-    world.trusted_memory._backing = backing
-    injectors = [FaultInjector(world, backing, s)
-                 for s in (spec, *extra_specs)]
-    scrubber = IntegrityScrubber(world.pcu, world.manager)
-    monitor = None
-    if contracts:
-        from repro.contracts import ContractMonitor
-
-        def waiver_probe():
-            if any(i.fired for i in injectors) or backing.store_faults_fired:
-                return ("; ".join(i.detail for i in injectors if i.fired)
-                        or backing.last_fired_detail or "injected fault")
-            return None
-
-        monitor = ContractMonitor(seed=stream_seed, campaign=campaign)
-        monitor.attach(world.pcu, world.manager)
-        monitor.waiver_probe = waiver_probe
-
+    world = ChurnWorld(make_backend(backend_name), max_slots=max_slots,
+                       config=config)
+    session = FaultSession(world, (spec, *extra_specs), contracts=contracts,
+                           seed=stream_seed, campaign=campaign)
     trace = generate_churn_ops(stream_seed, n_ops, N_INST_SLOTS, N_CSR_SLOTS)
-    detections: List[str] = []
     divergence_index: Optional[int] = None
-    halted = False
     ops_run = 0
     pairs_run = 0
-    escaped_faults = 0
-    stats = world.pcu.stats
-
-    def fault_owner() -> FaultInjector:
-        if backing.last_fired_owner is not None:
-            return backing.last_fired_owner
-        return next((i for i in injectors
-                     if i.spec.kind in ("store_fault", "recycle_store_fault")),
-                    injectors[0])
-
-    def settle_injected_fault() -> None:
-        nonlocal escaped_faults
-        if stats.reconfig_rollbacks > rollbacks_before:
-            fault_owner().note_rollback()
-        else:
-            fault_owner().note_escaped()
-            escaped_faults += 1
-
-    def note(report) -> None:
-        if report.memory_repairs:
-            detections.append("scrub repaired %d word(s)"
-                              % report.memory_repairs)
-        detections.extend(report.cache_detections)
-        detections.extend("UNREPAIRABLE: " + u for u in report.unrepairable)
-
-    def safe_scrub():
-        nonlocal rollbacks_before
-        rollbacks_before = stats.reconfig_rollbacks
-        try:
-            return scrubber.scrub()
-        except InjectedFault:
-            settle_injected_fault()
-            return scrubber.scrub()
-
-    rollbacks_before = stats.reconfig_rollbacks
     for index, op in enumerate(trace.ops):
-        for injector in injectors:
+        for injector in session.injectors:
             injector.on_event(index)
-        rollbacks_before = stats.reconfig_rollbacks
-        try:
-            pairs = world.apply(op, index)
-        except InjectedFault:
-            settle_injected_fault()
-            ops_run = index + 1
-            continue
+        pairs = session.run(world.apply, op, index)
         ops_run = index + 1
+        if pairs is None:
+            continue
         pairs_run += len(pairs)
-        diverged = next((p for p in pairs if p[0] != p[1]), None)
-        if diverged is not None:
+        if any(cached != oracle for cached, oracle in pairs):
             divergence_index = index
             break
-        if scrub_interval and (index + 1) % scrub_interval == 0:
-            report = safe_scrub()
-            note(report)
-            if report.unrepairable:
-                halted = True
-                break
+        if (scrub_interval and ops_run % scrub_interval == 0
+                and session.scrub().unrepairable):
+            break
 
-    audit = safe_scrub()
-    note(audit)
-    if audit.unrepairable:
-        halted = True
-
-    rollbacks = sum(i.rollbacks_seen for i in injectors)
-    detected = bool(detections) or rollbacks > 0
-    if divergence_index is not None:
-        classification = "detected_halted" if detected else "silent_divergence"
-    elif halted:
-        classification = "detected_halted"
-    elif detected:
-        classification = ("detected_recovered"
-                          if audit.clean or scrubber.verify_repaired(audit)
-                          else "detected_halted")
-    else:
-        classification = "benign"
-
+    shared = session.finish(divergence_index is not None)
     return ChurnCampaignResult(
-        campaign=campaign,
         stream_seed=stream_seed,
-        spec=spec,
-        classification=classification,
         ops_run=ops_run,
         pairs_run=pairs_run,
-        fired=any(i.fired for i in injectors),
-        detail="; ".join(i.detail for i in injectors),
         divergence_index=divergence_index,
-        detections=detections,
-        rollbacks=rollbacks,
-        escaped_faults=escaped_faults,
-        scrub_repairs=stats.scrub_repairs,
-        extra_specs=list(extra_specs),
-        contract_violations=(0 if monitor is None
-                             else monitor.total_violations),
-        unwaived_contract_violations=(0 if monitor is None
-                                      else monitor.unwaived_violations),
-        contract_counts=({} if monitor is None
-                         else monitor.nonzero_counts()),
         virtualizer=world.virtualizer.stats.to_dict(),
         checks_run=world.checks_run,
         backpressured=world.backpressured,
         latency=dict(world.latency),
+        **shared,
     )
 
 
 @dataclass
-class ChurnMatrix:
+class ChurnMatrix(FaultMatrix):
     """All churn campaigns of one backend."""
 
     backend: str
@@ -544,19 +407,7 @@ class ChurnMatrix:
     max_slots: int
     results: List[ChurnCampaignResult]
 
-    @property
-    def counts(self) -> Dict[str, int]:
-        counter = Counter(r.classification for r in self.results)
-        return {name: counter.get(name, 0) for name in CLASSIFICATIONS}
-
-    @property
-    def widening_silent(self) -> List[ChurnCampaignResult]:
-        return [r for r in self.results
-                if r.classification == "silent_divergence" and r.widening]
-
-    @property
-    def unwaived_contract_violations(self) -> int:
-        return sum(r.unwaived_contract_violations for r in self.results)
+    FORMAT = "isagrid-churn-campaign-v1"
 
     @property
     def logical_domains(self) -> int:
@@ -574,94 +425,22 @@ class ChurnMatrix:
             merged.update(result.latency)
         return dict(merged)
 
-    def to_dict(self) -> Dict[str, object]:
+    def _totals(self) -> Dict[str, object]:
         return {
-            "backend": self.backend,
-            "seed": self.seed,
-            "ops": self.n_ops,
-            "max_slots": self.max_slots,
-            "campaigns": len(self.results),
-            "classification_counts": self.counts,
-            "widening_silent_divergences": len(self.widening_silent),
             "unwaived_contract_violations": self.unwaived_contract_violations,
             "logical_domains": self.logical_domains,
             "slot_exhausted": self.slot_exhausted,
             "latency_percentiles": latency_percentiles(self.latency),
-            "results": [r.to_dict() for r in self.results],
         }
 
-
-def run_churn_campaigns(
-    backend_name: str,
-    seed: int,
-    n_ops: int,
-    n_campaigns: int,
-    *,
-    max_slots: int = DEFAULT_SLOTS,
-    config: str = "stress",
-    scrub_interval: int = DEFAULT_SCRUB_INTERVAL,
-    contracts: bool = True,
-    campaign_lo: int = 0,
-    campaign_hi: Optional[int] = None,
-) -> ChurnMatrix:
-    """K churn campaigns, each with its own stream seed and fault."""
-    plan = FaultPlan(seed)
-    hi = n_campaigns if campaign_hi is None else campaign_hi
-    results = []
-    for campaign in range(campaign_lo, hi):
-        specs = plan.draw_churn_specs(campaign, n_ops)
-        results.append(run_churn_campaign(
-            backend_name, specs[0],
-            stream_seed=seed + campaign,
-            n_ops=n_ops,
-            max_slots=max_slots,
-            config=config,
-            scrub_interval=scrub_interval,
-            campaign=campaign,
-            extra_specs=specs[1:],
-            contracts=contracts,
-        ))
-    return ChurnMatrix(backend_name, seed, n_ops, max_slots, results)
-
-
-def write_churn_report(matrices: List[ChurnMatrix],
-                       path: str) -> Dict[str, object]:
-    """Aggregate churn matrices into one JSON report under ``results/``."""
-    from repro.contracts import CONTRACT_NAMES
-
-    totals: "Counter[str]" = Counter()
-    contract_totals: "Counter[str]" = Counter()
-    latency: "Counter[int]" = Counter()
-    widening_silent = 0
-    unwaived = 0
-    logical_domains = 0
-    slot_exhausted = 0
-    max_slots = 0
-    for matrix in matrices:
-        totals.update(matrix.counts)
-        widening_silent += len(matrix.widening_silent)
-        unwaived += matrix.unwaived_contract_violations
-        logical_domains += matrix.logical_domains
-        slot_exhausted += matrix.slot_exhausted
-        latency.update(matrix.latency)
-        max_slots = max(max_slots, matrix.max_slots)
-        for result in matrix.results:
-            contract_totals.update(result.contract_counts)
-    payload = {
-        "format": "isagrid-churn-campaign-v1",
-        "classification_counts": {name: totals.get(name, 0)
-                                  for name in CLASSIFICATIONS},
-        "widening_silent_divergences": widening_silent,
-        "contract_counts": {name: contract_totals.get(name, 0)
-                            for name in CONTRACT_NAMES},
-        "unwaived_contract_violations": unwaived,
-        "logical_domains": logical_domains,
-        "max_slots": max_slots,
-        "slot_exhausted": slot_exhausted,
-        "latency_percentiles": latency_percentiles(dict(latency)),
-        "matrices": [matrix.to_dict() for matrix in matrices],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return payload
+    @classmethod
+    def _report_tail(cls, matrices) -> Dict[str, object]:
+        latency: "Counter[int]" = Counter()
+        for matrix in matrices:
+            latency.update(matrix.latency)
+        return {
+            "logical_domains": sum(m.logical_domains for m in matrices),
+            "max_slots": max((m.max_slots for m in matrices), default=0),
+            "slot_exhausted": sum(m.slot_exhausted for m in matrices),
+            "latency_percentiles": latency_percentiles(dict(latency)),
+        }

@@ -19,8 +19,8 @@ against it:
   state-neutral when it commits, so pulses only change behaviour when
   a fault lands inside one — which is exactly what the commit-window
   fault kinds arm for;
-* the **integrity-scrub watchdog** and a final audit, exactly like the
-  abstract campaigns.
+* the **integrity-scrub watchdog** and a final audit, run by the
+  :class:`~repro.faults.session.FaultSession` every campaign shares.
 
 Triggers are machine-level: a fault fires at a retired-instruction
 count (``inst``), a simulated-cycle count (``cycle``), or a pulse index
@@ -30,34 +30,30 @@ use their trigger as the *arming* point and fire on the Nth journalled
 store inside a later ``DomainManager`` transaction, exercising
 ``abort_transaction``'s newest-first replay directly.
 
-Classification is the abstract campaigns' four-way split.  Two
-machine-specific notes: a campaign whose workload exhausts its
-instruction budget without halting counts as a *watchdog* detection
-(the liveness monitor halts the core), and injected store faults that
-fire outside any transaction are tallied as ``escaped_faults`` — they
-are not detections and must earn their classification from the
-lockstep diff and the audit.
+Classification is the session's four-way split.  Two machine-specific
+notes: a campaign whose workload exhausts its instruction budget
+without halting counts as a *watchdog* detection (the liveness monitor
+halts the core), and injected store faults that fire outside any
+transaction are tallied as ``escaped_faults`` — they are not detections
+and must earn their classification from the lockstep diff and the
+audit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.generator import make_backend
 from repro.conformance.oracle import OraclePcu
 from repro.core import CONFIG_8E
-from repro.core.errors import InjectedFault, PrivilegeFault
+from repro.core.errors import PrivilegeFault
 from repro.core.trusted_memory import WORD_BYTES
 
-from .campaign import CLASSIFICATIONS
-from .injector import FaultInjector, FaultyWordBacking
+from .injector import FaultInjector
 from .plan import FaultPlan, FaultSpec
-from .scrub import IntegrityScrubber
+from .session import FaultMatrix, FaultRecord, FaultSession
 
 #: Backends a machine campaign can target.
 MACHINE_BACKENDS = ("riscv", "x86")
@@ -68,11 +64,17 @@ DEFAULT_MACHINE_ITERATIONS = 12
 #: Nominal reconfiguration pulses across one campaign run.
 PULSES_PER_RUN = 16
 
+#: The liveness watchdog's instruction budget, in multiples of the
+#: workload's estimated length (plus a fixed 100k headroom): a campaign
+#: still running past it is halted as a watchdog detection.
+WATCHDOG_FACTOR = 4
+
 #: Measured boot + per-iteration dynamic instruction counts of the
 #: machine-campaign workload (GATE_STRESS), per backend.  These only
 #: size the trigger windows and pulse cadence — a drift of +-30% from
 #: future kernel changes is harmless, because triggers are drawn from
-#: the middle half of the estimated run and the step budget is 4x.
+#: the middle half of the estimated run and the step budget is
+#: ``WATCHDOG_FACTOR`` times the estimate.
 _BOOT_INSTRUCTIONS = {"riscv": 57, "x86": 57}
 _PER_ITERATION_INSTRUCTIONS = {"riscv": 3180, "x86": 3186}
 
@@ -81,9 +83,9 @@ _PER_ITERATION_INSTRUCTIONS = {"riscv": 3180, "x86": 3186}
 class MachineGeometry:
     """Derived campaign timing parameters (a pure function of inputs).
 
-    Both the serial driver and the orchestrator workers derive specs
-    from this geometry, so it must depend only on the backend name and
-    the explicit knobs — never on anything measured at run time.
+    Every shard, in-process or in a worker, derives specs from this
+    geometry, so it must depend only on the backend name and the
+    explicit knobs — never on anything measured at run time.
     """
 
     n_steps: int          # estimated boot-to-halt instruction count
@@ -107,7 +109,7 @@ def machine_geometry(
         scrub_interval = max(2 * pulse_interval, n_steps // 4)
     return MachineGeometry(
         n_steps=n_steps,
-        budget=4 * n_steps + 100_000,
+        budget=WATCHDOG_FACTOR * n_steps + 100_000,
         pulse_interval=pulse_interval,
         scrub_interval=scrub_interval,
         n_pulses=max(1, n_steps // pulse_interval),
@@ -428,82 +430,38 @@ class ReconfigPulser:
 
 
 @dataclass
-class MachineCampaignResult:
+class MachineCampaignResult(FaultRecord):
     """Outcome of one machine-level fault campaign."""
 
     campaign: int
     backend: str
     spec: FaultSpec
+    extra_specs: List[FaultSpec]
     classification: str
     instructions: int
     cycles: float
     fired: bool
     detail: str
-    pulses_run: int = 0
-    divergence: Optional[str] = None
-    divergence_instruction: Optional[int] = None
-    detections: List[str] = field(default_factory=list)
-    rollbacks: int = 0
-    escaped_faults: int = 0
-    scrub_repairs: int = 0
-    degraded_entries: int = 0
+    pulses_run: int
+    divergence: Optional[str]
+    divergence_instruction: Optional[int]
+    detections: List[str]
+    rollbacks: int
+    escaped_faults: int
+    scrub_repairs: int
+    degraded_entries: int
     #: DomainManager transactions (committed + rolled back) during the
     #: run, and trusted-memory stores journalled inside them — the
     #: surface the commit-window fault kinds aim at.
-    commit_windows: int = 0
-    journalled_stores: int = 0
-    workload_halted: bool = False
-    kernel_faults: int = 0
-    syscalls: int = 0
-    lockstep_checks: int = 0
-    extra_specs: List[FaultSpec] = field(default_factory=list)
-    #: Universal-contract accounting (DESIGN §3.16): total violations,
-    #: the must-be-zero unwaived subset, and nonzero per-contract counts.
-    contract_violations: int = 0
-    unwaived_contract_violations: int = 0
-    contract_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def widening(self) -> bool:
-        return self.spec.widening or any(s.widening for s in self.extra_specs)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "campaign": self.campaign,
-            "backend": self.backend,
-            "spec": self.spec.to_dict(),
-            "extra_specs": [s.to_dict() for s in self.extra_specs],
-            "classification": self.classification,
-            "instructions": self.instructions,
-            "cycles": self.cycles,
-            "fired": self.fired,
-            "detail": self.detail,
-            "pulses_run": self.pulses_run,
-            "divergence": self.divergence,
-            "divergence_instruction": self.divergence_instruction,
-            "detections": list(self.detections),
-            "rollbacks": self.rollbacks,
-            "escaped_faults": self.escaped_faults,
-            "scrub_repairs": self.scrub_repairs,
-            "degraded_entries": self.degraded_entries,
-            "commit_windows": self.commit_windows,
-            "journalled_stores": self.journalled_stores,
-            "workload_halted": self.workload_halted,
-            "kernel_faults": self.kernel_faults,
-            "syscalls": self.syscalls,
-            "lockstep_checks": self.lockstep_checks,
-            "contract_violations": self.contract_violations,
-            "unwaived_contract_violations": self.unwaived_contract_violations,
-            "contract_counts": dict(self.contract_counts),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MachineCampaignResult":
-        data = dict(data)
-        data["spec"] = FaultSpec.from_dict(data["spec"])
-        data["extra_specs"] = [FaultSpec.from_dict(s)
-                               for s in data.get("extra_specs", [])]
-        return cls(**data)
+    commit_windows: int
+    journalled_stores: int
+    workload_halted: bool
+    kernel_faults: int
+    syscalls: int
+    lockstep_checks: int
+    contract_violations: int
+    unwaived_contract_violations: int
+    contract_counts: Dict[str, int]
 
 
 class _StopGate:
@@ -535,35 +493,17 @@ def run_machine_campaign(
                                 scrub_interval, pulse_interval)
     kernel = _build_kernel(backend_name)
     world = MachineWorld(kernel, backend_name)
-    trusted_memory = world.trusted_memory
-    # Interpose the faulty backing after boot: the kernel's own domain
-    # configuration is never the fault target, the running campaign is.
-    backing = FaultyWordBacking(trusted_memory._backing,
-                                trusted_memory=trusted_memory)
-    trusted_memory._backing = backing
-    injectors = [FaultInjector(world, backing, s) for s in specs]
-    scrubber = IntegrityScrubber(world.pcu, world.manager)
-    contract_monitor = None
-    if contracts:
-        from repro.contracts import ContractMonitor
-
-        def waiver_probe():
-            if any(i.fired for i in injectors) or backing.store_faults_fired:
-                return ("; ".join(i.detail for i in injectors if i.fired)
-                        or backing.last_fired_detail or "injected fault")
-            return None
-
-        # Attached after boot, so the monitor seeds its contract shadows
-        # from the kernel's committed domain/gate configuration.  The
-        # taps are inline in the PCU class methods, so the lockstep
-        # monitor's instance-level shadowing below still routes every
-        # check through them.
-        contract_monitor = ContractMonitor(seed=pulse_seed,
-                                           campaign=campaign)
-        contract_monitor.attach(world.pcu, world.manager)
-        contract_monitor.waiver_probe = waiver_probe
+    # The session is built after boot: the kernel's own domain
+    # configuration is never the fault target, the running campaign is,
+    # and the contract monitor seeds its shadows from the kernel's
+    # committed domain/gate configuration.  The contract taps are inline
+    # in the PCU class methods, so the lockstep monitor's instance-level
+    # shadowing below still routes every check through them.
+    session = FaultSession(world, specs, contracts=contracts,
+                           seed=pulse_seed, campaign=campaign)
 
     pcu = world.pcu
+    trusted_memory = world.trusted_memory
     registers = pcu.registers
     frames = (registers.hcsl - registers.hcsb) // (2 * WORD_BYTES)
     machine = kernel.system.machine
@@ -577,56 +517,17 @@ def run_machine_campaign(
                             seed=pulse_seed,
                             state_changing=state_changing_pulses)
 
-    pcu_stats = pcu.stats
     base_commits = (world.manager.transactions_committed
                     + world.manager.transactions_rolled_back)
     base_journalled = trusted_memory.journalled_stores_total
     base_faults = kernel.fault_count
-
-    detections: List[str] = []
-    escaped_faults = 0
-    rollbacks_before = pcu_stats.reconfig_rollbacks
-
-    def fault_owner() -> FaultInjector:
-        if backing.last_fired_owner is not None:
-            return backing.last_fired_owner
-        return next((i for i in injectors
-                     if i.spec.kind in ("store_fault", "commit_store_fault",
-                                        "commit_flip_journalled")),
-                    injectors[0])
-
-    def settle_injected_fault() -> None:
-        # Same contract as the abstract campaigns: a rollback is only
-        # credited when the DomainManager actually rolled one back.
-        nonlocal escaped_faults
-        if pcu_stats.reconfig_rollbacks > rollbacks_before:
-            fault_owner().note_rollback()
-        else:
-            fault_owner().note_escaped()
-            escaped_faults += 1
-
-    def note(report) -> None:
-        if report.memory_repairs:
-            detections.append("scrub repaired %d word(s)"
-                              % report.memory_repairs)
-        detections.extend(report.cache_detections)
-        detections.extend("UNREPAIRABLE: " + u for u in report.unrepairable)
-
-    def safe_scrub():
-        nonlocal rollbacks_before
-        rollbacks_before = pcu_stats.reconfig_rollbacks
-        try:
-            return scrubber.scrub()
-        except InjectedFault:
-            settle_injected_fault()
-            return scrubber.scrub()
 
     # Trigger bookkeeping: event triggers key on the pulse index, the
     # others fire at the first pause point past their threshold.
     event_pending: Dict[int, List[FaultInjector]] = {}
     inst_pending: List[Tuple[int, FaultInjector]] = []
     cycle_pending: List[Tuple[int, FaultInjector]] = []
-    for injector in injectors:
+    for injector in session.injectors:
         spec = injector.spec
         if spec.trigger_kind == "inst":
             inst_pending.append((spec.trigger, injector))
@@ -649,28 +550,23 @@ def run_machine_campaign(
     next_pulse = geometry.pulse_interval
     next_scrub = geometry.scrub_interval
     pulse_index = 0
-    halted_by_scrub = False
     budget = geometry.budget
     while True:
         gate.inst = min([next_pulse, next_scrub, budget]
                         + [t for t, _ in inst_pending])
         gate.cycle = min((t for t, _ in cycle_pending), default=float("inf"))
-        rollbacks_before = pcu_stats.reconfig_rollbacks
-        try:
-            machine.run(max_steps=max(1, budget - stats.instructions),
-                        require_halt=False)
-        except InjectedFault:
+        if session.run(machine.run,
+                       max_steps=max(1, budget - stats.instructions),
+                       require_halt=False) is None:
             # The faulted instruction never retired; the fault is
             # one-shot, so resuming retries it cleanly on both sides.
-            settle_injected_fault()
             continue
         if stats.halted or monitor.divergence is not None:
             break
         if stats.instructions >= budget:
-            detections.append(
+            session.halt(
                 "WATCHDOG: no halt after %d instructions (budget %dx nominal)"
-                % (stats.instructions, 4))
-            halted_by_scrub = True
+                % (stats.instructions, WATCHDOG_FACTOR))
             break
         for threshold, injector in list(inst_pending):
             if stats.instructions >= threshold:
@@ -683,57 +579,24 @@ def run_machine_campaign(
         if stats.instructions >= next_pulse:
             for injector in event_pending.pop(pulse_index, ()):
                 injector.fire()
-            rollbacks_before = pcu_stats.reconfig_rollbacks
-            try:
-                pulser.pulse()
-            except InjectedFault:
-                settle_injected_fault()
+            session.run(pulser.pulse)
             pulse_index += 1
             next_pulse += geometry.pulse_interval
         if stats.instructions >= next_scrub:
-            report = safe_scrub()
-            note(report)
             next_scrub += geometry.scrub_interval
-            if report.unrepairable:
-                halted_by_scrub = True
+            if session.scrub().unrepairable:
                 break
 
     machine.step_hook = None
-    audit = safe_scrub()
-    note(audit)
-    if audit.unrepairable:
-        halted_by_scrub = True
-
-    rollbacks = sum(i.rollbacks_seen for i in injectors)
-    detected = bool(detections) or rollbacks > 0
-    if monitor.divergence is not None:
-        classification = "detected_halted" if detected else "silent_divergence"
-    elif halted_by_scrub:
-        classification = "detected_halted"
-    elif detected:
-        classification = ("detected_recovered"
-                          if audit.clean or scrubber.verify_repaired(audit)
-                          else "detected_halted")
-    else:
-        classification = "benign"
-
+    shared = session.finish(monitor.divergence is not None)
     return MachineCampaignResult(
-        campaign=campaign,
         backend=backend_name,
-        spec=specs[0],
-        classification=classification,
         instructions=stats.instructions,
         cycles=round(stats.cycles, 3),
-        fired=any(i.fired for i in injectors),
-        detail="; ".join(i.detail for i in injectors),
         pulses_run=pulser.pulses_run,
         divergence=monitor.divergence,
         divergence_instruction=monitor.divergence_instruction,
-        detections=detections,
-        rollbacks=rollbacks,
-        escaped_faults=escaped_faults,
-        scrub_repairs=pcu_stats.scrub_repairs,
-        degraded_entries=pcu_stats.degraded_entries,
+        degraded_entries=pcu.stats.degraded_entries,
         commit_windows=(world.manager.transactions_committed
                         + world.manager.transactions_rolled_back
                         - base_commits),
@@ -743,14 +606,7 @@ def run_machine_campaign(
         kernel_faults=kernel.fault_count - base_faults,
         syscalls=kernel.syscall_count,
         lockstep_checks=monitor.checks,
-        extra_specs=list(specs[1:]),
-        contract_violations=(0 if contract_monitor is None
-                             else contract_monitor.total_violations),
-        unwaived_contract_violations=(
-            0 if contract_monitor is None
-            else contract_monitor.unwaived_violations),
-        contract_counts=({} if contract_monitor is None
-                         else contract_monitor.nonzero_counts()),
+        **shared,
     )
 
 
@@ -768,8 +624,8 @@ def run_planned_machine_campaign(
 ) -> MachineCampaignResult:
     """Draw campaign ``campaign``'s specs from the plan and run it.
 
-    This is the unit both the serial driver and the orchestrator
-    workers call: specs come from :meth:`FaultPlan.draw_machine_specs`
+    This is the unit the orchestrator's shard runner calls, in-process
+    or in a worker: specs come from :meth:`FaultPlan.draw_machine_specs`
     (a per-campaign RNG, so workers need not replay earlier campaigns)
     and every derived parameter is a pure function of the arguments —
     the foundation of the ``--jobs N`` byte-identity contract.
@@ -790,7 +646,7 @@ def run_planned_machine_campaign(
 
 
 @dataclass
-class MachineCampaignMatrix:
+class MachineCampaignMatrix(FaultMatrix):
     """All machine campaigns of one backend."""
 
     backend: str
@@ -798,100 +654,11 @@ class MachineCampaignMatrix:
     iterations: int
     results: List[MachineCampaignResult]
 
-    @property
-    def counts(self) -> Dict[str, int]:
-        counter = Counter(r.classification for r in self.results)
-        return {name: counter.get(name, 0) for name in CLASSIFICATIONS}
+    FORMAT = "isagrid-machine-fault-campaign-v1"
 
-    @property
-    def widening_silent(self) -> List[MachineCampaignResult]:
-        return [r for r in self.results
-                if r.classification == "silent_divergence" and r.widening]
+    def _totals(self) -> Dict[str, object]:
+        return {"reconfig_rollbacks": self.rollbacks, **super()._totals()}
 
-    @property
-    def rollbacks(self) -> int:
-        return sum(r.rollbacks for r in self.results)
-
-    @property
-    def contract_violations(self) -> int:
-        return sum(r.contract_violations for r in self.results)
-
-    @property
-    def unwaived_contract_violations(self) -> int:
-        return sum(r.unwaived_contract_violations for r in self.results)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "seed": self.seed,
-            "iterations": self.iterations,
-            "campaigns": len(self.results),
-            "classification_counts": self.counts,
-            "widening_silent_divergences": len(self.widening_silent),
-            "reconfig_rollbacks": self.rollbacks,
-            "contract_violations": self.contract_violations,
-            "unwaived_contract_violations": self.unwaived_contract_violations,
-            "results": [r.to_dict() for r in self.results],
-        }
-
-
-def run_machine_campaigns(
-    backend_name: str,
-    seed: int,
-    n_campaigns: int,
-    *,
-    iterations: int = DEFAULT_MACHINE_ITERATIONS,
-    faults_per_campaign: int = 1,
-    scrub_interval: Optional[int] = None,
-    pulse_interval: Optional[int] = None,
-    contracts: bool = True,
-    state_changing_pulses: bool = False,
-) -> MachineCampaignMatrix:
-    """K machine campaigns on one backend, serially."""
-    results = [
-        run_planned_machine_campaign(
-            backend_name, seed, campaign,
-            iterations=iterations,
-            faults_per_campaign=faults_per_campaign,
-            scrub_interval=scrub_interval,
-            pulse_interval=pulse_interval,
-            contracts=contracts,
-            state_changing_pulses=state_changing_pulses,
-        )
-        for campaign in range(n_campaigns)
-    ]
-    return MachineCampaignMatrix(backend_name, seed, iterations, results)
-
-
-def write_machine_report(matrices: List[MachineCampaignMatrix],
-                         path: str) -> Dict[str, object]:
-    """Aggregate machine matrices into one JSON report."""
-    from repro.contracts import CONTRACT_NAMES
-
-    totals: "Counter[str]" = Counter()
-    contract_totals: "Counter[str]" = Counter()
-    widening_silent = 0
-    rollbacks = 0
-    unwaived = 0
-    for matrix in matrices:
-        totals.update(matrix.counts)
-        widening_silent += len(matrix.widening_silent)
-        rollbacks += matrix.rollbacks
-        unwaived += matrix.unwaived_contract_violations
-        for result in matrix.results:
-            contract_totals.update(result.contract_counts)
-    payload = {
-        "format": "isagrid-machine-fault-campaign-v1",
-        "classification_counts": {name: totals.get(name, 0)
-                                  for name in CLASSIFICATIONS},
-        "widening_silent_divergences": widening_silent,
-        "reconfig_rollbacks": rollbacks,
-        "contract_counts": {name: contract_totals.get(name, 0)
-                            for name in CONTRACT_NAMES},
-        "unwaived_contract_violations": unwaived,
-        "matrices": [matrix.to_dict() for matrix in matrices],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-    return payload
+    @classmethod
+    def _report_lead(cls, matrices) -> Dict[str, object]:
+        return {"reconfig_rollbacks": sum(m.rollbacks for m in matrices)}

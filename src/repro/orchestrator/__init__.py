@@ -9,8 +9,8 @@ operation, shared by every campaign family:
 * :mod:`~repro.orchestrator.campaigns` — the :data:`KINDS` registry
   (one :class:`CampaignKind` per family) and :func:`run_campaign`,
   which plans, executes (in-process, or supervised for ``--jobs N``)
-  and merges any campaign into the exact structures the serial
-  drivers produce (``--jobs N`` is bit-compatible with ``--jobs 1``);
+  and merges any campaign into one object per unit — for the fault
+  families a matrix (``--jobs N`` is bit-compatible with ``--jobs 1``);
 * :mod:`~repro.orchestrator.shards` — :func:`plan_shards`, the
   deterministic partitioning of a campaign's seed space into
   JSON-plain :class:`ShardSpec` units, with a layout that depends only

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.attacks.unintended import run_unintended_campaign
 from repro.bench.rigs import RIGS, run_rig
@@ -32,7 +32,7 @@ from repro.faults.campaign import CampaignMatrix, CampaignResult
 from repro.faults.churn import (
     ChurnCampaignResult,
     ChurnMatrix,
-    run_churn_campaigns,
+    run_churn_campaign,
 )
 from repro.faults.machine import (
     MachineCampaignMatrix,
@@ -48,23 +48,28 @@ from .shards import CampaignKind, ShardPlan, ShardResult, plan_shards
 from .supervisor import DEFAULT_MAX_RETRIES, SupervisedRun, Supervisor
 
 
+def _payload(results, work: str) -> Dict[str, object]:
+    """A fault family's shard payload; ``events_run`` sums ``work``."""
+    return {"results": [result.to_dict() for result in results],
+            "events_run": sum(getattr(result, work) for result in results)}
+
+
 def _run_faults(params: Dict[str, object]) -> Dict[str, object]:
     """Execute the campaign range ``[campaign_lo, campaign_hi)``.
 
     The shard re-derives the full :class:`~repro.faults.plan.FaultPlan`
     sequence from campaign 0 so the specs for its range are drawn from
-    exactly the RNG state a serial run would have reached — the heart of
-    the "``--jobs N`` never changes the streams" contract.
+    exactly the RNG state a one-pass run would have reached — the heart
+    of the "``--jobs N`` never changes the streams" contract.
     """
     plan = FaultPlan(params["seed"])
-    results: List[Dict[str, object]] = []
-    events_run = 0
+    results = []
     for campaign in range(params["campaign_hi"]):
         specs = plan.draw_specs(campaign, params["n_events"],
                                 count=params.get("faults_per_campaign", 1))
         if campaign < params["campaign_lo"]:
             continue  # drawn only to advance the plan's RNG
-        result = fault_campaign.run_campaign(
+        results.append(fault_campaign.run_campaign(
             params["backend"], specs[0],
             stream_seed=params["seed"] + campaign,
             n_events=params["n_events"],
@@ -73,10 +78,8 @@ def _run_faults(params: Dict[str, object]) -> Dict[str, object]:
             campaign=campaign,
             extra_specs=specs[1:],
             contracts=params.get("contracts", True),
-        )
-        results.append(result.to_dict())
-        events_run += result.events_run
-    return {"results": results, "events_run": events_run}
+        ))
+    return _payload(results, "events_run")
 
 
 def _run_machine_faults(params: Dict[str, object]) -> Dict[str, object]:
@@ -84,10 +87,10 @@ def _run_machine_faults(params: Dict[str, object]) -> Dict[str, object]:
 
     Unlike :func:`_run_faults` there is nothing to replay: machine
     campaigns use a per-campaign RNG, so drawing campaign ``k`` in a
-    shard is byte-identical to drawing it in a serial loop.
+    shard is byte-identical to drawing it in a one-pass loop.
     ``events_run`` reports simulated instructions.
     """
-    results = [
+    return _payload([
         run_planned_machine_campaign(
             params["backend"], params["seed"], campaign,
             iterations=params["iterations"],
@@ -98,9 +101,7 @@ def _run_machine_faults(params: Dict[str, object]) -> Dict[str, object]:
             state_changing_pulses=params.get("state_changing_pulses", False),
         )
         for campaign in range(params["campaign_lo"], params["campaign_hi"])
-    ]
-    return {"results": [result.to_dict() for result in results],
-            "events_run": sum(result.instructions for result in results)}
+    ], "instructions")
 
 
 def _run_churn(params: Dict[str, object]) -> Dict[str, object]:
@@ -110,18 +111,22 @@ def _run_churn(params: Dict[str, object]) -> Dict[str, object]:
     stream ``seed + campaign``, so the shard runs exactly its range.
     ``events_run`` reports churn ops executed.
     """
-    matrix = run_churn_campaigns(
-        params["backend"], params["seed"], params["n_ops"],
-        params["n_campaigns"],
-        max_slots=params["max_slots"],
-        config=params.get("config", "stress"),
-        scrub_interval=params.get("scrub_interval", 0),
-        contracts=params.get("contracts", True),
-        campaign_lo=params["campaign_lo"],
-        campaign_hi=params["campaign_hi"],
-    )
-    return {"results": [result.to_dict() for result in matrix.results],
-            "events_run": sum(result.ops_run for result in matrix.results)}
+    plan = FaultPlan(params["seed"])
+    results = []
+    for campaign in range(params["campaign_lo"], params["campaign_hi"]):
+        specs = plan.draw_churn_specs(campaign, params["n_ops"])
+        results.append(run_churn_campaign(
+            params["backend"], specs[0],
+            stream_seed=params["seed"] + campaign,
+            n_ops=params["n_ops"],
+            max_slots=params["max_slots"],
+            config=params.get("config", "stress"),
+            scrub_interval=params.get("scrub_interval", 0),
+            campaign=campaign,
+            extra_specs=specs[1:],
+            contracts=params.get("contracts", True),
+        ))
+    return _payload(results, "ops_run")
 
 
 def _run_conformance(params: Dict[str, object]) -> Dict[str, object]:

@@ -172,8 +172,8 @@ class CampaignKind:
     weight: Callable[[Dict[str, object]], int]
     #: Shard params -> JSON-plain payload; ``events_run`` is metrics.
     run_shard: Callable[[Dict[str, object]], Dict[str, object]]
-    #: (a unit's shard params, its payloads in plan order) -> the object
-    #: the family's serial driver returns for that unit.
+    #: (a unit's shard params, its payloads in plan order) -> the
+    #: family's object for that unit (a fault family's matrix).
     merge: Callable[[Dict[str, object], List[Dict[str, object]]], object]
 
     @property

@@ -4,14 +4,14 @@ import json
 
 import pytest
 
+from repro import orchestrator
 from repro.faults import (
     CLASSIFICATIONS,
     FAULT_KINDS,
+    CampaignMatrix,
     FaultPlan,
     FaultSpec,
     run_campaign,
-    run_campaigns,
-    write_report,
 )
 
 
@@ -111,8 +111,12 @@ class TestCampaignMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
         # one full cycle of fault kinds on the nastiest (draco) config
-        return run_campaigns("riscv", seed=0, n_events=300,
-                             n_campaigns=len(FAULT_KINDS), config="draco")
+        (matrix,), _, _ = orchestrator.run_campaign(
+            orchestrator.KINDS["faults"],
+            {"backends": ["riscv"], "configs": ["draco"], "seed": 0,
+             "n_events": 300, "n_campaigns": len(FAULT_KINDS),
+             "scrub_interval": 64})
+        return matrix
 
     def test_no_widening_silent_divergence(self, matrix):
         assert matrix.widening_silent == []
@@ -127,17 +131,34 @@ class TestCampaignMatrix:
         assert {r.spec.kind for r in matrix.results} == set(FAULT_KINDS)
 
     def test_x86_backend_matches_protocol(self):
-        matrix = run_campaigns("x86", seed=0, n_events=300,
-                               n_campaigns=4, config="draco")
+        (matrix,), _, _ = orchestrator.run_campaign(
+            orchestrator.KINDS["faults"],
+            {"backends": ["x86"], "configs": ["draco"], "seed": 0,
+             "n_events": 300, "n_campaigns": 4, "scrub_interval": 64})
         assert matrix.widening_silent == []
         for result in matrix.results:
             assert result.classification in CLASSIFICATIONS
 
     def test_report_written_and_gates_on_widening(self, matrix, tmp_path):
         path = str(tmp_path / "report.json")
-        payload = write_report([matrix], path)
+        payload = CampaignMatrix.write_report([matrix], path)
         assert payload["widening_silent_divergences"] == 0
         with open(path) as handle:
             on_disk = json.load(handle)
         assert on_disk["format"] == "isagrid-fault-campaign-v2"
         assert on_disk["classification_counts"] == matrix.counts
+
+
+class TestShardRanges:
+    def test_shard_ranges_replay_the_one_pass_draws(self):
+        """A shard re-derives the plan from campaign 0, so any split of
+        a campaign range runs exactly the campaigns of one pass."""
+        params = {"backend": "riscv", "config": "stress", "seed": 0,
+                  "n_events": 60, "scrub_interval": 64}
+        run_shard = orchestrator.KINDS["faults"].run_shard
+        whole = run_shard(dict(params, campaign_lo=0, campaign_hi=4))
+        parts = [run_shard(dict(params, campaign_lo=lo, campaign_hi=hi))
+                 for lo, hi in ((0, 1), (1, 4))]
+        assert [r["campaign"] for r in whole["results"]] == [0, 1, 2, 3]
+        assert whole["results"] == [r for part in parts
+                                    for r in part["results"]]

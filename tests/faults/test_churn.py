@@ -10,17 +10,17 @@ import json
 
 import pytest
 
+from repro import orchestrator
 from repro.conformance import CONFORMANCE_CONFIGS, ConformanceWorld, make_backend
 from repro.faults import (
     CHURN_FAULT_KINDS,
     CLASSIFICATIONS,
+    ChurnMatrix,
     ChurnWorld,
     FaultInjector,
     FaultPlan,
     FaultyWordBacking,
     run_churn_campaign,
-    run_churn_campaigns,
-    write_churn_report,
 )
 from repro.workloads import generate_churn_ops
 
@@ -102,22 +102,32 @@ class TestRecycleWindowFaults:
         assert "no domain virtualizer" in injector.detail
 
 
+def churn_matrix():
+    (matrix,), _, _ = orchestrator.run_campaign(
+        orchestrator.KINDS["churn"],
+        {"backends": ["riscv"], "seed": 0, "n_ops": N_OPS,
+         "n_campaigns": 4, "max_slots": SLOTS, "scrub_interval": 64})
+    return matrix
+
+
 @pytest.fixture(scope="module")
 def matrix():
-    return run_churn_campaigns("riscv", 0, N_OPS, 4, max_slots=SLOTS)
+    return churn_matrix()
 
 
 class TestChurnMatrix:
     def test_campaigns_are_deterministic(self, matrix):
-        again = run_churn_campaigns("riscv", 0, N_OPS, 4, max_slots=SLOTS)
+        again = churn_matrix()
         assert matrix.to_dict() == again.to_dict()
 
     def test_campaign_range_matches_full_run(self, matrix):
         """The sharding contract: running ``[lo, hi)`` alone reproduces
         exactly that slice of the full matrix."""
-        part = run_churn_campaigns("riscv", 0, N_OPS, 4, max_slots=SLOTS,
-                                   campaign_lo=2, campaign_hi=4)
-        assert ([r.to_dict() for r in part.results]
+        part = orchestrator.KINDS["churn"].run_shard(
+            {"backend": "riscv", "seed": 0, "n_ops": N_OPS,
+             "max_slots": SLOTS, "scrub_interval": 64,
+             "campaign_lo": 2, "campaign_hi": 4})
+        assert (part["results"]
                 == [r.to_dict() for r in matrix.results[2:4]])
 
     def test_results_roundtrip_through_dicts(self, matrix):
@@ -132,7 +142,7 @@ class TestChurnMatrix:
         from repro.contracts import CONTRACT_NAMES
 
         path = tmp_path / "churn.json"
-        payload = write_churn_report([matrix], str(path))
+        payload = ChurnMatrix.write_report([matrix], str(path))
         assert payload["format"] == "isagrid-churn-campaign-v1"
         assert payload["logical_domains"] == matrix.logical_domains > 0
         assert payload["unwaived_contract_violations"] == 0
@@ -148,7 +158,7 @@ class TestOrchestration:
         from repro.orchestrator import KINDS, run_campaign
 
         serial_path = tmp_path / "serial.json"
-        write_churn_report([matrix], str(serial_path))
+        ChurnMatrix.write_report([matrix], str(serial_path))
         matrices, run, _ = run_campaign(
             KINDS["churn"],
             {"backends": ["riscv"], "seed": 0, "n_ops": N_OPS,
@@ -156,5 +166,5 @@ class TestOrchestration:
             jobs=2, run_dir=str(tmp_path / "run"))
         assert run.complete
         parallel_path = tmp_path / "parallel.json"
-        write_churn_report(matrices, str(parallel_path))
+        ChurnMatrix.write_report(matrices, str(parallel_path))
         assert serial_path.read_bytes() == parallel_path.read_bytes()

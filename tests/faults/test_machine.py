@@ -10,14 +10,14 @@ import json
 
 import pytest
 
+from repro import orchestrator
 from repro.faults import (
     CLASSIFICATIONS,
     MACHINE_FAULT_KINDS,
     FaultPlan,
+    MachineCampaignMatrix,
     machine_geometry,
-    run_machine_campaigns,
     run_planned_machine_campaign,
-    write_machine_report,
 )
 
 COMMIT_STORE = MACHINE_FAULT_KINDS.index("commit_store_fault")
@@ -97,12 +97,11 @@ def matrices():
     full matrix doubles as the serial reference for a shorter sharded
     run — no second serial campaign sweep needed.
     """
-    return {
-        backend: run_machine_campaigns(backend, seed=7,
-                                       n_campaigns=len(MACHINE_FAULT_KINDS),
-                                       iterations=2)
-        for backend in ("riscv", "x86")
-    }
+    merged, _, _ = orchestrator.run_campaign(
+        orchestrator.KINDS["machine_faults"],
+        {"backends": ["riscv", "x86"], "seed": 7,
+         "n_campaigns": len(MACHINE_FAULT_KINDS), "iterations": 2})
+    return {matrix.backend: matrix for matrix in merged}
 
 
 class TestMachineMatrix:
@@ -134,7 +133,7 @@ class TestMachineMatrix:
 
     def test_report_written_with_rollback_count(self, matrix, tmp_path):
         path = str(tmp_path / "machine_report.json")
-        payload = write_machine_report([matrix], path)
+        payload = MachineCampaignMatrix.write_report([matrix], path)
         with open(path) as handle:
             on_disk = json.load(handle)
         assert on_disk["format"] == "isagrid-machine-fault-campaign-v1"

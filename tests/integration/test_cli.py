@@ -148,6 +148,24 @@ class TestCampaignCommandExitCodes:
         assert main(command + ["--config", "bogus"]) == 2
         assert "unknown config bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, message", [
+        (["churn", "--config", "bogus"], "unknown config bogus"),
+        (["churn", "--config", "bogus", "--jobs", "2"],
+         "unknown config bogus"),
+        (["churn", "--slots", "0"], "--slots must be between 1 and"),
+        (["faults", "--faults-per-campaign", "0"],
+         "--faults-per-campaign must be at least 1, got 0"),
+        (["faults", "--machine", "--faults-per-campaign", "0"],
+         "--faults-per-campaign must be at least 1, got 0"),
+    ])
+    def test_bad_campaign_input_is_usage_error(self, command, message,
+                                               tmp_path, capsys):
+        assert main(command + ["--campaign", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []  # nothing planned or run
+
     def test_inject_bug_fails_and_its_reproducer_replays_clean(
             self, tmp_path, capsys):
         command = ["conformance", "--events", "200", "--seed", "0",

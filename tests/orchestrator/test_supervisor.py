@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.faults import run_campaigns, write_report
+from repro.faults import CampaignMatrix
 from repro.orchestrator import KINDS, RunJournal, run_campaign
 
 BACKENDS = ["riscv"]
@@ -43,17 +43,15 @@ def run_parallel(tmp_path, **kwargs):
 
 
 def report_bytes(matrices, path) -> bytes:
-    write_report(matrices, str(path))
+    CampaignMatrix.write_report(matrices, str(path))
     with open(path, "rb") as handle:
         return handle.read()
 
 
 @pytest.fixture(scope="module")
 def serial_report(tmp_path_factory):
-    """The ground truth: the serial runner over the same matrix."""
-    matrices = [run_campaigns(backend, SEED, N_EVENTS, N_CAMPAIGNS,
-                              config=config, scrub_interval=SCRUB_INTERVAL)
-                for backend in BACKENDS for config in CONFIGS]
+    """The ground truth: the in-process run over the same matrix."""
+    matrices, _, _ = run_campaign(KINDS["faults"], fault_params())
     path = tmp_path_factory.mktemp("serial") / "report.json"
     return report_bytes(matrices, path)
 
