@@ -159,7 +159,9 @@ def _run_smoke_contracts(fast_path: bool, block_cache: bool = True) -> Dict[str,
     under the armed tap, each narrated as one ``block`` event, so this
     rig contract-checks the block executor, the path ``smoke`` runs:
     ``detail`` reports the share of instructions retired in blocks
-    (``block_coverage``) next to the event count.  Keeping this rig in
+    (``block_coverage``) next to the event count, and how many of those
+    events the monitor's clean-verdict memo served without calling a
+    contract (``contract_memo_hits``).  Keeping this rig in
     the registry makes that claim a perf-trajectory row, so a tap-path
     slowdown shows up as an ips regression next to ``smoke``.
     """
@@ -182,6 +184,7 @@ def _run_smoke_contracts(fast_path: bool, block_cache: bool = True) -> Dict[str,
         "hit_rates": {name: round(rate, 6) for name, rate in hit_rates.items()},
         "syscalls": kernel.syscall_count,
         "contract_events": monitor.events_seen,
+        "contract_memo_hits": monitor.memo_hits,
         "block_coverage": round(kernel.system.pcu.block_stats.coverage, 6),
         "contract_counts": monitor.counts(),
     })

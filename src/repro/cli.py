@@ -144,6 +144,9 @@ def _run_attack_campaigns(args) -> int:
     if not seeds:
         print("no seeds given", file=sys.stderr)
         return 2
+    status = _size_error(args, "--streams", "--stream-len")
+    if status is not None:
+        return status
 
     def report(records) -> List[str]:
         for record in records:
@@ -322,6 +325,19 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _size_error(args, *options: str) -> Optional[int]:
+    """The usage error for the first size option below 1, else None.
+
+    An unset option (``None``) keeps its default and is not checked.
+    """
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None and value < 1:
+            return _usage_error("%s must be at least 1, got %d"
+                                % (option, value))
+    return None
+
+
 def _backends(args):
     return ("riscv", "x86") if args.backend == "both" else (args.backend,)
 
@@ -383,6 +399,9 @@ def _cmd_conformance(args) -> int:
                                            divergence.describe()))
         return 1
 
+    status = _size_error(args, "--events")
+    if status is not None:
+        return status
     configs = _parse_configs(args.config or ",".join(DEFAULT_CONFIGS))
     if configs is None:
         return 2
@@ -441,9 +460,10 @@ def _cmd_faults(args) -> int:
     """Seeded fault-injection campaigns with scrub/rollback recovery."""
     from repro.faults import CampaignMatrix
 
-    if args.faults_per_campaign < 1:
-        return _usage_error("--faults-per-campaign must be at least 1, got %d"
-                            % args.faults_per_campaign)
+    status = _size_error(args, "--faults-per-campaign",
+                         "--iterations" if args.machine else "--events")
+    if status is not None:
+        return status
     if args.machine:
         return _run_machine_faults(args)
     configs = _parse_configs(args.config)
@@ -480,6 +500,9 @@ def _cmd_churn(args) -> int:
     from repro.conformance import CONFORMANCE_CONFIGS
     from repro.faults import ChurnMatrix
 
+    status = _size_error(args, "--ops")
+    if status is not None:
+        return status
     if args.config not in CONFORMANCE_CONFIGS:
         return _usage_error("unknown config %s (choose from %s)"
                             % (args.config, ", ".join(CONFORMANCE_CONFIGS)))

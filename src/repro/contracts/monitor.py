@@ -24,6 +24,14 @@ Two pieces of stream discipline keep the shadows honest:
   so contracts judge a machine world whose kernel configured domains
   long before monitoring started.
 
+The tap judges each clean verdict once.  An ``ok`` check with no CSR
+and a retired block are judged from their kind, domain and classes
+plus the contracts' shadows, and only events of other kinds (or a
+reported problem) move a shadow.  So the first time such a verdict
+comes out clean its key enters a memo, and until the memo is cleared
+a repeat is only stamped and counted (``memo_hits``): no event is
+built and no contract is called (DESIGN §3.16).
+
 A malformed transaction bracket — a ``begin`` inside an open
 transaction, or a ``commit``/``abort`` with none open — is a
 :class:`StreamError`, reported apart from the contracts' violations.
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from .contracts import Contract, make_contracts
 from .events import TraceEvent
@@ -122,6 +130,16 @@ class ContractMonitor:
         #: Malformed transaction brackets; not part of :meth:`counts`.
         self.stream_errors: List[StreamError] = []
         self.events_seen = 0
+        #: Tap events served by the clean-verdict memo: stamped and
+        #: counted in ``events_seen``, delivered to no contract.  Kept
+        #: out of :meth:`counts` and :meth:`summary`.
+        self.memo_hits = 0
+        #: The clean-verdict memo: ``("check", domain, inst)`` and
+        #: ``("block", domain, classes)`` keys every contract judged
+        #: clean since the last event that could move a shadow.  It is
+        #: only ever emptied with ``clear()``, so a stand-in set sees
+        #: every clearing.
+        self._clean: Set[tuple] = set()
         self._index = 0
         self._armed_detail: Optional[str] = None
         self._buffer: List[TraceEvent] = []
@@ -133,6 +151,7 @@ class ContractMonitor:
 
     # -- configuration and live attachment -----------------------------
     def configure(self, geometry: Dict[str, object]) -> None:
+        self._clean.clear()
         for contract in self.contracts:
             contract.configure(geometry)
 
@@ -225,6 +244,9 @@ class ContractMonitor:
         if self.record:
             self.recorded.append(event)
         kind = event.kind
+        if kind != "check" and kind != "block":
+            # Every other kind may move a shadow, even while buffered.
+            self._clean.clear()
         if kind == "fault":
             if event.op == "injected":
                 self._armed_detail = event.detail or "injected fault"
@@ -267,6 +289,7 @@ class ContractMonitor:
             problems = contract.observe(event)
             if not problems:
                 continue
+            self._clean.clear()
             waived_by = self._waiver()
             for problem in problems:
                 self.violations.append(ContractViolation(
@@ -291,9 +314,16 @@ class ContractMonitor:
 
     # -- tap interface (called by the instrumented core) ----------------
     def on_check(self, pcu, access, status: str) -> None:
+        domain = pcu.registers.domain
         csr = getattr(access, "csr", None)
-        self.feed(TraceEvent(
-            kind="check", domain=pcu.registers.domain, status=status,
+        # Faulted and CSR checks are judged every time.
+        key = (("check", domain, access.inst_class)
+               if status == "ok" and csr is None else None)
+        if key in self._clean and not self.record:
+            self._hit()
+            return
+        self._judge(key, TraceEvent(
+            kind="check", domain=domain, status=status,
             inst=access.inst_class, csr=-1 if csr is None else csr,
             read=bool(getattr(access, "csr_read", False)),
             write=bool(getattr(access, "csr_write", False)),
@@ -301,8 +331,36 @@ class ContractMonitor:
             old=getattr(access, "old_value", None) or 0))
 
     def on_block(self, pcu, classes) -> None:
-        self.feed(TraceEvent(kind="block", domain=pcu.registers.domain,
-                             classes=classes))
+        domain = pcu.registers.domain
+        key = ("block", domain, classes)
+        if key in self._clean and not self.record:
+            self._hit()
+            return
+        self._judge(key, TraceEvent(kind="block", domain=domain,
+                                    classes=classes))
+
+    def _hit(self, event: Optional[TraceEvent] = None) -> None:
+        """Stamp and count one memo hit; ``event`` is recorded, if given."""
+        if event is not None:
+            event.index = self._index
+            self.recorded.append(event)
+        self._index += 1
+        self.events_seen += 1
+        self.memo_hits += 1
+
+    def _judge(self, key, event: TraceEvent) -> None:
+        """Feed one tap event; memoize ``key`` when it comes out clean.
+
+        Under ``record=True`` memo hits land here too: the event is
+        stamped and recorded, but reaches no contract.
+        """
+        if key in self._clean:
+            self._hit(event)
+            return
+        violations = len(self.violations)
+        self.feed(event)
+        if key is not None and len(self.violations) == violations:
+            self._clean.add(key)
 
     def on_gate(self, pcu, kind, gate_id: int, pre_domain: int,
                 status: str) -> None:

@@ -37,3 +37,10 @@ def test_run_rig_payload_shape():
     assert payload["ips"] == pytest.approx(
         payload["instructions"] / payload["wall_s"], rel=0.05
     )
+
+
+def test_smoke_contracts_reports_its_memo_hits():
+    """The monitored smoke rig says how many of its contract events the
+    monitor's clean-verdict memo served without calling a contract."""
+    detail = run_rig("smoke_contracts")["detail"]
+    assert 0 < detail["contract_memo_hits"] < detail["contract_events"]

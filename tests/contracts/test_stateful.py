@@ -1,16 +1,20 @@
 """Stateful cross-check: the contract monitor vs a brute-force reference.
 
 Hypothesis drives random event streams — valid runs, deliberately
-violating runs, retired blocks, transactions that commit or abort,
-injected-fault arming — and after every rule the full stream is
-replayed through
+violating runs, retired blocks, repeated checks and blocks,
+transactions that commit or abort, injected-fault arming — and after
+every rule the full stream is replayed through
 :func:`repro.contracts.replay_trace` and through the independent
 reference in :mod:`tests.contracts.reference`.  Per-contract counts and
 the unwaived total must agree exactly; hypothesis shrinks any mismatch
-to a minimal rule sequence.
+to a minimal rule sequence.  The stream is also replayed through the
+live tap (``on_check``/``on_block``, where the clean-verdict memo sits),
+recording and not, which must give the ``feed`` replay's violations,
+indices and event count.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -20,7 +24,12 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.contracts import CONTRACT_NAMES, TraceEvent, replay_trace
+from repro.contracts import (
+    CONTRACT_NAMES,
+    ContractMonitor,
+    TraceEvent,
+    replay_trace,
+)
 
 from ..profiles import stateful_settings
 from .reference import reference_verdict
@@ -49,9 +58,28 @@ class ContractStream(RuleBasedStateMachine):
         super().__init__()
         self.events = []
         self.in_txn = False
+        #: A rough model, only to steer ``retire`` towards clean
+        #: retirements: the domain the core was last seen in, and the
+        #: classes each domain was granted.
+        self.current = 0
+        self.granted = {}
 
     def emit(self, kind, **fields):
-        self.events.append(TraceEvent(kind=kind, **fields))
+        self.append(TraceEvent(kind=kind, **fields))
+
+    def append(self, event):
+        self.events.append(event)
+        if event.kind == "reconfig":
+            if event.op in ("create_domain", "clear_domain"):
+                self.granted[event.domain] = set()
+            elif event.op == "allow_inst":
+                self.granted.setdefault(event.domain, set()).add(event.inst)
+            elif event.op == "deny_inst":
+                self.granted.get(event.domain, set()).discard(event.inst)
+            elif event.op == "sync_domain":
+                self.current = event.domain
+        elif event.kind != "txn" and event.domain >= 0:
+            self.current = event.domain
 
     # -- reconfiguration -----------------------------------------------
     @rule(domain=DOMAIN)
@@ -131,6 +159,34 @@ class ContractStream(RuleBasedStateMachine):
         # stale-slot and wrong-domain blocks all occur.
         self.emit("block", domain=domain, classes=tuple(classes))
 
+    @rule(data=st.data())
+    def retire(self, data):
+        # Granted classes in the current domain: mostly clean, so the
+        # repeats below reach the tap's clean-verdict memo.
+        granted = (sorted(self.granted.get(self.current, ()))
+                   if self.current else range(6))
+        if not granted:
+            return
+        classes = data.draw(st.lists(st.sampled_from(granted), min_size=1,
+                                     max_size=4))
+        if len(classes) == 1:
+            self.emit("check", domain=self.current, inst=classes[0])
+        else:
+            self.emit("block", domain=self.current, classes=tuple(classes))
+
+    @precondition(lambda self: any(event.kind in ("check", "block")
+                                   for event in self.events))
+    @rule(back=st.integers(min_value=0, max_value=2),
+          times=st.integers(min_value=1, max_value=3))
+    def repeat(self, back, times):
+        # A loop body: a recent check or block again, which the tap's
+        # clean-verdict memo serves when nothing moved a shadow since.
+        recent = [event for event in self.events
+                  if event.kind in ("check", "block")][-3:]
+        event = recent[max(0, len(recent) - 1 - back)]
+        for _ in range(times):
+            self.append(replace(event))
+
     @rule(op=GATE_OP, gate=GATE, pre_domain=DOMAIN, domain=DOMAIN,
           status=st.sampled_from(["ok", "ok", "GateFault"]))
     def gate(self, op, gate, pre_domain, domain, status):
@@ -176,6 +232,38 @@ class ContractStream(RuleBasedStateMachine):
         assert_monitor_matches_reference(self.events)
 
 
+def stub_pcu(domain):
+    """What the tap reads of a PCU: the running domain."""
+    return SimpleNamespace(registers=SimpleNamespace(domain=domain))
+
+
+def replay_through_tap(events, *, record=False):
+    """Replay ``events`` as a live world narrates them: checks through
+    ``on_check``, blocks through ``on_block``, the rest through ``feed``."""
+    monitor = ContractMonitor(record=record)
+    monitor.configure(GEOMETRY)
+    for event in events:
+        if event.kind == "check":
+            access = SimpleNamespace(
+                inst_class=event.inst,
+                csr=None if event.csr < 0 else event.csr,
+                csr_read=event.read, csr_write=event.write,
+                write_value=event.value, old_value=event.old)
+            monitor.on_check(stub_pcu(event.domain), access, event.status)
+        elif event.kind == "block":
+            monitor.on_block(stub_pcu(event.domain), event.classes)
+        else:
+            monitor.feed(replace(event))
+    return monitor
+
+
+def verdict_of(monitor):
+    return (monitor.counts(), monitor.unwaived_violations,
+            [(v.contract, v.index) for v in monitor.violations],
+            [error.index for error in monitor.stream_errors],
+            monitor.events_seen)
+
+
 def assert_monitor_matches_reference(events):
     monitor = replay_trace([replace(event) for event in events],
                            geometry=GEOMETRY)
@@ -188,6 +276,13 @@ def assert_monitor_matches_reference(events):
         % (monitor.unwaived_violations, unwaived))
     assert [error.index for error in monitor.stream_errors] == stream_errors
     assert set(monitor.counts()) == set(CONTRACT_NAMES)
+    for record in (False, True):
+        tapped = replay_through_tap(events, record=record)
+        assert verdict_of(tapped) == verdict_of(monitor), (
+            "the tap replay (record=%s) diverged from the feed replay"
+            % record)
+    assert tapped.recorded == [replace(event, index=position)
+                               for position, event in enumerate(events)]
     return counts, stream_errors
 
 

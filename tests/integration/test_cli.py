@@ -149,18 +149,35 @@ class TestCampaignCommandExitCodes:
         assert "unknown config bogus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, message", [
-        (["churn", "--config", "bogus"], "unknown config bogus"),
-        (["churn", "--config", "bogus", "--jobs", "2"],
+        (["churn", "--config", "bogus", "--campaign", "1"],
          "unknown config bogus"),
-        (["churn", "--slots", "0"], "--slots must be between 1 and"),
-        (["faults", "--faults-per-campaign", "0"],
+        (["churn", "--config", "bogus", "--campaign", "1", "--jobs", "2"],
+         "unknown config bogus"),
+        (["churn", "--slots", "0", "--campaign", "1"],
+         "--slots must be between 1 and"),
+        (["faults", "--faults-per-campaign", "0", "--campaign", "1"],
          "--faults-per-campaign must be at least 1, got 0"),
-        (["faults", "--machine", "--faults-per-campaign", "0"],
+        (["faults", "--machine", "--faults-per-campaign", "0",
+          "--campaign", "1"],
          "--faults-per-campaign must be at least 1, got 0"),
+        # Non-positive workload sizes: unchecked, each would run (or
+        # fail a gate misleadingly) and overwrite its default report.
+        (["conformance", "--events", "-5"],
+         "--events must be at least 1, got -5"),
+        (["faults", "--events", "0", "--campaign", "1"],
+         "--events must be at least 1, got 0"),
+        (["churn", "--ops", "0", "--campaign", "1"],
+         "--ops must be at least 1, got 0"),
+        (["faults", "--machine", "--iterations", "0", "--campaign", "1"],
+         "--iterations must be at least 1, got 0"),
+        (["attacks", "--campaign", "--streams", "0"],
+         "--streams must be at least 1, got 0"),
+        (["attacks", "--campaign", "--stream-len", "0"],
+         "--stream-len must be at least 1, got 0"),
     ])
     def test_bad_campaign_input_is_usage_error(self, command, message,
                                                tmp_path, capsys):
-        assert main(command + ["--campaign", "1"]) == 2
+        assert main(command) == 2
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1
