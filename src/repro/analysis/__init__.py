@@ -11,12 +11,11 @@ from .audit import (
 
 from .normalize import (
     NormalizedResult,
-    averaged,
     geometric_mean,
     mean,
     summarize,
 )
-from .report import Experiment, ExperimentRow, print_experiment
+from .report import Experiment, ExperimentRow
 from .tables import format_normalized, format_percent, render_table
 
 __all__ = [
@@ -29,12 +28,10 @@ __all__ = [
     "audit",
     "ExperimentRow",
     "NormalizedResult",
-    "averaged",
     "format_normalized",
     "format_percent",
     "geometric_mean",
     "mean",
-    "print_experiment",
     "render_table",
     "summarize",
 ]

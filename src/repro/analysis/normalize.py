@@ -1,9 +1,9 @@
-"""Normalization and repeat-averaging helpers for the evaluation."""
+"""Normalization helpers for the evaluation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -38,13 +38,6 @@ class NormalizedResult:
     @property
     def overhead(self) -> float:
         return self.normalized - 1.0
-
-
-def averaged(run: Callable[[], float], repeats: int = 1) -> float:
-    """Average repeated measurements (the paper runs benchmarks multiple
-    times; our simulation is deterministic, so one repeat is exact, but
-    the hook exists for stochastic workloads)."""
-    return mean([run() for _ in range(max(1, repeats))])
 
 
 def summarize(results: Sequence[NormalizedResult]) -> Dict[str, float]:

@@ -1,13 +1,14 @@
 """Experiment report records: paper-expected vs measured.
 
-The benchmark harness prints one :class:`Experiment` per paper table or
-figure; EXPERIMENTS.md is the curated collection of these reports.
+Each artifact of :mod:`repro.analysis.paper` builds one
+:class:`Experiment` per paper table or figure; EXPERIMENTS.md is the
+curated collection of these reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from .tables import render_table
 
@@ -46,9 +47,3 @@ class Experiment:
             parts.append("shape criteria:")
             parts.extend("  * %s" % c for c in self.shape_criteria)
         return "\n".join(parts)
-
-
-def print_experiment(experiment: Experiment) -> None:
-    print()
-    print(experiment.render())
-    print()

@@ -11,6 +11,10 @@ can execute it in isolation and report how much simulated work it did:
   normalized times), so a trajectory file doubles as a coarse
   correctness record.
 
+The Figure 5-8 and Table 4-5 rigs run the paper artifacts of
+:mod:`repro.analysis.paper` at the scale their records use, so a rig
+times exactly the computation behind the numbers EXPERIMENTS.md quotes.
+
 Rigs take one parameter, ``fast_path``: with ``False`` every PCU in
 the rig runs with the compiled verdict plan disabled
 (:attr:`repro.core.config.PcuConfig.fast_path`), which is how the
@@ -239,177 +243,23 @@ def _run_churn_stress(fast_path: bool, block_cache: bool = True,
 
 
 # ----------------------------------------------------------------------
-# Figure 5: LMbench microbenchmarks, RISC-V.
+# Figures 5-8 and Tables 4-5: the paper artifacts themselves.
 # ----------------------------------------------------------------------
-def _run_fig5_riscv(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
-    from repro.kernel import RiscvKernel
-    from repro.riscv import USER_BASE, assemble
-    from repro.workloads import LMBENCH_SUITE
-    from repro.workloads.lmbench import riscv_loop_source
+def _artifact(name: str) -> Callable[[bool, bool], Dict[str, object]]:
+    """A rig that runs paper artifact ``name`` (:mod:`repro.analysis.paper`)
+    under the rig's config: its totals are the rig's work, its rows the
+    ``detail``, and a failed shape check fails the rig."""
 
-    config = _config(fast_path, block_cache)
-    instructions = 0
-    cycles = 0.0
-    detail: Dict[str, object] = {}
-    for bench in LMBENCH_SUITE:
-        program = assemble(riscv_loop_source(bench), base=USER_BASE)
-        per_mode = {}
-        for mode in ("native", "decomposed"):
-            stats = RiscvKernel(mode, config).run(program, max_steps=3_000_000)
-            instructions += stats.instructions
-            cycles += stats.cycles
-            per_mode[mode] = stats.cycles / bench.iterations
-        detail[bench.name] = {
-            "native_cycles_per_op": round(per_mode["native"], 2),
-            "decomposed_cycles_per_op": round(per_mode["decomposed"], 2),
-            "normalized": round(per_mode["decomposed"] / per_mode["native"], 4),
-        }
-    return _result(instructions, cycles, detail)
+    def run(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
+        from repro.analysis.paper import ARTIFACTS
 
+        result = ARTIFACTS[name](_config(fast_path, block_cache))
+        if result.failed:
+            raise RuntimeError("%s: failed checks: %s"
+                               % (name, "; ".join(result.failed)))
+        return _result(result.instructions, result.cycles, result.rows())
 
-# ----------------------------------------------------------------------
-# Figures 6/7: application profiles, RISC-V and x86.
-# ----------------------------------------------------------------------
-def _run_apps(runner, fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
-    from repro.workloads import APPLICATIONS
-
-    config = _config(fast_path, block_cache)
-    instructions = 0
-    cycles = 0.0
-    detail: Dict[str, object] = {}
-    for profile in APPLICATIONS:
-        native = runner(profile, "native", config)
-        decomposed = runner(profile, "decomposed", config)
-        assert native.valid and decomposed.valid
-        instructions += native.instructions + decomposed.instructions
-        cycles += native.cycles + decomposed.cycles
-        detail[profile.name] = round(decomposed.cycles / native.cycles, 4)
-    return _result(instructions, cycles, detail)
-
-
-def _run_fig6_apps_riscv(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
-    from repro.workloads import run_riscv_app
-
-    return _run_apps(run_riscv_app, fast_path, block_cache)
-
-
-def _run_fig7_apps_x86(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
-    from repro.workloads import run_x86_app
-
-    return _run_apps(run_x86_app, fast_path, block_cache)
-
-
-# ----------------------------------------------------------------------
-# Figure 8: Nested-Kernel monitor variants, x86.
-# ----------------------------------------------------------------------
-def _run_fig8_nested(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
-    from repro.workloads import APPLICATIONS, run_x86_app
-    from repro.workloads.profiles import scaled
-
-    config = _config(fast_path, block_cache)
-    instructions = 0
-    cycles = 0.0
-    detail: Dict[str, object] = {}
-    for base_profile in APPLICATIONS:
-        profile = scaled(base_profile, 2)
-        runs = {
-            "native": run_x86_app(profile, "native", config,
-                                  max_steps=20_000_000),
-            "nested": run_x86_app(profile, "decomposed", config,
-                                  variant="nested", max_steps=20_000_000),
-            "nested_log": run_x86_app(profile, "decomposed", config,
-                                      variant="nested_log",
-                                      max_steps=20_000_000),
-        }
-        assert all(result.valid for result in runs.values())
-        instructions += sum(result.instructions for result in runs.values())
-        cycles += sum(result.cycles for result in runs.values())
-        native = runs["native"].cycles
-        detail[profile.name] = {
-            "nested": round(runs["nested"].cycles / native, 4),
-            "nested_log": round(runs["nested_log"].cycles / native, 4),
-        }
-    return _result(instructions, cycles, detail)
-
-
-# ----------------------------------------------------------------------
-# Table 4: domain-switch latencies (both backends).
-# ----------------------------------------------------------------------
-def _run_table4_switch(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
-    from repro.workloads.micro import measure_riscv_gates, measure_x86_gates
-
-    config = _config(fast_path, block_cache)
-    totals: Dict[str, float] = {}
-    riscv = measure_riscv_gates(config, iterations=800, totals=totals)
-    x86 = measure_x86_gates(config, iterations=800, totals=totals)
-    detail = {
-        "riscv": {name: round(value, 2) for name, value in riscv.items()},
-        "x86": {name: round(value, 2) for name, value in x86.items()},
-    }
-    return _result(totals.get("instructions", 0), totals.get("cycles", 0.0),
-                   detail)
-
-
-# ----------------------------------------------------------------------
-# Table 5: multi-service protection latency, x86 ioctl path.
-# ----------------------------------------------------------------------
-_TABLE5_ITERATIONS = 300
-
-_TABLE5_LOOP = """
-user_entry:
-    mov rsp, 0x6f0000
-    mov r12, %d
-loop:
-    mov rax, 12
-    mov rdi, %d
-    syscall
-    sub r12, 1
-    jne loop
-    mov rax, 0
-    mov rdi, 0
-    syscall
-"""
-
-
-def _run_table5_services(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
-    from repro.kernel import (
-        SERVICE_CPUID,
-        SERVICE_MTRR,
-        SERVICE_PMC_IRQ,
-        SERVICE_PMC_MISS,
-        X86Kernel,
-    )
-    from repro.x86 import USER_BASE, assemble
-
-    services = (
-        ("cpuid", SERVICE_CPUID),
-        ("mtrr", SERVICE_MTRR),
-        ("pmc_irq", SERVICE_PMC_IRQ),
-        ("pmc_miss", SERVICE_PMC_MISS),
-    )
-    config = _config(fast_path, block_cache)
-    instructions = 0
-    cycles = 0.0
-    detail: Dict[str, object] = {}
-    for label, service in services:
-        source = _TABLE5_LOOP % (_TABLE5_ITERATIONS, service)
-        program = assemble(source, base=USER_BASE)
-        per_mode = {}
-        for mode in ("native", "decomposed"):
-            kernel = X86Kernel(mode, config)
-            stats = kernel.run(
-                program, max_steps=600 * _TABLE5_ITERATIONS + 2000
-            )
-            assert kernel.fault_count == 0
-            instructions += stats.instructions
-            cycles += stats.cycles
-            per_mode[mode] = stats.cycles / _TABLE5_ITERATIONS
-        detail[label] = {
-            "native_cycles_per_call": round(per_mode["native"], 1),
-            "protected_cycles_per_call": round(per_mode["decomposed"], 1),
-            "delta_cycles": round(per_mode["decomposed"] - per_mode["native"], 1),
-        }
-    return _result(instructions, cycles, detail)
+    return run
 
 
 #: Registry of every rig the bench CLI knows, in canonical order.
@@ -437,17 +287,17 @@ RIGS: Dict[str, BenchRig] = {
                  "eviction/recycle path; p50/p99 check-stall tail)",
                  _run_churn_stress, approx_instructions=10_000),
         BenchRig("fig5_riscv", "Figure 5: LMbench microbenchmarks, RISC-V",
-                 _run_fig5_riscv, approx_instructions=2_500_000),
+                 _artifact("fig5"), approx_instructions=2_600_000),
         BenchRig("fig6_apps_riscv", "Figure 6: application profiles, RISC-V",
-                 _run_fig6_apps_riscv, approx_instructions=2_500_000),
+                 _artifact("fig6"), approx_instructions=1_900_000),
         BenchRig("fig7_apps_x86", "Figure 7: application profiles, x86",
-                 _run_fig7_apps_x86, approx_instructions=2_500_000),
+                 _artifact("fig7"), approx_instructions=4_000_000),
         BenchRig("fig8_nested", "Figure 8: Nested-Kernel monitor variants, x86",
-                 _run_fig8_nested, approx_instructions=7_500_000),
+                 _artifact("fig8"), approx_instructions=5_900_000),
         BenchRig("table4_switch", "Table 4: domain-switch latencies",
-                 _run_table4_switch, approx_instructions=600_000),
+                 _artifact("table4"), approx_instructions=94_000),
         BenchRig("table5_services", "Table 5: ioctl service latencies, x86",
-                 _run_table5_services, approx_instructions=1_500_000),
+                 _artifact("table5"), approx_instructions=350_000),
     )
 }
 

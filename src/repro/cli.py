@@ -1,14 +1,10 @@
-"""Command-line interface: quick looks at the reproduced artifacts.
+"""Command-line interface: the reproduced artifacts and campaigns.
 
 Usage::
 
-    python -m repro table4            # domain-switch latencies
-    python -m repro table6            # FPGA cost model
-    python -m repro case3             # PKS trampoline estimate
+    python -m repro paper [NAME ...]  # regenerate the paper's tables/figures
     python -m repro attacks           # Table-1 mitigation matrix
     python -m repro decompose         # use case 1 overhead + exposure
-    python -m repro hitrate           # §7.1 privilege-cache hit rates
-    python -m repro scan              # §2.3 unintended instructions
     python -m repro audit             # audit the shipped decompositions
     python -m repro conformance       # differential oracle-vs-PCU fuzz
     python -m repro faults            # fault-injection campaigns
@@ -16,6 +12,10 @@ Usage::
     python -m repro bench             # evaluation rigs + perf trajectory
     python -m repro orchestrate       # status of parallel campaign runs
     python -m repro contracts         # the universal-contract layer
+
+``paper`` runs the artifacts of :mod:`repro.analysis.paper` (all of
+them by default), prints each experiment, writes its record to
+``benchmarks/results/`` and exits 1 if any shape check failed.
 
 The campaign commands (``conformance``, ``faults``, ``faults
 --machine``, ``churn`` and ``attacks --campaign``) monitor every run
@@ -42,85 +42,41 @@ import sys
 from typing import List, Optional
 
 
-def _cmd_table4(_args) -> int:
-    from repro.analysis import render_table
-    from repro.workloads.micro import (
-        LITERATURE_ROWS,
-        instruction_latencies,
-        measure_riscv_gates,
-        measure_x86_gates,
-    )
+def _cmd_paper(args) -> int:
+    """Regenerate paper artifacts (default: all) into benchmarks/results/."""
+    from repro.analysis.paper import ARTIFACTS
 
-    latencies = instruction_latencies()
-    riscv = measure_riscv_gates(iterations=800)
-    x86 = measure_x86_gates(iterations=800)
-    rows = [
-        ("riscv hccall", 5, round(latencies["riscv"]["hccall"], 1)),
-        ("riscv hccalls / hcrets", "12 / 12",
-         "%.1f / %.1f" % (latencies["riscv"]["hccalls"], latencies["riscv"]["hcrets"])),
-        ("riscv X-domain (2x hccall)", 13, round(riscv["xdomain_two_hccall"], 1)),
-        ("riscv X-domain (calls+rets)", 32, round(riscv["hccalls+hcrets"], 1)),
-        ("x86 hccall", 34, round(x86["hccall"], 1)),
-        ("x86 hccalls / hcrets", "52 / 44",
-         "%.1f / %.1f" % (latencies["x86"]["hccalls"], latencies["x86"]["hcrets"])),
-        ("x86 X-domain call", 74, round(x86["xdomain_hccalls_hcrets"], 1)),
-    ]
-    rows += [(label, cycles, "(quoted)") for label, cycles in LITERATURE_ROWS.items()]
-    print(render_table(("switch", "paper cycles", "measured"), rows))
-    return 0
+    unknown = [name for name in args.names if name not in ARTIFACTS]
+    if unknown:
+        return _usage_error("unknown artifact %s (choose from %s)"
+                            % (", ".join(unknown), ", ".join(ARTIFACTS)))
+    return _show_artifacts(args.names or list(ARTIFACTS), write=True)
 
 
-def _cmd_table6(_args) -> int:
-    from repro.analysis import render_table
-    from repro.hwcost import table6_rows
+def _show_artifacts(names: List[str], write: bool) -> int:
+    """Print each artifact's experiments (and, with ``write``, their
+    records); ``FAIL: <artifact>: <check>`` on stderr for every failed
+    check.  Exit 1 when any check failed."""
+    from repro.analysis.paper import ARTIFACTS, write_record
 
-    rows = table6_rows()
-    print(render_table(
-        ("config", "LUT", "FF", "LUT %", "FF %", "RAMB36/18", "DSP"),
-        [
-            (r["name"], r["lut_logic"], r["flip_flops"],
-             "%.2f" % r["lut_pct"], "%.2f" % r["ff_pct"],
-             "%d/%d" % (r["ramb36"], r["ramb18"]), r["dsp48e1"])
-            for r in rows
-        ],
-    ))
-    return 0
-
-
-def _cmd_case3(_args) -> int:
-    from repro.kernel import estimate_case3, run_pks_demo
-
-    demo = run_pks_demo()
-    estimate = estimate_case3()
-    print("wrpkrs guard: inside trampoline %s / outside %s" % (
-        "executes" if demo.trampoline_writes_succeeded else "BLOCKED",
-        "faults" if demo.outside_write_blocked else "EXECUTES",
-    ))
-    print("switch cost: %.0f cycles (paper: 175)" % estimate.pks_with_isagrid_cycles)
-    for label, cost in estimate.alternatives.items():
-        print("    vs %-28s %4d cycles" % (label, cost))
-    return 0
+    failed = False
+    for name in names:
+        result = ARTIFACTS[name]()
+        for experiment in result.experiments:
+            print(experiment.render())
+            print()
+            if write:
+                write_record(experiment)
+        for check in result.failed:
+            print("FAIL: %s: %s" % (name, check), file=sys.stderr)
+        failed = failed or bool(result.failed)
+    return 1 if failed else 0
 
 
 def _cmd_attacks(args) -> int:
-    from repro.analysis import render_table
-    from repro.attacks import RISCV_ATTACKS, TABLE1_ATTACKS, evaluate_attack
-
-    if getattr(args, "campaign", False):
+    if args.campaign:
         return _run_attack_campaigns(args)
-    rows = []
-    mitigated = 0
-    for spec in TABLE1_ATTACKS + RISCV_ATTACKS:
-        native, decomposed = evaluate_attack(spec)
-        rows.append((
-            spec.name, spec.prerequisite,
-            "succeeds" if native.succeeded else "blocked",
-            "mitigated" if decomposed.mitigated else "NOT MITIGATED",
-        ))
-        mitigated += decomposed.mitigated
-    print(render_table(("attack", "prerequisite", "native", "ISA-Grid"), rows))
-    print("\nmitigated %d/%d" % (mitigated, len(rows)))
-    return 0 if mitigated == len(rows) else 1
+    return _show_artifacts(["table1"], write=False)
 
 
 def _run_attack_campaigns(args) -> int:
@@ -210,19 +166,6 @@ def _cmd_decompose(_args) -> int:
     return 0
 
 
-def _cmd_hitrate(_args) -> int:
-    from repro.core import CONFIG_8E
-    from repro.kernel import X86Kernel
-    from repro.workloads import GATE_STRESS
-    from repro.workloads.generator import x86_user_program
-
-    kernel = X86Kernel("decomposed", CONFIG_8E)
-    kernel.run(x86_user_program(GATE_STRESS), max_steps=20_000_000)
-    for cache, rate in kernel.system.pcu.stats.hit_rates().items():
-        print("%-5s cache hit rate: %6.2f%%" % (cache, rate * 100))
-    return 0
-
-
 def _cmd_audit(_args) -> int:
     from repro.analysis import audit
     from repro.kernel import RiscvKernel, X86Kernel
@@ -233,22 +176,6 @@ def _cmd_audit(_args) -> int:
         print("%s (%s):" % (kernel.__class__.__name__, manager.isa_map.arch))
         print("    " + report.render().replace("\n", "\n    "))
         print()
-    return 0
-
-
-def _cmd_scan(_args) -> int:
-    from repro.baselines import scan_program
-    from repro.kernel.x86_kernel import kernel_source
-    from repro.x86 import KERNEL_BASE, assemble
-
-    source, _ = kernel_source(True)
-    program = assemble(source, base=KERNEL_BASE)
-    print("scanning the generated x86 kernel image (%d bytes):" % program.size)
-    for mnemonic, report in scan_program(program.data).items():
-        print("    %-8s %3d total, %3d intended, %3d hidden" % (
-            mnemonic, len(report.total_occurrences),
-            len(report.intended_offsets), len(report.unintended_offsets),
-        ))
     return 0
 
 
@@ -690,13 +617,9 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "churn": _cmd_churn,
     "orchestrate": _cmd_orchestrate,
-    "table4": _cmd_table4,
-    "table6": _cmd_table6,
-    "case3": _cmd_case3,
+    "paper": _cmd_paper,
     "attacks": _cmd_attacks,
     "decompose": _cmd_decompose,
-    "hitrate": _cmd_hitrate,
-    "scan": _cmd_scan,
     "conformance": _cmd_conformance,
     "faults": _cmd_faults,
     "contracts": _cmd_contracts,
@@ -716,17 +639,26 @@ def _jobs(text: str) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.analysis.paper import ARTIFACTS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="ISA-Grid reproduction: quick experiment runners.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        metavar="command")
-    for name in sorted(_COMMANDS):
-        if name in ("attacks", "bench", "churn", "conformance", "contracts",
-                    "faults", "orchestrate"):
-            continue
-        subparsers.add_parser(name, help="regenerate the %r artifact" % name)
+    subparsers.add_parser("audit",
+                          help="audit the shipped kernel decompositions")
+    subparsers.add_parser("decompose",
+                          help="use case 1: SQLite overhead and exposure")
+    paper = subparsers.add_parser(
+        "paper",
+        help="regenerate the paper's tables and figures into "
+             "benchmarks/results/ (exit 1 on a failed shape check)",
+    )
+    paper.add_argument("names", nargs="*", metavar="NAME",
+                       help="artifacts to regenerate (default: all of %s)"
+                            % " ".join(ARTIFACTS))
 
     def add_orchestration_flags(subparser) -> None:
         subparser.add_argument("--jobs", type=_jobs, default=1,
@@ -755,14 +687,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                                     "unwaived violation fails the run)")
     attacks = subparsers.add_parser(
         "attacks",
-        help="Table-1 mitigation matrix; --campaign runs the "
+        help="print the Table-1 artifact; --campaign runs the "
              "unintended-instruction campaigns (binary-scan baseline vs "
              "the PCU over gadget-bearing byte streams)",
     )
     attacks.add_argument("--campaign", action="store_true",
                          help="generate gadget-bearing streams and race "
                               "the scanner against PCU-enforced decode "
-                              "(default: print the Table-1 matrix)")
+                              "(default: print the Table-1 artifact)")
     attacks.add_argument("--seeds", default="0",
                          help="comma-separated campaign seeds "
                               "(one self-contained campaign per seed)")

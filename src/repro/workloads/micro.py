@@ -15,8 +15,7 @@ per-instruction costs straight from the pipeline model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 from repro.core import CONFIG_8E, PcuConfig
 from repro.core.isa_extension import GateKind
@@ -25,10 +24,15 @@ from repro.riscv import KERNEL_BASE as RISCV_KERNEL_BASE
 from repro.riscv import USER_BASE as RISCV_USER_BASE
 from repro.riscv import assemble as riscv_assemble
 from repro.riscv import build_riscv_system
+from repro.sim.machine import MachineStats
 from repro.sim.pipeline import StepInfo
 from repro.x86 import KERNEL_BASE as X86_KERNEL_BASE
 from repro.x86 import assemble as x86_assemble
 from repro.x86 import build_x86_system
+
+#: Called with the :class:`MachineStats` of every run a measurement
+#: makes (the paper registry totals the simulated work this way).
+OnRun = Optional[Callable[[MachineStats], object]]
 
 #: Literature comparison rows quoted in Table 4 (cycles).
 LITERATURE_ROWS = {
@@ -56,15 +60,12 @@ loop:
 
 def _riscv_loop_cycles(
     body: str, gates, iterations: int, config: PcuConfig, tail: str = "",
-    totals: Dict[str, float] = None,
+    on_run: OnRun = None,
 ) -> float:
     """Cycles of one RISC-V loop; ``gates`` = [(gate_label, dest_label)].
 
     The preamble gate (id 0) leaves domain-0 so the measured gates run
-    between ordinary domains; body gates get ids 1, 2, ...  When
-    ``totals`` is passed, the run's instruction and cycle counts are
-    accumulated into it (the bench trajectory needs work totals, not
-    just latency deltas).
+    between ordinary domains; body gates get ids 1, 2, ...
     """
     system = build_riscv_system(config)
     manager = system.manager
@@ -81,39 +82,41 @@ def _riscv_loop_cycles(
         manager.register_gate(
             program.symbol(gate_label), program.symbol(dest_label), domain.domain_id
         )
-    system.run(program.symbol("entry"), max_steps=60 * iterations + 1000)
-    stats = system.machine.stats
-    if totals is not None:
-        totals["instructions"] = totals.get("instructions", 0) + stats.instructions
-        totals["cycles"] = totals.get("cycles", 0.0) + stats.cycles
-    return stats.cycles
+    stats = system.run(program.symbol("entry"), max_steps=60 * iterations + 1000)
+    return _report_run(stats, on_run).cycles
+
+
+def _report_run(stats: MachineStats, on_run: OnRun) -> MachineStats:
+    if on_run is not None:
+        on_run(stats)
+    return stats
 
 
 def measure_riscv_gates(
     config: PcuConfig = CONFIG_8E, iterations: int = 2000,
-    totals: Dict[str, float] = None,
+    on_run: OnRun = None,
 ) -> Dict[str, float]:
     """Measured RISC-V gate latencies (Table 4 rows, cycles/op)."""
     baseline = _riscv_loop_cycles("    nop", [], iterations, config,
-                                  totals=totals)
+                                  on_run=on_run)
     hccall = _riscv_loop_cycles(
         "g0:\n    hccall t0\nafter0:", [("g0", "after0")], iterations, config,
-        totals=totals,
+        on_run=on_run,
     )
     pair = _riscv_loop_cycles(
         "g0:\n    hccalls t0\nafter0:",
         [("g0", "fn")], iterations, config,
         tail="fn:\n    hcrets",
-        totals=totals,
+        on_run=on_run,
     )
     two_hccall = _riscv_loop_cycles(
         "g0:\n    hccall t0\nmid:\n    li t1, 2\ng1:\n    hccall t1\nafter1:",
         [("g0", "mid"), ("g1", "after1")], iterations, config,
-        totals=totals,
+        on_run=on_run,
     )
     two_baseline = _riscv_loop_cycles(
         "    nop\n    li t1, 2\n    nop", [], iterations, config,
-        totals=totals,
+        on_run=on_run,
     )
     return {
         "hccall": (hccall - baseline) / iterations,
@@ -142,7 +145,7 @@ loop:
 
 def _x86_loop_cycles(
     body: str, gates, iterations: int, config: PcuConfig, tail: str = "",
-    totals: Dict[str, float] = None,
+    on_run: OnRun = None,
 ) -> float:
     system = build_x86_system(config)
     manager = system.manager
@@ -159,30 +162,26 @@ def _x86_loop_cycles(
         manager.register_gate(
             program.symbol(gate_label), program.symbol(dest_label), domain.domain_id
         )
-    system.run(program.symbol("entry"), max_steps=60 * iterations + 1000)
-    stats = system.machine.stats
-    if totals is not None:
-        totals["instructions"] = totals.get("instructions", 0) + stats.instructions
-        totals["cycles"] = totals.get("cycles", 0.0) + stats.cycles
-    return stats.cycles
+    stats = system.run(program.symbol("entry"), max_steps=60 * iterations + 1000)
+    return _report_run(stats, on_run).cycles
 
 
 def measure_x86_gates(
     config: PcuConfig = CONFIG_8E, iterations: int = 2000,
-    totals: Dict[str, float] = None,
+    on_run: OnRun = None,
 ) -> Dict[str, float]:
     """Measured x86 gate latencies (Table 4 rows, cycles/op)."""
     baseline = _x86_loop_cycles("    nop", [], iterations, config,
-                                totals=totals)
+                                on_run=on_run)
     hccall = _x86_loop_cycles(
         "g0:\n    hccall r10\nafter0:", [("g0", "after0")], iterations, config,
-        totals=totals,
+        on_run=on_run,
     )
     pair = _x86_loop_cycles(
         "g0:\n    hccalls r10\nafter0:",
         [("g0", "fn")], iterations, config,
         tail="fn:\n    hcrets",
-        totals=totals,
+        on_run=on_run,
     )
     return {
         "hccall": (hccall - baseline) / iterations,
@@ -251,20 +250,23 @@ loop:
 """
 
 
-def measure_riscv_syscall(*, pti: bool = False, iterations: int = 500) -> float:
+def measure_riscv_syscall(
+    config: PcuConfig = CONFIG_8E, *, pti: bool = False,
+    iterations: int = 500, on_run: OnRun = None,
+) -> float:
     """Empty system call latency on the native RISC-V kernel (cycles)."""
-    kernel = RiscvKernel("native", pti=pti)
+    kernel = RiscvKernel("native", config, pti=pti)
     program = riscv_assemble(_SYSCALL_LOOP % {"iters": iterations}, base=RISCV_USER_BASE)
     stats = kernel.run(program, max_steps=400 * iterations + 2000)
-    loop_cycles = stats.cycles
+    loop_cycles = _report_run(stats, on_run).cycles
 
-    baseline_kernel = RiscvKernel("native", pti=pti)
+    baseline_kernel = RiscvKernel("native", config, pti=pti)
     baseline_program = riscv_assemble(
         _EMPTY_LOOP % {"iters": iterations}, base=RISCV_USER_BASE
     )
-    baseline = baseline_kernel.run(
+    baseline = _report_run(baseline_kernel.run(
         baseline_program, max_steps=400 * iterations + 2000
-    ).cycles
+    ), on_run).cycles
     return (loop_cycles - baseline) / iterations
 
 
@@ -287,21 +289,26 @@ trap:
 """
 
 
-def measure_riscv_supervisor_call(iterations: int = 500) -> float:
+def measure_riscv_supervisor_call(
+    config: PcuConfig = CONFIG_8E, iterations: int = 500,
+    on_run: OnRun = None,
+) -> float:
     """Empty S-mode ecall round-trip on bare metal (cycles/op)."""
-    system = build_riscv_system(with_isagrid=False)
+    system = build_riscv_system(config, with_isagrid=False)
     program = riscv_assemble(
         _SUPERVISOR_CALL_LOOP % {"iters": iterations}, base=RISCV_KERNEL_BASE
     )
     system.load(program)
-    system.run(program.symbol("entry"), max_steps=100 * iterations + 1000)
-    cycles = system.machine.stats.cycles
+    stats = system.run(program.symbol("entry"), max_steps=100 * iterations + 1000)
+    cycles = _report_run(stats, on_run).cycles
 
-    baseline_system = build_riscv_system(with_isagrid=False)
+    baseline_system = build_riscv_system(config, with_isagrid=False)
     baseline_source = (_SUPERVISOR_CALL_LOOP % {"iters": iterations}).replace(
         "    ecall\nback:", "    nop\nback:"
     )
     baseline_program = riscv_assemble(baseline_source, base=RISCV_KERNEL_BASE)
     baseline_system.load(baseline_program)
-    baseline_system.run(baseline_program.symbol("entry"), max_steps=100 * iterations + 1000)
-    return (cycles - baseline_system.machine.stats.cycles) / iterations
+    baseline_stats = baseline_system.run(
+        baseline_program.symbol("entry"), max_steps=100 * iterations + 1000)
+    baseline = _report_run(baseline_stats, on_run).cycles
+    return (cycles - baseline) / iterations

@@ -44,3 +44,36 @@ def test_smoke_contracts_reports_its_memo_hits():
     monitor's clean-verdict memo served without calling a contract."""
     detail = run_rig("smoke_contracts")["detail"]
     assert 0 < detail["contract_memo_hits"] < detail["contract_events"]
+
+
+def test_table4_rig_reports_the_artifact():
+    """A paper rig times its artifact: the artifact's rows are the
+    rig's detail and its totals the rig's work."""
+    from repro.analysis.paper import ARTIFACTS
+
+    result = ARTIFACTS["table4"]()
+    payload = run_rig("table4_switch")
+    assert payload["detail"] == result.rows()
+    assert payload["instructions"] == result.instructions > 0
+    assert payload["cycles"] == round(result.cycles, 1)
+
+
+def test_table5_rig_identical_on_every_path():
+    fast = run_rig("table5_services")
+    for slow in (run_rig("table5_services", fast_path=False),
+                 run_rig("table5_services", block_cache=False)):
+        for key in ("instructions", "cycles", "detail"):
+            assert slow[key] == fast[key], key
+
+
+def test_paper_rig_fails_on_a_failed_check(monkeypatch):
+    from repro.analysis import paper
+
+    def failing(config):
+        result = paper.Result()
+        result.check("a check that cannot hold", False)
+        return result
+
+    monkeypatch.setitem(paper.ARTIFACTS, "table4", failing)
+    with pytest.raises(RuntimeError, match="a check that cannot hold"):
+        run_rig("table4_switch")

@@ -1,36 +1,80 @@
 """The ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 
+REPO = Path(__file__).resolve().parents[2]
 
+
+@pytest.fixture
+def tmp_cwd(tmp_path, monkeypatch):
+    """``paper`` writes its records under the working directory."""
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.usefixtures("tmp_cwd")
 class TestCli:
     def test_table6(self, capsys):
-        assert main(["table6"]) == 0
+        assert main(["paper", "table6"]) == 0
         out = capsys.readouterr().out
         assert "Rocket Core" in out and "8E.N" in out
         assert "2.21" in out
 
     def test_scan(self, capsys):
-        assert main(["scan"]) == 0
+        assert main(["paper", "scan"]) == 0
         out = capsys.readouterr().out
         assert "wrmsr" in out and "hidden" in out
 
     def test_case3(self, capsys):
-        assert main(["case3"]) == 0
+        assert main(["paper", "case3"]) == 0
         out = capsys.readouterr().out
         assert "executes" in out and "faults" in out
         assert "175" in out
 
-    def test_hitrate(self, capsys):
-        assert main(["hitrate"]) == 0
-        out = capsys.readouterr().out
-        assert "sgt" in out
-
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+@pytest.mark.usefixtures("tmp_cwd")
+class TestPaperCommand:
+    def test_writes_the_committed_record(self, tmp_path):
+        assert main(["paper", "table6"]) == 0
+        record = Path("benchmarks", "results", "table_6.txt")
+        assert (tmp_path / record).read_bytes() == (REPO / record).read_bytes()
+
+    def test_unknown_artifact_is_usage_error(self, tmp_path, capsys):
+        assert main(["paper", "table6", "table7"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "table7" in err
+        assert not (tmp_path / "benchmarks").exists()
+
+    def test_failed_check_exits_1_and_names_it(self, monkeypatch, capsys):
+        import repro.hwcost
+
+        table6_rows = repro.hwcost.table6_rows
+
+        def lut_heavy_8e():
+            rows = table6_rows()
+            for row in rows:
+                if row["name"] == "8E.":
+                    row["lut_logic"] += 100
+            return rows
+
+        monkeypatch.setattr(repro.hwcost, "table6_rows", lut_heavy_8e)
+        assert main(["paper", "table6"]) == 1
+        err = capsys.readouterr().err
+        assert err == "FAIL: table6: 8E. LUT within 5 of the paper\n"
+
+    def test_attacks_prints_table1_without_writing(self, tmp_path, capsys):
+        assert main(["attacks"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 1 — " in out and "Table 1 (gates)" in out
+        assert "12/12" in out
+        assert not (tmp_path / "benchmarks").exists()
 
 
 class TestBenchCompareGate:
