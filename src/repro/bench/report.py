@@ -1,41 +1,32 @@
-"""The bench trajectory file (``BENCH_<stamp>.json``) and regression gate.
+"""The bench trajectory file (``BENCH_<stamp>.json``).
 
 One trajectory file captures one full bench invocation: which rigs ran,
-how much simulated work each did, and how fast the host chewed through
-it.  Committing a before/after pair of these files is how a perf PR
-proves its claim, and the CI smoke gate diffs a fresh run against the
-committed baseline so throughput regressions fail the PR instead of
-rotting silently.
+how much simulated work each did and the experiment's own numbers
+(``detail``), plus the host wall-clock and instructions/s of each rig
+for reading.  Nothing gates on the wall-clock figures: the simulator's
+speed is measured by the ``perf/`` benchmark.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 FORMAT = "bench-trajectory-v1"
-
-#: Default relative regression budget for the CI gate: a rig may lose
-#: at most this fraction of its baseline instructions/s.
-DEFAULT_REGRESSION_THRESHOLD = 0.20
 
 
 def build_trajectory(
     payloads: Sequence[Dict[str, object]],
     *,
-    label: str = "",
     fast_path: bool = True,
     block_cache: bool = True,
-    stamp: str = "",
 ) -> Dict[str, object]:
     """Assemble per-rig payloads into one trajectory document."""
     return {
         "format": FORMAT,
-        "label": label,
         "fast_path": bool(fast_path),
         "block_cache": bool(block_cache),
-        "stamp": stamp,
         "rigs": {payload["rig"]: {key: value
                                   for key, value in payload.items()
                                   if key != "rig"}
@@ -53,48 +44,3 @@ def write_trajectory(trajectory: Dict[str, object], path: str) -> str:
         handle.write("\n")
     os.replace(tmp_path, path)
     return path
-
-
-def load_trajectory(path: str) -> Dict[str, object]:
-    with open(path) as handle:
-        trajectory = json.load(handle)
-    if trajectory.get("format") != FORMAT:
-        raise ValueError("%s is not a %s file" % (path, FORMAT))
-    return trajectory
-
-
-def compare_trajectories(
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    threshold: float = DEFAULT_REGRESSION_THRESHOLD,
-) -> Tuple[List[str], List[str]]:
-    """Diff two trajectories on instructions/s, rig by rig.
-
-    Returns ``(lines, regressions)``: human-readable comparison rows
-    for every rig present in both files, and the subset describing
-    rigs whose throughput dropped by more than ``threshold``.  Rigs
-    missing from either side are reported but never counted as
-    regressions (a new rig has no baseline yet).
-    """
-    lines: List[str] = []
-    regressions: List[str] = []
-    current_rigs: Dict[str, Dict] = current.get("rigs", {})
-    baseline_rigs: Dict[str, Dict] = baseline.get("rigs", {})
-    for name, entry in current_rigs.items():
-        base = baseline_rigs.get(name)
-        if base is None:
-            lines.append("%-16s %10.0f ips  (no baseline)"
-                         % (name, entry.get("ips", 0.0)))
-            continue
-        base_ips = float(base.get("ips", 0.0))
-        cur_ips = float(entry.get("ips", 0.0))
-        ratio = cur_ips / base_ips if base_ips > 0 else float("inf")
-        line = ("%-16s %10.0f ips  vs baseline %10.0f ips  (%.2fx)"
-                % (name, cur_ips, base_ips, ratio))
-        lines.append(line)
-        if base_ips > 0 and cur_ips < base_ips * (1.0 - threshold):
-            regressions.append(line)
-    for name in baseline_rigs:
-        if name not in current_rigs:
-            lines.append("%-16s (in baseline only; not run)" % name)
-    return lines, regressions

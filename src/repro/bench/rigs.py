@@ -15,12 +15,14 @@ The Figure 5-8 and Table 4-5 rigs run the paper artifacts of
 :mod:`repro.analysis.paper` at the scale their records use, so a rig
 times exactly the computation behind the numbers EXPERIMENTS.md quotes.
 
-Rigs take one parameter, ``fast_path``: with ``False`` every PCU in
-the rig runs with the compiled verdict plan disabled
-(:attr:`repro.core.config.PcuConfig.fast_path`), which is how the
-``--slow-path`` escape hatch and the fast-vs-slow differential gate are
-wired.  A rig must produce identical ``instructions``, ``cycles`` and
-``detail`` either way — only wall-clock may differ.
+Rigs take two parameters.  With ``fast_path=False`` every PCU in the
+rig runs with the compiled verdict plan disabled
+(:attr:`repro.core.config.PcuConfig.fast_path`), and with
+``block_cache=False`` without the block-summary executor: the
+``--slow-path`` and ``--no-block-cache`` escape hatches.  A rig must
+produce identical ``instructions``, ``cycles`` and ``detail`` on every
+path — only wall-clock may differ.  A rig whose own correctness check
+fails raises :class:`RuntimeError`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ def _run_gate_stress(fast_path: bool, block_cache: bool = True,
     profile = dataclasses.replace(GATE_STRESS, outer_iterations=iterations)
     kernel = X86Kernel("decomposed", _config(fast_path, block_cache))
     stats = kernel.run(x86_user_program(profile), max_steps=max_steps)
-    assert kernel.fault_count == 0
+    if kernel.fault_count:
+        raise RuntimeError("gate stress: %d kernel fault(s)"
+                           % kernel.fault_count)
     pcu = kernel.system.pcu
     hit_rates = pcu.stats.hit_rates()
     detail: Dict[str, object] = {
@@ -80,7 +84,7 @@ def _run_gate_stress(fast_path: bool, block_cache: bool = True,
         "syscalls": kernel.syscall_count,
     }
     if full_stats:
-        # For identity-asserting wrappers (smoke_blocks): the whole
+        # For identity-checking wrappers (smoke_blocks): the whole
         # counter surface, not just the headline hit rates.
         detail["pcu_stats"] = pcu.stats.as_dict()
         detail["block_stats"] = pcu.block_stats.as_dict()
@@ -95,14 +99,13 @@ def _run_smoke(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
 def _run_smoke_blocks(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
     """``smoke`` run twice: block executor on, then off, as one rig.
 
-    The on-vs-off identity assertion (instructions, cycles and the
+    The on-vs-off identity check (instructions, cycles and the
     whole :class:`~repro.core.stats.PcuStats` dict must match exactly)
     turns the block-summary coherence contract (DESIGN §3.18) into a
-    perf-trajectory row: a divergence fails the rig, and a slowdown in
-    either executor drags the gated ips down.  ``detail`` carries the
+    trajectory row: a divergence fails the rig.  ``detail`` carries the
     block cache's own probe counters.  The rig's own ``block_cache``
     flag only affects the *first* run — under ``--no-block-cache``
-    both runs take the per-instruction loop and the assertion still
+    both runs take the per-instruction loop and the check still
     holds trivially.
     """
     on = _run_gate_stress(fast_path, block_cache, iterations=60,
@@ -110,47 +113,27 @@ def _run_smoke_blocks(fast_path: bool, block_cache: bool = True) -> Dict[str, ob
     off = _run_gate_stress(fast_path, False, iterations=60,
                            max_steps=4_000_000, full_stats=True)
     for key in ("instructions", "cycles"):
-        assert on[key] == off[key], (key, on[key], off[key])
-    assert on["detail"]["pcu_stats"] == off["detail"]["pcu_stats"]
+        if on[key] != off[key]:
+            raise RuntimeError("smoke_blocks: %s %r with blocks on, %r with "
+                               "blocks off" % (key, on[key], off[key]))
+    if on["detail"]["pcu_stats"] != off["detail"]["pcu_stats"]:
+        raise RuntimeError("smoke_blocks: PcuStats differ with blocks on "
+                           "and off")
     block_stats = on["detail"].pop("block_stats")
     off_blocks = off["detail"].pop("block_stats")
-    assert off_blocks["insts"] == 0, off_blocks
+    if off_blocks["insts"]:
+        raise RuntimeError("smoke_blocks: %d instructions retired in blocks "
+                           "with blocks off" % off_blocks["insts"])
     on["detail"].pop("pcu_stats")
     off["detail"].pop("pcu_stats")
-    assert on["detail"] == off["detail"], (on["detail"], off["detail"])
+    if on["detail"] != off["detail"]:
+        raise RuntimeError("smoke_blocks: detail %r with blocks on, %r with "
+                           "blocks off" % (on["detail"], off["detail"]))
     return _result(on["instructions"] + off["instructions"],
                    on["cycles"] + off["cycles"], {
         "verified_identical": True,
         "block_stats": block_stats,
         "hit_rates": on["detail"]["hit_rates"],
-    })
-
-
-def _run_smoke_hooked(fast_path: bool, block_cache: bool = True) -> Dict[str, object]:
-    """``smoke`` with a no-op per-step hook installed on the machine.
-
-    The machine-level fault campaigns interpose on
-    :attr:`repro.sim.machine.Machine.step_hook`, which keeps
-    ``Machine.run`` on its per-instruction loop; this rig holds that
-    loop to the same ips floor as ``smoke``, which runs the block
-    executor.  The simulated work must be identical to ``smoke`` —
-    only wall-clock may move.
-    """
-    import dataclasses
-
-    from repro.kernel import X86Kernel
-    from repro.workloads import GATE_STRESS
-    from repro.workloads.generator import x86_user_program
-
-    profile = dataclasses.replace(GATE_STRESS, outer_iterations=60)
-    kernel = X86Kernel("decomposed", _config(fast_path, block_cache))
-    kernel.system.machine.step_hook = lambda info: False
-    stats = kernel.run(x86_user_program(profile), max_steps=4_000_000)
-    assert kernel.fault_count == 0
-    hit_rates = kernel.system.pcu.stats.hit_rates()
-    return _result(stats.instructions, stats.cycles, {
-        "hit_rates": {name: round(rate, 6) for name, rate in hit_rates.items()},
-        "syscalls": kernel.syscall_count,
     })
 
 
@@ -165,9 +148,7 @@ def _run_smoke_contracts(fast_path: bool, block_cache: bool = True) -> Dict[str,
     ``detail`` reports the share of instructions retired in blocks
     (``block_coverage``) next to the event count, and how many of those
     events the monitor's clean-verdict memo served without calling a
-    contract (``contract_memo_hits``).  Keeping this rig in
-    the registry makes that claim a perf-trajectory row, so a tap-path
-    slowdown shows up as an ips regression next to ``smoke``.
+    contract (``contract_memo_hits``).
     """
     import dataclasses
 
@@ -181,8 +162,13 @@ def _run_smoke_contracts(fast_path: bool, block_cache: bool = True) -> Dict[str,
     monitor = ContractMonitor(seed=0)
     monitor.attach(kernel.system.pcu, kernel.system.manager)
     stats = kernel.run(x86_user_program(profile), max_steps=4_000_000)
-    assert kernel.fault_count == 0
-    assert monitor.total_violations == 0, monitor.first_unwaived()
+    if kernel.fault_count:
+        raise RuntimeError("smoke_contracts: %d kernel fault(s)"
+                           % kernel.fault_count)
+    if monitor.total_violations:
+        raise RuntimeError("smoke_contracts: %d contract violation(s), "
+                           "first %r" % (monitor.total_violations,
+                                         monitor.first_unwaived()))
     hit_rates = kernel.system.pcu.stats.hit_rates()
     return _result(stats.instructions, stats.cycles, {
         "hit_rates": {name: round(rate, 6) for name, rate in hit_rates.items()},
@@ -226,7 +212,9 @@ def _run_churn_stress(fast_path: bool, block_cache: bool = True,
     pairs = 0
     for index, op in enumerate(trace.ops):
         for cached, oracle in world.apply(op, index):
-            assert cached == oracle, (index, cached, oracle)
+            if cached != oracle:
+                raise RuntimeError("churn_stress: op %d: cached PCU %r, "
+                                   "oracle %r" % (index, cached, oracle))
             pairs += 1
     stall_cycles = sum(stall * count for stall, count in world.latency.items())
     stats = world.virtualizer.stats
@@ -266,19 +254,15 @@ def _artifact(name: str) -> Callable[[bool, bool], Dict[str, object]]:
 RIGS: Dict[str, BenchRig] = {
     rig.name: rig
     for rig in (
-        BenchRig("smoke", "short gate-stress loop (CI PR gate)",
+        BenchRig("smoke", "short gate-stress loop (CI smoke rig)",
                  _run_smoke, approx_instructions=200_000),
-        BenchRig("smoke_hooked",
-                 "smoke with a no-op Machine.step_hook (fault-campaign "
-                 "injection point)",
-                 _run_smoke_hooked, approx_instructions=200_000),
         BenchRig("smoke_contracts",
                  "smoke with the universal-contract monitor attached "
-                 "(tap-path floor; simulated work identical to smoke)",
+                 "(simulated work identical to smoke)",
                  _run_smoke_contracts, approx_instructions=200_000),
         BenchRig("smoke_blocks",
                  "smoke with the block-summary executor on vs off, "
-                 "asserting bit-identical work (DESIGN §3.18 gate)",
+                 "requiring bit-identical work (DESIGN §3.18 gate)",
                  _run_smoke_blocks, approx_instructions=400_000),
         BenchRig("gate_stress", "§7.1 privilege-cache stress workload",
                  _run_gate_stress, approx_instructions=1_000_000),
@@ -302,7 +286,7 @@ RIGS: Dict[str, BenchRig] = {
 }
 
 #: What ``python -m repro bench`` runs by default: the full evaluation
-#: suite.  ``smoke`` is opt-in (the CI PR gate's 1-rig run).
+#: suite.  The smoke rigs are opt-in (CI's bench-smoke job runs them).
 DEFAULT_RIGS: Sequence[str] = (
     "gate_stress", "fig5_riscv", "fig6_apps_riscv", "fig7_apps_x86",
     "fig8_nested", "table4_switch", "table5_services",
@@ -310,7 +294,12 @@ DEFAULT_RIGS: Sequence[str] = (
 
 
 def resolve_rigs(names: str = None) -> List[str]:
-    """Expand a ``--rigs`` argument into an ordered, validated list."""
+    """Expand a ``--rigs`` argument into an ordered, validated list.
+
+    Raises :class:`KeyError` for an unknown name and :class:`ValueError`
+    for a repeated name or a list that names no rig; the exception's
+    one argument is a one-line message.
+    """
     if not names or names == "default":
         return list(DEFAULT_RIGS)
     if names == "all":
@@ -320,6 +309,13 @@ def resolve_rigs(names: str = None) -> List[str]:
     if unknown:
         raise KeyError("unknown rig(s) %s (choose from %s)"
                        % (", ".join(unknown), ", ".join(RIGS)))
+    if not chosen:
+        raise ValueError("--rigs %r names no rig (choose from %s)"
+                         % (names, ", ".join(RIGS)))
+    repeated = sorted({name for name in chosen if chosen.count(name) > 1})
+    if repeated:
+        raise ValueError("rig(s) %s named more than once in --rigs"
+                         % ", ".join(repeated))
     return chosen
 
 
@@ -328,9 +324,10 @@ def run_rig(name: str, fast_path: bool = True,
     """Execute one rig and wrap it with wall-clock accounting.
 
     The returned payload is the per-rig record of the trajectory file:
-    simulated work (``instructions``/``cycles``), host wall-clock
-    (``wall_s``) and the throughput quotient (``ips``) every future PR
-    regresses against.
+    simulated work (``instructions``/``cycles``), the rig's ``detail``,
+    host wall-clock (``wall_s``) and the throughput quotient (``ips``).
+    The last two are for reading only; the ``perf/`` benchmark measures
+    speed.
     """
     import time
 

@@ -9,7 +9,7 @@ Usage::
     python -m repro conformance       # differential oracle-vs-PCU fuzz
     python -m repro faults            # fault-injection campaigns
     python -m repro churn             # multi-tenant churn + slot recycling
-    python -m repro bench             # evaluation rigs + perf trajectory
+    python -m repro bench             # evaluation rigs + work trajectory
     python -m repro orchestrate       # status of parallel campaign runs
     python -m repro contracts         # the universal-contract layer
 
@@ -31,8 +31,8 @@ with ``--resume``, ``--run-dir``, ``--shard-timeout`` and ``--profile``
 (per-shard cProfile dumps in the run directory).  At ``--jobs 1`` with
 none of the others the shards run in-process; reports are
 byte-identical either way.  ``bench`` writes a ``BENCH_<stamp>.json``
-trajectory (instructions/s and wall-clock per rig) that ``--baseline``
-diffs against for the CI regression gate.
+trajectory of each rig's simulated work and ``detail``, with its
+wall-clock for reading; the ``perf/`` benchmark measures speed.
 """
 
 from __future__ import annotations
@@ -494,45 +494,16 @@ def _run_machine_faults(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the evaluation rigs; emit a perf trajectory file."""
+    """Run the evaluation rigs; write their trajectory file."""
     import os
     import time
 
-    from repro.bench import (
-        build_trajectory,
-        load_trajectory,
-        resolve_rigs,
-        write_trajectory,
-    )
-
-    if args.compare:
-        current_path, baseline_path = args.compare
-        try:
-            current = load_trajectory(current_path)
-            baseline = load_trajectory(baseline_path)
-        except (OSError, ValueError) as error:
-            print("cannot read trajectory: %s" % error, file=sys.stderr)
-            return 2
-        print("comparing %s (current) vs %s (baseline)"
-              % (current_path, baseline_path))
-        reasons = _compare_trajectories(current, baseline, baseline_path,
-                                        args.regress_threshold)
-        for reason in reasons:
-            print("FAIL: %s" % reason, file=sys.stderr)
-        return 1 if reasons else 0
+    from repro.bench import build_trajectory, resolve_rigs, write_trajectory
 
     try:
         rigs = resolve_rigs(args.rigs)
-    except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_trajectory(args.baseline)
-        except (OSError, ValueError) as error:
-            print("cannot read baseline: %s" % error, file=sys.stderr)
-            return 2
+    except (KeyError, ValueError) as error:
+        return _usage_error(error.args[0])
     fast_path = not args.slow_path
     block_cache = not args.no_block_cache
 
@@ -541,35 +512,17 @@ def _cmd_bench(args) -> int:
             print("%-16s %10d inst  %14.0f cyc  %8.3f s  %10.0f inst/s"
                   % (payload["rig"], payload["instructions"],
                      payload["cycles"], payload["wall_s"], payload["ips"]))
-        stamp = args.stamp or time.strftime("%Y%m%d-%H%M%S")
+        stamp = time.strftime("%Y%m%d-%H%M%S")
         out = args.out or os.path.join("results", "bench",
                                        "BENCH_%s.json" % stamp)
-        trajectory = build_trajectory(payloads, label=args.label,
-                                      fast_path=fast_path,
-                                      block_cache=block_cache, stamp=stamp)
-        write_trajectory(trajectory, out)
+        write_trajectory(build_trajectory(payloads, fast_path=fast_path,
+                                          block_cache=block_cache), out)
         print("trajectory written to %s" % out)
-        if baseline is None:
-            return []
-        return _compare_trajectories(trajectory, baseline, args.baseline,
-                                     args.regress_threshold)
+        return []
 
     return _run_campaign_command(args, "bench", {
         "rigs": rigs, "fast_path": fast_path, "block_cache": block_cache,
     }, report)
-
-
-def _compare_trajectories(current, baseline, baseline_path,
-                          threshold) -> List[str]:
-    """Print the rig-by-rig comparison; the FAIL reason on regression."""
-    from repro.bench import compare_trajectories
-
-    lines, regressions = compare_trajectories(current, baseline, threshold)
-    for line in lines:
-        print(line)
-    return (["%d rig(s) regressed by more than %.0f%% instructions/s vs %s"
-             % (len(regressions), threshold * 100, baseline_path)]
-            if regressions else [])
 
 
 def _cmd_orchestrate(args) -> int:
@@ -805,8 +758,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_orchestration_flags(churn)
     bench = subparsers.add_parser(
         "bench",
-        help="run the Table-4/5 and Fig-5-8 rigs sharded and emit a "
-             "BENCH_<stamp>.json perf trajectory",
+        help="run the Table-4/5 and Fig-5-8 rigs sharded and write a "
+             "BENCH_<stamp>.json trajectory of their work",
     )
     bench.add_argument("--rigs", default=None,
                        help="comma-separated rig names, 'all', or "
@@ -819,28 +772,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="disable the block-summary executor in every "
                             "rig (DESIGN \u00a73.18 escape hatch; results "
                             "must be identical, only slower)")
-    bench.add_argument("--compare", nargs=2, default=None,
-                       metavar=("CURRENT", "BASELINE"),
-                       help="don't run anything: diff two BENCH_*.json "
-                            "trajectories rig by rig (speedups and "
-                            "regressions on instructions/s) and exit "
-                            "non-zero on --regress-threshold violations")
-    bench.add_argument("--label", default="",
-                       help="free-form label stored in the trajectory "
-                            "(e.g. 'seed' or a commit id)")
-    bench.add_argument("--stamp", default=None,
-                       help="trajectory stamp (default: current UTC-less "
-                            "local time, YYYYmmdd-HHMMSS)")
     bench.add_argument("--out", default=None,
                        help="trajectory output path (default: "
-                            "results/bench/BENCH_<stamp>.json)")
-    bench.add_argument("--baseline", default=None,
-                       help="committed BENCH_*.json to diff against; "
-                            "instructions/s regressions beyond "
-                            "--regress-threshold fail the run")
-    bench.add_argument("--regress-threshold", type=float, default=0.20,
-                       help="relative instructions/s loss tolerated per "
-                            "rig before --baseline fails (default 0.20)")
+                            "results/bench/BENCH_<local time "
+                            "YYYYmmdd-HHMMSS>.json)")
     add_orchestration_flags(bench)
     orchestrate = subparsers.add_parser(
         "orchestrate",

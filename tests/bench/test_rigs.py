@@ -1,4 +1,4 @@
-"""Rig-level differential gate: fast path must not change simulation."""
+"""Rig-level differential gate: fast paths must not change simulation."""
 
 import pytest
 
@@ -14,17 +14,6 @@ def test_resolve_defaults_to_eval_suite():
 def test_resolve_rejects_unknown_rig():
     with pytest.raises(KeyError):
         resolve_rigs("no_such_rig")
-
-
-def test_smoke_rig_fast_vs_slow_bit_identical():
-    """The compiled-verdict fast path must be invisible to the simulation:
-    same retired instructions and same simulated cycles as the uncompiled
-    pipeline, differing only in wall clock."""
-    fast = run_rig("smoke", fast_path=True)
-    slow = run_rig("smoke", fast_path=False)
-    assert fast["fast_path"] is True and slow["fast_path"] is False
-    assert fast["instructions"] == slow["instructions"] > 0
-    assert fast["cycles"] == slow["cycles"] > 0
 
 
 def test_run_rig_payload_shape():
@@ -58,12 +47,35 @@ def test_table4_rig_reports_the_artifact():
     assert payload["cycles"] == round(result.cycles, 1)
 
 
-def test_table5_rig_identical_on_every_path():
-    fast = run_rig("table5_services")
-    for slow in (run_rig("table5_services", fast_path=False),
-                 run_rig("table5_services", block_cache=False)):
+@pytest.mark.parametrize("rig", ["smoke", "churn_stress", "table4_switch",
+                                 "table5_services"])
+def test_rig_identical_on_every_path(rig):
+    """The compiled-verdict fast path and the block executor must be
+    invisible to the simulation: the same retired instructions,
+    simulated cycles and detail with either turned off, differing only
+    in wall clock."""
+    fast = run_rig(rig)
+    assert fast["instructions"] > 0 and fast["cycles"] > 0
+    for flags in ({"fast_path": False}, {"block_cache": False}):
+        slow = run_rig(rig, **flags)
+        assert {flag: slow[flag] for flag in flags} == flags
         for key in ("instructions", "cycles", "detail"):
-            assert slow[key] == fast[key], key
+            assert slow[key] == fast[key], (flags, key)
+
+
+def test_smoke_blocks_rig_fails_when_blocks_change_the_work(monkeypatch):
+    """The blocks-on-vs-off identity check is raised, not asserted, so
+    ``python -O`` keeps it."""
+    from repro.bench import rigs
+
+    def gate_stress(fast_path, block_cache=True, **kwargs):
+        return rigs._result(1000, 2000.0 if block_cache else 2001.0, {
+            "hit_rates": {}, "syscalls": 0, "pcu_stats": {},
+            "block_stats": {"insts": 0}})
+
+    monkeypatch.setattr(rigs, "_run_gate_stress", gate_stress)
+    with pytest.raises(RuntimeError, match="cycles"):
+        run_rig("smoke_blocks")
 
 
 def test_paper_rig_fails_on_a_failed_check(monkeypatch):
