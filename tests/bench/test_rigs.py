@@ -1,5 +1,7 @@
 """Rig-level differential gate: fast paths must not change simulation."""
 
+import re
+
 import pytest
 
 from repro.bench.rigs import DEFAULT_RIGS, RIGS, resolve_rigs, run_rig
@@ -63,19 +65,69 @@ def test_rig_identical_on_every_path(rig):
             assert slow[key] == fast[key], (flags, key)
 
 
-def test_smoke_blocks_rig_fails_when_blocks_change_the_work(monkeypatch):
-    """The blocks-on-vs-off identity check is raised, not asserted, so
+@pytest.mark.parametrize("key, off_value, message", [
+    ("cycles", 2001.0, "cycles 2000.0 with blocks on, 2001.0 with blocks off"),
+    ("instructions", 1001, "instructions 1000 with blocks on, 1001"),
+    ("pcu_stats", {"checks": 6}, "PcuStats differ"),
+    ("block_stats", {"insts": 7}, "7 instructions retired in blocks"),
+    ("hit_rates", {"inst": 0.5}, "detail"),
+], ids=["cycles", "instructions", "pcu_stats", "block_stats", "detail"])
+def test_smoke_blocks_rig_fails_when_blocks_change_the_work(
+        monkeypatch, key, off_value, message):
+    """Each blocks-on-vs-off identity check is raised, not asserted, so
     ``python -O`` keeps it."""
     from repro.bench import rigs
 
     def gate_stress(fast_path, block_cache=True, **kwargs):
-        return rigs._result(1000, 2000.0 if block_cache else 2001.0, {
-            "hit_rates": {}, "syscalls": 0, "pcu_stats": {},
-            "block_stats": {"insts": 0}})
+        run = {"instructions": 1000, "cycles": 2000.0,
+               "pcu_stats": {"checks": 5}, "block_stats": {"insts": 0},
+               "hit_rates": {"inst": 1.0}}
+        if not block_cache:
+            run[key] = off_value
+        return rigs._result(run["instructions"], run["cycles"], {
+            "hit_rates": run["hit_rates"], "syscalls": 0,
+            "pcu_stats": run["pcu_stats"],
+            "block_stats": run["block_stats"]})
 
     monkeypatch.setattr(rigs, "_run_gate_stress", gate_stress)
-    with pytest.raises(RuntimeError, match="cycles"):
+    with pytest.raises(RuntimeError, match=re.escape(message)):
         run_rig("smoke_blocks")
+
+
+@pytest.mark.parametrize("rig", ["smoke", "smoke_blocks", "smoke_contracts"])
+def test_kernel_rig_fails_on_a_kernel_fault(monkeypatch, rig):
+    from repro.kernel import X86Kernel
+
+    monkeypatch.setattr(X86Kernel, "fault_count", property(lambda self: 1))
+    with pytest.raises(RuntimeError, match="1 kernel fault"):
+        run_rig(rig)
+
+
+def test_smoke_contracts_rig_fails_on_a_contract_violation(monkeypatch):
+    from repro.contracts import ContractMonitor
+
+    monkeypatch.setattr(ContractMonitor, "total_violations",
+                        property(lambda self: 1))
+    monkeypatch.setattr(ContractMonitor, "first_unwaived",
+                        lambda self: "forged violation")
+    with pytest.raises(RuntimeError,
+                       match="1 contract violation.*forged violation"):
+        run_rig("smoke_contracts")
+
+
+def test_churn_stress_rig_fails_when_the_cached_pcu_diverges(monkeypatch):
+    from repro.faults.churn import ChurnWorld
+
+    real_apply = ChurnWorld.apply
+
+    def apply(self, op, index):
+        return [(("forged", cached), oracle)
+                for cached, oracle in real_apply(self, op, index)]
+
+    monkeypatch.setattr(ChurnWorld, "apply", apply)
+    with pytest.raises(RuntimeError,
+                       match=r"churn_stress: op \d+: cached PCU"):
+        run_rig("churn_stress")
 
 
 def test_paper_rig_fails_on_a_failed_check(monkeypatch):

@@ -77,6 +77,38 @@ class TestPaperCommand:
         assert not (tmp_path / "benchmarks").exists()
 
 
+class TestBenchCommand:
+    """`bench` records each rig's work and identity; speed is perf/'s."""
+
+    def test_writes_a_work_trajectory(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "b.json"
+        assert main(["bench", "--rigs", "table4_switch",
+                     "--out", str(out)]) == 0
+        assert "trajectory written to %s" % out in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"format", "fast_path", "block_cache", "rigs"}
+        assert doc["fast_path"] is True and doc["block_cache"] is True
+        record = doc["rigs"]["table4_switch"]
+        assert set(record) == {"fast_path", "block_cache", "instructions",
+                               "cycles", "wall_s", "ips", "detail",
+                               "events_run"}
+        assert record["events_run"] == record["instructions"] > 0
+        assert record["detail"]
+
+    def test_help_lists_only_work_and_orchestration_options(self, capsys):
+        import re
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[(--[a-z-]+)", usage) == [
+            "--rigs", "--slow-path", "--no-block-cache", "--out", "--jobs",
+            "--resume", "--shard-timeout", "--run-dir", "--profile"]
+
+
 class TestAttackCampaignCli:
     def test_mini_campaign_passes_and_writes_report(self, tmp_path, capsys):
         import json
