@@ -3,22 +3,17 @@
 :data:`ARTIFACTS` maps each artifact name (``table1`` … ``ablations``)
 to the function that runs its workload once and returns a
 :class:`Result`: the :class:`~repro.analysis.report.Experiment` records
-it reproduces, the named shape checks that failed, and the simulated
-instructions and cycles its runs retired.  Everything that shows a
-paper number calls these functions:
+it reproduces and the named shape checks that failed.  Everything that
+shows a paper number calls these functions:
 
 * ``python -m repro paper [NAME ...]`` prints each experiment and writes
   its record to ``benchmarks/results/`` (the files EXPERIMENTS.md
   quotes);
-* the ``repro bench`` rigs for Figures 5-8 and Tables 4-5 run their
-  artifact under the rig's :class:`~repro.core.PcuConfig` and report
-  its totals and rows;
+* ``python -m repro paper --slow-path`` and ``--no-block-cache`` run
+  the artifacts of :data:`HATCHED` under :data:`~repro.core.CONFIG_8E`
+  with the compiled verdict plan or the block executor turned off, and
+  must write the same records;
 * ``python -m repro attacks`` prints ``table1``.
-
-The totals cover the kernel, application and microbenchmark runs an
-artifact makes itself; ``table1``'s attack runs and ``case3``'s gate
-pair run inside library helpers and are not counted, and ``table6`` and
-``scan`` simulate nothing.
 
 ``repro`` imports :mod:`repro.analysis` eagerly, so this module stays
 out of the package ``__init__`` and imports kernels and workloads
@@ -43,12 +38,10 @@ RESULTS_DIR = os.path.join("benchmarks", "results")
 
 @dataclass
 class Result:
-    """What one artifact reproduced, which checks failed, and its work."""
+    """What one artifact reproduced and which checks failed."""
 
     experiments: List[Experiment] = field(default_factory=list)
     failed: List[str] = field(default_factory=list)
-    instructions: int = 0
-    cycles: float = 0.0
 
     def experiment(self, artifact: str, title: str) -> Experiment:
         experiment = Experiment(artifact, title)
@@ -59,18 +52,6 @@ class Result:
         """Shape check ``name``; it fails when ``ok`` is false."""
         if not ok:
             self.failed.append(name)
-
-    def count(self, run):
-        """Add one run's instructions and cycles to the totals."""
-        self.instructions += run.instructions
-        self.cycles += run.cycles
-        return run
-
-    def rows(self) -> Dict[str, Dict[str, object]]:
-        """The measured column of every experiment, by artifact and row."""
-        return {experiment.artifact: {row.label: row.measured
-                                      for row in experiment.rows}
-                for experiment in self.experiments}
 
 
 def record_path(experiment: Experiment) -> str:
@@ -169,15 +150,12 @@ def table4(config: PcuConfig = CONFIG_8E) -> Result:
 
     result = Result()
     latencies = instruction_latencies()
-    riscv = measure_riscv_gates(config, iterations=1500, on_run=result.count)
-    x86 = measure_x86_gates(config, iterations=1500, on_run=result.count)
+    riscv = measure_riscv_gates(config, iterations=1500)
+    x86 = measure_x86_gates(config, iterations=1500)
     calls = {
-        "syscall": measure_riscv_syscall(
-            config, iterations=400, on_run=result.count),
-        "syscall_pti": measure_riscv_syscall(
-            config, pti=True, iterations=400, on_run=result.count),
-        "supervisor": measure_riscv_supervisor_call(
-            config, iterations=400, on_run=result.count),
+        "syscall": measure_riscv_syscall(config, iterations=400),
+        "syscall_pti": measure_riscv_syscall(config, pti=True, iterations=400),
+        "supervisor": measure_riscv_supervisor_call(config, iterations=400),
     }
 
     rocket = result.experiment("Table 4a", "RISC-V Rocket domain switching (cycles)")
@@ -296,8 +274,7 @@ def table5(config: PcuConfig = CONFIG_8E) -> Result:
         per_call = {}
         for mode in ("native", "decomposed"):
             kernel = X86Kernel(mode, config)
-            stats = result.count(kernel.run(
-                program, max_steps=600 * _SERVICE_CALLS + 2000))
+            stats = kernel.run(program, max_steps=600 * _SERVICE_CALLS + 2000)
             result.check("%s %s run fault-free" % (label, mode),
                          kernel.fault_count == 0)
             per_call[mode] = stats.cycles / _SERVICE_CALLS
@@ -384,7 +361,6 @@ def fig5(config: PcuConfig = CONFIG_8E) -> Result:
         for mode in ("native", "decomposed"):
             kernel = RiscvKernel(mode, config)
             per_op[mode] = run_riscv(bench, kernel)
-            result.count(kernel.system.machine.stats)
         bars.append(NormalizedResult(bench.name, per_op["native"],
                                      per_op["decomposed"]))
 
@@ -436,9 +412,8 @@ def _apps(result: Result, runner, config: PcuConfig, factor: int,
     bars = []
     for base_profile in APPLICATIONS:
         profile = scaled(base_profile, factor)
-        native = result.count(runner(profile, "native", config, **run_args))
-        decomposed = result.count(
-            runner(profile, "decomposed", config, **run_args))
+        native = runner(profile, "native", config, **run_args)
+        decomposed = runner(profile, "decomposed", config, **run_args)
         result.check("%s runs valid" % profile.name,
                      native.valid and decomposed.valid)
         bars.append(NormalizedResult(profile.name, native.cycles,
@@ -491,8 +466,8 @@ def fig8(config: PcuConfig = CONFIG_8E) -> Result:
     for base_profile in APPLICATIONS:
         profile = scaled(base_profile, 3)
         native, monitor, logged = (
-            result.count(run_x86_app(profile, mode, config, variant=variant,
-                                     max_steps=20_000_000))
+            run_x86_app(profile, mode, config, variant=variant,
+                        max_steps=20_000_000)
             for mode, variant in (("native", "plain"),
                                   ("decomposed", "nested"),
                                   ("decomposed", "nested_log")))
@@ -518,7 +493,7 @@ def fig8(config: PcuConfig = CONFIG_8E) -> Result:
 # ----------------------------------------------------------------------
 # §7.1: privilege-cache hit rates.
 # ----------------------------------------------------------------------
-def hitrate() -> Result:
+def hitrate(config: PcuConfig = CONFIG_8E) -> Result:
     """Three applications on the decomposed kernel with 8E., each on a
     fresh kernel (reset = re-enter domain-0), counters aggregated."""
     from repro.core import PcuStats
@@ -533,8 +508,8 @@ def hitrate() -> Result:
                                       ("RISC-V", RiscvKernel, riscv_user_program)):
         stats = PcuStats()
         for profile in profiles:
-            kernel = kernel_cls("decomposed", CONFIG_8E)
-            result.count(kernel.run(program(profile), max_steps=20_000_000))
+            kernel = kernel_cls("decomposed", config)
+            kernel.run(program(profile), max_steps=20_000_000)
             result.check("%s %s run fault-free" % (arch, profile.name),
                          kernel.fault_count == 0)
             stats.merge(kernel.system.pcu.stats)
@@ -562,14 +537,14 @@ def hitrate() -> Result:
 # ----------------------------------------------------------------------
 # Case 3 (§7.2): PKS + ISA-Grid trampoline.
 # ----------------------------------------------------------------------
-def case3() -> Result:
+def case3(config: PcuConfig = CONFIG_8E) -> Result:
     """wrpkru (26, quoted) + MPK trampoline (105, quoted) + two measured
     hccall switches (70) = 175 cycles, against page-table switching
     (938 / 577) and vmfunc (268); plus the wrpkrs guard demo."""
     from repro.kernel import estimate_case3, run_pks_demo
 
     result = Result()
-    estimate = estimate_case3()
+    estimate = estimate_case3(config)
     experiment = result.experiment("Case 3", "PKS + ISA-Grid domain switch (cycles)")
     experiment.add("two hccall (measured)", 70, round(estimate.two_hccall_cycles, 1), "cycles")
     experiment.add("MPK trampoline (quoted)", 105, estimate.mpk_trampoline_cycles, "cycles")
@@ -586,7 +561,7 @@ def case3() -> Result:
     result.check("PKS + ISA-Grid beats every alternative",
                  estimate.faster_than_all_alternatives)
 
-    demo = run_pks_demo()
+    demo = run_pks_demo(config)
     guard = result.experiment("Case 3 (guard)", "wrpkrs confined to the trampoline domain")
     guard.add("wrpkrs inside trampoline", "executes",
               "executes" if demo.trampoline_writes_succeeded else "BLOCKED")
@@ -658,7 +633,7 @@ def scan() -> Result:
 # Ablations (ours, not the paper's): the §4.3 mechanisms and the §8
 # extensions, each on the RISC-V gate-stress workload.
 # ----------------------------------------------------------------------
-def _prefetch(result: Result, prefetch: bool):
+def _prefetch(prefetch: bool):
     """Reg-cache stats of one CSR access after a domain entry, with
     ``pfch`` (or a ``nop``) ahead of it."""
     from repro.riscv import KERNEL_BASE, assemble, build_riscv_system
@@ -687,7 +662,7 @@ warmup:
     program = assemble(source, base=KERNEL_BASE)
     system.load(program)
     manager.register_gate(program.symbol("g0"), program.symbol("start"), domain.domain_id)
-    result.count(system.run(program.symbol("entry"), max_steps=10_000))
+    system.run(program.symbol("entry"), max_steps=10_000)
     return system.pcu.stats.reg_cache
 
 
@@ -708,15 +683,15 @@ def ablations() -> Result:
 
     def gate_stress(config: PcuConfig):
         kernel = RiscvKernel("decomposed", config)
-        stats = result.count(kernel.run(riscv_user_program(GATE_STRESS),
-                                        max_steps=8_000_000))
+        stats = kernel.run(riscv_user_program(GATE_STRESS),
+                           max_steps=8_000_000)
         result.check("%s gate stress fault-free" % config.name,
                      kernel.fault_count == 0)
         return stats.cycles, kernel.system.pcu.stats
 
     sweep = {config.name: gate_stress(config) for config in ALL_CONFIGS}
-    native = result.count(RiscvKernel("native").run(
-        riscv_user_program(GATE_STRESS), max_steps=8_000_000)).cycles
+    native = RiscvKernel("native").run(
+        riscv_user_program(GATE_STRESS), max_steps=8_000_000).cycles
     cycles, stats = sweep[CONFIG_8E.name]
 
     experiment = result.experiment(
@@ -758,8 +733,8 @@ def ablations() -> Result:
     ]
     result.check("B: bypass saves > 95% of inst-cache lookups", saved > 0.95)
 
-    with_prefetch = _prefetch(result, True)
-    without = _prefetch(result, False)
+    with_prefetch = _prefetch(True)
+    without = _prefetch(False)
     experiment = result.experiment(
         "Ablation C", "Software prefetch (pfch) vs demand miss on first CSR access"
     )
@@ -825,3 +800,11 @@ ARTIFACTS: Dict[str, Callable[..., Result]] = {
     "scan": scan,
     "ablations": ablations,
 }
+
+#: The artifacts that run :data:`~repro.core.CONFIG_8E` and take a
+#: replacement for it, in :data:`ARTIFACTS` order: the ones ``paper
+#: --slow-path`` and ``--no-block-cache`` run.  The others simulate
+#: nothing (``table6``, ``scan``), attack through library helpers
+#: (``table1``) or sweep their own configs (``ablations``).
+HATCHED = ("table4", "table5", "fig5", "fig6", "fig7", "fig8", "hitrate",
+           "case3")

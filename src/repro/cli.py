@@ -9,13 +9,15 @@ Usage::
     python -m repro conformance       # differential oracle-vs-PCU fuzz
     python -m repro faults            # fault-injection campaigns
     python -m repro churn             # multi-tenant churn + slot recycling
-    python -m repro bench             # evaluation rigs + work trajectory
     python -m repro orchestrate       # status of parallel campaign runs
     python -m repro contracts         # the universal-contract layer
 
 ``paper`` runs the artifacts of :mod:`repro.analysis.paper` (all of
 them by default), prints each experiment, writes its record to
-``benchmarks/results/`` and exits 1 if any shape check failed.
+``benchmarks/results/`` and exits 1 if any shape check failed.  Its two
+escape hatches, ``--slow-path`` and ``--no-block-cache``, run the
+artifacts that take a config with the compiled verdict plan or the
+block executor turned off; the records they write must not change.
 
 The campaign commands (``conformance``, ``faults``, ``faults
 --machine``, ``churn`` and ``attacks --campaign``) monitor every run
@@ -24,15 +26,12 @@ turns the tap off); any *unwaived* violation — one not attributable to
 an armed fault injector — fails the run.  ``contracts --explain``
 documents each contract and the events it consumes.
 
-The campaign commands and ``bench`` take one CLI path (see
+The campaign commands take one CLI path (see
 :func:`_run_campaign_command`) and share the orchestration flags:
 ``--jobs N`` runs the matrix sharded over a supervised worker pool,
-with ``--resume``, ``--run-dir``, ``--shard-timeout`` and ``--profile``
-(per-shard cProfile dumps in the run directory).  At ``--jobs 1`` with
-none of the others the shards run in-process; reports are
-byte-identical either way.  ``bench`` writes a ``BENCH_<stamp>.json``
-trajectory of each rig's simulated work and ``detail``, with its
-wall-clock for reading; the ``perf/`` benchmark measures speed.
+with ``--resume``, ``--run-dir`` and ``--shard-timeout``.  At
+``--jobs 1`` with none of the others the shards run in-process;
+reports are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -43,25 +42,47 @@ from typing import List, Optional
 
 
 def _cmd_paper(args) -> int:
-    """Regenerate paper artifacts (default: all) into benchmarks/results/."""
-    from repro.analysis.paper import ARTIFACTS
+    """Regenerate paper artifacts (default: all) into benchmarks/results/.
+
+    An escape hatch runs the artifacts of ``HATCHED`` (default: all of
+    them) under ``CONFIG_8E`` with that shortcut off; naming any other
+    artifact with a hatch is a usage error.
+    """
+    from dataclasses import replace
+
+    from repro.analysis.paper import ARTIFACTS, HATCHED
+    from repro.core import CONFIG_8E
 
     unknown = [name for name in args.names if name not in ARTIFACTS]
     if unknown:
         return _usage_error("unknown artifact %s (choose from %s)"
                             % (", ".join(unknown), ", ".join(ARTIFACTS)))
-    return _show_artifacts(args.names or list(ARTIFACTS), write=True)
+    hatch = {}
+    if args.slow_path:
+        hatch["fast_path"] = False
+    if args.no_block_cache:
+        hatch["block_summaries"] = False
+    if not hatch:
+        return _show_artifacts(args.names or list(ARTIFACTS), write=True)
+    unhatched = [name for name in args.names if name not in HATCHED]
+    if unhatched:
+        return _usage_error("no escape hatch for %s (choose from %s)"
+                            % (", ".join(unhatched), ", ".join(HATCHED)))
+    return _show_artifacts(args.names or list(HATCHED), write=True,
+                           config=replace(CONFIG_8E, **hatch))
 
 
-def _show_artifacts(names: List[str], write: bool) -> int:
+def _show_artifacts(names: List[str], write: bool, config=None) -> int:
     """Print each artifact's experiments (and, with ``write``, their
-    records); ``FAIL: <artifact>: <check>`` on stderr for every failed
-    check.  Exit 1 when any check failed."""
+    records), run under ``config`` when one is given; ``FAIL:
+    <artifact>: <check>`` on stderr for every failed check.  Exit 1 when
+    any check failed."""
     from repro.analysis.paper import ARTIFACTS, write_record
 
     failed = False
     for name in names:
-        result = ARTIFACTS[name]()
+        result = (ARTIFACTS[name]() if config is None
+                  else ARTIFACTS[name](config))
         for experiment in result.experiments:
             print(experiment.render())
             print()
@@ -197,8 +218,8 @@ def _cmd_contracts(args) -> int:
 def _run_campaign_command(args, kind: str, params, report) -> int:
     """The one CLI path of every campaign command.
 
-    Runs the campaign — in-process at ``--jobs 1`` with no ``--resume``,
-    ``--run-dir`` or ``--profile``, otherwise on the supervised pool —
+    Runs the campaign — in-process at ``--jobs 1`` with no ``--resume``
+    or ``--run-dir``, otherwise on the supervised pool —
     then lets ``report(merged)`` print the family's summary lines and
     write its report, prints quarantined shards and run metrics, and
     the ``FAIL:`` reasons ``report`` returned.  Exit 0 when clean, 1 on
@@ -207,8 +228,6 @@ def _run_campaign_command(args, kind: str, params, report) -> int:
     """
     from repro.orchestrator import KINDS, RunDirConflict, run_campaign
 
-    if args.profile:
-        params["profile"] = True
     try:
         merged, run, run_dir = run_campaign(
             KINDS[kind], params, jobs=args.jobs, run_dir=args.run_dir,
@@ -493,38 +512,6 @@ def _run_machine_faults(args) -> int:
                        or "results/machine_fault_campaigns.json"))
 
 
-def _cmd_bench(args) -> int:
-    """Run the evaluation rigs; write their trajectory file."""
-    import os
-    import time
-
-    from repro.bench import build_trajectory, resolve_rigs, write_trajectory
-
-    try:
-        rigs = resolve_rigs(args.rigs)
-    except (KeyError, ValueError) as error:
-        return _usage_error(error.args[0])
-    fast_path = not args.slow_path
-    block_cache = not args.no_block_cache
-
-    def report(payloads) -> List[str]:
-        for payload in payloads:
-            print("%-16s %10d inst  %14.0f cyc  %8.3f s  %10.0f inst/s"
-                  % (payload["rig"], payload["instructions"],
-                     payload["cycles"], payload["wall_s"], payload["ips"]))
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        out = args.out or os.path.join("results", "bench",
-                                       "BENCH_%s.json" % stamp)
-        write_trajectory(build_trajectory(payloads, fast_path=fast_path,
-                                          block_cache=block_cache), out)
-        print("trajectory written to %s" % out)
-        return []
-
-    return _run_campaign_command(args, "bench", {
-        "rigs": rigs, "fast_path": fast_path, "block_cache": block_cache,
-    }, report)
-
-
 def _cmd_orchestrate(args) -> int:
     """Inspect an orchestrated run directory (default: the latest)."""
     import json
@@ -538,7 +525,7 @@ def _cmd_orchestrate(args) -> int:
             os.path.join(run_dir, MANIFEST_NAME)):
         print("no orchestrated run found%s; start one with --jobs N on "
               "any campaign command (conformance, faults, churn, "
-              "attacks --campaign, bench)"
+              "attacks --campaign)"
               % (" at %s" % run_dir if run_dir else ""), file=sys.stderr)
         return 2
     journal = RunJournal(run_dir)
@@ -567,7 +554,6 @@ def _cmd_orchestrate(args) -> int:
 
 _COMMANDS = {
     "audit": _cmd_audit,
-    "bench": _cmd_bench,
     "churn": _cmd_churn,
     "orchestrate": _cmd_orchestrate,
     "paper": _cmd_paper,
@@ -592,7 +578,7 @@ def _jobs(text: str) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.analysis.paper import ARTIFACTS
+    from repro.analysis.paper import ARTIFACTS, HATCHED
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -612,6 +598,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     paper.add_argument("names", nargs="*", metavar="NAME",
                        help="artifacts to regenerate (default: all of %s)"
                             % " ".join(ARTIFACTS))
+    paper.add_argument("--slow-path", action="store_true",
+                       help="disable the PCU's compiled verdict plan (the "
+                            "fast path's escape hatch); runs only %s, "
+                            "whose records must not change"
+                            % " ".join(HATCHED))
+    paper.add_argument("--no-block-cache", action="store_true",
+                       help="disable the block-summary executor (DESIGN "
+                            "\u00a73.18 escape hatch); runs only %s, whose "
+                            "records must not change" % " ".join(HATCHED))
 
     def add_orchestration_flags(subparser) -> None:
         subparser.add_argument("--jobs", type=_jobs, default=1,
@@ -627,10 +622,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         subparser.add_argument("--run-dir", default=None,
                                help="checkpoint directory (default: "
                                     "results/runs/<kind>-<fingerprint>)")
-        subparser.add_argument("--profile", action="store_true",
-                               help="cProfile each shard; top-N cumulative "
-                                    "dump written to the run directory as "
-                                    "profile-<shard>.txt")
 
     def add_contracts_flag(subparser) -> None:
         subparser.add_argument("--contracts", default=True,
@@ -756,27 +747,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="JSON report output path")
     add_contracts_flag(churn)
     add_orchestration_flags(churn)
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the Table-4/5 and Fig-5-8 rigs sharded and write a "
-             "BENCH_<stamp>.json trajectory of their work",
-    )
-    bench.add_argument("--rigs", default=None,
-                       help="comma-separated rig names, 'all', or "
-                            "'default' (the full evaluation suite)")
-    bench.add_argument("--slow-path", action="store_true",
-                       help="disable the PCU's compiled verdict plan in "
-                            "every rig (the fast path's escape hatch; "
-                            "results must be identical, only slower)")
-    bench.add_argument("--no-block-cache", action="store_true",
-                       help="disable the block-summary executor in every "
-                            "rig (DESIGN \u00a73.18 escape hatch; results "
-                            "must be identical, only slower)")
-    bench.add_argument("--out", default=None,
-                       help="trajectory output path (default: "
-                            "results/bench/BENCH_<local time "
-                            "YYYYmmdd-HHMMSS>.json)")
-    add_orchestration_flags(bench)
     orchestrate = subparsers.add_parser(
         "orchestrate",
         help="inspect orchestrated run directories (checkpoints, "

@@ -70,15 +70,11 @@ class ChurnWorld:
     """
 
     def __init__(self, backend: Backend, *, max_slots: int = DEFAULT_SLOTS,
-                 config: str = "stress", fast_path: bool = True):
-        import dataclasses
-
+                 config: str = "stress"):
         self.backend = backend
         self.trusted_memory = TrustedMemory(base=TMEM_BASE, size=TMEM_SIZE)
-        pcu_config = CONFORMANCE_CONFIGS[config]
-        if not fast_path:
-            pcu_config = dataclasses.replace(pcu_config, fast_path=False)
-        self.pcu = PrivilegeCheckUnit(backend.isa_map, pcu_config,
+        self.pcu = PrivilegeCheckUnit(backend.isa_map,
+                                      CONFORMANCE_CONFIGS[config],
                                       self.trusted_memory)
         self.manager = DomainManager(self.pcu)
         self.manager.allocate_trusted_stack(frames=STACK_FRAMES)

@@ -1,8 +1,8 @@
 """Parallel campaign orchestration (the scalability substrate).
 
 Every heavy harness in this reproduction — the differential conformance
-fuzzer, the fault, machine and churn campaigns, the attack campaigns
-and the bench rigs — boils down to "replay a seeded matrix of event
+fuzzer, the fault, machine and churn campaigns and the attack
+campaigns — boils down to "replay a seeded matrix of event
 streams and merge the verdicts".  This package makes that one
 operation, shared by every campaign family:
 

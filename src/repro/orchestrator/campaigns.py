@@ -1,8 +1,8 @@
 """The campaign registry and the one path every campaign runs through.
 
 Each campaign family — abstract faults, machine faults, tenant churn,
-differential conformance, the bench rigs and the unintended-instruction
-attacks — is one :class:`~repro.orchestrator.shards.CampaignKind` in
+differential conformance and the unintended-instruction attacks — is
+one :class:`~repro.orchestrator.shards.CampaignKind` in
 :data:`KINDS`, holding only what differs between families: its axes,
 whether units split into campaign ranges, the weight of one campaign,
 the shard runner and the per-unit merge.  :func:`run_campaign` does the
@@ -25,7 +25,6 @@ import json
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.attacks.unintended import run_unintended_campaign
-from repro.bench.rigs import RIGS, run_rig
 from repro.conformance.runner import fuzz_backend, inject_cache_fill_bug
 from repro.faults import campaign as fault_campaign
 from repro.faults.campaign import CampaignMatrix, CampaignResult
@@ -146,14 +145,6 @@ def _run_conformance(params: Dict[str, object]) -> Dict[str, object]:
     return payload
 
 
-def _run_bench(params: Dict[str, object]) -> Dict[str, object]:
-    """Execute one benchmark rig; the payload is a trajectory record."""
-    payload = run_rig(params["rig"], fast_path=params["fast_path"],
-                      block_cache=params.get("block_cache", True))
-    payload["events_run"] = payload["instructions"]
-    return payload
-
-
 def _run_attacks(params: Dict[str, object]) -> Dict[str, object]:
     """Run one seed's scanner-vs-PCU campaign; ``events_run`` counts
     the PCU checks it issued."""
@@ -199,10 +190,6 @@ KINDS: Dict[str, CampaignKind] = {kind.name: kind for kind in (
         weight=lambda unit: unit["n_events"], run_shard=_run_conformance,
         merge=lambda unit, payloads: payloads[0]),
     CampaignKind(
-        "bench", "bench", ("rigs",), split=False,
-        weight=lambda unit: RIGS[unit["rig"]].approx_instructions,
-        run_shard=_run_bench, merge=lambda unit, payloads: payloads[0]),
-    CampaignKind(
         "attacks", "attacks", ("seeds",), split=False,
         weight=lambda unit: unit["n_streams"] * unit["stream_len"],
         run_shard=_run_attacks,
@@ -230,8 +217,8 @@ def run_campaign(
 
     Returns ``(merged, run, run_dir)``: ``merged`` holds one
     ``kind.merge`` result per unit, in plan order.  With ``jobs == 1``
-    and no ``resume``, ``run_dir`` or ``profile`` the shards run one
-    after another in this process and ``run`` and ``run_dir`` are None.
+    and no ``resume`` or ``run_dir`` the shards run one after another
+    in this process and ``run`` and ``run_dir`` are None.
     Otherwise they run on the supervised pool — per-shard timeouts,
     bounded retries, quarantine, checkpoints in ``run_dir`` (default:
     derived from the plan fingerprint).  A unit merges whatever shards
@@ -243,7 +230,7 @@ def run_campaign(
     ``resume`` names a run directory bound to a different plan.
     """
     plan = plan_shards(kind, params)
-    if jobs == 1 and not (resume or run_dir or params.get("profile")):
+    if jobs == 1 and not (resume or run_dir):
         payloads = {spec.shard_id: kind.run_shard(spec.params)
                     for spec in plan.shards}
         # The round trip a worker's result file puts its payload through.

@@ -17,9 +17,9 @@ parameters.  Two invariants make parallel runs trustworthy:
 
 Shard granularity: every campaign family is a :class:`CampaignKind`,
 and :func:`plan_shards` is the one planner for all of them.  A *unit*
-is one point of the kind's axes — a (backend, config) pair, a backend,
-a seed or a rig.  The conformance fuzzer replays one stateful stream
-per unit, so the unit is its smallest splittable slice.  Fault, machine
+is one point of the kind's axes — a (backend, config) pair, a backend
+or a seed.  The conformance fuzzer replays one stateful stream per
+unit, so the unit is its smallest splittable slice.  Fault, machine
 and churn campaigns are independent per campaign index, so their units
 are further chunked into contiguous campaign ranges; the chunk size is
 derived from the campaign count alone (see
@@ -188,10 +188,10 @@ def plan_shards(kind: CampaignKind, params: Dict[str, object]) -> ShardPlan:
     ``params`` are the campaign-level parameters: one list per axis of
     ``kind`` plus scalars shared by every shard.  Each shard's params
     are the scalars plus its unit's axis values (and, for a splitting
-    kind, its campaign range).  Flags that default off (``profile``,
-    ``state_changing_pulses``, ``inject_bug``) belong in ``params`` only
-    when set, so a plain run keeps the plan fingerprint — and the run
-    directory — it had before the flag existed.
+    kind, its campaign range).  Flags that default off
+    (``state_changing_pulses``, ``inject_bug``) belong in ``params``
+    only when set, so a plain run keeps the plan fingerprint — and the
+    run directory — it had before the flag existed.
     """
     scalars = {key: value for key, value in params.items()
                if key not in kind.axes}

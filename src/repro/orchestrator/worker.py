@@ -60,44 +60,6 @@ def _apply_sabotage(sabotage, attempt: int) -> None:
         raise RuntimeError("sabotaged shard (test hook)")
 
 
-#: How many cumulative-time rows a per-shard profile dump keeps.
-PROFILE_TOP_N = 40
-
-
-def _profiled_execute(spec_dict: Dict[str, object],
-                      result_path: str) -> Dict[str, object]:
-    """Run the shard under cProfile; dump top-N rows next to the result.
-
-    The dump lands in the run directory as ``profile-<shard_id>.txt``
-    so ``--resume`` and ``orchestrate --status`` users find it beside
-    the shard checkpoint it explains.  Profiling must never turn a good
-    shard into a failed one, so dump errors are swallowed.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        payload = execute_shard(spec_dict)
-    finally:
-        profiler.disable()
-        try:
-            buffer = io.StringIO()
-            stats = pstats.Stats(profiler, stream=buffer)
-            stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
-            dump_path = os.path.join(
-                os.path.dirname(result_path) or ".",
-                "profile-%s.txt" % spec_dict["shard_id"],
-            )
-            with open(dump_path, "w") as handle:
-                handle.write(buffer.getvalue())
-        except OSError:  # pragma: no cover - diagnostic only
-            pass
-    return payload
-
-
 def execute_shard(spec_dict: Dict[str, object]) -> Dict[str, object]:
     """Dispatch one shard spec dict to its kind's runner (in-process)."""
     from .campaigns import KINDS
@@ -110,10 +72,7 @@ def worker_entry(spec_dict: Dict[str, object], attempt: int,
     """Process target: run the shard, atomically publish the result."""
     started = time.monotonic()
     _apply_sabotage(spec_dict.get("sabotage"), attempt)
-    if (spec_dict.get("params") or {}).get("profile"):
-        payload = _profiled_execute(spec_dict, result_path)
-    else:
-        payload = execute_shard(spec_dict)
+    payload = execute_shard(spec_dict)
     result = {
         "shard_id": spec_dict["shard_id"],
         "status": "ok",

@@ -111,8 +111,8 @@ def build_riscv_system(
         )
         manager = DomainManager(pcu)
     machine = Machine(memory, hierarchy, pipeline, pcu)
-    # Native (PCU-less) machines honour the escape hatch too, so a
-    # ``--no-block-cache`` bench run never takes the block executor on
+    # Native (PCU-less) machines honour the escape hatch too, so
+    # ``paper --no-block-cache`` never takes the block executor on
     # either side of a native-vs-protected pair.
     machine.block_summaries = config.block_summaries
     cpu = RiscvCpu(machine)

@@ -15,7 +15,7 @@ per-instruction costs straight from the pipeline model.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.core import CONFIG_8E, PcuConfig
 from repro.core.isa_extension import GateKind
@@ -24,15 +24,10 @@ from repro.riscv import KERNEL_BASE as RISCV_KERNEL_BASE
 from repro.riscv import USER_BASE as RISCV_USER_BASE
 from repro.riscv import assemble as riscv_assemble
 from repro.riscv import build_riscv_system
-from repro.sim.machine import MachineStats
 from repro.sim.pipeline import StepInfo
 from repro.x86 import KERNEL_BASE as X86_KERNEL_BASE
 from repro.x86 import assemble as x86_assemble
 from repro.x86 import build_x86_system
-
-#: Called with the :class:`MachineStats` of every run a measurement
-#: makes (the paper registry totals the simulated work this way).
-OnRun = Optional[Callable[[MachineStats], object]]
 
 #: Literature comparison rows quoted in Table 4 (cycles).
 LITERATURE_ROWS = {
@@ -60,7 +55,6 @@ loop:
 
 def _riscv_loop_cycles(
     body: str, gates, iterations: int, config: PcuConfig, tail: str = "",
-    on_run: OnRun = None,
 ) -> float:
     """Cycles of one RISC-V loop; ``gates`` = [(gate_label, dest_label)].
 
@@ -83,40 +77,28 @@ def _riscv_loop_cycles(
             program.symbol(gate_label), program.symbol(dest_label), domain.domain_id
         )
     stats = system.run(program.symbol("entry"), max_steps=60 * iterations + 1000)
-    return _report_run(stats, on_run).cycles
-
-
-def _report_run(stats: MachineStats, on_run: OnRun) -> MachineStats:
-    if on_run is not None:
-        on_run(stats)
-    return stats
+    return stats.cycles
 
 
 def measure_riscv_gates(
-    config: PcuConfig = CONFIG_8E, iterations: int = 2000,
-    on_run: OnRun = None,
+    config: PcuConfig = CONFIG_8E, iterations: int = 2000
 ) -> Dict[str, float]:
     """Measured RISC-V gate latencies (Table 4 rows, cycles/op)."""
-    baseline = _riscv_loop_cycles("    nop", [], iterations, config,
-                                  on_run=on_run)
+    baseline = _riscv_loop_cycles("    nop", [], iterations, config)
     hccall = _riscv_loop_cycles(
-        "g0:\n    hccall t0\nafter0:", [("g0", "after0")], iterations, config,
-        on_run=on_run,
+        "g0:\n    hccall t0\nafter0:", [("g0", "after0")], iterations, config
     )
     pair = _riscv_loop_cycles(
         "g0:\n    hccalls t0\nafter0:",
         [("g0", "fn")], iterations, config,
         tail="fn:\n    hcrets",
-        on_run=on_run,
     )
     two_hccall = _riscv_loop_cycles(
         "g0:\n    hccall t0\nmid:\n    li t1, 2\ng1:\n    hccall t1\nafter1:",
         [("g0", "mid"), ("g1", "after1")], iterations, config,
-        on_run=on_run,
     )
     two_baseline = _riscv_loop_cycles(
-        "    nop\n    li t1, 2\n    nop", [], iterations, config,
-        on_run=on_run,
+        "    nop\n    li t1, 2\n    nop", [], iterations, config
     )
     return {
         "hccall": (hccall - baseline) / iterations,
@@ -144,8 +126,7 @@ loop:
 
 
 def _x86_loop_cycles(
-    body: str, gates, iterations: int, config: PcuConfig, tail: str = "",
-    on_run: OnRun = None,
+    body: str, gates, iterations: int, config: PcuConfig, tail: str = ""
 ) -> float:
     system = build_x86_system(config)
     manager = system.manager
@@ -163,25 +144,21 @@ def _x86_loop_cycles(
             program.symbol(gate_label), program.symbol(dest_label), domain.domain_id
         )
     stats = system.run(program.symbol("entry"), max_steps=60 * iterations + 1000)
-    return _report_run(stats, on_run).cycles
+    return stats.cycles
 
 
 def measure_x86_gates(
-    config: PcuConfig = CONFIG_8E, iterations: int = 2000,
-    on_run: OnRun = None,
+    config: PcuConfig = CONFIG_8E, iterations: int = 2000
 ) -> Dict[str, float]:
     """Measured x86 gate latencies (Table 4 rows, cycles/op)."""
-    baseline = _x86_loop_cycles("    nop", [], iterations, config,
-                                on_run=on_run)
+    baseline = _x86_loop_cycles("    nop", [], iterations, config)
     hccall = _x86_loop_cycles(
-        "g0:\n    hccall r10\nafter0:", [("g0", "after0")], iterations, config,
-        on_run=on_run,
+        "g0:\n    hccall r10\nafter0:", [("g0", "after0")], iterations, config
     )
     pair = _x86_loop_cycles(
         "g0:\n    hccalls r10\nafter0:",
         [("g0", "fn")], iterations, config,
         tail="fn:\n    hcrets",
-        on_run=on_run,
     )
     return {
         "hccall": (hccall - baseline) / iterations,
@@ -251,22 +228,20 @@ loop:
 
 
 def measure_riscv_syscall(
-    config: PcuConfig = CONFIG_8E, *, pti: bool = False,
-    iterations: int = 500, on_run: OnRun = None,
+    config: PcuConfig = CONFIG_8E, *, pti: bool = False, iterations: int = 500
 ) -> float:
     """Empty system call latency on the native RISC-V kernel (cycles)."""
     kernel = RiscvKernel("native", config, pti=pti)
     program = riscv_assemble(_SYSCALL_LOOP % {"iters": iterations}, base=RISCV_USER_BASE)
-    stats = kernel.run(program, max_steps=400 * iterations + 2000)
-    loop_cycles = _report_run(stats, on_run).cycles
+    loop_cycles = kernel.run(program, max_steps=400 * iterations + 2000).cycles
 
     baseline_kernel = RiscvKernel("native", config, pti=pti)
     baseline_program = riscv_assemble(
         _EMPTY_LOOP % {"iters": iterations}, base=RISCV_USER_BASE
     )
-    baseline = _report_run(baseline_kernel.run(
+    baseline = baseline_kernel.run(
         baseline_program, max_steps=400 * iterations + 2000
-    ), on_run).cycles
+    ).cycles
     return (loop_cycles - baseline) / iterations
 
 
@@ -290,8 +265,7 @@ trap:
 
 
 def measure_riscv_supervisor_call(
-    config: PcuConfig = CONFIG_8E, iterations: int = 500,
-    on_run: OnRun = None,
+    config: PcuConfig = CONFIG_8E, iterations: int = 500
 ) -> float:
     """Empty S-mode ecall round-trip on bare metal (cycles/op)."""
     system = build_riscv_system(config, with_isagrid=False)
@@ -299,8 +273,7 @@ def measure_riscv_supervisor_call(
         _SUPERVISOR_CALL_LOOP % {"iters": iterations}, base=RISCV_KERNEL_BASE
     )
     system.load(program)
-    stats = system.run(program.symbol("entry"), max_steps=100 * iterations + 1000)
-    cycles = _report_run(stats, on_run).cycles
+    cycles = system.run(program.symbol("entry"), max_steps=100 * iterations + 1000).cycles
 
     baseline_system = build_riscv_system(config, with_isagrid=False)
     baseline_source = (_SUPERVISOR_CALL_LOOP % {"iters": iterations}).replace(
@@ -308,7 +281,7 @@ def measure_riscv_supervisor_call(
     )
     baseline_program = riscv_assemble(baseline_source, base=RISCV_KERNEL_BASE)
     baseline_system.load(baseline_program)
-    baseline_stats = baseline_system.run(
-        baseline_program.symbol("entry"), max_steps=100 * iterations + 1000)
-    baseline = _report_run(baseline_stats, on_run).cycles
+    baseline = baseline_system.run(
+        baseline_program.symbol("entry"), max_steps=100 * iterations + 1000
+    ).cycles
     return (cycles - baseline) / iterations

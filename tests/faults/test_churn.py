@@ -6,6 +6,7 @@ bind/evict/recycle traffic, fault windows and classification ladder as
 the shipped ``results/churn_campaigns.json``.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -43,6 +44,27 @@ class TestChurnWorld:
         assert stats.recycles > 0
         assert stats.evictions > 0
         assert world.checks_run > 0
+
+    def test_slow_path_churns_identically(self, monkeypatch):
+        """The compiled verdict plan is invisible to churn: a fault-free
+        x86 stream runs the same checks, stall histogram and
+        virtualizer traffic with it turned off."""
+        monkeypatch.setitem(CONFORMANCE_CONFIGS, "stress_slow_path",
+                            dataclasses.replace(CONFORMANCE_CONFIGS["stress"],
+                                                fast_path=False))
+        trace = generate_churn_ops(0, N_OPS, 5, 5)
+        runs = []
+        for config in ("stress", "stress_slow_path"):
+            world = ChurnWorld(make_backend("x86"), max_slots=SLOTS,
+                               config=config)
+            for index, op in enumerate(trace.ops):
+                for cached, oracle in world.apply(op, index):
+                    assert cached == oracle, (config, index, op)
+            runs.append((world.checks_run, world.latency,
+                         world.virtualizer.stats))
+        assert runs[0] == runs[1]
+        checks, _, stats = runs[0]
+        assert checks > 0 and stats.recycles > 0 and stats.evictions > 0
 
     def test_saturation_backpressure_not_crash(self):
         """A slot pool smaller than the live-tenant floor must degrade

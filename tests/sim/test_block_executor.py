@@ -751,6 +751,7 @@ class TestKernelWorkloadIdentity:
             results[config.fast_path, config.block_summaries] = (
                 self.run_kernel(X86Kernel, x86_user_program, config))
         reference = results[True, False][0]
+        assert reference["faults"] == 0
         for key, (observed, _) in results.items():
             assert observed == reference, "mode %r diverged" % (key,)
         blocky = results[True, True][1]
@@ -763,6 +764,7 @@ class TestKernelWorkloadIdentity:
             results[config.fast_path, config.block_summaries] = (
                 self.run_kernel(RiscvKernel, riscv_user_program, config))
         reference = results[True, False][0]
+        assert reference["faults"] == 0
         for key, (observed, _) in results.items():
             assert observed == reference, "mode %r diverged" % (key,)
         # The kernel's mmap leaves a non-zero Bare satp behind, which
@@ -786,6 +788,7 @@ class TestKernelWorkloadIdentity:
             observed, kernel = self.run_kernel(
                 kernel_class, user_program, config, monitor=monitor)
             assert monitor.total_violations == 0
+            assert 0 < monitor.memo_hits < monitor.events_seen
             runs.append((observed, expanded_stream(monitor.recorded),
                          kernel.system.pcu.block_stats))
         (blocky, blocky_stream, stats), (off, off_stream, _) = runs
