@@ -80,6 +80,13 @@ class InstructionBitmap:
     def to_words(self) -> List[int]:
         return list(self._words)
 
+    def copy(self) -> "InstructionBitmap":
+        """An independent copy: it shares no word list with ``self``."""
+        clone = object.__new__(InstructionBitmap)
+        clone.n_classes = self.n_classes
+        clone._words = self._words[:]
+        return clone
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         granted = sum(bin(w).count("1") for w in self._words)
         return "InstructionBitmap(%d/%d allowed)" % (granted, self.n_classes)
@@ -170,6 +177,13 @@ class RegisterBitmap:
     def to_words(self) -> List[int]:
         return list(self._words)
 
+    def copy(self) -> "RegisterBitmap":
+        """An independent copy: it shares no word list with ``self``."""
+        clone = object.__new__(RegisterBitmap)
+        clone.n_csrs = self.n_csrs
+        clone._words = self._words[:]
+        return clone
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         readable = sum(self.can_read(i) for i in range(self.n_csrs))
         writable = sum(self.can_write(i) for i in range(self.n_csrs))
@@ -227,6 +241,14 @@ class BitMaskArray:
 
     def to_words(self) -> List[int]:
         return list(self._masks)
+
+    def copy(self) -> "BitMaskArray":
+        """An independent copy: it shares no mask list with ``self``."""
+        clone = object.__new__(BitMaskArray)
+        clone.n_masks = self.n_masks
+        clone.width = self.width
+        clone._masks = self._masks[:]
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "BitMaskArray(%d masks, width=%d)" % (self.n_masks, self.width)

@@ -13,7 +13,6 @@ than raw indices, using the architecture's
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -138,15 +137,20 @@ class DomainManager:
             yield
             return
         hpt = self.pcu.hpt
+        grant_mirrors = (hpt._inst, hpt._regs, hpt._masks)
         domain_snaps = []
         seal_snaps = []
         for d in domains:
             desc = self.domains.get(d)
+            # Copies, not references: grants mutate the live mirrors in
+            # place.  ``None`` records a mirror the domain did not have.
+            grants = []
+            for mirror in grant_mirrors:
+                value = mirror.get(d)
+                grants.append(None if value is None else value.copy())
             domain_snaps.append((
                 d,
-                (d in hpt._inst, copy.deepcopy(hpt._inst.get(d))),
-                (d in hpt._regs, copy.deepcopy(hpt._regs.get(d))),
-                (d in hpt._masks, copy.deepcopy(hpt._masks.get(d))),
+                grants,
                 desc,
                 None if desc is None else (
                     set(desc.instructions), set(desc.readable_csrs),
@@ -173,14 +177,12 @@ class DomainManager:
             yield
         except BaseException:
             memory.abort_transaction()
-            for d, inst, regs, masks, desc, fields in domain_snaps:
-                for mirror, (present, value) in ((hpt._inst, inst),
-                                                 (hpt._regs, regs),
-                                                 (hpt._masks, masks)):
-                    if present:
-                        mirror[d] = value
-                    else:
+            for d, grants, desc, fields in domain_snaps:
+                for mirror, value in zip(grant_mirrors, grants):
+                    if value is None:
                         mirror.pop(d, None)
+                    else:
+                        mirror[d] = value
                 if desc is not None:
                     (desc.instructions, desc.readable_csrs,
                      desc.writable_csrs, desc.bit_grants) = fields

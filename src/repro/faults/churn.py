@@ -90,6 +90,8 @@ class ChurnWorld:
         #: check-stall histogram {stall cycles: count} for tail latency
         self.latency: "Counter[int]" = Counter()
         self.checks_run = 0
+        #: check spec -> its AccessInfo (built on first use)
+        self._accesses: Dict[Tuple[int, int, bool, bool], AccessInfo] = {}
         self.backpressured = 0
 
     # -- injector surface ----------------------------------------------
@@ -100,56 +102,64 @@ class ChurnWorld:
             ids[index + 1] = physical
         return ids
 
-    # -- lockstep helpers ----------------------------------------------
-    def _outcome(self, status: str, pcu_side: bool, target: int = -1) -> Outcome:
-        if pcu_side:
-            return Outcome(status, self.pcu.current_domain,
-                           self.pcu.previous_domain,
-                           self.pcu.trusted_stack.depth, target)
-        return Outcome(status, self.oracle.domain, self.oracle.pdomain,
-                       self.oracle.depth, target)
-
-    def _run_side(self, fn, pcu_side: bool) -> Outcome:
-        try:
-            target = fn()
-        except PrivilegeFault as fault:
-            return self._outcome(type(fault).__name__, pcu_side)
-        return self._outcome("ok", pcu_side,
-                             target if isinstance(target, int) else -1)
-
+    # -- lockstep pairs ------------------------------------------------
     def _check_pair(self, spec: Tuple[int, int, bool, bool]) -> Tuple[Outcome, Outcome]:
-        inst_slot, csr_slot, read, write = spec
-        access = AccessInfo(
-            inst_class=self.backend.inst_class(max(inst_slot, 0)),
-            csr=None if csr_slot < 0 else self.backend.csr_index(csr_slot),
-            csr_read=read,
-            csr_write=write,
-            write_value=0 if write else None,
-            old_value=0 if write else None,
-        )
-
-        def run_cached() -> None:
-            stall = self.pcu.check(access)
+        # AccessInfo is frozen and the PCU, the oracle and the contract
+        # tap only read it, so each spec's is built once per world.
+        access = self._accesses.get(spec)
+        if access is None:
+            inst_slot, csr_slot, read, write = spec
+            access = self._accesses[spec] = AccessInfo(
+                inst_class=self.backend.inst_class(max(inst_slot, 0)),
+                csr=None if csr_slot < 0 else self.backend.csr_index(csr_slot),
+                csr_read=read,
+                csr_write=write,
+                write_value=0 if write else None,
+                old_value=0 if write else None,
+            )
+        pcu = self.pcu
+        try:
+            stall = pcu.check(access)
+        except PrivilegeFault as fault:
+            status = type(fault).__name__
+        else:
             self.latency[stall] += 1
-
-        cached = self._run_side(run_cached, True)
-        oracle = self._run_side(lambda: self.oracle.check(access), False)
+            status = "ok"
+        cached = Outcome(status, pcu.current_domain, pcu.previous_domain,
+                         pcu.trusted_stack.depth)
+        oracle = self.oracle
+        try:
+            oracle.check(access)
+        except PrivilegeFault as fault:
+            status = type(fault).__name__
+        else:
+            status = "ok"
+        pair = cached, Outcome(status, oracle.domain, oracle.pdomain,
+                               oracle.depth)
         self.checks_run += 1
-        return cached, oracle
+        return pair
 
     def _gate_pair(self, kind: GateKind, gate_id: int, pc: int,
                    return_address: Optional[int]) -> Tuple[Outcome, Outcome]:
-        def run_cached() -> int:
-            target, _stall = self.pcu.execute_gate(kind, gate_id, pc,
-                                                   return_address)
-            return target
-
-        cached = self._run_side(run_cached, True)
-        oracle = self._run_side(
-            lambda: self.oracle.execute_gate(kind, gate_id, pc,
-                                             return_address),
-            False)
-        return cached, oracle
+        pcu = self.pcu
+        try:
+            target, _stall = pcu.execute_gate(kind, gate_id, pc,
+                                              return_address)
+        except PrivilegeFault as fault:
+            status, target = type(fault).__name__, -1
+        else:
+            status = "ok"
+        cached = Outcome(status, pcu.current_domain, pcu.previous_domain,
+                         pcu.trusted_stack.depth, target)
+        oracle = self.oracle
+        try:
+            target = oracle.execute_gate(kind, gate_id, pc, return_address)
+        except PrivilegeFault as fault:
+            status, target = type(fault).__name__, -1
+        else:
+            status = "ok"
+        return cached, Outcome(status, oracle.domain, oracle.pdomain,
+                               oracle.depth, target)
 
     # -- op application ------------------------------------------------
     def apply(self, op: ChurnOp, index: int) -> List[Tuple[Outcome, Outcome]]:

@@ -4,11 +4,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.bitmap import (
+    WORD_MASK,
     BitMaskArray,
     InstructionBitmap,
     RegisterBitmap,
     words_for_bits,
 )
+
+
+def assert_independent(original, clone, mutate):
+    """Mutating either of a copy and its original leaves the other as
+    it was (a transaction snapshot must not share the live words)."""
+    for changed, other in ((clone, original), (original, clone)):
+        changed_before, other_before = changed.to_words(), other.to_words()
+        mutate(changed)
+        assert changed.to_words() != changed_before
+        assert other.to_words() == other_before
 
 
 class TestWordsForBits:
@@ -81,6 +92,20 @@ class TestInstructionBitmap:
         bitmap.set_word(1, 0xFF)
         assert bitmap.word(1) == 0b11  # only 2 tail bits exist
 
+    def test_copy_keeps_size_words_and_cleared_tail(self):
+        bitmap = InstructionBitmap(70, fill=True)
+        bitmap.deny(3)
+        clone = bitmap.copy()
+        assert clone.n_classes == 70
+        assert clone.to_words() == bitmap.to_words()
+        assert clone.word(1) == (1 << 6) - 1  # 70 classes: 6 tail bits
+        clone.set_word(1, WORD_MASK)
+        assert clone.word(1) == (1 << 6) - 1
+
+    def test_copy_is_independent(self):
+        bitmap = InstructionBitmap(70, fill=True)
+        assert_independent(bitmap, bitmap.copy(), lambda b: b.deny(0))
+
     @given(st.sets(st.integers(min_value=0, max_value=199), max_size=50))
     def test_allowed_matches_grant_set(self, grants):
         bitmap = InstructionBitmap(200)
@@ -132,6 +157,21 @@ class TestRegisterBitmap:
         assert bitmap.can_read(32) and bitmap.can_write(32)
         # tail cleared beyond 2*33 bits
         assert bitmap.word(1) >> (2 * 33 - 64) == 0
+
+    def test_copy_keeps_size_words_and_cleared_tail(self):
+        bitmap = RegisterBitmap(33, fill=True)
+        bitmap.revoke_read(7)
+        clone = bitmap.copy()
+        assert clone.n_csrs == 33
+        assert clone.to_words() == bitmap.to_words()
+        assert clone.word(1) == 0b11  # 33 CSRs: 2 tail bits
+        clone.set_word(1, WORD_MASK)
+        assert clone.word(1) == 0b11
+
+    def test_copy_is_independent(self):
+        bitmap = RegisterBitmap(33, fill=True)
+        assert_independent(bitmap, bitmap.copy(),
+                           lambda b: b.revoke_write(32))
 
     def test_out_of_range(self):
         bitmap = RegisterBitmap(4)
@@ -192,6 +232,20 @@ class TestBitMaskArray:
     def test_bad_width(self):
         with pytest.raises(ValueError):
             BitMaskArray(1, width=65)
+
+    def test_copy_keeps_size_width_and_words(self):
+        masks = BitMaskArray(3, width=12, fill=True)
+        masks.deny_bits(1, 0b101)
+        clone = masks.copy()
+        assert (clone.n_masks, clone.width) == (3, 12)
+        assert clone.to_words() == masks.to_words() == [0xFFF, 0xFFA, 0xFFF]
+        clone.set_mask(0, WORD_MASK)
+        assert clone.get_mask(0) == 0xFFF
+
+    def test_copy_is_independent(self):
+        masks = BitMaskArray(3, width=12, fill=True)
+        assert_independent(masks, masks.copy(),
+                           lambda m: m.deny_bits(2, 1))
 
     def test_slot_out_of_range(self):
         masks = BitMaskArray(2)

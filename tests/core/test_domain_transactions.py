@@ -13,7 +13,7 @@ from repro.core import (
     TrustedMemory,
     CONFIG_8E,
 )
-from repro.faults import FaultyWordBacking
+from repro.faults import FaultyWordBacking, IntegrityScrubber
 
 
 @pytest.fixture
@@ -36,6 +36,18 @@ def hpt_words(pcu, domain):
     )
 
 
+def mirror_words(pcu, domain):
+    """The python-side grant mirrors of one domain, as word lists.
+
+    A grant mutates these in place before its store; only the
+    transaction's snapshot copy can put the old words back.
+    """
+    hpt = pcu.hpt
+    return [None if mirror.get(domain) is None
+            else mirror[domain].to_words()
+            for mirror in (hpt._inst, hpt._regs, hpt._masks)]
+
+
 def sgt_words(pcu):
     sgt = pcu.sgt
     memory = pcu.trusted_memory
@@ -53,23 +65,26 @@ class TestGrantRollback:
         manager.allow_instructions(domain.domain_id, ["alu", "csr"])
         manager.grant_register(domain.domain_id, "vbase", read=True)
         before = hpt_words(pcu, domain.domain_id)
+        mirrors = mirror_words(pcu, domain.domain_id)
         faulty_backing.arm_store_fault()
         with pytest.raises(InjectedFault):
             manager.grant_register(domain.domain_id, "scratch",
                                    read=True, write=True)
         assert hpt_words(pcu, domain.domain_id) == before
+        assert mirror_words(pcu, domain.domain_id) == mirrors
         assert pcu.stats.reconfig_rollbacks == 1
-        # mirrors agree with memory: a scrub pass finds nothing
-        from repro.faults import IntegrityScrubber
         assert IntegrityScrubber(pcu, manager).scrub().clean
 
     def test_descriptor_state_rolls_back(self, pcu, manager, faulty_backing):
         domain = manager.create_domain("victim")
         manager.allow_instructions(domain.domain_id, ["alu"])
+        mirrors = mirror_words(pcu, domain.domain_id)
         faulty_backing.arm_store_fault()
         with pytest.raises(InjectedFault):
             manager.allow_instructions(domain.domain_id, ["load", "store"])
         assert domain.instructions == {"alu"}
+        assert mirror_words(pcu, domain.domain_id) == mirrors
+        assert IntegrityScrubber(pcu, manager).scrub().clean
         # and the manager still works: the retry commits
         manager.allow_instructions(domain.domain_id, ["load", "store"])
         assert domain.instructions == {"alu", "load", "store"}
@@ -78,10 +93,13 @@ class TestGrantRollback:
         domain = manager.create_domain("victim")
         manager.set_register_mask(domain.domain_id, "ctrl", 0b1111)
         before = hpt_words(pcu, domain.domain_id)
+        mirrors = mirror_words(pcu, domain.domain_id)
         faulty_backing.arm_store_fault()
         with pytest.raises(InjectedFault):
             manager.set_register_mask(domain.domain_id, "ctrl", 0b1)
         assert hpt_words(pcu, domain.domain_id) == before
+        assert mirror_words(pcu, domain.domain_id) == mirrors
+        assert IntegrityScrubber(pcu, manager).scrub().clean
 
     def test_committed_grants_survive(self, pcu, manager, faulty_backing):
         domain = manager.create_domain("victim")

@@ -13,6 +13,7 @@ import pytest
 
 from repro import orchestrator
 from repro.conformance import CONFORMANCE_CONFIGS, ConformanceWorld, make_backend
+from repro.core import InstructionPrivilegeFault, PrivilegeCheckUnit
 from repro.faults import (
     CHURN_FAULT_KINDS,
     CLASSIFICATIONS,
@@ -44,6 +45,48 @@ class TestChurnWorld:
         assert stats.recycles > 0
         assert stats.evictions > 0
         assert world.checks_run > 0
+
+    @staticmethod
+    def _diverged_pairs():
+        """The pairs whose sides disagree on the seed-3 stream, which
+        runs clean with a correct PCU."""
+        world = ChurnWorld(make_backend("riscv"), max_slots=SLOTS)
+        trace = generate_churn_ops(3, N_OPS, 5, 5)
+        return [(cached, oracle)
+                for index, op in enumerate(trace.ops)
+                for cached, oracle in world.apply(op, index)
+                if cached != oracle]
+
+    def test_lockstep_catches_a_swallowed_instruction_fault(
+            self, monkeypatch):
+        real_check = PrivilegeCheckUnit.check
+
+        def check(self, access):
+            try:
+                return real_check(self, access)
+            except InstructionPrivilegeFault:
+                return 0
+
+        monkeypatch.setattr(PrivilegeCheckUnit, "check", check)
+        diverged = self._diverged_pairs()
+        assert diverged
+        for cached, oracle in diverged:
+            assert (cached.status, oracle.status) == (
+                "ok", "InstructionPrivilegeFault")
+
+    def test_lockstep_catches_a_shifted_gate_target(self, monkeypatch):
+        real_gate = PrivilegeCheckUnit.execute_gate
+
+        def execute_gate(self, *args, **kwargs):
+            target, stall = real_gate(self, *args, **kwargs)
+            return target + 4, stall
+
+        monkeypatch.setattr(PrivilegeCheckUnit, "execute_gate", execute_gate)
+        diverged = self._diverged_pairs()
+        assert diverged
+        for cached, oracle in diverged:
+            assert cached.status == oracle.status == "ok"
+            assert cached.target == oracle.target + 4
 
     def test_slow_path_churns_identically(self, monkeypatch):
         """The compiled verdict plan is invisible to churn: a fault-free
