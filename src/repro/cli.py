@@ -4,8 +4,7 @@ Usage::
 
     python -m repro paper [NAME ...]  # regenerate the paper's tables/figures
     python -m repro attacks           # Table-1 mitigation matrix
-    python -m repro decompose         # use case 1 overhead + exposure
-    python -m repro audit             # audit the shipped decompositions
+    python -m repro audit             # audit the decompositions + exposure
     python -m repro conformance       # differential oracle-vs-PCU fuzz
     python -m repro faults            # fault-injection campaigns
     python -m repro churn             # multi-tenant churn + slot recycling
@@ -169,33 +168,22 @@ def _run_attack_campaigns(args) -> int:
     }, report)
 
 
-def _cmd_decompose(_args) -> int:
-    from repro.analysis import format_normalized
-    from repro.baselines import compare_exposure
-    from repro.kernel import X86Kernel
-    from repro.workloads import SQLITE, normalized_time, run_riscv_app, run_x86_app
-
-    for arch, runner in (("riscv", run_riscv_app), ("x86", run_x86_app)):
-        native = runner(SQLITE, "native")
-        decomposed = runner(SQLITE, "decomposed")
-        print("%-6s SQLite normalized time: %s"
-              % (arch, format_normalized(normalized_time(decomposed, native))))
-    comparison = compare_exposure(X86Kernel("decomposed").system.manager)
-    print("exposure: %d resources (levels only) -> worst domain %d (%.0fx reduction)"
-          % (comparison.baseline_exposure, comparison.worst_domain_exposure,
-             comparison.reduction_factor))
-    return 0
-
-
 def _cmd_audit(_args) -> int:
     from repro.analysis import audit
+    from repro.baselines import compare_exposure
     from repro.kernel import RiscvKernel, X86Kernel
 
     for kernel in (RiscvKernel("decomposed"), X86Kernel("decomposed")):
         manager = kernel.system.manager
         report = audit(manager)
+        comparison = compare_exposure(manager)
         print("%s (%s):" % (kernel.__class__.__name__, manager.isa_map.arch))
         print("    " + report.render().replace("\n", "\n    "))
+        print("    exposure: %d resources (levels only) -> worst domain %d "
+              "(%.0fx reduction)"
+              % (comparison.baseline_exposure,
+                 comparison.worst_domain_exposure,
+                 comparison.reduction_factor))
         print()
     return 0
 
@@ -334,7 +322,7 @@ def _cmd_conformance(args) -> int:
             print("cannot read reproducer: %s" % error, file=sys.stderr)
             return 2
         runner = DifferentialRunner(
-            backend, config=config, layer=args.layer,
+            backend, config=config,
             mutate=inject_cache_fill_bug if args.inject_bug else None)
         divergence = runner.replay(events)
         if divergence is None:
@@ -353,10 +341,8 @@ def _cmd_conformance(args) -> int:
         return 2
     params = {
         "backends": _backends(args), "configs": configs, "seed": args.seed,
-        "n_events": args.events, "layer": args.layer,
-        "scrub_interval": args.scrub_interval,
-        "oracle_only": args.oracle_only, "dump_dir": ".",
-        "contracts": args.contracts,
+        "n_events": args.events, "scrub_interval": args.scrub_interval,
+        "dump_dir": ".", "contracts": args.contracts,
     }
     if args.inject_bug:
         params["inject_bug"] = True
@@ -558,7 +544,6 @@ _COMMANDS = {
     "orchestrate": _cmd_orchestrate,
     "paper": _cmd_paper,
     "attacks": _cmd_attacks,
-    "decompose": _cmd_decompose,
     "conformance": _cmd_conformance,
     "faults": _cmd_faults,
     "contracts": _cmd_contracts,
@@ -587,9 +572,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        metavar="command")
     subparsers.add_parser("audit",
-                          help="audit the shipped kernel decompositions")
-    subparsers.add_parser("decompose",
-                          help="use case 1: SQLite overhead and exposure")
+                          help="audit the shipped kernel decompositions "
+                               "and their exposure against privilege "
+                               "levels alone")
     paper = subparsers.add_parser(
         "paper",
         help="regenerate the paper's tables and figures into "
@@ -661,18 +646,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              default="both")
     conformance.add_argument("--config", default=None,
                              help="comma-separated PCU config names, or 'all'")
-    conformance.add_argument("--oracle-only", action="store_true",
-                             help="replay through the oracle alone "
-                                  "(spec smoke test, no diffing)")
     conformance.add_argument("--inject-bug", action="store_true",
                              help="corrupt instruction-bitmap cache fills "
                                   "to demonstrate divergence detection")
     conformance.add_argument("--replay", metavar="REPRO_JSON", default=None,
                              help="replay a dumped reproducer file")
-    conformance.add_argument("--layer", choices=("pcu", "kernel"),
-                             default="pcu",
-                             help="drive the cached side bare (pcu) or "
-                                  "through the MiniKernel syscall table")
     conformance.add_argument("--scrub-interval", type=int, default=0,
                              help="run the integrity scrubber every N "
                                   "events (0 = off); any detection on a "

@@ -37,6 +37,7 @@ from repro.core.errors import PrivilegeFault
 
 from .events import (
     N_DOMAIN_SLOTS,
+    RECONFIG_OPS,
     Event,
     canonicalize_events,
     generate_events,
@@ -115,8 +116,6 @@ class ConformanceWorld:
         config: PcuConfig,
         stack_frames: int = STACK_FRAMES,
         mutate: Optional[Callable[[PrivilegeCheckUnit], None]] = None,
-        oracle_only: bool = False,
-        layer: str = "pcu",
     ):
         self.backend = backend
         self.stack_frames = stack_frames
@@ -133,17 +132,6 @@ class ConformanceWorld:
         self.contexts: Dict[int, Tuple[Tuple[int, int, int], object]] = {}
         self.oracle = OraclePcu(backend.isa_map, self.pcu.hpt, self.pcu.sgt,
                                 self.trusted_memory, stack_frames)
-        self.oracle_only = oracle_only
-        # layer == "kernel": route every cached-side call through the
-        # MiniKernel syscall table so the diff also covers the dispatch
-        # plumbing.  The oracle always stays bare — it is the spec.
-        if layer not in ("pcu", "kernel"):
-            raise ValueError("unknown conformance layer %r" % layer)
-        self.layer = layer
-        self.kernel_layer = None
-        if layer == "kernel":
-            from repro.kernel.conformance_layer import MiniKernelSyscallLayer
-            self.kernel_layer = MiniKernelSyscallLayer(self.pcu, self.manager)
         # Abstract domain slot -> live concrete domain id (None = dead).
         self.slot_ids: Dict[int, Optional[int]] = {0: 0}
         self._incarnation = 0
@@ -179,49 +167,27 @@ class ConformanceWorld:
             access = self._access(event)
 
             def run_cached_check() -> None:
-                if self.kernel_layer is not None:
-                    from repro.kernel.syscalls import SYS_PCHECK
-                    self.kernel_layer.syscall(SYS_PCHECK, access)
-                else:
-                    self.pcu.check(access)  # stall cycles are not compared
+                # Drop the stall: stall cycles are not compared, and
+                # _run_side would read an int return as a gate target.
+                self.pcu.check(access)
 
-            cached = (self._skip(True) if self.oracle_only else
-                      self._run_side(run_cached_check, True))
+            cached = self._run_side(run_cached_check, True)
             oracle = self._run_side(lambda: self.oracle.check(access), False)
             return cached, oracle
         if op == "gate":
             return self._apply_gate(event)
         if op == "mem":
-
-            def run_cached_mem() -> None:
-                if self.kernel_layer is not None:
-                    from repro.kernel.syscalls import SYS_PMEM
-                    self.kernel_layer.syscall(SYS_PMEM, event.address)
-                else:
-                    self.pcu.check_memory_access(event.address)
-
-            cached = (self._skip(True) if self.oracle_only else
-                      self._run_side(run_cached_mem, True))
+            cached = self._run_side(
+                lambda: self.pcu.check_memory_access(event.address), True)
             oracle = self._run_side(
                 lambda: self.oracle.check_memory_access(event.address), False)
             return cached, oracle
         if op == "pfch":
-            if not self.oracle_only:
-                target = (0 if event.csr < 0
-                          else self.backend.csr_index(event.csr))
-                if self.kernel_layer is not None:
-                    from repro.kernel.syscalls import SYS_PFCH
-                    self.kernel_layer.syscall(SYS_PFCH, target)
-                else:
-                    self.pcu.prefetch(target)
+            self.pcu.prefetch(0 if event.csr < 0
+                              else self.backend.csr_index(event.csr))
             return self._skip(True, "ok"), self._skip(False, "ok")
         if op == "pflh":
-            if not self.oracle_only:
-                if self.kernel_layer is not None:
-                    from repro.kernel.syscalls import SYS_PFLH
-                    self.kernel_layer.syscall(SYS_PFLH, event.cache)
-                else:
-                    self.pcu.flush(CacheId(event.cache))
+            self.pcu.flush(CacheId(event.cache))
             return self._skip(True, "ok"), self._skip(False, "ok")
         if op in ("save_ctx", "restore_ctx", "thread_stack"):
             return self._apply_context(event)
@@ -261,8 +227,7 @@ class ConformanceWorld:
                     entry = (event.address, domain_id)
                     kwargs = {"entry_address": event.address,
                               "entry_domain": domain_id}
-                context = self._manager_call("create_thread_stack", frames,
-                                             **kwargs)
+                context = self.manager.create_thread_stack(frames, **kwargs)
                 self.contexts[event.ctx] = (
                     context,
                     self.oracle.create_thread_context(frames, entry),
@@ -271,13 +236,6 @@ class ConformanceWorld:
 
     def _skip(self, pcu_side: bool, status: str = "skip") -> Outcome:
         return self._outcome(status, pcu_side)
-
-    def _manager_call(self, op: str, *args, **kwargs):
-        """Domain-0 management op — via SYS_DCONF under the kernel layer."""
-        if self.kernel_layer is not None:
-            from repro.kernel.syscalls import SYS_DCONF
-            return self.kernel_layer.syscall(SYS_DCONF, op, *args, **kwargs)
-        return getattr(self.manager, op)(*args, **kwargs)
 
     def _access(self, event: Event) -> AccessInfo:
         return AccessInfo(
@@ -297,16 +255,11 @@ class ConformanceWorld:
         return_address = event.address
 
         def run_cached() -> int:
-            if self.kernel_layer is not None:
-                from repro.kernel.syscalls import SYS_PGATE
-                return self.kernel_layer.syscall(SYS_PGATE, kind, event.gate,
-                                                 pc, return_address)
             target, _stall = self.pcu.execute_gate(kind, event.gate, pc,
                                                    return_address)
             return target
 
-        cached = (self._skip(True) if self.oracle_only else
-                  self._run_side(run_cached, True))
+        cached = self._run_side(run_cached, True)
         oracle = self._run_side(
             lambda: self.oracle.execute_gate(kind, event.gate, pc,
                                              return_address),
@@ -321,64 +274,66 @@ class ConformanceWorld:
         total.
         """
         op = event.op
+        if op not in RECONFIG_OPS:
+            # Checked before the target: an event is never an RPC into
+            # arbitrary manager code, whichever slot it names.
+            raise ValueError("unknown conformance event op %r" % op)
         backend = self.backend
-        call = self._manager_call
+        manager = self.manager
         domain_id = self.slot_ids.get(event.domain)
         status = "ok"
         if op == "create_domain":
             if domain_id is None:
                 self._incarnation += 1
-                self.slot_ids[event.domain] = call(
-                    "create_domain",
+                self.slot_ids[event.domain] = manager.create_domain(
                     "slot%d.%d" % (event.domain, self._incarnation)).domain_id
             else:
                 status = "skip"
         elif op == "destroy_domain":
             if domain_id is not None and domain_id != 0:
-                call("destroy_domain", domain_id)
+                manager.destroy_domain(domain_id)
                 self.slot_ids[event.domain] = None
             else:
                 status = "skip"
         elif op == "unregister_gate":
-            call("unregister_gate", event.gate)
+            manager.unregister_gate(event.gate)
         elif op == "register_gate":
             if domain_id is None:
                 status = "skip"
             else:
-                call("register_gate", gate_address(event.gate),
-                     destination_address(event.gate),
-                     domain_id, gate_id=event.gate)
+                manager.register_gate(gate_address(event.gate),
+                                      destination_address(event.gate),
+                                      domain_id, gate_id=event.gate)
         elif domain_id is None or domain_id == 0:
             status = "skip"  # never reconfigure domain-0's privileges
         elif op == "allow_inst":
-            call("allow_instructions", domain_id,
-                 [backend.inst_name(event.inst)])
+            manager.allow_instructions(domain_id,
+                                       [backend.inst_name(event.inst)])
         elif op == "deny_inst":
-            call("deny_instruction", domain_id, backend.inst_name(event.inst))
+            manager.deny_instruction(domain_id, backend.inst_name(event.inst))
         elif op == "grant_csr":
             if event.read or event.write:
-                call("grant_register", domain_id, backend.csr_name(event.csr),
-                     read=event.read, write=event.write)
+                manager.grant_register(domain_id, backend.csr_name(event.csr),
+                                       read=event.read, write=event.write)
             else:
                 status = "skip"
         elif op == "revoke_csr":
-            call("revoke_register", domain_id, backend.csr_name(event.csr),
-                 read=event.read, write=event.write)
+            manager.revoke_register(domain_id, backend.csr_name(event.csr),
+                                    read=event.read, write=event.write)
         elif op == "set_mask":
-            call("set_register_mask", domain_id,
-                 backend.csr_name(len(backend.csr_names) - 1), event.bits)
+            manager.set_register_mask(
+                domain_id, backend.csr_name(len(backend.csr_names) - 1),
+                event.bits)
         elif op == "seal":
             if event.csr < 0:
-                call("seal_privileges", domain_id,
-                     instructions=[backend.inst_name(event.inst)])
+                manager.seal_privileges(
+                    domain_id, instructions=[backend.inst_name(event.inst)])
             elif event.read or event.write:
-                call("seal_privileges", domain_id,
-                     csrs=[backend.csr_name(event.csr)],
-                     read=event.read, write=event.write)
+                manager.seal_privileges(
+                    domain_id, csrs=[backend.csr_name(event.csr)],
+                    read=event.read, write=event.write)
             else:
                 status = "skip"
-        else:
-            raise ValueError("unknown conformance event op %r" % op)
         return self._skip(True, status), self._skip(False, status)
 
 
@@ -391,8 +346,6 @@ class DifferentialRunner:
         config: str = "stress",
         stack_frames: int = STACK_FRAMES,
         mutate: Optional[Callable[[PrivilegeCheckUnit], None]] = None,
-        oracle_only: bool = False,
-        layer: str = "pcu",
         scrub_interval: int = 0,
     ):
         self.backend = make_backend(backend_name)
@@ -400,8 +353,6 @@ class DifferentialRunner:
         self.config = CONFORMANCE_CONFIGS[config]
         self.stack_frames = stack_frames
         self.mutate = mutate
-        self.oracle_only = oracle_only
-        self.layer = layer
         #: Events between integrity-scrub watchdog runs (0 = disabled).
         #: On a fault-free replay every scrub must come back clean; a
         #: detection here is itself a conformance failure.
@@ -412,8 +363,7 @@ class DifferentialRunner:
 
     def _world(self) -> ConformanceWorld:
         return ConformanceWorld(self.backend, self.config, self.stack_frames,
-                                self.mutate, self.oracle_only,
-                                layer=self.layer)
+                                self.mutate)
 
     def replay(self, events: Sequence[Event],
                count_outcomes: bool = False,
@@ -438,7 +388,7 @@ class DifferentialRunner:
             cached, oracle = world.apply(event)
             if count_outcomes:
                 self.outcomes[oracle.status] += 1
-            if not self.oracle_only and cached != oracle:
+            if cached != oracle:
                 return Divergence(index, event, cached, oracle)
             if scrubber is not None and (index + 1) % self.scrub_interval == 0:
                 report = scrubber.scrub(repair=False)
@@ -496,7 +446,6 @@ class DifferentialRunner:
             "format": "isagrid-conformance-repro-v1",
             "backend": self.backend.name,
             "config": self.config_name,
-            "layer": self.layer,
             "seed": seed,
             "stream_key": stream_key(list(events)),
             "divergence": {
@@ -535,7 +484,6 @@ class ConformanceResult:
     #: with contracts on).  Deliberately NOT part of :meth:`summary` —
     #: the ``--jobs N`` byte-identity surface stays unchanged.
     contract_trace_path: Optional[str] = None
-    layer: str = "pcu"
     scrub_detections: List[str] = None  # type: ignore[assignment]
     stream_key: Optional[str] = None
     #: Per-contract violation counts (None when monitoring was off).
@@ -583,9 +531,7 @@ def fuzz_backend(
     count: int,
     config: str = "stress",
     mutate: Optional[Callable[[PrivilegeCheckUnit], None]] = None,
-    oracle_only: bool = False,
     dump_dir: Optional[str] = None,
-    layer: str = "pcu",
     scrub_interval: int = 0,
     contracts: bool = True,
 ) -> ConformanceResult:
@@ -598,7 +544,6 @@ def fuzz_backend(
     """
     events = generate_events(seed, count)
     runner = DifferentialRunner(backend_name, config=config, mutate=mutate,
-                                oracle_only=oracle_only, layer=layer,
                                 scrub_interval=scrub_interval)
     monitor = None
     if contracts:
@@ -607,7 +552,6 @@ def fuzz_backend(
     divergence = runner.replay(events, count_outcomes=True, monitor=monitor)
     result = ConformanceResult(backend_name, config, len(events),
                                dict(runner.outcomes), divergence,
-                               layer=layer,
                                scrub_detections=list(runner.scrub_detections))
     if monitor is not None:
         result.contract_counts = monitor.counts()

@@ -133,7 +133,6 @@ class HptCacheSet:
         self.inst = FullyAssociativeCache(config.hpt_cache_entries)
         self.reg = FullyAssociativeCache(config.hpt_cache_entries)
         self.mask = FullyAssociativeCache(config.hpt_cache_entries)
-        self.words_per_inst_entry = config.inst_group_bits // 64 or 1
 
     # -- instruction bitmap -------------------------------------------
     def inst_word(

@@ -29,12 +29,6 @@ class PcuConfig:
     sgt_cache_entries:
         Entries in the SGT cache; 0 disables it (the ``8E.N`` variant),
         making every gate execution read the SGT from memory.
-    inst_group_bits:
-        Instruction classes covered by one instruction-bitmap cache entry
-        (one 64-bit word).
-    reg_group_csrs:
-        CSRs covered by one register-bitmap cache entry (32, since each
-        CSR takes two bits of a 64-bit word).
     refill_latency:
         Cycles to fetch one HPT/SGT word from memory on a cache miss.
         Stand-alone core uses this constant; a full Machine overrides it
@@ -79,8 +73,6 @@ class PcuConfig:
     name: str = "8E."
     hpt_cache_entries: int = 8
     sgt_cache_entries: int = 8
-    inst_group_bits: int = 64
-    reg_group_csrs: int = 32
     refill_latency: int = 120
     bypass_enabled: bool = True
     prefetch_enabled: bool = True
@@ -96,10 +88,6 @@ class PcuConfig:
             raise ConfigurationError("HPT caches need at least one entry")
         if self.sgt_cache_entries < 0:
             raise ConfigurationError("SGT cache entries must be >= 0")
-        if self.inst_group_bits not in (8, 16, 32, 64):
-            raise ConfigurationError("inst_group_bits must divide a 64-bit word")
-        if self.reg_group_csrs not in (4, 8, 16, 32):
-            raise ConfigurationError("reg_group_csrs must be <= 32 and a power of two")
         if self.draco_entries < 0:
             raise ConfigurationError("draco_entries must be >= 0")
 

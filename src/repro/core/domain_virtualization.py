@@ -231,7 +231,7 @@ class DomainVirtualizer:
         self.pinned.discard(logical)
 
     # ------------------------------------------------------------------
-    # Tenant reconfiguration (SYS_DCONF on logical ids).
+    # Tenant reconfiguration (DomainManager grants on logical ids).
     # ------------------------------------------------------------------
     def allow_instructions(self, logical: int, class_names: Iterable[str]) -> None:
         names = list(class_names)

@@ -6,8 +6,8 @@ domain population; churn campaigns instead drive the
 :mod:`~repro.workloads.tenant_churn` op stream — thousands of logical
 tenants multiplexed over a few dozen physical slots, with Zipf-popular
 gate traffic, bursty arrivals, LRU eviction under ``slot_exhausted``
-backpressure, and SYS_DCONF-style reconfiguration commit windows
-overlapping live checks.
+backpressure, and domain-0 reconfiguration commit windows overlapping
+live checks.
 
 Every privilege-visible step (gate, check) still runs in lockstep
 against the cache-free oracle over shared tables, the integrity

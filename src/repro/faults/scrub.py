@@ -116,35 +116,54 @@ class IntegrityScrubber:
             return [0] * hpt.mask_words_per_domain
         return list(words)
 
-    def _expected_inst_words(self, domain: int) -> List[int]:
+    def _granted_inst_words(self, domain: int) -> List[int]:
         hpt = self.pcu.hpt
         bitmap = hpt._inst.get(domain)
-        seal = self._expected_seal_inst(domain)
         if bitmap is None:
             return [0] * hpt.inst_words_per_domain
-        # The read path ANDs seals out, so the expectation must too —
-        # otherwise a seal under a live grant would look like permanent
-        # corruption and the scrubber would "repair" forever.
-        return [bitmap.word(i) & ~seal[i]
-                for i in range(hpt.inst_words_per_domain)]
+        return [bitmap.word(i) for i in range(hpt.inst_words_per_domain)]
 
-    def _expected_reg_words(self, domain: int) -> List[int]:
+    def _granted_reg_words(self, domain: int) -> List[int]:
         hpt = self.pcu.hpt
         bitmap = hpt._regs.get(domain)
-        seal = self._expected_seal_regs(domain)
         if bitmap is None:
             return [0] * hpt.reg_words_per_domain
-        return [bitmap.word(i) & ~seal[i]
-                for i in range(hpt.reg_words_per_domain)]
+        return [bitmap.word(i) for i in range(hpt.reg_words_per_domain)]
 
-    def _expected_masks(self, domain: int) -> List[int]:
+    def _granted_masks(self, domain: int) -> List[int]:
         hpt = self.pcu.hpt
         masks = hpt._masks.get(domain)
-        seal = self._expected_seal_masks(domain)
         if masks is None:
             return [0] * hpt.mask_words_per_domain
-        return [masks.get_mask(s) & ~seal[s]
-                for s in range(hpt.mask_words_per_domain)]
+        return [masks.get_mask(s) for s in range(hpt.mask_words_per_domain)]
+
+    def _regions(self, domain: int):
+        """``(address_of, read, words, seals)`` per HPT region of a domain.
+
+        ``words`` are what domain-0's mirrors say the region holds.  The
+        read path ANDs seals out, so a word is expected to *read* back as
+        ``word & ~seal`` — otherwise a seal under a live grant would look
+        like permanent corruption and the scrubber would "repair"
+        forever.  The seal regions themselves read raw (zero seals).
+        """
+        hpt = self.pcu.hpt
+        seal_inst = self._expected_seal_inst(domain)
+        seal_regs = self._expected_seal_regs(domain)
+        seal_masks = self._expected_seal_masks(domain)
+        return (
+            (hpt.inst_word_address, hpt.read_inst_word,
+             self._granted_inst_words(domain), seal_inst),
+            (hpt.reg_word_address, hpt.read_reg_word,
+             self._granted_reg_words(domain), seal_regs),
+            (hpt.mask_address, hpt.read_mask,
+             self._granted_masks(domain), seal_masks),
+            (hpt.seal_inst_address, hpt.read_seal_inst_word,
+             seal_inst, [0] * len(seal_inst)),
+            (hpt.seal_reg_address, hpt.read_seal_reg_word,
+             seal_regs, [0] * len(seal_regs)),
+            (hpt.seal_mask_address, hpt.read_seal_mask,
+             seal_masks, [0] * len(seal_masks)),
+        )
 
     def domain_checksum(self, domain: int) -> int:
         """Checksum of one domain's HPT regions as held in trusted memory.
@@ -171,42 +190,26 @@ class IntegrityScrubber:
 
     def expected_domain_checksum(self, domain: int) -> int:
         """The same checksum derived from domain-0's mirrors."""
-        return _fold(self._expected_inst_words(domain)
-                     + self._expected_reg_words(domain)
-                     + self._expected_masks(domain)
-                     + self._expected_seal_inst(domain)
-                     + self._expected_seal_regs(domain)
-                     + self._expected_seal_masks(domain))
+        return _fold([word & ~seal
+                      for _, _, words, seals in self._regions(domain)
+                      for word, seal in zip(words, seals)])
 
     # ------------------------------------------------------------------
     # Pass 1: memory vs mirrors (repairable).
     # ------------------------------------------------------------------
     def _scrub_hpt_memory(self, report: ScrubReport, repair: bool) -> None:
-        hpt = self.pcu.hpt
         memory = self.pcu.trusted_memory
         for domain in self._domains_to_scrub():
             if self.domain_checksum(domain) == self.expected_domain_checksum(domain):
                 continue
-            regions = (
-                (hpt.inst_word_address, self._expected_inst_words(domain),
-                 hpt.read_inst_word),
-                (hpt.reg_word_address, self._expected_reg_words(domain),
-                 hpt.read_reg_word),
-                (hpt.mask_address, self._expected_masks(domain),
-                 hpt.read_mask),
-                (hpt.seal_inst_address, self._expected_seal_inst(domain),
-                 hpt.read_seal_inst_word),
-                (hpt.seal_reg_address, self._expected_seal_regs(domain),
-                 hpt.read_seal_reg_word),
-                (hpt.seal_mask_address, self._expected_seal_masks(domain),
-                 hpt.read_seal_mask),
-            )
-            for address_of, expected, read in regions:
-                for index, want in enumerate(expected):
-                    if read(domain, index) == want:
+            for address_of, read, words, seals in self._regions(domain):
+                for index, (word, seal) in enumerate(zip(words, seals)):
+                    if read(domain, index) == word & ~seal:
                         continue
                     if repair:
-                        memory.store_word(address_of(domain, index), want,
+                        # The whole granted word, not its sealed view:
+                        # a seal retired later must uncover the grant.
+                        memory.store_word(address_of(domain, index), word,
                                           origin="scrub")
                         self.pcu.stats.scrub_repairs += 1
                     report.memory_repairs += 1

@@ -7,7 +7,6 @@
 * :mod:`repro.kernel.pks` — the PKS/wrpkrs trampoline (use case 3).
 """
 
-from .conformance_layer import MiniKernelSyscallLayer
 from .pks import (
     Case3Estimate,
     PksDemoResult,
@@ -20,15 +19,8 @@ from .riscv_kernel import RiscvKernel
 from .riscv_kernel import kernel_source as riscv_kernel_source
 from .syscalls import (
     MAX_SYSCALL,
-    SYS_DCONF,
     SYS_MMAP2,
-    SYS_PCHECK,
-    SYS_PFCH,
-    SYS_PFLH,
-    SYS_PGATE,
-    SYS_PMEM,
     SYS_REGISTER,
-    SYS_SCRUB,
     SYS_CLOSE,
     SYS_DUP,
     SYS_EXIT,
@@ -66,16 +58,8 @@ __all__ = [
     "SYS_REGISTER",
     "run_sandbox",
     "MAX_SYSCALL",
-    "MiniKernelSyscallLayer",
     "PksDemoResult",
     "RiscvKernel",
-    "SYS_DCONF",
-    "SYS_PCHECK",
-    "SYS_PFCH",
-    "SYS_PFLH",
-    "SYS_PGATE",
-    "SYS_PMEM",
-    "SYS_SCRUB",
     "SERVICE_CPUID",
     "SERVICE_MTRR",
     "SERVICE_PMC_IRQ",

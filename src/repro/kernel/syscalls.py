@@ -34,18 +34,6 @@ SYS_SELECT = 15       # scan the fd table
 SYS_VULN = 16         # simulated hijackable module entry (attack eval)
 SYS_REGISTER = 17     # runtime gate registration through domain-0 (§5.2)
 SYS_MMAP2 = 18        # mmap through a gate that only exists after SYS_REGISTER
-SYS_SCRUB = 19        # domain-0 integrity scrub over the trusted state
-
-# Conformance surface: the kernel-layer differential fuzzer drives the
-# PCU through these instead of bare method calls, so event replay pays
-# the same dispatch path a real kernel service would (see
-# repro.kernel.conformance_layer).
-SYS_PCHECK = 20       # privilege-check one issued instruction
-SYS_PGATE = 21        # execute a gate instruction (hccall/hccalls/hcrets)
-SYS_PMEM = 22         # trusted-memory access filter
-SYS_PFCH = 23         # pfch: warm the privilege caches
-SYS_PFLH = 24         # pflh: flush one privilege-cache module
-SYS_DCONF = 25        # domain-0 reconfiguration (DomainManager dispatch)
 
 SYSCALL_NAMES = {
     SYS_EXIT: "exit",
@@ -67,13 +55,6 @@ SYSCALL_NAMES = {
     SYS_VULN: "vuln",
     SYS_REGISTER: "register_gate",
     SYS_MMAP2: "mmap2",
-    SYS_SCRUB: "scrub",
-    SYS_PCHECK: "pcheck",
-    SYS_PGATE: "pgate",
-    SYS_PMEM: "pmem",
-    SYS_PFCH: "pfch",
-    SYS_PFLH: "pflh",
-    SYS_DCONF: "dconf",
 }
 
 MAX_SYSCALL = max(SYSCALL_NAMES)

@@ -134,9 +134,7 @@ def _run_conformance(params: Dict[str, object]) -> Dict[str, object]:
         params["backend"], params["seed"], params["n_events"],
         config=params["config"],
         mutate=inject_cache_fill_bug if params.get("inject_bug") else None,
-        oracle_only=params.get("oracle_only", False),
         dump_dir=params.get("dump_dir"),
-        layer=params.get("layer", "pcu"),
         scrub_interval=params.get("scrub_interval", 0),
         contracts=params.get("contracts", True),
     )

@@ -12,7 +12,7 @@ logical tenants multiplexed over a small physical slot pool, with
 * **bursty arrivals** — tenant spawns cluster in bursts, so the slot
   pool saturates in waves and ``slot_exhausted`` backpressure fires for
   real rather than as a contrived corner case;
-* **interleaved reconfiguration** — SYS_DCONF-style grant/revoke
+* **interleaved reconfiguration** — domain-0 grant/revoke
   transactions are issued while the core sits *inside* a tenant domain,
   so commit windows finally overlap live check traffic instead of
   always running from a quiesced domain-0.

@@ -7,6 +7,7 @@ reproducer, and round-trip through the JSON dump.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -71,14 +72,68 @@ class TestCleanRuns:
             statuses[name] = [oracle.status for _, oracle in outcomes]
         assert statuses["riscv"] == statuses["x86"]
 
-    def test_oracle_only_never_diverges(self):
-        """--oracle-only replays the spec alone, even under a mutation."""
+    def test_scrub_watchdog_runs_clean(self):
+        """Every scrub of a fault-free replay comes back clean."""
         runner = DifferentialRunner("riscv", config="stress",
-                                    mutate=corrupt_inst_fills,
-                                    oracle_only=True)
-        assert runner.replay(generate_events(0, 300),
-                             count_outcomes=True) is None
-        assert sum(runner.outcomes.values()) == len(generate_events(0, 300))
+                                    scrub_interval=64)
+        events = generate_events(0, 300)  # setup events come first
+        assert runner.replay(events) is None
+        assert runner.scrubs_run == len(events) // 64 > 0
+        assert runner.scrub_detections == []
+
+
+class TestDirectCachedSide:
+    """The cached side of a world calls the PCU and DomainManager
+    directly: each data-path event is one PCU call, its fault is the
+    PCU's own, and only the event vocabulary reaches the manager."""
+
+    def _enter_slot1(self, world):
+        world.apply(Event("register_gate", gate=0, domain=1))
+        cached, oracle = world.apply(
+            Event("gate", kind="hccall", gate=0, site_ok=True))
+        assert cached == oracle and cached.status == "ok"
+
+    def test_check_event_reaches_pcu(self, world):
+        world.apply(Event("allow_inst", domain=1, inst=0))
+        self._enter_slot1(world)
+        before = world.pcu.stats.inst_checks
+        cached, oracle = world.apply(Event("check", inst=0))
+        assert cached == oracle and cached.status == "ok"
+        assert world.pcu.stats.inst_checks == before + 1
+        assert world.pcu.stats.gate_calls == 1
+
+    def test_fault_reaches_pcu_stats(self, world):
+        self._enter_slot1(world)
+        cached, oracle = world.apply(Event("check", inst=0))
+        assert cached == oracle
+        assert cached.status == "InstructionPrivilegeFault"
+        assert world.pcu.stats.faults == {"InstructionPrivilegeFault": 1}
+
+    def test_every_data_path_event_calls_the_pcu_once(self, world,
+                                                      monkeypatch):
+        calls = Counter()
+        for name in ("check", "execute_gate", "check_memory_access"):
+            def spy(*args, _name=name, _call=getattr(world.pcu, name),
+                    **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(world.pcu, name, spy)
+        events = generate_events(2, 300)
+        for event in events:
+            world.apply(event)
+        ops = Counter(event.op for event in events)
+        assert calls == {"check": ops["check"], "execute_gate": ops["gate"],
+                         "check_memory_access": ops["mem"]}
+        assert all(calls.values())
+
+    @pytest.mark.parametrize("op", ["bogus", "_descriptor", "describe"])
+    def test_unknown_event_op_rejected(self, world, op):
+        """An event must not become an RPC into arbitrary manager code,
+        not even one aimed at domain-0, whose reconfigs are skipped."""
+        for slot in (0, 1):
+            with pytest.raises(ValueError,
+                               match="unknown conformance event op"):
+                world.apply(Event(op, domain=slot))
 
 
 class TestMutationSmoke:
@@ -204,4 +259,13 @@ class TestReconfigureCoherence:
         assert cached == oracle and cached.status == "ok"
         world.apply(Event("create_domain", domain=1))
         self._enter_slot1(world)
+        self._check(world, "InstructionPrivilegeFault")
+
+    def test_regrant_after_seal_stays_sealed(self, world):
+        world.apply(Event("allow_inst", domain=1, inst=0))
+        self._enter_slot1(world)
+        self._check(world, "ok")  # caches the grant
+        world.apply(Event("seal", domain=1, inst=0))
+        self._check(world, "InstructionPrivilegeFault")
+        world.apply(Event("allow_inst", domain=1, inst=0))
         self._check(world, "InstructionPrivilegeFault")

@@ -30,10 +30,11 @@ class TestConfigs:
         assert names == {"16E.", "8E.", "8E.N"}
 
     def test_with_refill_latency(self):
+        before = CONFIG_8E.refill_latency
         derived = CONFIG_8E.with_refill_latency(204)
         assert derived.refill_latency == 204
         assert derived.hpt_cache_entries == CONFIG_8E.hpt_cache_entries
-        assert CONFIG_8E.refill_latency != 204 or True  # original untouched
+        assert CONFIG_8E.refill_latency == before == 120  # original untouched
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -41,11 +42,10 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             PcuConfig(sgt_cache_entries=-1)
 
-    def test_invalid_groupings_rejected(self):
+    def test_invalid_draco_entries_rejected(self):
         with pytest.raises(ConfigurationError):
-            PcuConfig(inst_group_bits=48)
-        with pytest.raises(ConfigurationError):
-            PcuConfig(reg_group_csrs=64)
+            PcuConfig(draco_entries=-1)
+        assert PcuConfig(draco_entries=0).draco_entries == 0
 
 
 class TestCacheStats:

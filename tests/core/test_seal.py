@@ -2,10 +2,9 @@
 
 ``DomainManager.seal_privileges`` drops a privilege below every verdict
 path — the seal words in trusted memory are ANDed out of each HPT read,
-so re-grants from domain-0, transactional rollback, trusted-stack
-context switches and the kernel dispatch layer must all leave a sealed
-privilege dead.  Only a full slot teardown (destroy / virtualizer
-recycle) retires the overlay.
+so re-grants from domain-0, transactional rollback and trusted-stack
+context switches must all leave a sealed privilege dead.  Only a full
+slot teardown (destroy / virtualizer recycle) retires the overlay.
 """
 
 import pytest
@@ -143,6 +142,23 @@ class TestSealVsRollback:
         with pytest.raises(InstructionPrivilegeFault):
             pcu.check(halt_access(isa_map))
 
+    def test_repaired_seal_retires_to_the_grant(self, pcu, manager,
+                                                faulty_backing):
+        """The repair of a faulted seal writes the seal word and leaves
+        the granted word whole, so once a recycle retires the seal,
+        trusted memory agrees with domain-0's mirrors again."""
+        from repro.faults.scrub import IntegrityScrubber
+
+        virtualizer = DomainVirtualizer(manager, max_slots=1)
+        tenant = virtualizer.spawn(TenantManifest(instructions={"halt"}))
+        virtualizer.activate(tenant)
+        faulty_backing.arm_store_fault()
+        with pytest.raises(InjectedFault):
+            virtualizer.seal_privileges(tenant, instructions=["halt"])
+        assert IntegrityScrubber(pcu, manager).scrub().memory_repairs
+        virtualizer.retire(tenant)
+        assert IntegrityScrubber(pcu, manager).scrub(repair=False).clean
+
 
 class TestSealedMaskedCsr:
     def test_sealed_write_mask_zeroed(self, pcu, manager, isa_map):
@@ -180,29 +196,6 @@ class TestSealAcrossContexts:
             pcu.check(halt_access(isa_map))
         with pytest.raises(RegisterReadFault):
             pcu.check(vbase_read(isa_map))
-
-
-class TestSealThroughKernelLayer:
-    def test_sys_dconf_seal_and_regrant(self, pcu, manager, isa_map):
-        """`--layer kernel` path: seal via SYS_DCONF, re-grant via
-        SYS_DCONF, and the SYS_PCHECK verdict stays sealed."""
-        from repro.kernel.conformance_layer import MiniKernelSyscallLayer
-        from repro.kernel.syscalls import SYS_DCONF, SYS_PCHECK
-
-        layer = MiniKernelSyscallLayer(pcu, manager)
-        domain = layer.syscall(SYS_DCONF, "create_domain", "tenant")
-        layer.syscall(SYS_DCONF, "allow_instructions", domain.domain_id,
-                      ["alu", "halt"])
-        layer.syscall(SYS_DCONF, "seal_privileges", domain.domain_id,
-                      instructions=["halt"])
-        layer.syscall(SYS_DCONF, "allow_instructions", domain.domain_id,
-                      ["halt"])
-        enter(pcu, manager, domain.domain_id)
-        layer.syscall(SYS_PCHECK,
-                      AccessInfo(inst_class=isa_map.inst_class("alu")))
-        with pytest.raises(InstructionPrivilegeFault):
-            layer.syscall(SYS_PCHECK, halt_access(isa_map))
-        assert layer.fault_counts["InstructionPrivilegeFault"] == 1
 
 
 class TestSealVsRecycle:

@@ -14,6 +14,12 @@ pins their slot-scoped lifetime: while a tenant stays bound, a sealed
 class MUST deny even though the manifest still grants it; once the
 binding dies (retire, eviction, recycle), the next tenant in that slot
 MUST NOT inherit the seal mask — a granted class checks ok again.
+
+Under the machine's trusted memory sits a fault-injecting backing, so a
+drawn step can fail the next trusted-memory store of one tenant op.  A
+bind, grant or retire that the fault aborts MUST roll back in full (the
+domain-0 transaction restores every word it journalled); a faulted seal
+is mirror-first, so a repairing scrub MUST complete it.
 """
 
 from hypothesis import strategies as st
@@ -26,6 +32,7 @@ from repro.core import (
     DomainManager,
     DomainVirtualizer,
     GateKind,
+    InjectedFault,
     IsaGridIsaMap,
     PrivilegeCheckUnit,
     SlotExhausted,
@@ -35,8 +42,10 @@ from repro.core import (
 )
 from repro.core.errors import PrivilegeFault
 from repro.core.pcu import DOMAIN_0
+from repro.faults import FaultyWordBacking, IntegrityScrubber
 
 from ..profiles import stateful_settings
+from .test_domain_transactions import hpt_words, mirror_words, sgt_words
 
 CLASSES = ["alu", "load", "store", "csr", "sysop", "halt"]
 MAX_SLOTS = 3
@@ -48,6 +57,8 @@ class VirtualizerMachine(RuleBasedStateMachine):
         isa_map = IsaGridIsaMap("testarch", CLASSES,
                                 [CsrDescriptor("ctrl", 0, bitwise=True)])
         memory = TrustedMemory(base=0x100000, size=1 << 20)
+        self.backing = FaultyWordBacking(memory._backing)
+        memory._backing = self.backing
         self.pcu = PrivilegeCheckUnit(isa_map, CONFIG_8E, memory)
         self.manager = DomainManager(self.pcu)
         self.virtualizer = DomainVirtualizer(self.manager,
@@ -76,8 +87,11 @@ class VirtualizerMachine(RuleBasedStateMachine):
     @rule(index=st.integers(min_value=0, max_value=99))
     def retire(self, index):
         logical = self._pick(index)
-        self.alive.remove(logical)
         self.virtualizer.retire(logical)
+        self._forget(logical)
+
+    def _forget(self, logical):
+        self.alive.remove(logical)
         self.grants.pop(logical, None)
         self.seals.pop(logical, None)
 
@@ -90,6 +104,9 @@ class VirtualizerMachine(RuleBasedStateMachine):
         logical = self._pick(index)
         self.virtualizer.seal_privileges(logical,
                                          instructions=[CLASSES[inst]])
+        self._record_seal(logical, inst)
+
+    def _record_seal(self, logical, inst):
         physical = self.virtualizer.bindings.get(logical)
         if physical is None:
             return
@@ -119,6 +136,61 @@ class VirtualizerMachine(RuleBasedStateMachine):
             self.virtualizer.activate(self._pick(index))
         except SlotExhausted:
             pass  # legal backpressure, never a crash
+
+    @precondition(lambda self: self.alive)
+    @rule(op=st.sampled_from(["bind", "grant", "retire", "seal"]),
+          index=st.integers(min_value=0, max_value=99),
+          inst=st.integers(min_value=0, max_value=5))
+    def faulted_op(self, op, index, inst):
+        """Fail the next trusted-memory store, then run one tenant op."""
+        logical = self._pick(index)
+        before = {domain: (hpt_words(self.pcu, domain),
+                           mirror_words(self.pcu, domain))
+                  for domain in self.manager.domains}
+        gates = sgt_words(self.pcu)
+        bindings = dict(self.virtualizer.bindings)
+        self.backing.arm_store_fault()
+        try:
+            if op == "bind":
+                self.virtualizer.activate(logical)
+            elif op == "grant":
+                self.virtualizer.allow_instructions(logical, [CLASSES[inst]])
+            elif op == "retire":
+                self.virtualizer.retire(logical)
+            else:
+                self.virtualizer.seal_privileges(
+                    logical, instructions=[CLASSES[inst]])
+        except SlotExhausted:
+            pass
+        except InjectedFault:
+            if op == "seal":
+                # The seal mirror is ahead of memory: the repair
+                # completes the seal instead of unwinding it.
+                IntegrityScrubber(self.pcu, self.manager).scrub()
+                assert IntegrityScrubber(self.pcu, self.manager).scrub().clean
+                self._record_seal(logical, inst)
+                return
+            # Rolled back in full.  A faulted first bind may leave its
+            # freshly created (still unbound) slot behind.
+            for domain, words in before.items():
+                assert (hpt_words(self.pcu, domain),
+                        mirror_words(self.pcu, domain)) == words, (
+                    "%s aborted by a store fault left domain %d changed"
+                    % (op, domain))
+            assert sgt_words(self.pcu) == gates
+            assert self.virtualizer.bindings == bindings
+            assert IntegrityScrubber(self.pcu, self.manager).scrub(
+                repair=False).clean
+            return
+        # The op stored nothing, so the one-shot fault is still pending.
+        assert self.backing.store_fault_armed
+        self.backing._store_fault_armed = False
+        if op == "grant":
+            self.grants[logical].add(CLASSES[inst])
+        elif op == "retire":
+            self._forget(logical)
+        elif op == "seal":
+            self._record_seal(logical, inst)
 
     @precondition(lambda self: self.alive)
     @rule(index=st.integers(min_value=0, max_value=99))

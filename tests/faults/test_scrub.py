@@ -18,6 +18,7 @@ def warm(world):
 class TestCleanScrub:
     def test_fresh_world_scrubs_clean(self, world, scrubber):
         assert scrubber.scrub().clean
+        assert world.pcu.stats.scrubs == 1
 
     def test_warm_world_scrubs_clean(self, world, scrubber):
         warm(world)

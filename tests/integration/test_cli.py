@@ -38,10 +38,28 @@ class TestCli:
         assert "executes" in out and "faults" in out
         assert "175" in out
 
-    @pytest.mark.parametrize("command", ["frobnicate", "bench"])
+    def test_audit_prints_each_kernels_exposure(self, capsys):
+        assert main(["audit"]) == 0
+        riscv, x86 = capsys.readouterr().out.split("X86Kernel (x86_64):\n")
+        assert riscv.startswith("RiscvKernel (riscv64):\n")
+        assert ("    exposure: 42 resources (levels only) -> worst domain 11 "
+                "(4x reduction)\n") in riscv
+        assert ("    exposure: 71 resources (levels only) -> worst domain 9 "
+                "(8x reduction)\n") in x86
+
+    @pytest.mark.parametrize("command", ["frobnicate", "bench", "decompose"])
     def test_unknown_command_rejected(self, command):
         with pytest.raises(SystemExit) as exit_info:
             main([command])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("option", [["--layer", "kernel"],
+                                        ["--oracle-only"]],
+                             ids=["layer", "oracle-only"])
+    def test_retired_conformance_option_rejected(self, option):
+        """The fuzzer's one cached side is the PCU itself."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["conformance", "--events", "10"] + option)
         assert exit_info.value.code == 2
 
 
