@@ -579,10 +579,10 @@ def scan() -> Result:
     image plus an immediate-heavy module: hidden forbidden bytes linear
     disassembly cannot see, and rewrites that corrupt their carriers."""
     from repro.baselines import rewrite_hidden_bytes, scan_program
-    from repro.kernel.x86_kernel import kernel_source
-    from repro.x86 import KERNEL_BASE, assemble
+    from repro.kernel.x86_kernel import kernel_image
+    from repro.x86 import assemble
 
-    kernel = assemble(kernel_source(True)[0], base=KERNEL_BASE).data
+    kernel = kernel_image(True, "plain")[0].data
     # A data-heavy module: immediates contain wrmsr/cli bytes, the way
     # constants and jump tables do in real kernels.
     module = assemble("\n".join(

@@ -183,9 +183,17 @@ class DomainVirtualizer:
         physical = descriptor.domain_id
         self._slot_index[physical] = index
         self.generations[physical] = 0
-        self.pcu.trusted_memory.store_word(
-            self.generation_address_of(physical), 0, origin="d0"
-        )
+        try:
+            self.pcu.trusted_memory.store_word(
+                self.generation_address_of(physical), 0, origin="d0"
+            )
+        except BaseException:
+            # The slot exists now, so a faulted store must not strand it
+            # outside the pool: it joins the front of the free list,
+            # where a retried bind finds it.  Its freshly allocated word
+            # was never written and reads the mirrored generation 0.
+            self.free_slots.insert(0, physical)
+            raise
         return physical
 
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .sandbox import SANDBOX_CLASSES, SandboxResult, run_sandbox
 from .riscv_kernel import RiscvKernel
 from .riscv_kernel import kernel_source as riscv_kernel_source
 from .syscalls import (
-    MAX_SYSCALL,
     SYS_MMAP2,
     SYS_REGISTER,
     SYS_CLOSE,
@@ -38,7 +37,6 @@ from .syscalls import (
     SYS_VULN,
     SYS_WRITE,
     SYS_YIELD,
-    SYSCALL_NAMES,
 )
 from .x86_kernel import (
     SERVICE_CPUID,
@@ -57,7 +55,6 @@ __all__ = [
     "SYS_MMAP2",
     "SYS_REGISTER",
     "run_sandbox",
-    "MAX_SYSCALL",
     "PksDemoResult",
     "RiscvKernel",
     "SERVICE_CPUID",
@@ -65,7 +62,6 @@ __all__ = [
     "SERVICE_PMC_IRQ",
     "SERVICE_PMC_MISS",
     "SERVICE_VOLTAGE",
-    "SYSCALL_NAMES",
     "SYS_CLOSE",
     "SYS_DUP",
     "SYS_EXIT",

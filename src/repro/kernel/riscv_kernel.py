@@ -33,6 +33,7 @@ evaluation reads the counter afterwards.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -106,7 +107,7 @@ SSTATUS_FS_MASK = 0x6000     # FS field
 VULN_MODULES = {"misc": 0, "vm": 1, "irq": 2, "ctx": 3}
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateSite:
     """One gate call site in the kernel source."""
 
@@ -133,7 +134,9 @@ def _privileged_return(decomposed: bool) -> List[str]:
     return ["    hcrets"] if decomposed else ["    ret"]
 
 
-def kernel_source(decomposed: bool, *, pti: bool = False) -> Tuple[str, List[GateSite]]:
+def kernel_source(
+    decomposed: bool, *, pti: bool = False
+) -> Tuple[str, Tuple[GateSite, ...]]:
     """Generate the MiniKernel assembly and its gate plan.
 
     With ``pti`` the syscall path switches SATP on entry and exit, the
@@ -598,7 +601,20 @@ def kernel_source(decomposed: bool, *, pti: bool = False) -> Tuple[str, List[Gat
     emit("    ld sp, 40(sp)")
     emit("    sret")
 
-    return "\n".join(lines) + "\n", gates
+    return "\n".join(lines) + "\n", tuple(gates)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_image(decomposed: bool, pti: bool) -> Tuple[Program, Tuple[GateSite, ...]]:
+    """The assembled kernel and its gate plan, built once per process.
+
+    Every boot with the same ``(decomposed, pti)`` shares this frozen
+    image: :class:`RiscvKernel` copies its bytes into the machine's
+    memory and only reads its symbols and gate plan, so the cache holds
+    at most four images.
+    """
+    source, gate_plan = kernel_source(decomposed, pti=pti)
+    return assemble(source, base=KERNEL_BASE), gate_plan
 
 
 #: CSR privileges of the basic kernel domain (read, write sets).
@@ -648,9 +664,7 @@ class RiscvKernel:
         self.mode = mode
         self.decomposed = mode == "decomposed"
         self.system = build_riscv_system(config, with_isagrid=self.decomposed)
-        source, gate_plan = kernel_source(self.decomposed, pti=pti)
-        self.program = assemble(source, base=KERNEL_BASE)
-        self.gate_plan = gate_plan
+        self.program, self.gate_plan = kernel_image(self.decomposed, pti)
         self.domains: Dict[str, int] = {}
         self.system.load(self.program)
         if self.decomposed:

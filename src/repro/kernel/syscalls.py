@@ -34,27 +34,3 @@ SYS_SELECT = 15       # scan the fd table
 SYS_VULN = 16         # simulated hijackable module entry (attack eval)
 SYS_REGISTER = 17     # runtime gate registration through domain-0 (§5.2)
 SYS_MMAP2 = 18        # mmap through a gate that only exists after SYS_REGISTER
-
-SYSCALL_NAMES = {
-    SYS_EXIT: "exit",
-    SYS_GETPID: "getpid",
-    SYS_READ: "read",
-    SYS_WRITE: "write",
-    SYS_STAT: "stat",
-    SYS_FSTAT: "fstat",
-    SYS_OPEN: "open",
-    SYS_CLOSE: "close",
-    SYS_SIGACTION: "sigaction",
-    SYS_MMAP: "mmap",
-    SYS_GETPPID: "getppid",
-    SYS_DUP: "dup",
-    SYS_IOCTL: "ioctl",
-    SYS_YIELD: "yield",
-    SYS_GETTIME: "gettime",
-    SYS_SELECT: "select",
-    SYS_VULN: "vuln",
-    SYS_REGISTER: "register_gate",
-    SYS_MMAP2: "mmap2",
-}
-
-MAX_SYSCALL = max(SYSCALL_NAMES)

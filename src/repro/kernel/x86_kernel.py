@@ -35,6 +35,7 @@ RISC-V); with no abort continuation configured the machine halts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -132,7 +133,7 @@ VULN_MODULES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateSite:
     name: str
     gate_label: str
@@ -158,7 +159,7 @@ def _privileged_return(decomposed: bool) -> List[str]:
 
 def kernel_source(
     decomposed: bool, variant: str = "plain"
-) -> Tuple[str, List[GateSite]]:
+) -> Tuple[str, Tuple[GateSite, ...]]:
     """Generate the x86 MiniKernel assembly and its gate plan.
 
     ``variant`` selects how page-table updates are handled:
@@ -730,7 +731,20 @@ def kernel_source(
     emit("    mov rsp, [r8+%d]" % OFF_SAVED_RSP)
     emit("    sysret")
 
-    return "\n".join(lines) + "\n", gates
+    return "\n".join(lines) + "\n", tuple(gates)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_image(decomposed: bool, variant: str) -> Tuple[Program, Tuple[GateSite, ...]]:
+    """The assembled kernel and its gate plan, built once per process.
+
+    Every boot with the same ``(decomposed, variant)`` shares this frozen
+    image: :class:`X86Kernel` copies its bytes into the machine's memory
+    and only reads its symbols and gate plan.  ``kernel_source`` rejects
+    unknown variants, so the cache holds at most six images.
+    """
+    source, gate_plan = kernel_source(decomposed, variant)
+    return assemble(source, base=KERNEL_BASE), gate_plan
 
 
 #: Instruction classes of the basic kernel domain.
@@ -787,9 +801,7 @@ class X86Kernel:
         self.variant = variant
         self.decomposed = mode == "decomposed"
         self.system = build_x86_system(config, with_isagrid=self.decomposed)
-        source, gate_plan = kernel_source(self.decomposed, variant)
-        self.program = assemble(source, base=KERNEL_BASE)
-        self.gate_plan = gate_plan
+        self.program, self.gate_plan = kernel_image(self.decomposed, variant)
         self.domains: Dict[str, int] = {}
         self.system.load(self.program)
         if self.decomposed:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .encoding import EncodingError, encode, sign_extend
 from .isa import CSR_ADDRESS, REGISTER_NUMBER
@@ -35,13 +36,18 @@ class AssemblerError(Exception):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """Assembled machine code plus its symbol table."""
 
     base: int
     data: bytes
-    symbols: Dict[str, int] = field(default_factory=dict)
+    symbols: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # Kernel images are shared per process, so the symbol table is
+        # read-only like the rest of the program.
+        object.__setattr__(self, "symbols", MappingProxyType(dict(self.symbols)))
 
     @property
     def size(self) -> int:

@@ -670,14 +670,25 @@ class RiscvCpu:
     # ------------------------------------------------------------------
     # Block-summary execution (DESIGN §3.18).
     # ------------------------------------------------------------------
-    def _block_op_pure(self, handler, inst, pc: int, extra):
+    def _warm_fetch(self):
+        """``(l1i_stats, cost)``: a warm member's fetch is an L1I MRU hit
+        (DESIGN §3.18), costing what ``instruction_cycles`` charges one."""
+        l1i = self.machine.pipeline.hierarchy.l1i
+        f = l1i.latency
+        return l1i.stats, (1.0 + (f - 1) if f > 1 else 1.0)
+
+    def _block_op_pure(self, handler, inst, pc: int, extra, warm: bool):
         """Fused member closure: no memory access, no branch predictor."""
         p = self.machine.pipeline
         info = StepInfo(pc)
+        l1i, hit = self._warm_fetch()
 
         def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
-               ai=p._access_instruction):
+               ai=p._access_instruction, warm=warm, l1i=l1i, hit=hit):
             h(inst, pc, info, extra)
+            if warm:
+                l1i.hits += 1
+                return hit
             f = ai(pc)
             if f > 1:
                 return 1.0 + (f - 1)
@@ -685,17 +696,23 @@ class RiscvCpu:
 
         return op
 
-    def _block_op_mem(self, handler, inst, pc: int, extra, is_store: bool):
+    def _block_op_mem(self, handler, inst, pc: int, extra, is_store: bool,
+                      warm: bool):
         """Fused member closure for loads and stores."""
         p = self.machine.pipeline
         info = StepInfo(pc)
+        l1i, hit = self._warm_fetch()
 
         def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
                ai=p._access_instruction, ad=p._access_data,
-               is_store=is_store):
+               is_store=is_store, warm=warm, l1i=l1i, hit=hit):
             h(inst, pc, info, extra)
-            f = ai(pc)
-            c = 1.0 + (f - 1) if f > 1 else 1.0
+            if warm:
+                l1i.hits += 1
+                c = hit
+            else:
+                f = ai(pc)
+                c = 1.0 + (f - 1) if f > 1 else 1.0
             d = ad(info.mem_address, is_store)
             if d > 1:
                 c += d - 1
@@ -703,17 +720,23 @@ class RiscvCpu:
 
         return op
 
-    def _block_op_branch(self, handler, inst, pc: int, extra):
+    def _block_op_branch(self, handler, inst, pc: int, extra, warm: bool):
         """Fused member closure for conditional branches."""
         p = self.machine.pipeline
         info = StepInfo(pc)
+        l1i, hit = self._warm_fetch()
 
         def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
                ai=p._access_instruction, stats=p.branch_stats,
-               pu=p._predictor_update, mp=p._mispredict_penalty):
+               pu=p._predictor_update, mp=p._mispredict_penalty,
+               warm=warm, l1i=l1i, hit=hit):
             h(inst, pc, info, extra)
-            f = ai(pc)
-            c = 1.0 + (f - 1) if f > 1 else 1.0
+            if warm:
+                l1i.hits += 1
+                c = hit
+            else:
+                f = ai(pc)
+                c = 1.0 + (f - 1) if f > 1 else 1.0
             stats.predictions += 1
             if pu(pc, info.branch_taken):
                 stats.mispredictions += 1
@@ -722,9 +745,11 @@ class RiscvCpu:
 
         return op
 
-    def _block_member(self, entry: tuple, pc: int):
+    def _block_member(self, entry: tuple, pc: int, warm: bool):
         """Block membership (DESIGN §3.18): ``(op, size, inst_class,
         ends)`` for the instruction decoded as ``entry``, or ``None``.
+        ``warm`` says the member before it fetched the same L1I line, so
+        the op charges an L1I hit without calling the hierarchy.
 
         Members are straight-line instructions whose only PCU
         interaction is the plain instruction-class check; the first
@@ -740,16 +765,16 @@ class RiscvCpu:
         mnemonic = inst.mnemonic
         ends = False
         if cls == "alu" or cls == "mul" or cls == "fence":
-            op = self._block_op_pure(handler, inst, pc, extra)
+            op = self._block_op_pure(handler, inst, pc, extra, warm)
         elif cls == "load":
-            op = self._block_op_mem(handler, inst, pc, extra, False)
+            op = self._block_op_mem(handler, inst, pc, extra, False, warm)
         elif cls == "store":
-            op = self._block_op_mem(handler, inst, pc, extra, True)
+            op = self._block_op_mem(handler, inst, pc, extra, True, warm)
         elif cls == "branch":
-            op = self._block_op_branch(handler, inst, pc, extra)
+            op = self._block_op_branch(handler, inst, pc, extra, warm)
             ends = True
         elif mnemonic == "jal" or mnemonic == "jalr":
-            op = self._block_op_pure(handler, inst, pc, extra)
+            op = self._block_op_pure(handler, inst, pc, extra, warm)
             ends = True
         else:
             # ecall/ebreak/pfch/pflh/halt: never block members.

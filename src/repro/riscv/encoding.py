@@ -21,6 +21,7 @@ the PCU rejecting them by address.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 OPCODE_LUI = 0x37
@@ -285,8 +286,15 @@ def _make(mnemonic: str, word: int, **fields) -> Instruction:
     return Instruction(mnemonic, instruction_class(mnemonic), word=word, **fields)
 
 
+@functools.lru_cache(maxsize=8192)
 def decode(word: int) -> Instruction:
-    """Decode a 32-bit word; raises :class:`EncodingError` if illegal."""
+    """Decode a 32-bit word; raises :class:`EncodingError` if illegal.
+
+    Results are memoized per process by word in a bounded LRU, so every
+    boot that fetches the same word shares one frozen
+    :class:`Instruction`; an error is never cached, so an illegal word
+    raises on every call.
+    """
     opcode = word & 0x7F
     rd = word >> 7 & 0x1F
     f3 = word >> 12 & 0x7

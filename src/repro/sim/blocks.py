@@ -16,10 +16,14 @@ Block formation (:func:`form_block`) and the executor
 binds ``run_blocks = blocks.run_blocks`` and supplies only what is ISA-
 or pipeline-specific:
 
-* ``_block_member(entry, pc)`` — the membership rule over one decode
-  entry, returning ``(op, size, inst_class, ends)`` for a member (its
-  fused closure, its byte size, its inst-bitmap class, and whether it
-  is the control transfer that ends the block) or ``None``;
+* ``_block_member(entry, pc, warm)`` — the membership rule over one
+  decode entry, returning ``(op, size, inst_class, ends)`` for a member
+  (its fused closure, its byte size, its inst-bitmap class, and whether
+  it is the control transfer that ends the block) or ``None``.
+  ``warm`` is true when the member before it in the block fetched the
+  same L1I line: its op then counts an L1I hit and charges the hit
+  latency instead of calling the hierarchy (DESIGN §3.18 states why
+  that is exact);
 * ``_dispatch_fault(error, pc, info)`` — the trap path ``step()`` takes;
 * ``_block_gate`` — ``None``, or a method saying whether blocks may run
   at all (RISC-V: only while translation is Bare).  Only a reference
@@ -129,17 +133,20 @@ def form_block(cpu, start: int):
 
     Walks the decode cache from ``start`` while ``cpu._block_member``
     admits each instruction, up to ``MAX_BLOCK_LEN`` members; a member
-    that ends the block is included as its last.  Only called where
+    that ends the block is included as its last.  A member whose pc lies
+    in the previous member's L1I line is formed warm.  Only called where
     pc == pa (RISC-V forms under Bare translation only).
     """
     decode_cache = cpu._decode_cache
     member = cpu._block_member
+    line_bytes = cpu.machine.pipeline.hierarchy.l1i.line
     ops = []
     pcs = []
     sizes = []
     classes = []
     ends = False
     pc = start
+    previous_line = None
     while not ends and len(ops) < MAX_BLOCK_LEN:
         entry = decode_cache.get(pc)
         if entry is None:
@@ -151,7 +158,8 @@ def form_block(cpu, start: int):
                 # here and do not cache the decode failure.
                 break
             decode_cache[pc] = entry
-        fused = member(entry, pc)
+        line = pc // line_bytes
+        fused = member(entry, pc, line == previous_line)
         if fused is None:
             break
         op, size, inst_class, ends = fused
@@ -159,6 +167,7 @@ def form_block(cpu, start: int):
         pcs.append(pc)
         sizes.append(size)
         classes.append(inst_class)
+        previous_line = line
         pc = (pc + size) & MASK64
     if len(ops) < MIN_BLOCK_LEN:
         return NO_BLOCK
@@ -234,16 +243,17 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
             ops = block.ops
             n = block.n
             isp = pipeline._instructions_since_push
-            i = 0
             try:
-                while i < n:
-                    cyc += ops[i]()
-                    i += 1
+                for op in ops:
+                    cyc += op()
             except (Trap, PrivilegeFault) as error:
                 # Mid-block fault: members [0, i) retired normally; the
                 # faulting member vectors exactly like step().  Its
                 # check preceded its trap on the reference path, so it
                 # is accounted, event included, before the dispatch.
+                # It faulted before its fetch, so the reference
+                # instruction_cycles below does that fetch.
+                i = ops.index(op)
                 insts += i
                 if isp is not None:
                     pipeline._instructions_since_push = isp + i
@@ -262,6 +272,7 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
                 # before unwinding.  The faulting member's check
                 # preceded its memory access there, so it counts here
                 # too.
+                i = ops.index(op)
                 insts += i
                 if isp is not None:
                     pipeline._instructions_since_push = isp + i

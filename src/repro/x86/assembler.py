@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .encoding import Encoder, EncodingError, simple_bytes
 from .registers import GPR_NUMBER
@@ -32,11 +33,16 @@ class AssemblerError(Exception):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     base: int
     data: bytes
-    symbols: Dict[str, int] = field(default_factory=dict)
+    symbols: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # Kernel images are shared per process, so the symbol table is
+        # read-only like the rest of the program.
+        object.__setattr__(self, "symbols", MappingProxyType(dict(self.symbols)))
 
     @property
     def size(self) -> int:

@@ -269,15 +269,28 @@ class X86Cpu:
     # ------------------------------------------------------------------
     # Block-summary execution (DESIGN §3.18).
     # ------------------------------------------------------------------
-    def _block_op_pure(self, handler, inst, rip: int, size: int):
+    def _warm_fetch(self):
+        """``(l1i_stats, cost)``: a warm member's fetch is an L1I MRU hit
+        (DESIGN §3.18), costing what ``instruction_cycles`` charges one."""
+        p = self.machine.pipeline
+        l1i = p.hierarchy.l1i
+        f = l1i.latency
+        inv = p._inv_width
+        return l1i.stats, (inv + (f - 2) * p.ICACHE_MISS_FACTOR if f > 2 else inv)
+
+    def _block_op_pure(self, handler, inst, rip: int, size: int, warm: bool):
         """Fused member closure: no memory access, no branch predictor."""
         p = self.machine.pipeline
         info = StepInfo(rip, size)
+        l1i, hit = self._warm_fetch()
 
         def op(h=handler, inst=inst, rip=rip, info=info,
                ai=p._access_instruction, inv=p._inv_width,
-               icf=p.ICACHE_MISS_FACTOR):
+               icf=p.ICACHE_MISS_FACTOR, warm=warm, l1i=l1i, hit=hit):
             h(inst, rip, info)
+            if warm:
+                l1i.hits += 1
+                return hit
             f = ai(rip)
             if f > 2:
                 return inv + (f - 2) * icf
@@ -285,19 +298,25 @@ class X86Cpu:
 
         return op
 
-    def _block_op_mem(self, handler, inst, rip: int, size: int, is_store: bool):
+    def _block_op_mem(self, handler, inst, rip: int, size: int, is_store: bool,
+                      warm: bool):
         """Fused member closure for loads/stores (mov/stack/call/ret)."""
         p = self.machine.pipeline
         info = StepInfo(rip, size)
         factor = p.STORE_MISS_FACTOR if is_store else p.LOAD_MISS_FACTOR
+        l1i, hit = self._warm_fetch()
 
         def op(h=handler, inst=inst, rip=rip, info=info,
                ai=p._access_instruction, ad=p._access_data,
                inv=p._inv_width, icf=p.ICACHE_MISS_FACTOR,
-               is_store=is_store, factor=factor):
+               is_store=is_store, factor=factor, warm=warm, l1i=l1i, hit=hit):
             h(inst, rip, info)
-            f = ai(rip)
-            c = inv + (f - 2) * icf if f > 2 else inv
+            if warm:
+                l1i.hits += 1
+                c = hit
+            else:
+                f = ai(rip)
+                c = inv + (f - 2) * icf if f > 2 else inv
             d = ad(info.mem_address, is_store)
             if d > 2:
                 c += (d - 2) * factor
@@ -305,21 +324,26 @@ class X86Cpu:
 
         return op
 
-    def _block_op_jcc(self, handler, inst, rip: int, size: int):
+    def _block_op_jcc(self, handler, inst, rip: int, size: int, warm: bool):
         """Fused member closure for conditional branches."""
         p = self.machine.pipeline
         info = StepInfo(rip, size)
         fall_through = (rip + size) & MASK64
+        l1i, hit = self._warm_fetch()
 
         def op(h=handler, inst=inst, rip=rip, info=info,
                ai=p._access_instruction, inv=p._inv_width,
                icf=p.ICACHE_MISS_FACTOR, stats=p.branch_stats,
                pu=p._predictor_update, mp=p._mispredict_penalty,
-               cpu=self, fall=fall_through):
+               cpu=self, fall=fall_through, warm=warm, l1i=l1i, hit=hit):
             if not h(inst, rip, info):
                 cpu.pc = fall
-            f = ai(rip)
-            c = inv + (f - 2) * icf if f > 2 else inv
+            if warm:
+                l1i.hits += 1
+                c = hit
+            else:
+                f = ai(rip)
+                c = inv + (f - 2) * icf if f > 2 else inv
             stats.predictions += 1
             if pu(rip, info.branch_taken):
                 stats.mispredictions += 1
@@ -328,9 +352,11 @@ class X86Cpu:
 
         return op
 
-    def _block_member(self, entry: tuple, rip: int):
+    def _block_member(self, entry: tuple, rip: int, warm: bool):
         """Block membership (DESIGN §3.18): ``(op, size, inst_class,
         ends)`` for the instruction decoded as ``entry``, or ``None``.
+        ``warm`` says the member before it fetched the same L1I line, so
+        the op charges an L1I hit without calling the hierarchy.
 
         Members are straight-line ring-3-eligible instructions whose
         only PCU interaction is the plain instruction-class check and
@@ -347,27 +373,27 @@ class X86Cpu:
         mnemonic = inst.mnemonic
         ends = False
         if cls in ("nop", "alu"):
-            op = self._block_op_pure(handler, inst, rip, size)
+            op = self._block_op_pure(handler, inst, rip, size, warm)
         elif cls == "mov":
             if mnemonic == "mov_load":
-                op = self._block_op_mem(handler, inst, rip, size, False)
+                op = self._block_op_mem(handler, inst, rip, size, False, warm)
             elif mnemonic == "mov_store":
-                op = self._block_op_mem(handler, inst, rip, size, True)
+                op = self._block_op_mem(handler, inst, rip, size, True, warm)
             else:
-                op = self._block_op_pure(handler, inst, rip, size)
+                op = self._block_op_pure(handler, inst, rip, size, warm)
         elif cls == "stack":
             op = self._block_op_mem(handler, inst, rip, size,
-                                    mnemonic == "push")
+                                    mnemonic == "push", warm)
         elif cls == "branch":
             ends = True
             if mnemonic == "jmp":
-                op = self._block_op_pure(handler, inst, rip, size)
+                op = self._block_op_pure(handler, inst, rip, size, warm)
             else:
-                op = self._block_op_jcc(handler, inst, rip, size)
+                op = self._block_op_jcc(handler, inst, rip, size, warm)
         elif cls == "call":
             ends = True
             op = self._block_op_mem(handler, inst, rip, size,
-                                    mnemonic == "call")
+                                    mnemonic == "call", warm)
         else:
             # string (reserved), syscall/int/iret: never members.
             return None

@@ -24,6 +24,7 @@ handle and ISA-Grid blocks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -261,11 +262,15 @@ def _mk(mnemonic: str, size: int, **fields) -> Instruction:
     return Instruction(mnemonic, _CLASS[mnemonic], size, **fields)
 
 
+@functools.lru_cache(maxsize=8192)
 def decode(code: bytes, offset: int = 0) -> Instruction:
     """Decode one instruction from ``code[offset:]``.
 
     Raises :class:`EncodingError` on undecodable bytes — the simulated
-    #UD path.
+    #UD path.  Results are memoized per process by ``(code, offset)``
+    in a bounded LRU, so every boot that fetches the same window shares
+    one frozen :class:`Instruction`; an error is never cached, so an
+    undecodable window raises on every call.
     """
     start = offset
     rex = 0

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.core.errors import ConfigurationError, InjectedFault
 from repro.core.pcu import DOMAIN_0
+from repro.faults import FaultyWordBacking, IntegrityScrubber
 
 
 @pytest.fixture
@@ -199,6 +200,28 @@ class TestTransactionality:
         # And the retry deterministically reuses the same slot.
         virtualizer._recycle_window = lambda physical: None
         assert virtualizer.activate(logical) == physical
+
+    def test_faulted_first_bind_keeps_its_slot(self, manager):
+        # The new slot's generation-word store faults before any
+        # transaction opens.  The slot must stay in the pool: with one
+        # slot, a leak would make the retry raise SlotExhausted.
+        virtualizer = DomainVirtualizer(manager, max_slots=1)
+        memory = manager.pcu.trusted_memory
+        backing = FaultyWordBacking(memory._backing)
+        memory._backing = backing
+        logical = virtualizer.spawn(TenantManifest(instructions={"alu"}))
+        backing.arm_store_fault()
+        with pytest.raises(InjectedFault):
+            virtualizer.activate(logical)
+        (physical,) = virtualizer._slot_index
+        assert virtualizer.free_slots == [physical]
+        assert not virtualizer.bindings
+        assert IntegrityScrubber(manager.pcu, manager).scrub(
+            repair=False).clean
+        assert virtualizer.activate(logical) == physical
+        assert virtualizer._slot_index == {physical: 0}
+        assert virtualizer.free_slots == []
+        assert manager.domains[physical].instructions == {"alu"}
 
     def test_refresh_slot_repairs_a_dropped_flush(self, virtualizer,
                                                   manager):

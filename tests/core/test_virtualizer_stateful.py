@@ -163,6 +163,7 @@ class VirtualizerMachine(RuleBasedStateMachine):
         except SlotExhausted:
             pass
         except InjectedFault:
+            self._assert_slots_conserved()
             if op == "seal":
                 # The seal mirror is ahead of memory: the repair
                 # completes the seal instead of unwinding it.
@@ -170,8 +171,8 @@ class VirtualizerMachine(RuleBasedStateMachine):
                 assert IntegrityScrubber(self.pcu, self.manager).scrub().clean
                 self._record_seal(logical, inst)
                 return
-            # Rolled back in full.  A faulted first bind may leave its
-            # freshly created (still unbound) slot behind.
+            # Rolled back in full.  A faulted first bind keeps its
+            # freshly created slot, on the free list.
             for domain, words in before.items():
                 assert (hpt_words(self.pcu, domain),
                         mirror_words(self.pcu, domain)) == words, (
@@ -183,6 +184,7 @@ class VirtualizerMachine(RuleBasedStateMachine):
                 repair=False).clean
             return
         # The op stored nothing, so the one-shot fault is still pending.
+        self._assert_slots_conserved()
         assert self.backing.store_fault_armed
         self.backing._store_fault_armed = False
         if op == "grant":
@@ -191,6 +193,15 @@ class VirtualizerMachine(RuleBasedStateMachine):
             self._forget(logical)
         elif op == "seal":
             self._record_seal(logical, inst)
+
+    def _assert_slots_conserved(self):
+        """Every slot ever created is either bound or free."""
+        virtualizer = self.virtualizer
+        assert len(virtualizer._slot_index) == (
+            len(virtualizer.bindings) + len(virtualizer.free_slots)), (
+            "slot leaked: %d created, %d bound, %d free"
+            % (len(virtualizer._slot_index), len(virtualizer.bindings),
+               len(virtualizer.free_slots)))
 
     @precondition(lambda self: self.alive)
     @rule(index=st.integers(min_value=0, max_value=99))

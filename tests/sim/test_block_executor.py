@@ -186,6 +186,20 @@ def run_riscv(config, source=RISCV_LOOP, *, max_steps=100_000):
     return system
 
 
+def timing_stats(machine):
+    """Each cache level's (hits, misses) and the branch predictor's
+    (predictions, mispredictions): what the fused closures count
+    besides cycles."""
+    hierarchy = machine.hierarchy
+    branches = machine.pipeline.branch_stats
+    levels = (hierarchy.l1i, hierarchy.l1d, *hierarchy.shared)
+    return {
+        "caches": tuple((level.name, level.stats.hits, level.stats.misses)
+                        for level in levels),
+        "branches": (branches.predictions, branches.mispredictions),
+    }
+
+
 def snapshot(system):
     stats = system.machine.stats
     return {
@@ -195,6 +209,7 @@ def snapshot(system):
         "halted": stats.halted,
         "regs": tuple(system.cpu.regs),
         "pcu": system.pcu.stats.as_dict(),
+        **timing_stats(system.machine),
     }
 
 
@@ -217,14 +232,15 @@ def bare_gate_mutant(cpu):
     return True
 
 
-def executor_mutant(line, replacement):
-    """The shared ``run_blocks`` with a seeded bug: its one source line
-    holding ``line`` gets ``replacement`` in its place."""
-    source = textwrap.dedent(inspect.getsource(blocks.run_blocks))
+def seeded_mutant(function, line, replacement):
+    """``function`` with a seeded bug: its one source line holding
+    ``line`` gets ``replacement`` in its place."""
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(line) == 1
     namespace = {}
-    exec(source.replace(line, replacement), vars(blocks), namespace)
-    return namespace["run_blocks"]
+    exec(source.replace(line, replacement), vars(inspect.getmodule(function)),
+         namespace)
+    return namespace[function.__name__]
 
 
 #: x86 loop of ``hccalls`` -> a callee of straight-line ``add``s ->
@@ -683,7 +699,7 @@ class TestRiscvTranslationGate:
         # step: the ``csrw satp`` that turns Sv39 on retires through
         # step(), and a gate read only on entry misses it.
         reference = paged_snapshot(run_riscv(BLOCK_OFF, source))
-        mutant = executor_mutant("gate_open = gate()", "pass")
+        mutant = seeded_mutant(blocks.run_blocks, "gate_open = gate()", "pass")
         monkeypatch.setattr(RiscvCpu, "run_blocks", mutant)
         observed = paged_snapshot(run_riscv(CONFIG_8E, source))
         assert observed["regs"] == reference["regs"]
@@ -712,8 +728,9 @@ class TestStoreQueueWindow:
         # window after a block lets hcrets forward from a push 40
         # instructions back.
         reference = snapshot(run_gate_call_loop(BLOCK_OFF, 40))
-        mutant = executor_mutant(
-            "pipeline._instructions_since_push = isp + n", "pass")
+        mutant = seeded_mutant(
+            blocks.run_blocks, "pipeline._instructions_since_push = isp + n",
+            "pass")
         monkeypatch.setattr(X86Cpu, "run_blocks", mutant)
         observed = snapshot(run_gate_call_loop(CONFIG_8E, 40))
         assert observed["instructions"] == reference["instructions"]
@@ -742,6 +759,7 @@ class TestKernelWorkloadIdentity:
             "pcu": kernel.system.pcu.stats.as_dict(),
             "syscalls": kernel.syscall_count,
             "faults": kernel.fault_count,
+            **timing_stats(kernel.system.machine),
         }
         return observed, kernel
 
@@ -772,6 +790,30 @@ class TestKernelWorkloadIdentity:
         stats = results[True, True][1].system.pcu.block_stats
         assert stats.coverage > 0.9
         assert stats.insts > 0.9 * reference["instructions"]
+
+    @pytest.mark.parametrize("kernel_class, user_program, cpu_class", [
+        (X86Kernel, x86_user_program, X86Cpu),
+        (RiscvKernel, riscv_user_program, RiscvCpu),
+    ], ids=["x86", "riscv"])
+    def test_seeded_warm_fetch_bugs_are_caught(self, monkeypatch, kernel_class,
+                                               user_program, cpu_class):
+        # A warm member skips the hierarchy call.  Two seeded bugs in
+        # that shortcut must each move the compared cache statistics:
+        # a former that forms every block's first member warm too, and
+        # a warm member that charges the hit but does not count it.
+        reference = self.run_kernel(kernel_class, user_program, BLOCK_OFF)[0]
+        first_warm = seeded_mutant(blocks.form_block, "previous_line = None",
+                                   "previous_line = start // line_bytes")
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks, "form_block", first_warm)
+            observed = self.run_kernel(kernel_class, user_program, CONFIG_8E)[0]
+        assert observed["caches"] != reference["caches"]
+        uncounted = seeded_mutant(cpu_class._block_op_pure, "l1i.hits += 1",
+                                  "pass")
+        monkeypatch.setattr(cpu_class, "_block_op_pure", uncounted)
+        observed = self.run_kernel(kernel_class, user_program, CONFIG_8E)[0]
+        assert observed["cycles"] == reference["cycles"]
+        assert observed["caches"] != reference["caches"]
 
     @pytest.mark.parametrize("kernel_class, user_program", [
         (X86Kernel, x86_user_program),
