@@ -76,7 +76,7 @@ class BlockSummaryStats:
     refused_class: int = 0       # a needed class word bit is not granted
     # Executor fallbacks to one reference step(), by reason.
     fallback_translated: int = 0  # RISC-V translation is not Bare
-    fallback_no_block: int = 0    # no block forms at this pc
+    fallback_no_block: int = 0    # head refused or undecodable
     fallback_budget: int = 0      # the block would overrun max_steps
     fallback_refused: int = 0     # the probe refused
 

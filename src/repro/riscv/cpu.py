@@ -460,11 +460,13 @@ class RiscvCpu:
         self._mem_load = self.memory.load
         self._mem_store = self.memory.store
         self._check_data = machine.check_data_access
-        # pa -> (inst, bound handler, prebuilt AccessInfo | None, extra).
-        # ``access`` is the plain PCU check the step loop performs before
-        # dispatch; handlers with ``None`` (gates, CSR ops, mode-checked
-        # specials) run their own checks in the architecturally required
-        # order.  ``extra`` holds per-handler precomputed operands.
+        # pa -> (inst, handler, prebuilt AccessInfo | None, extra).
+        # ``handler(cpu, inst, pc, info, extra)`` is a plain function of
+        # the class.  ``access`` is the plain PCU check the step loop
+        # performs before dispatch; handlers with ``None`` (gates, CSR
+        # ops, mode-checked specials) run their own checks in the
+        # architecturally required order.  ``extra`` holds per-handler
+        # precomputed operands.
         self._decode_cache: Dict[int, tuple] = {}
         # pc -> CompiledBlock | NO_BLOCK (DESIGN §3.18): superblocks
         # over the decode entries, each carrying a privilege summary so
@@ -477,7 +479,24 @@ class RiscvCpu:
         # Block formation bakes the Rocket timing model into the member
         # closures, so any other pipeline falls back to the
         # per-instruction loop.
-        self.blocks_supported = type(machine.pipeline) is InOrderPipelineModel
+        pipeline = machine.pipeline
+        self.blocks_supported = type(pipeline) is InOrderPipelineModel
+        # The handles through which shared member closures reach this
+        # CPU's timing model, and the constants they bake in: (L1I line
+        # bytes, warm-fetch cost, mispredict penalty).  A warm fetch is
+        # an L1I MRU hit (DESIGN §3.18), costing what
+        # ``instruction_cycles`` charges.
+        l1i = pipeline.hierarchy.l1i
+        self._fetch = pipeline._access_instruction
+        self._data = pipeline._access_data
+        self._l1i_stats = l1i.stats
+        self._branch_stats = pipeline.branch_stats
+        self._predict = pipeline._predictor_update
+        self._timing = None
+        if self.blocks_supported:
+            f = l1i.latency
+            self._timing = (l1i.line, 1.0 + (f - 1) if f > 1 else 1.0,
+                            pipeline._mispredict_penalty)
         # Optional Sv39 translation: identity (Bare) until software
         # writes a Sv39-mode SATP.  The decode cache is keyed by
         # *physical* address, so address-space switches stay coherent.
@@ -635,7 +654,7 @@ class RiscvCpu:
                     stall = pcu.check(access)
                     if stall:
                         info.pcu_stall += stall
-            handler(inst, pc, info, extra)
+            handler(self, inst, pc, info, extra)
         except (Trap, PrivilegeFault) as error:
             self._dispatch_fault(error, pc, info)
         return info
@@ -670,26 +689,17 @@ class RiscvCpu:
     # ------------------------------------------------------------------
     # Block-summary execution (DESIGN §3.18).
     # ------------------------------------------------------------------
-    def _warm_fetch(self):
-        """``(l1i_stats, cost)``: a warm member's fetch is an L1I MRU hit
-        (DESIGN §3.18), costing what ``instruction_cycles`` charges one."""
-        l1i = self.machine.pipeline.hierarchy.l1i
-        f = l1i.latency
-        return l1i.stats, (1.0 + (f - 1) if f > 1 else 1.0)
-
     def _block_op_pure(self, handler, inst, pc: int, extra, warm: bool):
         """Fused member closure: no memory access, no branch predictor."""
-        p = self.machine.pipeline
-        info = StepInfo(pc)
-        l1i, hit = self._warm_fetch()
+        hit = self._timing[1]
 
-        def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
-               ai=p._access_instruction, warm=warm, l1i=l1i, hit=hit):
-            h(inst, pc, info, extra)
+        def op(cpu, h=handler, inst=inst, pc=pc, info=blocks.MEMBER_INFO,
+               extra=extra, warm=warm, hit=hit):
+            h(cpu, inst, pc, info, extra)
             if warm:
-                l1i.hits += 1
+                cpu._l1i_stats.hits += 1
                 return hit
-            f = ai(pc)
+            f = cpu._fetch(pc)
             if f > 1:
                 return 1.0 + (f - 1)
             return 1.0
@@ -699,21 +709,18 @@ class RiscvCpu:
     def _block_op_mem(self, handler, inst, pc: int, extra, is_store: bool,
                       warm: bool):
         """Fused member closure for loads and stores."""
-        p = self.machine.pipeline
-        info = StepInfo(pc)
-        l1i, hit = self._warm_fetch()
+        hit = self._timing[1]
 
-        def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
-               ai=p._access_instruction, ad=p._access_data,
-               is_store=is_store, warm=warm, l1i=l1i, hit=hit):
-            h(inst, pc, info, extra)
+        def op(cpu, h=handler, inst=inst, pc=pc, info=blocks.MEMBER_INFO,
+               extra=extra, is_store=is_store, warm=warm, hit=hit):
+            h(cpu, inst, pc, info, extra)
             if warm:
-                l1i.hits += 1
+                cpu._l1i_stats.hits += 1
                 c = hit
             else:
-                f = ai(pc)
+                f = cpu._fetch(pc)
                 c = 1.0 + (f - 1) if f > 1 else 1.0
-            d = ad(info.mem_address, is_store)
+            d = cpu._data(info.mem_address, is_store)
             if d > 1:
                 c += d - 1
             return c
@@ -722,23 +729,20 @@ class RiscvCpu:
 
     def _block_op_branch(self, handler, inst, pc: int, extra, warm: bool):
         """Fused member closure for conditional branches."""
-        p = self.machine.pipeline
-        info = StepInfo(pc)
-        l1i, hit = self._warm_fetch()
+        _, hit, mp = self._timing
 
-        def op(h=handler, inst=inst, pc=pc, info=info, extra=extra,
-               ai=p._access_instruction, stats=p.branch_stats,
-               pu=p._predictor_update, mp=p._mispredict_penalty,
-               warm=warm, l1i=l1i, hit=hit):
-            h(inst, pc, info, extra)
+        def op(cpu, h=handler, inst=inst, pc=pc, info=blocks.MEMBER_INFO,
+               extra=extra, mp=mp, warm=warm, hit=hit):
+            h(cpu, inst, pc, info, extra)
             if warm:
-                l1i.hits += 1
+                cpu._l1i_stats.hits += 1
                 c = hit
             else:
-                f = ai(pc)
+                f = cpu._fetch(pc)
                 c = 1.0 + (f - 1) if f > 1 else 1.0
+            stats = cpu._branch_stats
             stats.predictions += 1
-            if pu(pc, info.branch_taken):
+            if cpu._predict(pc, info.branch_taken):
                 stats.mispredictions += 1
                 c += mp
             return c
@@ -787,6 +791,9 @@ class RiscvCpu:
         identity at zero cycles and pc == pa."""
         return not self.csrs[self._satp_address] >> SATP_MODE_SHIFT
 
+    #: Bytes ``_decode_entry`` reads at a pa.
+    _decode_window = 4
+
     run_blocks = blocks.run_blocks
 
     # ------------------------------------------------------------------
@@ -800,7 +807,7 @@ class RiscvCpu:
         if pc is None:
             pc = fetch_pa
         try:
-            word = self.memory.load(fetch_pa, 4)
+            word = self.memory.load(fetch_pa, self._decode_window)
             inst = decode(word)
         except EncodingError as error:
             raise Trap(
@@ -813,7 +820,7 @@ class RiscvCpu:
         m = inst.mnemonic
         cls = inst.inst_class
         if cls in GATE_CLASSES:
-            return inst, self._op_gate, None, _GATE_KIND[m]
+            return inst, RiscvCpu._op_gate, None, _GATE_KIND[m]
         if cls == "csr":
             address = inst.csr
             min_priv = CSR_MIN_PRIV.get(address)
@@ -825,43 +832,43 @@ class RiscvCpu:
                 m[:5],  # csrrw / csrrs / csrrc
                 address in READ_ONLY_CSRS,
             )
-            return inst, self._op_csr, None, extra
+            return inst, RiscvCpu._op_csr, None, extra
         # Mode-checked specials run their own hybrid check sequence.
         if m in ("sret", "mret"):
-            return inst, self._op_sret, None, None
+            return inst, RiscvCpu._op_sret, None, None
         if m == "wfi":
-            return inst, self._op_wfi, None, None
+            return inst, RiscvCpu._op_wfi, None, None
         if m == "sfence.vma":
-            return inst, self._op_sfence, None, None
+            return inst, RiscvCpu._op_sfence, None, None
         access = AccessInfo(inst_class=self._class_index[cls], address=pc)
         if cls == "alu" or cls == "mul":
             op = _ALU_OPS.get(m)
             if op is None:  # pragma: no cover - decoder/executor sync
-                return inst, self._op_illegal, access, None
+                return inst, RiscvCpu._op_illegal, access, None
             if inst.rd == 0:
                 # rd == x0 discards the result, and no ALU op has side
                 # effects or can fault, so the evaluation is elided.
-                return inst, self._op_alu_x0, access, None
+                return inst, RiscvCpu._op_alu_x0, access, None
             spec = _ALU_SPEC.get(m)
             if spec is not None:
-                return inst, self._op_alu_spec, access, spec(inst)
-            return inst, self._op_alu, access, op
+                return inst, RiscvCpu._op_alu_spec, access, spec(inst)
+            return inst, RiscvCpu._op_alu, access, op
         if cls == "load":
-            return inst, self._op_load, access, (
+            return inst, RiscvCpu._op_load, access, (
                 load_width(m), is_unsigned_load(m)
             )
         if cls == "store":
-            return inst, self._op_store, access, load_width(m)
+            return inst, RiscvCpu._op_store, access, load_width(m)
         if cls == "branch":
-            return inst, self._op_branch, access, _BRANCH_TAKEN.get(
+            return inst, RiscvCpu._op_branch, access, _BRANCH_TAKEN.get(
                 m, _BRANCH_TAKEN["bgeu"]
             )
         if cls == "fence":
-            return inst, self._op_fence, access, None
+            return inst, RiscvCpu._op_fence, access, None
         handler = self._SPECIAL_OPS.get(m)
         if handler is None:  # pragma: no cover - decoder/executor sync
-            return inst, self._op_illegal, access, None
-        return inst, handler.__get__(self), access, None
+            return inst, RiscvCpu._op_illegal, access, None
+        return inst, handler, access, None
 
     def _check_plain(self, inst: Instruction, pc: int, info: StepInfo) -> None:
         if self.pcu is not None:

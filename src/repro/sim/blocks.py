@@ -19,16 +19,28 @@ or pipeline-specific:
 * ``_block_member(entry, pc, warm)`` — the membership rule over one
   decode entry, returning ``(op, size, inst_class, ends)`` for a member
   (its fused closure, its byte size, its inst-bitmap class, and whether
-  it is the control transfer that ends the block) or ``None``.
-  ``warm`` is true when the member before it in the block fetched the
-  same L1I line: its op then counts an L1I hit and charges the hit
-  latency instead of calling the hierarchy (DESIGN §3.18 states why
-  that is exact);
+  it is the control transfer that ends the block) or ``None``.  ``op``
+  takes the CPU as its one argument and reaches the timing model
+  through handles the CPU binds at construction (``_fetch``, ``_data``,
+  ``_l1i_stats``, ``_branch_stats``, ``_predict``), so a block serves
+  every CPU of its class with the same timing constants.  ``warm`` is
+  true when the member before it in the block fetched the same L1I
+  line: its op then counts an L1I hit and charges the hit latency
+  instead of calling the hierarchy (DESIGN §3.18 states why that is
+  exact);
+* ``_timing`` — the tuple of timing constants the member closures bake
+  in, L1I line bytes first; part of the shared-block key;
+* ``_decode_window`` — how many bytes ``_decode_entry`` reads at a pc;
 * ``_dispatch_fault(error, pc, info)`` — the trap path ``step()`` takes;
 * ``_block_gate`` — ``None``, or a method saying whether blocks may run
   at all (RISC-V: only while translation is Bare).  Only a reference
   ``step()`` can change its answer, so the executor evaluates it on
   entry and after each reference step, and nowhere else.
+
+Compiled blocks outlive the CPU that formed them: :data:`shared_blocks`
+keeps them per process, and :func:`form_block` reuses one only where
+forming it again would read the same bytes and decode entries (DESIGN
+§3.18 "Shared blocks").
 
 The O3 pipeline's store-queue window (``_instructions_since_push``,
 ``None`` on the in-order model and whenever no push is in flight)
@@ -40,28 +52,41 @@ and enforced by the block lockstep test suite.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.errors import PrivilegeFault
 from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT
 
+from .memory import MemoryAccessError
 from .pipeline import StepInfo
 from .trap import Trap
 
 MASK64 = (1 << 64) - 1
 
-#: Blocks shorter than this are not worth the probe + accounting
-#: overhead; the per-instruction path serves them.
-MIN_BLOCK_LEN = 3
-
 #: Formation stops after this many members: caps compile time per block
 #: and bounds how far a partial-block fault has to be attributed.
 MAX_BLOCK_LEN = 64
 
-#: Cache sentinel for a pc where formation was refused (head instruction
-#: ineligible, block too short, undecodable tail...): the executor takes
-#: one ordinary ``step()`` and re-probes at the next pc.
+#: Cache sentinel for a pc where formation was refused (the head
+#: instruction refuses membership or does not decode): the executor
+#: takes one ordinary ``step()`` and re-probes at the next pc.
 NO_BLOCK = False
+
+#: The one ``StepInfo`` every member closure passes its handler.  A
+#: handler writes the fields its closure reads (``mem_address``,
+#: ``branch_taken``) just before the closure reads them, and the
+#: simulator runs one instruction at a time, so members of every block
+#: and CPU can share it.
+MEMBER_INFO = StepInfo()
+
+#: Bound on the process's shared blocks, and on the blocks kept for one
+#: start pc (one per distinct code there, such as each variant of a
+#: workload that loads its program at the same address).  One pass of
+#: every variant of the benchmark's three Machine workloads on seeds 0
+#: and 1, in one process, forms 1,182 blocks of about 5 KB each, and 32
+#: at the one pc where 32 of those programs start.
+SHARED_BLOCK_CAP = 2048
+SHARED_BLOCKS_PER_PC = 32
 
 
 def summarize_classes(inst_classes: Iterable[int]) -> Tuple[Tuple[int, int], ...]:
@@ -84,24 +109,31 @@ class CompiledBlock:
     ranges and generations are enforced per access, not summarized —
     addresses are dynamic).
 
-    ``ops[i]()`` performs member ``i``'s architectural work *and* its
+    ``ops[i](cpu)`` performs member ``i``'s architectural work *and* its
     pipeline-timing accounting (instruction fetch, data access, branch
-    prediction) in the exact operation order of the per-instruction
-    path, returning the float cycle cost — so accumulating the returns
-    sequentially is bit-identical to the reference loop's
-    ``stats.cycles += instruction_cycles(info)`` adds.  ``pcs`` and
-    ``sizes`` attribute a mid-block fault to its member; ``sets_pc``
-    records that the final member is a control transfer which wrote
-    ``cpu.pc`` itself (otherwise the executor stores ``end_pc`` once).
+    prediction) on ``cpu`` in the exact operation order of the
+    per-instruction path, returning the float cycle cost — so
+    accumulating the returns sequentially is bit-identical to the
+    reference loop's ``stats.cycles += instruction_cycles(info)`` adds.
+    ``pcs`` and ``sizes`` attribute a mid-block fault to its member;
+    ``sets_pc`` records that the final member is a control transfer
+    which wrote ``cpu.pc`` itself (otherwise the executor stores
+    ``end_pc`` once).
 
     ``classes`` holds the members' decoded instruction classes, in
     order, as ``_block_member`` returned them.  The contract monitor's
     ``block`` event is built from them, never from ``summary``: a
     summary that lost a class must not lose it from the event too.
+
+    ``code`` and ``insts`` record what formation read: the memory bytes
+    from the first pc through the last decode window, and the decoded
+    instruction of each member followed, where formation stopped at an
+    instruction that refused membership or did not decode, by that
+    instruction at ``end_pc`` (``None`` if it did not decode).
     """
 
     __slots__ = ("summary", "classes", "ops", "pcs", "sizes", "n",
-                 "end_pc", "sets_pc")
+                 "end_pc", "sets_pc", "code", "insts")
 
     def __init__(
         self,
@@ -112,6 +144,8 @@ class CompiledBlock:
         sizes: Sequence[int],
         end_pc: int,
         sets_pc: bool,
+        code: bytes,
+        insts: Sequence,
     ):
         self.summary = summary
         self.classes = tuple(classes)
@@ -121,6 +155,8 @@ class CompiledBlock:
         self.n = len(self.ops)
         self.end_pc = end_pc
         self.sets_pc = sets_pc
+        self.code = code
+        self.insts = tuple(insts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "CompiledBlock(n=%d, pc=0x%x..0x%x, sets_pc=%r)" % (
@@ -128,22 +164,104 @@ class CompiledBlock:
         )
 
 
-def form_block(cpu, start: int):
-    """Compile the superblock at ``start`` for ``cpu``, or ``NO_BLOCK``.
+def _reusable(cpu, block: CompiledBlock) -> bool:
+    """Whether forming at ``block``'s start on ``cpu`` now would read
+    exactly what forming ``block`` read: the same bytes in memory, and
+    no entry for another instruction at its pcs in ``cpu``'s decode
+    cache (an entry is a function of its instruction and pc)."""
+    try:
+        code = cpu.memory.load_bytes(block.pcs[0], len(block.code))
+    except MemoryAccessError:
+        return False
+    if code != block.code:
+        return False
+    decode_cache = cpu._decode_cache
+    for pc, inst in zip(block.pcs + (block.end_pc,), block.insts):
+        held = decode_cache.get(pc)
+        if held is not None and held[0] != inst:
+            return False
+    return True
 
-    Walks the decode cache from ``start`` while ``cpu._block_member``
-    admits each instruction, up to ``MAX_BLOCK_LEN`` members; a member
-    that ends the block is included as its last.  A member whose pc lies
-    in the previous member's L1I line is formed warm.  Only called where
-    pc == pa (RISC-V forms under Bare translation only).
+
+class SharedBlocks:
+    """The process's compiled blocks (DESIGN §3.18 "Shared blocks").
+
+    Keyed by ``(CPU class, cpu._timing, start pc)``, with one block per
+    distinct code at that pc, at most ``SHARED_BLOCKS_PER_PC`` of them;
+    beyond ``SHARED_BLOCK_CAP`` blocks in all, the least recently used
+    keys go first.  ``clear()`` gives the next formation a cold cache.
     """
+
+    def __init__(self):
+        self._blocks: Dict[tuple, List[CompiledBlock]] = {}
+        self._count = 0
+
+    def clear(self) -> None:
+        self._blocks.clear()
+        self._count = 0
+
+    def reuse(self, cpu, key: tuple):
+        """A block for ``key`` that :func:`_reusable` accepts on ``cpu``,
+        or ``None``."""
+        formed = self._blocks.get(key)
+        if formed is not None:
+            for block in formed:
+                if _reusable(cpu, block):
+                    self._blocks[key] = self._blocks.pop(key)
+                    return block
+        return None
+
+    def add(self, key: tuple, block: CompiledBlock) -> None:
+        formed = self._blocks.pop(key, [])
+        formed.append(block)
+        self._count += 1
+        if len(formed) > SHARED_BLOCKS_PER_PC:
+            del formed[0]
+            self._count -= 1
+        self._blocks[key] = formed
+        while self._count > SHARED_BLOCK_CAP:
+            self._count -= len(self._blocks.pop(next(iter(self._blocks))))
+
+
+#: The process-wide block cache.
+shared_blocks = SharedBlocks()
+
+
+def _decodes_to(cpu, pc: int, inst) -> bool:
+    """Whether memory at ``pc`` decodes to ``inst`` now: false behind a
+    stale decode-cache entry (code stored without a flush)."""
+    try:
+        return cpu._decode_entry(pc)[0] == inst
+    except Trap:
+        return False
+
+
+def form_block(cpu, start: int):
+    """The superblock at ``start`` for ``cpu``, or ``NO_BLOCK``.
+
+    Reuses one of the process's blocks for ``start`` when
+    :func:`_reusable` proves forming it again would give that block.
+    Otherwise walks the decode cache from ``start`` while
+    ``cpu._block_member`` admits each instruction, up to
+    ``MAX_BLOCK_LEN`` members; a member that ends the block is included
+    as its last.  A member whose pc lies in the previous member's L1I
+    line is formed warm.  The new block is shared unless a decode entry
+    it used no longer matches memory.  Only called where pc == pa
+    (RISC-V forms under Bare translation only).
+    """
+    key = (type(cpu), cpu._timing, start)
+    block = shared_blocks.reuse(cpu, key)
+    if block is not None:
+        return block
     decode_cache = cpu._decode_cache
     member = cpu._block_member
-    line_bytes = cpu.machine.pipeline.hierarchy.l1i.line
+    line_bytes = cpu._timing[0]
     ops = []
     pcs = []
     sizes = []
     classes = []
+    insts = []
+    shareable = True
     ends = False
     pc = start
     previous_line = None
@@ -156,8 +274,12 @@ def form_block(cpu, start: int):
                 # Undecodable tail: executing it live must raise the
                 # same trap via the reference path, so end the block
                 # here and do not cache the decode failure.
+                insts.append(None)
                 break
             decode_cache[pc] = entry
+        elif shareable:
+            shareable = _decodes_to(cpu, pc, entry[0])
+        insts.append(entry[0])
         line = pc // line_bytes
         fused = member(entry, pc, line == previous_line)
         if fused is None:
@@ -169,10 +291,15 @@ def form_block(cpu, start: int):
         classes.append(inst_class)
         previous_line = line
         pc = (pc + size) & MASK64
-    if len(ops) < MIN_BLOCK_LEN:
+    if not ops:
         return NO_BLOCK
-    return CompiledBlock(summarize_classes(classes), classes, ops, pcs,
-                         sizes, pc, ends)
+    last = pc if len(insts) > len(ops) else pcs[-1]
+    code = cpu.memory.load_bytes(start, last + cpu._decode_window - start)
+    block = CompiledBlock(summarize_classes(classes), classes, ops, pcs,
+                          sizes, pc, ends, code, insts)
+    if shareable:
+        shared_blocks.add(key, block)
+    return block
 
 
 def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
@@ -245,7 +372,7 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
             isp = pipeline._instructions_since_push
             try:
                 for op in ops:
-                    cyc += op()
+                    cyc += op(cpu)
             except (Trap, PrivilegeFault) as error:
                 # Mid-block fault: members [0, i) retired normally; the
                 # faulting member vectors exactly like step().  Its

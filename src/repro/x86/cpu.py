@@ -129,11 +129,12 @@ class X86Cpu:
             name: self.isa_map.inst_class(name)
             for name in self.isa_map.inst_class_names
         }
-        # rip -> (inst, bound handler, extra_cycles, needs_ring0,
-        #         special, access).  ``special`` flags the per-step CR4
-        #         gates (1 = rdtsc/TSD, 2 = rdpmc/PCE); ``access`` is
-        #         the prebuilt plain-check AccessInfo, or None for
-        #         handlers that run their own check sequence.
+        # rip -> (inst, handler, size, extra_cycles, needs_ring0,
+        #         special, access).  ``handler(cpu, inst, rip, info)`` is
+        #         a plain function, one per mnemonic; ``special`` flags
+        #         the per-step CR4 gates (1 = rdtsc/TSD, 2 = rdpmc/PCE);
+        #         ``access`` is the prebuilt plain-check AccessInfo, or
+        #         None for handlers that run their own check sequence.
         self._decode_cache: Dict[int, tuple] = {}
         # rip -> CompiledBlock | NO_BLOCK (DESIGN §3.18): superblocks
         # over the decode entries, each carrying a privilege summary so
@@ -145,7 +146,29 @@ class X86Cpu:
         # Block formation bakes the O3 timing model into the member
         # closures, so any other pipeline falls back to the
         # per-instruction loop.
-        self.blocks_supported = type(machine.pipeline) is OutOfOrderPipelineModel
+        pipeline = machine.pipeline
+        self.blocks_supported = type(pipeline) is OutOfOrderPipelineModel
+        # The handles through which shared member closures reach this
+        # CPU's timing model, and the constants they bake in: (L1I line
+        # bytes, warm-fetch cost, 1/width, I-cache, load and store miss
+        # factors, mispredict penalty).  A warm fetch is an L1I MRU hit
+        # (DESIGN §3.18), costing what ``instruction_cycles`` charges.
+        l1i = pipeline.hierarchy.l1i
+        self._fetch = pipeline._access_instruction
+        self._data = pipeline._access_data
+        self._l1i_stats = l1i.stats
+        self._branch_stats = pipeline.branch_stats
+        self._predict = pipeline._predictor_update
+        self._timing = None
+        if self.blocks_supported:
+            inv = pipeline._inv_width
+            icf = pipeline.ICACHE_MISS_FACTOR
+            f = l1i.latency
+            self._timing = (
+                l1i.line, inv + (f - 2) * icf if f > 2 else inv, inv, icf,
+                pipeline.LOAD_MISS_FACTOR, pipeline.STORE_MISS_FACTOR,
+                pipeline._mispredict_penalty,
+            )
         machine.attach_cpu(self)
 
     # ------------------------------------------------------------------
@@ -238,7 +261,7 @@ class X86Cpu:
                 pcu = self.pcu
                 if pcu is not None:
                     info.pcu_stall += pcu.check(access)
-            if not handler(inst, rip, info):
+            if not handler(self, inst, rip, info):
                 self.pc = (rip + size) & MASK64
         except (Trap, PrivilegeFault) as error:
             self._dispatch_fault(error, rip, info)
@@ -269,55 +292,40 @@ class X86Cpu:
     # ------------------------------------------------------------------
     # Block-summary execution (DESIGN §3.18).
     # ------------------------------------------------------------------
-    def _warm_fetch(self):
-        """``(l1i_stats, cost)``: a warm member's fetch is an L1I MRU hit
-        (DESIGN §3.18), costing what ``instruction_cycles`` charges one."""
-        p = self.machine.pipeline
-        l1i = p.hierarchy.l1i
-        f = l1i.latency
-        inv = p._inv_width
-        return l1i.stats, (inv + (f - 2) * p.ICACHE_MISS_FACTOR if f > 2 else inv)
-
-    def _block_op_pure(self, handler, inst, rip: int, size: int, warm: bool):
+    def _block_op_pure(self, handler, inst, rip: int, warm: bool):
         """Fused member closure: no memory access, no branch predictor."""
-        p = self.machine.pipeline
-        info = StepInfo(rip, size)
-        l1i, hit = self._warm_fetch()
+        _, hit, inv, icf = self._timing[:4]
 
-        def op(h=handler, inst=inst, rip=rip, info=info,
-               ai=p._access_instruction, inv=p._inv_width,
-               icf=p.ICACHE_MISS_FACTOR, warm=warm, l1i=l1i, hit=hit):
-            h(inst, rip, info)
+        def op(cpu, h=handler, inst=inst, rip=rip, info=blocks.MEMBER_INFO,
+               inv=inv, icf=icf, warm=warm, hit=hit):
+            h(cpu, inst, rip, info)
             if warm:
-                l1i.hits += 1
+                cpu._l1i_stats.hits += 1
                 return hit
-            f = ai(rip)
+            f = cpu._fetch(rip)
             if f > 2:
                 return inv + (f - 2) * icf
             return inv
 
         return op
 
-    def _block_op_mem(self, handler, inst, rip: int, size: int, is_store: bool,
+    def _block_op_mem(self, handler, inst, rip: int, is_store: bool,
                       warm: bool):
         """Fused member closure for loads/stores (mov/stack/call/ret)."""
-        p = self.machine.pipeline
-        info = StepInfo(rip, size)
-        factor = p.STORE_MISS_FACTOR if is_store else p.LOAD_MISS_FACTOR
-        l1i, hit = self._warm_fetch()
+        _, hit, inv, icf, load_factor, store_factor, _ = self._timing
+        factor = store_factor if is_store else load_factor
 
-        def op(h=handler, inst=inst, rip=rip, info=info,
-               ai=p._access_instruction, ad=p._access_data,
-               inv=p._inv_width, icf=p.ICACHE_MISS_FACTOR,
-               is_store=is_store, factor=factor, warm=warm, l1i=l1i, hit=hit):
-            h(inst, rip, info)
+        def op(cpu, h=handler, inst=inst, rip=rip, info=blocks.MEMBER_INFO,
+               inv=inv, icf=icf, is_store=is_store, factor=factor, warm=warm,
+               hit=hit):
+            h(cpu, inst, rip, info)
             if warm:
-                l1i.hits += 1
+                cpu._l1i_stats.hits += 1
                 c = hit
             else:
-                f = ai(rip)
+                f = cpu._fetch(rip)
                 c = inv + (f - 2) * icf if f > 2 else inv
-            d = ad(info.mem_address, is_store)
+            d = cpu._data(info.mem_address, is_store)
             if d > 2:
                 c += (d - 2) * factor
             return c
@@ -326,26 +334,22 @@ class X86Cpu:
 
     def _block_op_jcc(self, handler, inst, rip: int, size: int, warm: bool):
         """Fused member closure for conditional branches."""
-        p = self.machine.pipeline
-        info = StepInfo(rip, size)
+        _, hit, inv, icf, _, _, mp = self._timing
         fall_through = (rip + size) & MASK64
-        l1i, hit = self._warm_fetch()
 
-        def op(h=handler, inst=inst, rip=rip, info=info,
-               ai=p._access_instruction, inv=p._inv_width,
-               icf=p.ICACHE_MISS_FACTOR, stats=p.branch_stats,
-               pu=p._predictor_update, mp=p._mispredict_penalty,
-               cpu=self, fall=fall_through, warm=warm, l1i=l1i, hit=hit):
-            if not h(inst, rip, info):
+        def op(cpu, h=handler, inst=inst, rip=rip, info=blocks.MEMBER_INFO,
+               inv=inv, icf=icf, mp=mp, fall=fall_through, warm=warm, hit=hit):
+            if not h(cpu, inst, rip, info):
                 cpu.pc = fall
             if warm:
-                l1i.hits += 1
+                cpu._l1i_stats.hits += 1
                 c = hit
             else:
-                f = ai(rip)
+                f = cpu._fetch(rip)
                 c = inv + (f - 2) * icf if f > 2 else inv
+            stats = cpu._branch_stats
             stats.predictions += 1
-            if pu(rip, info.branch_taken):
+            if cpu._predict(rip, info.branch_taken):
                 stats.mispredictions += 1
                 c += mp
             return c
@@ -373,27 +377,27 @@ class X86Cpu:
         mnemonic = inst.mnemonic
         ends = False
         if cls in ("nop", "alu"):
-            op = self._block_op_pure(handler, inst, rip, size, warm)
+            op = self._block_op_pure(handler, inst, rip, warm)
         elif cls == "mov":
             if mnemonic == "mov_load":
-                op = self._block_op_mem(handler, inst, rip, size, False, warm)
+                op = self._block_op_mem(handler, inst, rip, False, warm)
             elif mnemonic == "mov_store":
-                op = self._block_op_mem(handler, inst, rip, size, True, warm)
+                op = self._block_op_mem(handler, inst, rip, True, warm)
             else:
-                op = self._block_op_pure(handler, inst, rip, size, warm)
+                op = self._block_op_pure(handler, inst, rip, warm)
         elif cls == "stack":
-            op = self._block_op_mem(handler, inst, rip, size,
-                                    mnemonic == "push", warm)
+            op = self._block_op_mem(handler, inst, rip, mnemonic == "push",
+                                    warm)
         elif cls == "branch":
             ends = True
             if mnemonic == "jmp":
-                op = self._block_op_pure(handler, inst, rip, size, warm)
+                op = self._block_op_pure(handler, inst, rip, warm)
             else:
                 op = self._block_op_jcc(handler, inst, rip, size, warm)
         elif cls == "call":
             ends = True
-            op = self._block_op_mem(handler, inst, rip, size,
-                                    mnemonic == "call", warm)
+            op = self._block_op_mem(handler, inst, rip, mnemonic == "call",
+                                    warm)
         else:
             # string (reserved), syscall/int/iret: never members.
             return None
@@ -401,6 +405,9 @@ class X86Cpu:
 
     #: Blocks may run in any state; only RISC-V gates them.
     _block_gate = None
+
+    #: Bytes ``_decode_entry`` reads at a rip.
+    _decode_window = 16
 
     run_blocks = blocks.run_blocks
 
@@ -417,7 +424,7 @@ class X86Cpu:
     )
 
     def _decode_entry(self, rip: int) -> tuple:
-        window = self.memory.load_bytes(rip, 16)
+        window = self.memory.load_bytes(rip, self._decode_window)
         try:
             inst = decode(window)
         except EncodingError as error:
@@ -426,21 +433,15 @@ class X86Cpu:
             )
         cls = inst.inst_class
         extra_cycles = EXTRA_CYCLES.get(cls, 0)
-        if cls in GATE_CLASSES:
-            return inst, self._op_gate, inst.size, extra_cycles, False, 0, None
-        # The mnemonic-dense classes get per-mnemonic handlers so the
-        # steady state never walks an if-chain.
-        if cls == "alu":
-            handler = self._specialize_alu(inst)
-        elif cls == "mov":
-            handler = self._specialize_mov(inst)
-        elif cls == "branch":
-            handler = self._specialize_branch(inst)
-        else:
-            handler = getattr(self, "_op_" + cls, None)
+        handler = _HANDLERS.get(inst.mnemonic)
+        if handler is None:
+            handler = _resolve_handler(inst)
             if handler is None:  # pragma: no cover - decoder/executor sync
                 raise Trap(TrapKind.ILLEGAL_INSTRUCTION, VEC_UD, pc=rip,
                            message="unimplemented class %s" % cls)
+            _HANDLERS[inst.mnemonic] = handler
+        if cls in GATE_CLASSES:
+            return inst, handler, inst.size, extra_cycles, False, 0, None
         special = 1 if cls == "rdtsc" else 2 if cls == "rdpmc" else 0
         access = (
             AccessInfo(inst_class=self._class_index[cls], address=rip)
@@ -501,14 +502,6 @@ class X86Cpu:
     def _op_string(self, inst, rip, info):  # pragma: no cover - reserved
         return False
 
-    def _specialize_mov(self, inst):
-        return {
-            "mov_imm": self._op_mov_imm,
-            "mov_rr": self._op_mov_rr,
-            "mov_load": self._op_mov_load,
-            "mov_store": self._op_mov_store,
-        }[inst.mnemonic]
-
     def _op_mov_imm(self, inst, rip, info):
         self.regs[inst.reg] = inst.imm & MASK64
         return False
@@ -532,39 +525,6 @@ class X86Cpu:
         info.is_store = True
         info.mem_address = address
         return False
-
-    def _specialize_alu(self, inst):
-        m = inst.mnemonic
-        simple = self._ALU_SIMPLE.get(m)
-        if simple is not None:
-            return simple.__get__(self)
-        if m.endswith("_imm"):
-            base, use_imm = m[:-4], True
-        else:
-            # `op r/m, r` encodings: destination in r/m, source in reg.
-            base, use_imm = m, False
-        fn = _ARITH_FN.get(base, operator.xor)
-        cmp_like = base in ("sub", "cmp")
-        writeback = base not in ("cmp", "test")
-
-        def op_arith(inst, rip, info, self=self, fn=fn, use_imm=use_imm,
-                     cmp_like=cmp_like, writeback=writeback):
-            r = self.regs
-            a = r[inst.rm]
-            b = inst.imm & MASK64 if use_imm else r[inst.reg]
-            masked = fn(a, b) & MASK64
-            self.zf = masked == 0
-            self.cf = a < b if cmp_like else False
-            signed_a = a - (1 << 64) if a >> 63 else a
-            signed_b = b - (1 << 64) if b >> 63 else b
-            self.sf_lt = (
-                signed_a < signed_b if cmp_like else masked >> 63 == 1
-            )
-            if writeback:
-                r[inst.rm] = masked
-            return False
-
-        return op_arith
 
     def _op_lea(self, inst, rip, info):
         self.set_reg(inst.reg, self.regs[inst.base] + inst.disp)
@@ -660,22 +620,6 @@ class X86Cpu:
     def _op_jmp(self, inst, rip, info):
         self.pc = (rip + inst.size + inst.imm) & MASK64
         return True
-
-    def _specialize_branch(self, inst):
-        if inst.mnemonic == "jmp":
-            return self._op_jmp
-        cond = _JCC_TAKEN[inst.mnemonic]
-
-        def op_jcc(inst, rip, info, self=self, cond=cond):
-            info.is_branch = True
-            taken = cond(self)
-            info.branch_taken = taken
-            if taken:
-                self.pc = (rip + inst.size + inst.imm) & MASK64
-                return True
-            return False
-
-        return op_jcc
 
     def _op_call(self, inst, rip, info):
         r = self.regs
@@ -959,3 +903,73 @@ class X86Cpu:
         info.pcu_stall += stall
         self.rip = target
         return True
+
+
+def _arith_handler(mnemonic: str):
+    """The handler of a binary ALU mnemonic: ``op r/m, imm`` for the
+    ``_imm`` forms, else ``op r/m, r`` (destination in r/m, source in
+    reg).  Only ``sub`` and ``cmp`` set the carry and signed-less-than
+    flags from the operands."""
+    if mnemonic.endswith("_imm"):
+        base, use_imm = mnemonic[:-4], True
+    else:
+        base, use_imm = mnemonic, False
+    fn = _ARITH_FN.get(base, operator.xor)
+    cmp_like = base in ("sub", "cmp")
+    writeback = base not in ("cmp", "test")
+
+    def op_arith(cpu, inst, rip, info, fn=fn, use_imm=use_imm,
+                 cmp_like=cmp_like, writeback=writeback):
+        r = cpu.regs
+        a = r[inst.rm]
+        b = inst.imm & MASK64 if use_imm else r[inst.reg]
+        masked = fn(a, b) & MASK64
+        cpu.zf = masked == 0
+        if cmp_like:
+            cpu.cf = a < b
+            cpu.sf_lt = ((a - (1 << 64) if a >> 63 else a)
+                         < (b - (1 << 64) if b >> 63 else b))
+        else:
+            cpu.cf = False
+            cpu.sf_lt = masked >> 63 == 1
+        if writeback:
+            r[inst.rm] = masked
+        return False
+
+    return op_arith
+
+
+def _jcc_handler(mnemonic: str):
+    """The handler of a conditional branch."""
+
+    def op_jcc(cpu, inst, rip, info, cond=_JCC_TAKEN[mnemonic]):
+        info.is_branch = True
+        taken = cond(cpu)
+        info.branch_taken = taken
+        if taken:
+            cpu.pc = (rip + inst.size + inst.imm) & MASK64
+            return True
+        return False
+
+    return op_jcc
+
+
+def _resolve_handler(inst: Instruction):
+    """The plain function ``handler(cpu, inst, rip, info)`` that executes
+    ``inst``'s mnemonic, or ``None``.  The mnemonic-dense classes get
+    one per mnemonic, so the steady state never walks an if-chain."""
+    m = inst.mnemonic
+    cls = inst.inst_class
+    if cls in GATE_CLASSES:
+        return X86Cpu._op_gate
+    if cls == "alu":
+        return X86Cpu._ALU_SIMPLE.get(m) or _arith_handler(m)
+    if cls == "mov" or m == "jmp":
+        return getattr(X86Cpu, "_op_" + m)
+    if cls == "branch":
+        return _jcc_handler(m)
+    return getattr(X86Cpu, "_op_" + cls, None)
+
+
+#: mnemonic -> handler, filled by ``_resolve_handler`` on first decode.
+_HANDLERS: Dict[str, object] = {}

@@ -16,13 +16,18 @@ False)``, the ``Machine.block_summaries`` flag, step hooks) that must
 keep the reference path in charge.  An attached contract monitor is
 not one: blocks run under it, each narrated as one ``block`` event,
 and a seeded summary bug that drops a class must show up as contract
-violations.
+violations.  Compiled blocks outlive the boot: a second boot runs the
+first one's blocks, while different bytes or a stale decode cache make
+a block form again, and a seeded bug in each of those checks must fail
+a test.  Every test that seeds a bug in formation runs on an empty
+process-wide block cache of its own (``cold_shared_blocks``).
 """
 
 import dataclasses
 import inspect
 import random
 import textwrap
+from typing import NamedTuple
 
 import pytest
 
@@ -232,6 +237,14 @@ def bare_gate_mutant(cpu):
     return True
 
 
+@pytest.fixture
+def cold_shared_blocks(monkeypatch):
+    """An empty process-wide block cache for a seeded-mutant test, so
+    the blocks it runs are formed by its mutant; the process's own cache
+    is back afterwards, and no mutant block reaches it."""
+    monkeypatch.setattr(blocks, "shared_blocks", blocks.SharedBlocks())
+
+
 def seeded_mutant(function, line, replacement):
     """``function`` with a seeded bug: its one source line holding
     ``line`` gets ``replacement`` in its place."""
@@ -422,10 +435,11 @@ class TestX86Identity:
         assert blocky.machine.stats.traps == 1
         assert blocky.pcu.block_stats.insts > 0
 
-    def test_monitored_mid_block_trap_accounts_the_prefix(self):
+    def test_monitored_mid_block_trap_accounts_the_prefix(self, monkeypatch):
         # The div faults at member 3 of a 6-member block: its checks,
         # and the monitor's block event, cover members 0..3 only, as
-        # the per-instruction path's four checks do.
+        # the per-instruction path's four checks do.  That event is the
+        # last one recorded before the trap is dispatched.
         source = """
         entry:
             mov rsp, 0x6e0000
@@ -456,17 +470,23 @@ class TestX86Identity:
             system.manager.allow_all_instructions(domain.domain_id)
             monitor = ContractMonitor(record=True)
             monitor.attach(system.pcu, system.manager)
+            recorded_at_trap = []
+            dispatch = system.cpu._dispatch_fault
+            monkeypatch.setattr(
+                system.cpu, "_dispatch_fault",
+                lambda *args: (recorded_at_trap.append(len(monitor.recorded)),
+                               dispatch(*args)))
             program = x86_assemble(source, base=X86_BASE)
             system.load(program)
             system.run(program.symbol("entry"))
             assert system.machine.stats.traps == 1
             runs.append((snapshot(system), expanded_stream(monitor.recorded),
-                         monitor.recorded))
+                         monitor.recorded[recorded_at_trap[0] - 1]))
         assert runs[0][:2] == runs[1][:2]
         mov, alu = (X86_ISA_MAP.inst_class(name) for name in ("mov", "alu"))
-        last_block = [event.classes for event in runs[0][2]
-                      if event.kind == "block"][-1]
-        assert last_block == (mov, mov, alu, alu)
+        prefix = runs[0][2]
+        assert prefix.kind == "block"
+        assert prefix.classes == (mov, mov, alu, alu)
 
     def test_escaping_exception_inside_a_block(self):
         # An out-of-range load escapes the run on the reference path;
@@ -589,6 +609,7 @@ class TestSeededSummaryBug:
             assert system.cpu.last_trap.kind is TrapKind.ISA_GRID_FAULT
         assert snapshot(runs[0]) == snapshot(runs[1]) == snapshot(runs[2])
 
+    @pytest.mark.usefixtures("cold_shared_blocks")
     def test_seeded_summary_bug_is_caught(self, monkeypatch):
         monkeypatch.setattr(blocks, "summarize_classes",
                             summary_without_stack)
@@ -676,6 +697,7 @@ class TestRiscvTranslationGate:
         assert stats.insts > 0
         assert stats.fallback_translated > 0
 
+    @pytest.mark.usefixtures("cold_shared_blocks")
     def test_seeded_gate_bug_is_caught(self, monkeypatch):
         # Mutation check for the Sv39 identity test: a gate that treats
         # every satp as Bare skips fetch translation inside blocks and
@@ -694,6 +716,7 @@ class TestRiscvTranslationGate:
         PAGED_LOOP % {"satp": SV39_SATP, "data": DATA_VA},
         SWITCHING,
     ], ids=["sv39", "switching"])
+    @pytest.mark.usefixtures("cold_shared_blocks")
     def test_gate_read_only_on_entry_is_caught(self, monkeypatch, source):
         # Mutation check for re-reading the gate after each reference
         # step: the ``csrw satp`` that turns Sv39 on retires through
@@ -723,6 +746,7 @@ class TestStoreQueueWindow:
         assert snapshot(slow) == reference
         assert blocky.pcu.block_stats.insts >= 50 * (adds - 1)
 
+    @pytest.mark.usefixtures("cold_shared_blocks")
     def test_seeded_window_bug_is_caught(self, monkeypatch):
         # Mutation check: an executor that forgets to advance the
         # window after a block lets hcrets forward from a push 40
@@ -795,6 +819,7 @@ class TestKernelWorkloadIdentity:
         (X86Kernel, x86_user_program, X86Cpu),
         (RiscvKernel, riscv_user_program, RiscvCpu),
     ], ids=["x86", "riscv"])
+    @pytest.mark.usefixtures("cold_shared_blocks")
     def test_seeded_warm_fetch_bugs_are_caught(self, monkeypatch, kernel_class,
                                                user_program, cpu_class):
         # A warm member skips the hierarchy call.  Two seeded bugs in
@@ -808,12 +833,33 @@ class TestKernelWorkloadIdentity:
             patch.setattr(blocks, "form_block", first_warm)
             observed = self.run_kernel(kernel_class, user_program, CONFIG_8E)[0]
         assert observed["caches"] != reference["caches"]
-        uncounted = seeded_mutant(cpu_class._block_op_pure, "l1i.hits += 1",
-                                  "pass")
+        blocks.shared_blocks.clear()  # drop the first mutant's blocks
+        uncounted = seeded_mutant(cpu_class._block_op_pure,
+                                  "cpu._l1i_stats.hits += 1", "pass")
         monkeypatch.setattr(cpu_class, "_block_op_pure", uncounted)
         observed = self.run_kernel(kernel_class, user_program, CONFIG_8E)[0]
         assert observed["cycles"] == reference["cycles"]
         assert observed["caches"] != reference["caches"]
+
+    @pytest.mark.usefixtures("cold_shared_blocks")
+    @pytest.mark.parametrize("kernel_class, user_program", [
+        (X86Kernel, x86_user_program),
+        (RiscvKernel, riscv_user_program),
+    ], ids=["x86", "riscv"])
+    def test_second_boot_reuses_every_block(self, kernel_class, user_program):
+        # A second boot of the same kernel and program forms no block:
+        # every block it runs is one the first boot formed.  It still
+        # reads exactly like a run without blocks.
+        first = self.run_kernel(kernel_class, user_program, CONFIG_8E)[1]
+        formed = set(map(id, first.system.cpu._block_cache.values()))
+        observed, second = self.run_kernel(kernel_class, user_program,
+                                           CONFIG_8E)
+        ran = [block for block in second.system.cpu._block_cache.values()
+               if block is not blocks.NO_BLOCK]
+        assert ran and all(id(block) in formed for block in ran)
+        assert second.system.pcu.block_stats.coverage > 0.9
+        reference = self.run_kernel(kernel_class, user_program, BLOCK_OFF)[0]
+        assert observed == reference
 
     @pytest.mark.parametrize("kernel_class, user_program", [
         (X86Kernel, x86_user_program),
@@ -837,3 +883,124 @@ class TestKernelWorkloadIdentity:
         assert blocky == off
         assert blocky_stream == off_stream
         assert stats.coverage > 0.9
+
+
+class Loop(NamedTuple):
+    """An ISA's builder, assembler and load address, and two versions of
+    its loop program that differ only in the loop count, which the block
+    at ``entry`` (the load address) holds."""
+
+    build: object
+    assemble: object
+    base: int
+    old: str
+    new: str
+
+
+LOOPS = {
+    "x86": Loop(build_x86_system, x86_assemble, X86_BASE,
+                X86_LOOP, X86_LOOP.replace("mov rcx, 40", "mov rcx, 30")),
+    "riscv": Loop(build_riscv_system, riscv_assemble, RISCV_BASE,
+                  RISCV_LOOP, RISCV_LOOP.replace("li t0, 40", "li t0, 30")),
+}
+
+
+def load_loop(isa, config, source):
+    """A system of ``isa`` with ``source`` loaded, in a domain granted
+    every instruction."""
+    loop = LOOPS[isa]
+    system = loop.build(config)
+    domain = system.manager.create_domain("all")
+    system.manager.allow_all_instructions(domain.domain_id)
+    program = loop.assemble(source, base=loop.base)
+    system.load(program)
+    return system, program
+
+
+def run_loop(isa, config, source):
+    system, program = load_loop(isa, config, source)
+    system.run(program.symbol("entry"))
+    return system
+
+
+def run_stale(isa, config):
+    """Run the old loop without blocks, store the new one over it
+    without a flush, and run again with blocks on: the CPU's decode
+    cache still holds the old loop, so both runs execute it."""
+    loop = LOOPS[isa]
+    system, program = load_loop(isa, config, loop.old)
+    system.machine.block_summaries = False
+    system.run(program.symbol("entry"))
+    loop.assemble(loop.new, base=loop.base).load(system.machine.memory)
+    system.machine.block_summaries = True
+    system.run(program.symbol("entry"))
+    return system
+
+
+@pytest.mark.usefixtures("cold_shared_blocks")
+@pytest.mark.parametrize("isa", sorted(LOOPS))
+class TestSharedBlocks:
+    """A compiled block serves every CPU that would form it again from
+    the same bytes and decode entries (DESIGN §3.18 "Shared blocks"),
+    and no other.  Each seeded bug in that proof must fail a test."""
+
+    def reform(self, isa):
+        """The new loop's run after the old one's, and its reference."""
+        loop = LOOPS[isa]
+        first = run_loop(isa, CONFIG_8E, loop.old)
+        second = run_loop(isa, CONFIG_8E, loop.new)
+        return first, second, snapshot(run_loop(isa, BLOCK_OFF, loop.new))
+
+    def test_different_bytes_reform_the_block(self, isa):
+        first, second, reference = self.reform(isa)
+        entry = LOOPS[isa].base
+        formed = first.cpu._block_cache[entry]
+        assert formed is not blocks.NO_BLOCK
+        assert second.cpu._block_cache[entry] is not formed
+        assert snapshot(second) == reference
+
+    def test_seeded_byte_check_bug_is_caught(self, monkeypatch, isa):
+        monkeypatch.setattr(blocks, "_reusable", seeded_mutant(
+            blocks._reusable, "if code != block.code:", "if False:"))
+        _, second, reference = self.reform(isa)
+        assert snapshot(second) != reference
+
+    def stale(self, isa):
+        """The stale run with blocks on and off, after a run of the new
+        loop has shared its blocks."""
+        run_loop(isa, CONFIG_8E, LOOPS[isa].new)
+        return run_stale(isa, CONFIG_8E), run_stale(isa, BLOCK_OFF)
+
+    def test_stale_decode_cache_runs_the_stale_instruction(self, isa):
+        blocky, off = self.stale(isa)
+        assert snapshot(blocky) == snapshot(off)
+        old = run_loop(isa, BLOCK_OFF, LOOPS[isa].old).machine.stats
+        assert off.machine.stats.instructions == 2 * old.instructions
+        assert blocky.pcu.block_stats.insts > 0
+
+    def test_seeded_decode_cache_check_bug_is_caught(self, monkeypatch, isa):
+        monkeypatch.setattr(blocks, "_reusable", seeded_mutant(
+            blocks._reusable, "if held is not None and held[0] != inst:",
+            "if False:"))
+        blocky, off = self.stale(isa)
+        assert snapshot(blocky) != snapshot(off)
+
+    def after_stale(self, isa):
+        """A run of the new loop after a stale run formed blocks from
+        the old loop's decode entries over the new loop's bytes, and its
+        reference."""
+        run_stale(isa, CONFIG_8E)
+        new = LOOPS[isa].new
+        return (snapshot(run_loop(isa, CONFIG_8E, new)),
+                snapshot(run_loop(isa, BLOCK_OFF, new)))
+
+    def test_blocks_formed_from_a_stale_decode_cache_are_not_shared(self, isa):
+        observed, reference = self.after_stale(isa)
+        assert observed == reference
+
+    def test_seeded_sharing_bug_is_caught(self, monkeypatch, isa):
+        monkeypatch.setattr(blocks, "form_block", seeded_mutant(
+            blocks.form_block, "shareable = _decodes_to(cpu, pc, entry[0])",
+            "pass"))
+        observed, reference = self.after_stale(isa)
+        assert observed != reference
