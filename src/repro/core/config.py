@@ -52,13 +52,14 @@ class PcuConfig:
         way — this trades nothing but simulator wall-clock, and
         ``paper --slow-path`` sets it to False to prove exactly that.
     block_summaries:
-        Let the CPUs execute warm straight-line blocks against one
-        privilege-summary probe (:meth:`PrivilegeCheckUnit.
-        check_block_summary`) instead of one check per instruction
-        (DESIGN §3.18).  Like ``fast_path``, purely a simulator
-        wall-clock optimization: cycles, stats, faults and contract
-        events are bit-identical either way, and ``paper
-        --no-block-cache`` sets it to False to prove exactly that.
+        Let the CPUs execute straight-line blocks against
+        privilege-summary probes (:meth:`PrivilegeCheckUnit.
+        check_block_summary`, one per block per epoch) instead of one
+        check per instruction (DESIGN §3.18).  Like ``fast_path``,
+        purely a simulator wall-clock optimization: cycles, stats,
+        faults and contract events are bit-identical either way, and
+        ``paper --no-block-cache`` sets it to False to prove exactly
+        that.
         Block summaries require the compiled verdict plan to be the
         backing store, so they are inert when ``fast_path`` or
         ``bypass_enabled`` is off or a Draco cache is configured.

@@ -370,7 +370,11 @@ class PrivilegeCheckUnit:
         that running :meth:`check` once per member would pass with zero
         stall and touch only the counters
         :meth:`account_block` replays — so the CPU may execute the
-        block and skip the N per-instruction calls.
+        block and skip the N per-instruction calls.  Its answer holds
+        until the epoch ends (DESIGN §3.18 "Epochs"): block members
+        change none of the state read here, so the executor asks once
+        per block per epoch, and every answer but a refusal within one
+        epoch is the same mode.
 
         Refusal is always safe (the CPU falls back to per-instruction
         checks, the reference semantics), so every live condition the
@@ -414,31 +418,36 @@ class PrivilegeCheckUnit:
         block_stats.hits += 1
         return BLOCK_BYPASS
 
-    def account_block(self, mode: int, classes) -> None:
-        """Replay what the per-instruction checks of the retired
-        members would have done under ``mode``.
+    def account_block(self, mode: int, retired) -> None:
+        """Replay what the per-instruction checks of an epoch's retired
+        blocks would have done under ``mode``.
 
-        ``classes`` holds the retired members' decoded instruction
-        classes, in order: the whole block, or its prefix up to and
-        including a faulting member — the check of a faulting
-        instruction precedes its trap, so the caller includes it and
-        calls this before dispatching the trap.  The counters those
-        checks would have bumped are replayed, and an armed contract
-        tap receives one ``block`` event naming the classes, which a
-        contract judges exactly as the member ``check`` events it
-        stands for.  A disabled PCU (:data:`BLOCK_SILENT`) runs no
-        checks, so it emits nothing.
+        ``retired`` holds one tuple of decoded instruction classes per
+        retired block, in retirement order: a whole block, or, last, its
+        prefix up to and including a faulting member (the check of a
+        faulting instruction precedes its trap, so the caller includes
+        it and calls this before dispatching the trap).  Every probe of
+        an epoch that did not refuse returned ``mode``, and nothing in
+        an epoch changes the domain (DESIGN §3.18 "Epochs"), so the
+        executor settles the whole epoch in this one call.  The counters
+        those checks would have bumped are replayed, and an armed
+        contract tap receives one ``block`` event per tuple, in order,
+        naming the classes, which a contract judges exactly as the
+        member ``check`` events it stands for.  A disabled PCU
+        (:data:`BLOCK_SILENT`) runs no checks, so it emits nothing.
         """
-        retired = len(classes)
-        self.block_stats.insts += retired
+        count = sum(map(len, retired))
+        self.block_stats.insts += count
         if mode == BLOCK_SILENT:
             return
         stats = self.stats
-        stats.inst_checks += retired
+        stats.inst_checks += count
         if mode == BLOCK_BYPASS:
-            stats.bypass_hits += retired
-        if self._tap is not None:
-            self._tap.on_block(self, classes)
+            stats.bypass_hits += count
+        tap = self._tap
+        if tap is not None:
+            for classes in retired:
+                tap.on_block(self, classes)
 
     def _check_instruction(self, domain: int, access: AccessInfo) -> int:
         if self.config.bypass_enabled:

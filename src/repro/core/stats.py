@@ -65,7 +65,7 @@ class BlockSummaryStats:
     ``coverage`` reads near 0.
     """
 
-    probes: int = 0         # check_block_summary calls (one per warm block)
+    probes: int = 0         # check_block_summary calls (one per block per epoch)
     hits: int = 0           # probes that served the whole block
     insts: int = 0          # instructions retired under a block summary
     invalidations: int = 0  # block-cache flushes (icache coherence)

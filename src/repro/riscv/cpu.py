@@ -470,11 +470,13 @@ class RiscvCpu:
         self._decode_cache: Dict[int, tuple] = {}
         # pc -> CompiledBlock | NO_BLOCK (DESIGN §3.18): superblocks
         # over the decode entries, each carrying a privilege summary so
-        # a warm block costs one PCU probe.  Blocks are only formed and
-        # entered while translation is Bare (satp.MODE = 0, so pa == pc)
-        # and are invalidated with the decode cache; privilege edits need
-        # no explicit invalidation because the summary is re-proved
-        # against the *live* bypass register on every entry.
+        # a block costs one PCU probe per epoch.  Blocks are only formed
+        # and entered while translation is Bare (satp.MODE = 0, so
+        # pa == pc) and are invalidated with the decode cache; privilege
+        # edits need no explicit invalidation because the summary is
+        # re-proved against the *live* bypass register in every epoch,
+        # and an epoch ends at every reference step, where such an edit
+        # runs.
         self._block_cache: Dict[int, object] = {}
         # Block formation bakes the Rocket timing model into the member
         # closures, so any other pipeline falls back to the

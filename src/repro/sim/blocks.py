@@ -4,10 +4,10 @@ DESIGN §3.18.  The per-pc decode caches resolve one instruction at a
 time; the block cache extends them with straight-line *superblocks* —
 maximal runs of block-eligible decoded instructions ending at the first
 control transfer — each carrying a summary of every instruction-class
-privilege the run needs.  A warm block for the current domain and
-generation then costs one
+privilege the run needs.  A block then costs one
 :meth:`~repro.core.pcu.PrivilegeCheckUnit.check_block_summary` probe
-instead of N per-instruction checks, and its members execute through
+per *epoch* (the blocks retired between two reference steps) instead
+of N per-instruction checks per entry, and its members execute through
 pre-fused closures that fold the work and the pipeline-timing model of
 each instruction into a single call.
 
@@ -35,17 +35,23 @@ or pipeline-specific:
 * ``_block_gate`` — ``None``, or a method saying whether blocks may run
   at all (RISC-V: only while translation is Bare).  Only a reference
   ``step()`` can change its answer, so the executor evaluates it on
-  entry and after each reference step, and nowhere else.
+  entry and wherever an epoch ends (after each reference step or fault
+  dispatch), and nowhere else.
 
 Compiled blocks outlive the CPU that formed them: :data:`shared_blocks`
 keeps them per process, and :func:`form_block` reuses one only where
 forming it again would read the same bytes and decode entries (DESIGN
 §3.18 "Shared blocks").
 
-The O3 pipeline's store-queue window (``_instructions_since_push``,
+Within an epoch nothing can change what a probe reads, so the executor
+proves each block once and settles the epoch's bookkeeping in one step
+before anything can observe it: one ``account_block`` call replays the
+skipped checks' counters and gives an armed tap its ``block`` events,
+and the O3 pipeline's store-queue window (``_instructions_since_push``,
 ``None`` on the in-order model and whenever no push is in flight)
-advances by every member a block retires.  The coherence contract —
-what may be in a block, when a probe must refuse, and why the fallback
+advances by every member the epoch's blocks retired.  The coherence
+contract — what may be in a block, when a probe must refuse, why
+nothing inside an epoch changes a probe's inputs, and why the fallback
 path is always the reference semantics — is documented in DESIGN §3.18
 and enforced by the block lockstep test suite.
 """
@@ -66,6 +72,12 @@ MASK64 = (1 << 64) - 1
 #: Formation stops after this many members: caps compile time per block
 #: and bounds how far a partial-block fault has to be attributed.
 MAX_BLOCK_LEN = 64
+
+#: An epoch settles its bookkeeping early after this many blocks, so a
+#: run that takes no reference step keeps its list of retired blocks
+#: bounded.  The benchmark's Machine workloads retire 10 to 23 blocks
+#: per reference step.
+MAX_EPOCH_BLOCKS = 256
 
 #: Cache sentinel for a pc where formation was refused (the head
 #: instruction refuses membership or does not decode): the executor
@@ -302,21 +314,42 @@ def form_block(cpu, start: int):
     return block
 
 
-def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
-    """Hot loop: execute warm blocks under one PCU probe each.
+def _settle(pipeline, account, mode, retired, count: int) -> None:
+    """Settle an epoch's bookkeeping (DESIGN §3.18 "Epochs"): advance
+    the O3 store-queue window by the ``count`` instructions its blocks
+    retired, and replay their checks under the epoch's ``mode`` in one
+    :meth:`~repro.core.pcu.PrivilegeCheckUnit.account_block` call, which
+    also gives an armed tap one ``block`` event per retired block."""
+    isp = pipeline._instructions_since_push
+    if isp is not None:
+        pipeline._instructions_since_push = isp + count
+    if account is not None:
+        account(mode, retired)
+
+
+def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
+    """Hot loop: execute blocks, each proven by one PCU probe per epoch.
 
     Bound as a method of both CPU classes and called by
     :meth:`~repro.sim.machine.Machine.run` instead of its
-    per-instruction loop when block summaries are enabled.  Any closed
-    gate, cold/ineligible pc or refused probe falls back to the
-    reference ``step()`` for exactly one instruction, so semantics,
-    cycles and statistics are bit-identical to the per-instruction loop
-    by construction.  Each fallback is counted by reason into the PCU's
-    ``block_stats`` on exit.  Every executed block, or its retired
-    prefix when a member faults, is accounted through
-    ``pcu.account_block``, which also gives an armed contract tap one
-    ``block`` event for it; a faulting member's trap is dispatched
-    after that event, as on the per-instruction path.
+    per-instruction loop when block summaries are enabled; returns
+    whether this run halted.  Any closed gate, cold/ineligible pc or
+    refused probe falls back to the reference ``step()`` for exactly one
+    instruction, so semantics, cycles and statistics are bit-identical
+    to the per-instruction loop by construction.  Each fallback is
+    counted by reason into the PCU's ``block_stats`` on exit.
+
+    The blocks retired between two reference steps form an *epoch*
+    (DESIGN §3.18 "Epochs"): nothing a block member does can change
+    what the probe reads, so each block is probed once per epoch and
+    later entries replay under the epoch's mode.  Their bookkeeping
+    (the checks' counters, an armed tap's ``block`` events and the
+    store-queue window) is settled in one go when the epoch ends,
+    before the next reference step or fault dispatch and on every exit,
+    and early after ``MAX_EPOCH_BLOCKS`` blocks.  A faulting member's
+    check preceded its trap on the reference path, so the retired
+    prefix and that member join the epoch before the fault is
+    dispatched.
     """
     blocks = cpu._block_cache
     pcu = cpu.pcu
@@ -331,9 +364,17 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
     translated = no_block = budget = refused = 0
     gate_open = gate is None or gate()
     remaining = max_steps
+    # The epoch: ``proven`` holds the blocks probed in it, all under
+    # ``mode``; ``retired`` the classes of the blocks retired since its
+    # bookkeeping was last settled, when the instruction count read
+    # ``settled``.
+    proven = set()
+    mode = BLOCK_REFUSED
+    retired = []
+    settled = insts
     try:
         while remaining > 0:
-            mode = BLOCK_REFUSED
+            verdict = BLOCK_REFUSED
             if not gate_open:
                 translated += 1
             else:
@@ -345,76 +386,85 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> None:
                     no_block += 1
                 elif block.n > remaining:
                     budget += 1
+                elif block in proven:
+                    verdict = mode
                 else:
-                    mode = BLOCK_SILENT if probe is None else probe(block.summary)
-                    if mode == BLOCK_REFUSED:
+                    verdict = BLOCK_SILENT if probe is None else probe(block.summary)
+                    if verdict == BLOCK_REFUSED:
                         refused += 1
-            if mode == BLOCK_REFUSED:
-                # Reference path for one instruction.  Flush the stats
-                # mirrors first: rdtsc, the cycle/instret CSRs and trap
-                # handlers observe them live.
-                mstats.instructions = insts
-                mstats.cycles = cyc
+                    else:
+                        mode = verdict
+                        proven.add(block)
+            if verdict == BLOCK_REFUSED:
+                error = None
+            else:
+                ops = block.ops
+                try:
+                    for op in ops:
+                        cyc += op(cpu)
+                except (Trap, PrivilegeFault) as fault:
+                    # Mid-block fault: members [0, i) retired normally;
+                    # the faulting member's check preceded its trap on
+                    # the reference path, so its class joins the epoch
+                    # too, and it vectors below exactly like step().  It
+                    # faulted before its fetch, so the reference
+                    # instruction_cycles below does that fetch.
+                    error = fault
+                    i = ops.index(op)
+                    insts += i
+                    remaining -= i
+                    retired.append(block.classes[:i + 1])
+                except BaseException:
+                    # e.g. MemoryAccessError escaping the run, as on the
+                    # per-instruction path; the retired members and the
+                    # faulting one, whose check preceded its memory
+                    # access there, are settled on the way out.
+                    i = ops.index(op)
+                    insts += i
+                    retired.append(block.classes[:i + 1])
+                    raise
+                else:
+                    insts += block.n
+                    remaining -= block.n
+                    if not block.sets_pc:
+                        cpu.pc = block.end_pc
+                    retired.append(block.classes)
+                    if len(retired) == MAX_EPOCH_BLOCKS:
+                        _settle(pipeline, account, mode, retired,
+                                insts - settled)
+                        retired = []
+                        settled = insts
+                    continue
+            # The epoch ends before the reference step or the fault's
+            # dispatch can observe it.  Flush the stats mirrors too:
+            # rdtsc, the cycle/instret CSRs and trap handlers read them
+            # live.
+            if retired:
+                _settle(pipeline, account, mode, retired, insts - settled)
+                retired = []
+            proven.clear()
+            mstats.instructions = insts
+            mstats.cycles = cyc
+            if error is None:
                 info = step()
-                insts += 1
-                cyc += instruction_cycles(info)
-                remaining -= 1
-                if info.trapped:
-                    traps += 1
-                if info.halted:
-                    mstats.halted = True
-                    return
-                if gate is not None:
-                    gate_open = gate()
-                continue
-            ops = block.ops
-            n = block.n
-            isp = pipeline._instructions_since_push
-            try:
-                for op in ops:
-                    cyc += op(cpu)
-            except (Trap, PrivilegeFault) as error:
-                # Mid-block fault: members [0, i) retired normally; the
-                # faulting member vectors exactly like step().  Its
-                # check preceded its trap on the reference path, so it
-                # is accounted, event included, before the dispatch.
-                # It faulted before its fetch, so the reference
-                # instruction_cycles below does that fetch.
-                i = ops.index(op)
-                insts += i
-                if isp is not None:
-                    pipeline._instructions_since_push = isp + i
-                if account is not None:
-                    account(mode, block.classes[:i + 1])
+            else:
                 info = StepInfo(block.pcs[i], block.sizes[i])
                 cpu._dispatch_fault(error, block.pcs[i], info)
-                insts += 1
-                cyc += instruction_cycles(info)
+            insts += 1
+            settled = insts
+            cyc += instruction_cycles(info)
+            remaining -= 1
+            if info.trapped:
                 traps += 1
-                remaining -= i + 1
-                continue
-            except BaseException:
-                # e.g. MemoryAccessError escaping the run, as on the
-                # per-instruction path; attribute the retired members
-                # before unwinding.  The faulting member's check
-                # preceded its memory access there, so it counts here
-                # too.
-                i = ops.index(op)
-                insts += i
-                if isp is not None:
-                    pipeline._instructions_since_push = isp + i
-                if account is not None:
-                    account(mode, block.classes[:i + 1])
-                raise
-            if isp is not None:
-                pipeline._instructions_since_push = isp + n
-            insts += n
-            remaining -= n
-            if not block.sets_pc:
-                cpu.pc = block.end_pc
-            if account is not None:
-                account(mode, block.classes)
+            if info.halted:
+                mstats.halted = True
+                return True
+            if gate is not None:
+                gate_open = gate()
+        return False
     finally:
+        if retired:
+            _settle(pipeline, account, mode, retired, insts - settled)
         mstats.instructions = insts
         mstats.cycles = cyc
         mstats.traps += traps

@@ -122,8 +122,8 @@ class Machine:
         Two loops.  Without a step hook, and when the CPU formed its
         member closures against this pipeline model and its PCU (if
         any) is block-capable, the block-summary executor (DESIGN
-        §3.18) retires warm straight-line blocks under one PCU probe
-        each and falls back to the reference ``step()`` per
+        §3.18) retires straight-line blocks, probing each once per
+        epoch, and falls back to the reference ``step()`` per
         instruction wherever a probe refuses, so results are
         bit-identical to the per-instruction loop.  Otherwise that
         loop runs, with :meth:`step` inlined and the per-instruction
@@ -132,7 +132,9 @@ class Machine:
         iteration — the CPUs serve them architecturally mid-run
         (RISC-V ``cycle``/``instret`` CSRs, x86 ``rdtsc``) — so only
         the trap count, which nothing reads mid-run, is accumulated in
-        a local and flushed on every exit path.
+        a local and flushed on every exit path.  Both loops decide from
+        whether *this* run halted, never from ``stats.halted``, which
+        an earlier run may have left set.
         """
         cpu = self.cpu
         if cpu is None:
@@ -147,8 +149,7 @@ class Machine:
             and cpu.blocks_supported
             and (cpu.pcu is None or cpu.pcu._block_capable)
         ):
-            run_blocks(max_steps, stats, self.pipeline.instruction_cycles)
-            if stats.halted:
+            if run_blocks(max_steps, stats, self.pipeline.instruction_cycles):
                 return stats
         else:
             cpu_step = cpu.step

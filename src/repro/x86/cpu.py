@@ -138,10 +138,11 @@ class X86Cpu:
         self._decode_cache: Dict[int, tuple] = {}
         # rip -> CompiledBlock | NO_BLOCK (DESIGN §3.18): superblocks
         # over the decode entries, each carrying a privilege summary so
-        # a warm block costs one PCU probe.  Invalidated together with
-        # the decode cache (icache coherence); privilege edits need no
-        # explicit invalidation because the summary is re-proved
-        # against the *live* bypass register on every entry.
+        # a block costs one PCU probe per epoch.  Invalidated together
+        # with the decode cache (icache coherence); privilege edits need
+        # no explicit invalidation because the summary is re-proved
+        # against the *live* bypass register in every epoch, and an
+        # epoch ends at every reference step, where such an edit runs.
         self._block_cache: Dict[int, object] = {}
         # Block formation bakes the O3 timing model into the member
         # closures, so any other pipeline falls back to the

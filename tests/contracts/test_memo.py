@@ -65,7 +65,7 @@ def run_stale_cache_bug(monkeypatch, memo=None):
     alu = AccessInfo(inst_class=isa_map.inst_class("alu"))
     block = classes_of(isa_map, ["alu", "load", "alu"])
     pcu.check(alu)
-    pcu.account_block(BLOCK_BYPASS, block)
+    pcu.account_block(BLOCK_BYPASS, [block])
     assert monitor.total_violations == 0
     assert len(monitor._clean) == 2
     # The revoke no longer invalidates cached privileges, so the warm
@@ -74,7 +74,7 @@ def run_stale_cache_bug(monkeypatch, memo=None):
                         lambda self, *args, **kwargs: None)
     manager.deny_instruction(domain.domain_id, "alu")
     pcu.check(alu)
-    pcu.account_block(BLOCK_BYPASS, block)
+    pcu.account_block(BLOCK_BYPASS, [block])
     return monitor
 
 

@@ -170,7 +170,7 @@ class TestBlockProbe:
         assert (pcu.check_block_summary(summarize_classes(classes))
                 == BLOCK_BYPASS)
         assert pcu.block_stats.refusals == 0
-        pcu.account_block(BLOCK_BYPASS, classes[:3])
+        pcu.account_block(BLOCK_BYPASS, [classes[:3]])
         (event,) = monitor.recorded[seeded:]
         assert event.kind == "block"
         assert event.domain == domain.domain_id
@@ -282,7 +282,7 @@ class TestBlockAccounting:
         isa_map, pcu, manager = build_pcu()
         warm(isa_map, pcu, manager)
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_BYPASS, classes_of(isa_map, ["alu"] * 7))
+        pcu.account_block(BLOCK_BYPASS, [classes_of(isa_map, ["alu"] * 7)])
         after = pcu.stats.as_dict()
         assert after.pop("inst_checks") == before.pop("inst_checks") + 7
         assert after.pop("bypass_hits") == before.pop("bypass_hits") + 7
@@ -292,7 +292,7 @@ class TestBlockAccounting:
     def test_domain0_mode_replays_checks_only(self):
         isa_map, pcu, _ = build_pcu()
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_DOMAIN0, classes_of(isa_map, ["alu"] * 5))
+        pcu.account_block(BLOCK_DOMAIN0, [classes_of(isa_map, ["alu"] * 5)])
         after = pcu.stats.as_dict()
         assert after.pop("inst_checks") == before.pop("inst_checks") + 5
         assert after == before
@@ -300,7 +300,7 @@ class TestBlockAccounting:
     def test_silent_mode_touches_nothing_but_block_stats(self):
         isa_map, pcu, _ = build_pcu()
         before = pcu.stats.as_dict()
-        pcu.account_block(BLOCK_SILENT, classes_of(isa_map, ["alu"] * 9))
+        pcu.account_block(BLOCK_SILENT, [classes_of(isa_map, ["alu"] * 9)])
         assert pcu.stats.as_dict() == before
         assert pcu.block_stats.insts == 9
 
@@ -312,12 +312,37 @@ class TestBlockAccounting:
         monitor.attach(pcu, manager)
         seeded = len(monitor.recorded)
         classes = classes_of(isa_map, ["alu", "sysop", "alu"])
-        pcu.account_block(BLOCK_SILENT, classes)
+        pcu.account_block(BLOCK_SILENT, [classes])
         assert len(monitor.recorded) == seeded
-        pcu.account_block(BLOCK_DOMAIN0, classes)
+        pcu.account_block(BLOCK_DOMAIN0, [classes])
         (event,) = monitor.recorded[seeded:]
         assert (event.kind, event.domain, event.classes) == (
             "block", 0, classes)
+
+    def test_an_epoch_settles_in_one_call(self):
+        # One call for an epoch of three blocks, the last cut short by a
+        # fault, replays the counters of all their members and gives
+        # the tap one event per block, in retirement order.
+        isa_map, pcu, manager = build_pcu()
+        domain = warm(isa_map, pcu, manager)
+        monitor = ContractMonitor(record=True)
+        monitor.attach(pcu, manager)
+        seeded = len(monitor.recorded)
+        before = pcu.stats.as_dict()
+        epoch = [classes_of(isa_map, ["alu", "load"]),
+                 classes_of(isa_map, ["alu", "load"]),
+                 classes_of(isa_map, ["load"])]
+        pcu.account_block(BLOCK_BYPASS, epoch)
+        after = pcu.stats.as_dict()
+        assert after.pop("inst_checks") == before.pop("inst_checks") + 5
+        assert after.pop("bypass_hits") == before.pop("bypass_hits") + 5
+        assert after == before
+        assert pcu.block_stats.insts == 5
+        events = monitor.recorded[seeded:]
+        assert [(event.kind, event.domain, event.classes)
+                for event in events] == [
+            ("block", domain.domain_id, classes) for classes in epoch]
+        assert monitor.total_violations == 0
 
 
 class TestBlockSummaryStats:
@@ -499,7 +524,7 @@ class BlockSummaryLockstep(RuleBasedStateMachine):
                     "probe authorized mode %d but member %r cost %r"
                     % (mode, CLASSES[inst], outcome)
                 )
-            self.blocky.account_block(mode, tuple(members))
+            self.blocky.account_block(mode, [tuple(members)])
         else:
             # Fallback semantics: both worlds run the reference path,
             # stopping at the first fault exactly like the executors.

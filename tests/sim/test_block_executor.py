@@ -20,7 +20,11 @@ violations.  Compiled blocks outlive the boot: a second boot runs the
 first one's blocks, while different bytes or a stale decode cache make
 a block form again, and a seeded bug in each of those checks must fail
 a test.  Every test that seeds a bug in formation runs on an empty
-process-wide block cache of its own (``cold_shared_blocks``).
+process-wide block cache of its own (``cold_shared_blocks``).  The
+executor proves each block once per epoch: one block runs under three
+verdicts in one run, a run with no reference step settles its epochs
+early, and a seeded proven set that outlives its epoch must fail.  A
+rerun past an earlier halt must fail alike on both loops.
 """
 
 import dataclasses
@@ -34,6 +38,7 @@ import pytest
 from repro.attacks.unintended import DEFAULT_STREAM_LEN, build_stream
 from repro.contracts import ContractMonitor
 from repro.core import CONFIG_8E
+from repro.core.pcu import BLOCK_BYPASS, BLOCK_DOMAIN0, BLOCK_REFUSED
 from repro.kernel import RiscvKernel, X86Kernel
 from repro.riscv import (
     KERNEL_BASE as RISCV_BASE,
@@ -45,6 +50,7 @@ from repro.riscv import (
 )
 from repro.riscv.mmu import PAGE_SHIFT, PTE_R, PTE_W, PTE_X
 from repro.sim import (
+    Machine,
     MemoryAccessError,
     OutOfOrderPipelineModel,
     SimulationLimitExceeded,
@@ -391,6 +397,20 @@ def summary_without_stack(inst_classes, summarize=blocks.summarize_classes):
     return summarize(c for c in inst_classes if c != stack)
 
 
+#: A loop that never halts and takes no reference step: every block it
+#: retires belongs to one epoch until the budget runs out.
+SPIN = """
+entry:
+    mov rax, 1
+loop:
+    add rax, 1
+    add rax, 2
+    add rax, 3
+    and rax, 0xFFFF
+    jmp loop
+"""
+
+
 class TestX86Identity:
     def test_three_way_bit_identity(self):
         blocky, off, slow = (run_x86(config) for config in ALL_MODES)
@@ -514,22 +534,12 @@ class TestX86Identity:
     def test_budget_cutoff_is_identical(self):
         # A non-halting program must stop after exactly max_steps in
         # both modes — a block never overshoots the budget.
-        source = """
-        entry:
-            mov rax, 1
-        loop:
-            add rax, 1
-            add rax, 2
-            add rax, 3
-            and rax, 0xFFFF
-            jmp loop
-        """
         snaps = []
         for config in (CONFIG_8E, BLOCK_OFF):
             system = build_x86_system(config)
             domain = system.manager.create_domain("all")
             system.manager.allow_all_instructions(domain.domain_id)
-            program = x86_assemble(source, base=X86_BASE)
+            program = x86_assemble(SPIN, base=X86_BASE)
             system.load(program)
             with pytest.raises(SimulationLimitExceeded):
                 system.run(program.symbol("entry"), max_steps=1001)
@@ -569,6 +579,41 @@ class TestX86Identity:
         system.load(program)  # icache coherence: flush_decode_cache
         assert not system.cpu._block_cache
         assert system.pcu.block_stats.invalidations == invalidations + 1
+
+
+class TestLongEpoch:
+    """A run that takes no reference step settles its epoch early every
+    ``MAX_EPOCH_BLOCKS`` blocks, and reads exactly like a run without
+    blocks, monitored stream included."""
+
+    MAX_STEPS = 5 * 3 * blocks.MAX_EPOCH_BLOCKS
+
+    def run(self, config, settled=None):
+        system = build_x86_system(config)
+        domain = system.manager.create_domain("all")
+        system.manager.allow_all_instructions(domain.domain_id)
+        program = x86_assemble(SPIN, base=X86_BASE)
+        system.load(program)
+        monitor = ContractMonitor(seed=0, record=True)
+        monitor.attach(system.pcu, system.manager)
+        if settled is not None:
+            account = system.pcu.account_block
+            system.pcu.account_block = lambda mode, retired: (
+                settled.append(len(retired)), account(mode, retired))
+        with pytest.raises(SimulationLimitExceeded):
+            system.run(program.symbol("entry"), max_steps=self.MAX_STEPS)
+        assert monitor.total_violations == 0
+        return snapshot(system), expanded_stream(monitor.recorded)
+
+    def test_early_settling_is_identical(self):
+        settled = []
+        blocky = self.run(CONFIG_8E, settled)
+        assert blocky == self.run(BLOCK_OFF)
+        # About three epochs' worth of blocks, settled in batches of at
+        # most MAX_EPOCH_BLOCKS.
+        assert settled[:2] == [blocks.MAX_EPOCH_BLOCKS] * 2
+        assert max(settled) == blocks.MAX_EPOCH_BLOCKS
+        assert len(settled) >= 3
 
 
 class TestGadgetJumpIntoImmediate:
@@ -749,13 +794,13 @@ class TestStoreQueueWindow:
     @pytest.mark.usefixtures("cold_shared_blocks")
     def test_seeded_window_bug_is_caught(self, monkeypatch):
         # Mutation check: an executor that forgets to advance the
-        # window after a block lets hcrets forward from a push 40
-        # instructions back.
+        # window when it settles an epoch lets hcrets forward from a
+        # push 40 instructions back.
         reference = snapshot(run_gate_call_loop(BLOCK_OFF, 40))
         mutant = seeded_mutant(
-            blocks.run_blocks, "pipeline._instructions_since_push = isp + n",
-            "pass")
-        monkeypatch.setattr(X86Cpu, "run_blocks", mutant)
+            blocks._settle,
+            "pipeline._instructions_since_push = isp + count", "pass")
+        monkeypatch.setattr(blocks, "_settle", mutant)
         observed = snapshot(run_gate_call_loop(CONFIG_8E, 40))
         assert observed["instructions"] == reference["instructions"]
         assert observed["cycles"] < reference["cycles"]
@@ -1004,3 +1049,186 @@ class TestSharedBlocks:
             "pass"))
         observed, reference = self.after_stale(isa)
         assert observed != reference
+
+
+@pytest.mark.parametrize("isa", sorted(LOOPS))
+class TestRerunPastAHalt:
+    """A run that exhausts its budget fails alike on both loops, also
+    when an earlier run on the same machine halted: each loop decides
+    from whether this run halted, not from the flag the last one left."""
+
+    #: The line of ``Machine.run`` that decides the block path's return.
+    DECISION = "if run_blocks(max_steps, stats, self.pipeline.instruction_cycles):"
+
+    def rerun(self, isa, config, **options):
+        """Run the loop to its halt, then again from ``entry`` with a
+        budget of 100 instructions."""
+        system, program = load_loop(isa, config, LOOPS[isa].old)
+        system.run(program.symbol("entry"))
+        assert system.machine.stats.halted
+        system.cpu.pc = program.symbol("entry")
+        system.machine.run(100, **options)
+        return system
+
+    @pytest.mark.parametrize("config", [CONFIG_8E, BLOCK_OFF],
+                             ids=["blocks", "per-instruction"])
+    def test_rerun_raises(self, isa, config):
+        with pytest.raises(SimulationLimitExceeded):
+            self.rerun(isa, config)
+
+    def test_loops_agree_without_require_halt(self, isa):
+        blocky, off = (self.rerun(isa, config, require_halt=False)
+                       for config in (CONFIG_8E, BLOCK_OFF))
+        assert snapshot(blocky) == snapshot(off)
+        assert blocky.pcu.block_stats.insts > 0
+
+    def test_seeded_sticky_halt_bug_is_caught(self, monkeypatch, isa):
+        monkeypatch.setattr(Machine, "run", seeded_mutant(
+            Machine.run, self.DECISION,
+            self.DECISION.replace("):", ") or stats.halted:")))
+        # The bug: the rerun returns as though it had halted.
+        system = self.rerun(isa, CONFIG_8E)
+        first = run_loop(isa, BLOCK_OFF, LOOPS[isa].old).machine.stats
+        assert system.machine.stats.instructions == first.instructions + 100
+
+
+#: The same straight-line block, ``body``, runs three times in one run:
+#: in domain 0, in ``granted`` (every class) entered through ``g0``, and
+#: in ``denied`` (every class but ``DENIED[isa]``) entered through
+#: ``g1``, where that class traps into ``handler``, which halts.
+THREE_VERDICTS = {
+    "x86": """
+entry:
+    mov rsp, 0x6e0000
+    mov rax, %(idt)d
+    mov rbx, handler
+    mov [rax+%(vector)d], rbx
+    mov rbx, %(idt)d
+    mov rcx, 0x610000
+    mov [rcx+0], rbx
+    mov rbx, 4095
+    mov [rcx+8], rbx
+    lidt [rcx+0]
+    call body
+    mov r10, 0
+g0:
+    hccall r10
+granted:
+    call body
+    mov r10, 1
+g1:
+    hccall r10
+denied:
+    call body
+    hlt
+body:
+    mov rax, 5
+    add rax, 7
+    push rax
+    pop rbx
+    ret
+handler:
+    mov rdi, 99
+    hlt
+""" % {"idt": IDT_BASE, "vector": 8 * VEC_ISA_GRID},
+    "riscv": """
+entry:
+    la t0, handler
+    csrw stvec, t0
+    jal ra, body
+    li t0, 0
+g0:
+    hccall t0
+granted:
+    jal ra, body
+    li t0, 1
+g1:
+    hccall t0
+denied:
+    jal ra, body
+    halt
+body:
+    addi t1, t1, 3
+    mul t2, t1, t1
+    add t3, t2, t1
+    ret
+handler:
+    li a0, 99
+    halt
+""",
+}
+DENIED = {"x86": "stack", "riscv": "mul"}
+
+
+def run_three_verdicts(isa, config, monitor=None):
+    """Run ``THREE_VERDICTS[isa]``, with ``monitor`` attached if given;
+    return the system and the verdicts of the probes of ``body``."""
+    loop = LOOPS[isa]
+    system = loop.build(config)
+    manager = system.manager
+    granted = manager.create_domain("granted")
+    manager.allow_all_instructions(granted.domain_id)
+    denied = manager.create_domain("denied")
+    manager.allow_all_instructions(denied.domain_id)
+    manager.deny_instruction(denied.domain_id, DENIED[isa])
+    program = loop.assemble(THREE_VERDICTS[isa], base=loop.base)
+    system.load(program)
+    for at, target, domain in (("g0", "granted", granted),
+                               ("g1", "denied", denied)):
+        manager.register_gate(program.symbol(at), program.symbol(target),
+                              domain.domain_id)
+    if monitor is not None:
+        monitor.attach(system.pcu, manager)
+    body = program.symbol("body")
+    probe = system.pcu.check_block_summary
+    verdicts = []
+
+    def recording_probe(summary):
+        verdict = probe(summary)
+        if system.cpu.pc == body:
+            verdicts.append(verdict)
+        return verdict
+
+    system.pcu.check_block_summary = recording_probe
+    system.run(program.symbol("entry"), max_steps=10_000)
+    return system, verdicts
+
+
+@pytest.mark.parametrize("isa", sorted(LOOPS))
+class TestOneBlockUnderThreeVerdicts:
+    """A block proven in one epoch is proven again in the next: the
+    same block runs under ``BLOCK_DOMAIN0``, then ``BLOCK_BYPASS``, then
+    a refusal, in one ``Machine.run``, exactly as without blocks."""
+
+    def test_three_way_bit_identity(self, isa):
+        (blocky, verdicts), (off, _), (slow, _) = (
+            run_three_verdicts(isa, config) for config in ALL_MODES)
+        assert verdicts == [BLOCK_DOMAIN0, BLOCK_BYPASS, BLOCK_REFUSED]
+        reference = snapshot(off)
+        assert reference["halted"] and reference["traps"] == 1
+        assert off.cpu.last_trap.kind is TrapKind.ISA_GRID_FAULT
+        assert snapshot(blocky) == reference
+        assert snapshot(slow) == reference
+
+    def test_monitored_streams_agree(self, isa):
+        streams = []
+        for config in (CONFIG_8E, BLOCK_OFF):
+            monitor = ContractMonitor(seed=0, record=True)
+            run_three_verdicts(isa, config, monitor)
+            assert monitor.total_violations == 0
+            streams.append(expanded_stream(monitor.recorded))
+        assert streams[0] == streams[1]
+
+    def test_seeded_uncleared_proof_is_caught(self, monkeypatch, isa):
+        # A proven set that outlives its epoch replays the block under
+        # domain 0's verdict in both other domains: no bypass hits in
+        # ``granted``, and no trap in ``denied``.
+        reference = snapshot(run_three_verdicts(isa, BLOCK_OFF)[0])
+        mutant = seeded_mutant(blocks.run_blocks, "proven.clear()", "pass")
+        for cpu_class in (X86Cpu, RiscvCpu):
+            monkeypatch.setattr(cpu_class, "run_blocks", mutant)
+        system, verdicts = run_three_verdicts(isa, CONFIG_8E)
+        assert verdicts == [BLOCK_DOMAIN0]
+        observed = snapshot(system)
+        assert observed["traps"] == 0
+        assert observed["pcu"] != reference["pcu"]
