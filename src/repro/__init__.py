@@ -31,9 +31,9 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from . import analysis, attacks, baselines, core, hwcost, kernel, riscv, sim, workloads, x86
+import importlib
 
-__all__ = [
+_SUBPACKAGES = (
     "analysis",
     "attacks",
     "baselines",
@@ -44,5 +44,14 @@ __all__ = [
     "sim",
     "workloads",
     "x86",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first use (PEP 562), so ``import repro``
+    alone loads none of them."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -65,6 +65,11 @@ class PrivilegeCheckUnit:
         self.registers = PcuRegisters(
             tmemb=trusted_memory.base, tmeml=trusted_memory.limit
         )
+        # The trusted range as :meth:`check_memory_access` tests it:
+        # ``TrustedMemory.contains``'s mask compare, read once, since
+        # nothing reassigns a TrustedMemory's base or size.
+        self._tmem_mask = ~(trusted_memory.size - 1)
+        self._tmem_base = trusted_memory.base
 
         self.hpt = HybridPrivilegeTable(
             isa_map, trusted_memory, max_domains=config.max_domains
@@ -837,7 +842,14 @@ class PrivilegeCheckUnit:
     # Trusted memory enforcement (Section 4.5).
     # ------------------------------------------------------------------
     def check_memory_access(self, address: int, pc: int = 0) -> None:
-        """Software load/store filter: trusted memory is domain-0-only."""
+        """Software load/store filter: trusted memory is domain-0-only.
+
+        Every load and store a CPU performs on behalf of software goes
+        through this check.  The CPUs look it up on ``cpu.pcu`` at each
+        access, so an instance attribute shadowing it (the lockstep
+        monitor's) sees every one.  Thanks to the power-of-two range,
+        the bound test is one mask compare.
+        """
         if not self.enabled:
             return
         domain = self.registers.domain
@@ -851,7 +863,7 @@ class PrivilegeCheckUnit:
                     address=pc,
                 )
             )
-        if self.trusted_memory.contains(address):
+        if (address & self._tmem_mask) == self._tmem_base:
             self._fault(
                 TrustedMemoryFault(address, domain=domain, address=pc)
             )

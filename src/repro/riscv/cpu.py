@@ -455,11 +455,11 @@ class RiscvCpu:
         self._satp_address = CSR_ADDRESS["satp"]
         self._sstatus_address = CSR_ADDRESS["sstatus"]
         # Bound-method handles for the load/store hot path (the memory
-        # object and the machine wrapper are fixed for the CPU's life;
-        # check_data_access itself still reads machine.pcu live).
+        # object is fixed for the CPU's life).  The trusted-memory filter
+        # is not bound here: the handlers look it up on ``self.pcu`` at
+        # each access, so the lockstep monitor's shadowing sees them.
         self._mem_load = self.memory.load
         self._mem_store = self.memory.store
-        self._check_data = machine.check_data_access
         # pa -> (inst, handler, prebuilt AccessInfo | None, extra).
         # ``handler(cpu, inst, pc, info, extra)`` is a plain function of
         # the class.  ``access`` is the plain PCU check the step loop
@@ -901,7 +901,9 @@ class RiscvCpu:
             physical = self._translate(address, self._ACCESS_LOAD, info, satp)
         else:  # Bare mode fast path, inlined
             physical = address
-        self._check_data(physical, pc)
+        pcu = self.pcu
+        if pcu is not None:
+            pcu.check_memory_access(physical, pc)
         width, unsigned = extra
         value = self._mem_load(physical, width)
         if not unsigned:
@@ -920,7 +922,9 @@ class RiscvCpu:
             physical = self._translate(address, self._ACCESS_STORE, info, satp)
         else:  # Bare mode fast path, inlined
             physical = address
-        self._check_data(physical, pc)
+        pcu = self.pcu
+        if pcu is not None:
+            pcu.check_memory_access(physical, pc)
         self._mem_store(physical, self.regs[inst.rs2], width)
         info.is_store = True
         info.mem_address = physical

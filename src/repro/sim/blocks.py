@@ -117,9 +117,9 @@ class CompiledBlock:
 
     ``summary`` is the :func:`summarize_classes` union of the members'
     instruction classes.  Loads and stores keep their *live*
-    ``check_data_access`` call inside their closures (trusted-memory
-    ranges and generations are enforced per access, not summarized —
-    addresses are dynamic).
+    ``cpu.pcu.check_memory_access`` call inside their closures
+    (trusted-memory ranges and generations are enforced per access, not
+    summarized — addresses are dynamic).
 
     ``ops[i](cpu)`` performs member ``i``'s architectural work *and* its
     pipeline-timing accounting (instruction fetch, data access, branch

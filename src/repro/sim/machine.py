@@ -86,14 +86,6 @@ class Machine:
         self.cpu = cpu
 
     # ------------------------------------------------------------------
-    # Trusted-memory software filter (Section 4.5): every load/store the
-    # CPU performs on behalf of software goes through this check.
-    # ------------------------------------------------------------------
-    def check_data_access(self, address: int, pc: int = 0) -> None:
-        if self.pcu is not None:
-            self.pcu.check_memory_access(address, pc)
-
-    # ------------------------------------------------------------------
     # Run loop.
     # ------------------------------------------------------------------
     def step(self) -> StepInfo:

@@ -4,10 +4,17 @@ Backs both CPU loads/stores and the trusted-memory structures (it
 satisfies the :class:`repro.core.trusted_memory.WordBacking` protocol).
 Pages are allocated lazily so a 1 GB address space costs nothing until
 it is touched.
+
+On a little-endian host each page also has a 64-bit word view,
+``memoryview(page).cast("Q")``, made with it: an aligned 8-byte load or
+store is one index into that view instead of a slice plus an ``int``
+conversion.  Every other width, and every misaligned or page-crossing
+access, takes the byte path.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict
 
 PAGE_SHIFT = 12
@@ -16,6 +23,11 @@ PAGE_MASK = PAGE_SIZE - 1
 
 # Truncation masks for the scalar store widths.
 _WIDTH_MASKS = {width: (1 << 8 * width) - 1 for width in range(1, 9)}
+_MASK64 = _WIDTH_MASKS[8]
+
+#: The word views are native-endian, so they read the little-endian
+#: memory right only on a little-endian host; elsewhere no page gets one.
+_WORD_VIEWS = sys.byteorder == "little"
 
 
 class MemoryAccessError(Exception):
@@ -32,12 +44,21 @@ class PhysicalMemory:
         self.size = size
         self.limit = base + size
         self._pages: Dict[int, bytearray] = {}
+        # page number -> the page as 64-bit words; empty unless
+        # ``_WORD_VIEWS``, so every access then takes the byte path
+        self._words: Dict[int, memoryview] = {}
+
+    def _new_page(self, number: int) -> bytearray:
+        """Allocate page ``number``: the one place pages are made."""
+        page = self._pages[number] = bytearray(PAGE_SIZE)
+        if _WORD_VIEWS:
+            self._words[number] = memoryview(page).cast("Q")
+        return page
 
     def _page(self, address: int) -> bytearray:
         page = self._pages.get(address >> PAGE_SHIFT)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[address >> PAGE_SHIFT] = page
+            page = self._new_page(address >> PAGE_SHIFT)
         return page
 
     def _check(self, address: int, width: int) -> None:
@@ -58,12 +79,15 @@ class PhysicalMemory:
         """
         if not self.base <= address <= self.limit - width:
             self._check(address, width)  # raises with the full message
+        if width == 8 and not address & 7:
+            words = self._words.get(address >> PAGE_SHIFT)
+            if words is not None:  # else the byte path makes the page
+                return words[(address & PAGE_MASK) >> 3]
         offset = address & PAGE_MASK
         if offset + width <= PAGE_SIZE:
             page = self._pages.get(address >> PAGE_SHIFT)
             if page is None:
-                page = bytearray(PAGE_SIZE)
-                self._pages[address >> PAGE_SHIFT] = page
+                page = self._new_page(address >> PAGE_SHIFT)
             return int.from_bytes(page[offset : offset + width], "little")
         return int.from_bytes(self.load_bytes(address, width), "little")
 
@@ -71,13 +95,17 @@ class PhysicalMemory:
         """Store ``width`` bytes (1/2/4/8), little-endian."""
         if not self.base <= address <= self.limit - width:
             self._check(address, width)  # raises with the full message
+        if width == 8 and not address & 7:
+            words = self._words.get(address >> PAGE_SHIFT)
+            if words is not None:  # else the byte path makes the page
+                words[(address & PAGE_MASK) >> 3] = value & _MASK64
+                return
         data = (value & _WIDTH_MASKS[width]).to_bytes(width, "little")
         offset = address & PAGE_MASK
         if offset + width <= PAGE_SIZE:
             page = self._pages.get(address >> PAGE_SHIFT)
             if page is None:
-                page = bytearray(PAGE_SIZE)
-                self._pages[address >> PAGE_SHIFT] = page
+                page = self._new_page(address >> PAGE_SHIFT)
             page[offset : offset + width] = data
         else:
             self.store_bytes(address, data)

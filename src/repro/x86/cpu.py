@@ -513,7 +513,9 @@ class X86Cpu:
 
     def _op_mov_load(self, inst, rip, info):
         address = (self.regs[inst.base] + inst.disp) & MASK64
-        self.machine.check_data_access(address, rip)
+        pcu = self.pcu
+        if pcu is not None:
+            pcu.check_memory_access(address, rip)
         self.regs[inst.reg] = self.memory.load(address, 8) & MASK64
         info.is_load = True
         info.mem_address = address
@@ -521,7 +523,9 @@ class X86Cpu:
 
     def _op_mov_store(self, inst, rip, info):
         address = (self.regs[inst.base] + inst.disp) & MASK64
-        self.machine.check_data_access(address, rip)
+        pcu = self.pcu
+        if pcu is not None:
+            pcu.check_memory_access(address, rip)
         self.memory.store(address, self.regs[inst.reg], 8)
         info.is_store = True
         info.mem_address = address
@@ -604,14 +608,18 @@ class X86Cpu:
         r = self.regs
         if inst.mnemonic == "push":
             rsp = (r[4] - 8) & MASK64
-            self.machine.check_data_access(rsp, rip)
+            pcu = self.pcu
+            if pcu is not None:
+                pcu.check_memory_access(rsp, rip)
             self.memory.store(rsp, r[inst.reg], 8)
             r[4] = rsp
             info.is_store = True
             info.mem_address = rsp
         else:
             rsp = r[4]
-            self.machine.check_data_access(rsp, rip)
+            pcu = self.pcu
+            if pcu is not None:
+                pcu.check_memory_access(rsp, rip)
             self.set_reg(inst.reg, self.memory.load(rsp, 8))
             r[4] = (rsp + 8) & MASK64
             info.is_load = True
@@ -626,7 +634,9 @@ class X86Cpu:
         r = self.regs
         if inst.mnemonic == "call":
             rsp = (r[4] - 8) & MASK64
-            self.machine.check_data_access(rsp, rip)
+            pcu = self.pcu
+            if pcu is not None:
+                pcu.check_memory_access(rsp, rip)
             self.memory.store(rsp, rip + inst.size, 8)
             r[4] = rsp
             self.rip = (rip + inst.size + inst.imm) & MASK64
@@ -635,7 +645,9 @@ class X86Cpu:
             return True
         # ret
         rsp = r[4]
-        self.machine.check_data_access(rsp, rip)
+        pcu = self.pcu
+        if pcu is not None:
+            pcu.check_memory_access(rsp, rip)
         self.rip = self.memory.load(rsp, 8)
         r[4] = (rsp + 8) & MASK64
         info.is_load = True
@@ -773,7 +785,9 @@ class X86Cpu:
     def _dtr_access(self, inst, rip, info, name: str, write: bool):
         register = getattr(self.sys, name)
         address = (self.regs[inst.base] + inst.disp) & MASK64
-        self.machine.check_data_access(address, rip)
+        pcu = self.pcu
+        if pcu is not None:
+            pcu.check_memory_access(address, rip)
         info.mem_address = address
         if write:
             new_base = self.memory.load(address, 8)

@@ -15,6 +15,8 @@ from repro.core import (
     TrustedMemoryFault,
     TrustedStackFault,
 )
+from repro.conformance.oracle import OraclePcu
+from repro.core.errors import PrivilegeFault
 from repro.core.pcu import DOMAIN_0
 
 
@@ -325,6 +327,67 @@ class TestTrustedMemoryEnforcement:
         enter(pcu, manager, kernel_domain.domain_id)
         pcu.enabled = False
         pcu.check_memory_access(pcu.trusted_memory.base)
+
+
+class TestMemoryFilterMatchesTheOracle:
+    """``check_memory_access`` inlines ``TrustedMemory.contains``'s mask
+    compare; the oracle keeps ``contains`` as the reference.  Both must
+    raise (or not) at exactly the same addresses in every filter state."""
+
+    @staticmethod
+    def build(isa):
+        if isa == "x86":
+            from repro.x86 import build_x86_system as build
+        else:
+            from repro.riscv import build_riscv_system as build
+        pcu = build().pcu
+        oracle = OraclePcu(pcu.isa_map, pcu.hpt, pcu.sgt, pcu.trusted_memory,
+                           stack_frames=4)
+        return pcu, oracle
+
+    @staticmethod
+    def addresses(trusted):
+        """Every byte within 16 of either bound, interior samples at
+        varying page offsets, and addresses far from the range."""
+        base, limit = trusted.base, trusted.limit
+        near = [*range(base - 16, base + 17), *range(limit - 16, limit + 17)]
+        inside = list(range(base, limit, 4093))
+        far = [0, 8, base ^ 1 << 40, base | 1 << 63, base + (limit - base) * 2,
+               base - (limit - base), (1 << 64) - 8, (1 << 64) - 1]
+        return near + inside + far
+
+    @staticmethod
+    def outcome(check, address):
+        try:
+            check(address, 0x40)
+        except PrivilegeFault as fault:
+            return type(fault).__name__, str(fault)
+        return None
+
+    @pytest.mark.parametrize("state", ["domain0", "domain1", "disabled",
+                                       "stale"])
+    @pytest.mark.parametrize("isa", ["x86", "riscv"])
+    def test_sweep(self, isa, state):
+        pcu, oracle = self.build(isa)
+        if state != "domain0":
+            pcu.registers.domain = oracle.domain = 1
+        if state == "disabled":
+            pcu.enabled = oracle.enabled = False
+        if state == "stale":
+            pcu.generation_table = oracle.generation_table = {1: 1}
+        addresses = self.addresses(pcu.trusted_memory)
+        real = [self.outcome(pcu.check_memory_access, a) for a in addresses]
+        reference = [self.outcome(oracle.check_memory_access, a)
+                     for a in addresses]
+        assert real == reference
+        faulted = sum(r is not None for r in real)
+        if state == "domain1":
+            inside = [pcu.trusted_memory.contains(a) for a in addresses]
+            assert faulted == sum(inside) > 0
+        elif state == "stale":
+            assert faulted == len(addresses)
+        else:
+            assert faulted == 0
 
 
 class TestReset:

@@ -11,14 +11,17 @@ import json
 import pytest
 
 from repro import orchestrator
+from repro.conformance.oracle import OraclePcu
 from repro.faults import (
     CLASSIFICATIONS,
     MACHINE_FAULT_KINDS,
     FaultPlan,
     MachineCampaignMatrix,
+    LockstepMonitor,
     machine_geometry,
     run_planned_machine_campaign,
 )
+from repro.faults.machine import _build_kernel, _workload
 
 COMMIT_STORE = MACHINE_FAULT_KINDS.index("commit_store_fault")
 COMMIT_FLIP = MACHINE_FAULT_KINDS.index("commit_flip_journalled")
@@ -85,6 +88,51 @@ class TestSingleCampaign:
         assert data["spec"]["kind"] == result.spec.kind
         from repro.faults import MachineCampaignResult
         assert MachineCampaignResult.from_dict(data).to_dict() == data
+
+
+
+class TestLockstepSeesEveryDataAccess:
+    """The oracle judges every load and store the CPU retires.  The
+    CPUs look ``check_memory_access`` up on ``cpu.pcu`` at each access,
+    so the monitor's instance shadowing reaches them; a CPU that bound
+    the filter when it was built would leave the oracle blind."""
+
+    @pytest.mark.parametrize("backend", ["riscv", "x86"])
+    def test_oracle_checks_each_retired_load_and_store(self, backend,
+                                                       monkeypatch):
+        judged = []
+        reference = OraclePcu.check_memory_access
+
+        def counted(oracle, address, pc=0):
+            judged.append(address)
+            return reference(oracle, address, pc)
+
+        monkeypatch.setattr(OraclePcu, "check_memory_access", counted)
+        kernel = _build_kernel(backend)
+        pcu = kernel.system.pcu
+        registers = pcu.registers
+        machine = kernel.system.machine
+        oracle = OraclePcu(
+            pcu.isa_map, pcu.hpt, pcu.sgt, pcu.trusted_memory,
+            stack_frames=(registers.hcsl - registers.hcsb) // 16)
+        monitor = LockstepMonitor(pcu, oracle, machine.stats)
+        monitor.install()
+        accessed = []
+
+        def hook(info):
+            if info.is_load or info.is_store:
+                accessed.append(info.mem_address)
+            return False
+
+        kernel.load_user(_workload(backend, 2))
+        kernel.cpu.pc = kernel.symbol("boot")
+        machine.step_hook = hook
+        machine.run(machine_geometry(backend, 2).budget)
+        monitor.uninstall()
+        assert machine.stats.halted
+        assert monitor.divergence is None
+        assert len(accessed) > 1000
+        assert judged == accessed
 
 
 @pytest.fixture(scope="module")

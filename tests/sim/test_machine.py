@@ -90,9 +90,59 @@ class TestRunLoop:
         assert machine.stats.instructions == 0
         assert machine.stats.cycles == 0.0
 
-    def test_check_data_access_without_pcu_is_noop(self):
-        machine = make_machine()
-        machine.check_data_access(0x1234)  # must not raise
+    @pytest.mark.parametrize("blocks", [True, False],
+                             ids=["blocks", "per-inst"])
+    @pytest.mark.parametrize("isa", ["x86", "riscv"])
+    def test_native_loads_and_stores_run_without_a_pcu(self, isa, blocks):
+        # Without ISA-Grid there is no PCU and so no trusted-memory
+        # filter: the CPUs skip it, and the would-be trusted range is
+        # ordinary memory.
+        value = 0x1122334455667788
+        if isa == "x86":
+            from repro.x86 import (KERNEL_BASE, TRUSTED_BASE, assemble,
+                                   build_x86_system)
+            system = build_x86_system(with_isagrid=False)
+            source = """
+            entry:
+                mov rsp, 0x6e0000
+                mov rcx, %d
+                mov rbx, %d
+                mov [rcx+8], rbx
+                mov rdx, [rcx+8]
+                push rdx
+                pop rsi
+                call sub
+                hlt
+            sub:
+                mov rdi, [rcx+8]
+                ret
+            """
+            loaded = (2, 6, 7)
+            expected = (value, value, value)
+        else:
+            from repro.riscv import (KERNEL_BASE, TRUSTED_BASE, assemble,
+                                     build_riscv_system)
+            system = build_riscv_system(with_isagrid=False)
+            source = """
+            entry:
+                li t1, %d
+                li a0, %d
+                sd a0, 8(t1)
+                ld a1, 8(t1)
+                lw a2, 8(t1)
+                lbu a3, 15(t1)
+                halt
+            """
+            loaded = (11, 12, 13)
+            expected = (value, value & 0xFFFFFFFF, value >> 56)
+        assert system.pcu is None and system.cpu.pcu is None
+        system.machine.block_summaries = blocks
+        program = assemble(source % (TRUSTED_BASE, value), base=KERNEL_BASE)
+        system.load(program)
+        stats = system.run(program.symbol("entry"), max_steps=1000)
+        assert stats.halted
+        assert tuple(system.cpu.regs[r] for r in loaded) == expected
+        assert system.machine.memory.load(TRUSTED_BASE + 8, 8) == value
 
 
 class TestStepHook:

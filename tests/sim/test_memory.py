@@ -1,9 +1,11 @@
 """Sparse physical memory."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim import MemoryAccessError, PhysicalMemory
+from repro.sim import memory as memory_module
+from repro.sim.memory import PAGE_SHIFT, PAGE_SIZE
 
 
 class TestScalarAccess:
@@ -81,16 +83,87 @@ class TestWordBacking:
             memory.store_word(0x104 + 1, 0)
 
 
-@given(st.lists(st.tuples(
-    st.integers(min_value=0, max_value=(1 << 16) - 8),
-    st.integers(min_value=0, max_value=(1 << 64) - 1),
-), max_size=50))
-def test_last_write_wins(writes):
-    memory = PhysicalMemory(size=1 << 16)
-    reference = {}
-    for address, value in writes:
-        address &= ~7
-        memory.store(address, value, 8)
-        reference[address] = value
-    for address, value in reference.items():
-        assert memory.load(address, 8) == value
+SIZE = 4 * PAGE_SIZE
+
+#: Addresses that stress the word views: anywhere, 8-aligned, and within
+#: 16 bytes of a page edge (the last word of a page, page-crossing
+#: accesses, the first word of the next page).
+ADDRESSES = st.one_of(
+    st.integers(min_value=0, max_value=SIZE - 1),
+    st.integers(min_value=0, max_value=SIZE // 8 - 1).map(lambda w: 8 * w),
+    st.builds(lambda page, delta: (page * PAGE_SIZE + delta) % SIZE,
+              st.integers(min_value=0, max_value=SIZE // PAGE_SIZE - 1),
+              st.integers(min_value=-16, max_value=15)),
+)
+#: Values out of every width's range too, so a store must truncate.
+VALUES = st.integers(min_value=-(1 << 64), max_value=(1 << 72) - 1)
+OPERATIONS = st.one_of(
+    st.tuples(st.just("store"), ADDRESSES, st.sampled_from([1, 2, 4, 8]),
+              VALUES),
+    st.tuples(st.just("load"), ADDRESSES, st.sampled_from([1, 2, 4, 8])),
+    st.tuples(st.just("store_bytes"), ADDRESSES,
+              st.binary(min_size=1, max_size=24)),
+    st.tuples(st.just("load_bytes"), ADDRESSES,
+              st.integers(min_value=1, max_value=24)),
+)
+
+
+def touched_pages(address, length):
+    return range(address >> PAGE_SHIFT,
+                 ((address + length - 1) >> PAGE_SHIFT) + 1)
+
+
+@given(st.lists(OPERATIONS, max_size=60))
+# A page made by the byte path serves the word view, and the reverse,
+# including across a page edge and for a word load of a fresh page.
+@example([("store_bytes", PAGE_SIZE - 8, bytes(range(1, 9))),
+          ("load", PAGE_SIZE - 8, 8), ("store", PAGE_SIZE - 8, 8, -1),
+          ("load_bytes", PAGE_SIZE - 9, 10)])
+@example([("store", 2 * PAGE_SIZE - 8, 8, -1),
+          ("store", 2 * PAGE_SIZE - 8, 8, 1 << 64 | 5),
+          ("load_bytes", 2 * PAGE_SIZE - 9, 10),
+          ("load", 2 * PAGE_SIZE - 4, 4)])
+@example([("load", PAGE_SIZE, 8), ("store", PAGE_SIZE + 3, 1, 0xAB),
+          ("load", PAGE_SIZE, 8)])
+def test_last_write_wins(operations):
+    """Scalar and bulk accessors of every width, mixed in any order,
+    read back exactly what a plain bytearray model holds, and each page
+    is allocated once, by whichever path touched it first."""
+    memory = PhysicalMemory(size=SIZE)
+    model = bytearray(SIZE)
+    pages = set()
+    for name, address, arg, *value in operations:
+        length = arg if isinstance(arg, int) else len(arg)
+        address = min(address, SIZE - length)
+        if name == "store":
+            data = (value[0] & (1 << 8 * length) - 1).to_bytes(length, "little")
+            memory.store(address, value[0], length)
+            model[address:address + length] = data
+        elif name == "store_bytes":
+            memory.store_bytes(address, arg)
+            model[address:address + length] = arg
+        elif name == "load":
+            expected = int.from_bytes(model[address:address + length], "little")
+            assert memory.load(address, length) == expected
+        else:
+            assert memory.load_bytes(address, length) == \
+                model[address:address + length]
+        pages.update(touched_pages(address, length))
+        assert memory.pages_allocated == len(pages)
+    for word in range(0, SIZE, 8):
+        assert memory.load(word, 8) == \
+            int.from_bytes(model[word:word + 8], "little")
+    assert memory.load_bytes(0, SIZE) == model
+
+
+def test_big_endian_hosts_make_no_views(monkeypatch):
+    """A host that cannot use native-endian word views keeps the byte
+    path for every access."""
+    monkeypatch.setattr(memory_module, "_WORD_VIEWS", False)
+    memory = PhysicalMemory(size=SIZE)
+    memory.store(PAGE_SIZE - 8, 0x0102030405060708, 8)
+    memory.store_bytes(PAGE_SIZE, b"\x2a")
+    assert memory._words == {}
+    assert memory.load(PAGE_SIZE - 8, 8) == 0x0102030405060708
+    assert memory.load_bytes(PAGE_SIZE - 8, 1) == b"\x08"
+    assert memory.load(PAGE_SIZE, 8) == 0x2A
