@@ -19,7 +19,8 @@ The contract (recorded in DESIGN.md):
   the domain-0 return ban, with the same side effects on failure (an
   ``hcrets`` that faults on the domain-0 ban has still consumed the
   frame).
-* ``check_memory_access`` — trusted memory is domain-0-only.
+* ``check_memory_access`` — trusted memory is domain-0-only: an access
+  faults when its first or its last byte is trusted.
 
 State the differential runner compares after every event: current
 domain, previous domain, trusted-stack depth, and the
@@ -255,11 +256,13 @@ class OraclePcu:
     # ------------------------------------------------------------------
     # Trusted memory enforcement.
     # ------------------------------------------------------------------
-    def check_memory_access(self, address: int, pc: int = 0) -> None:
+    def check_memory_access(self, address: int, pc: int = 0,
+                            size: int = 1) -> None:
         if not self.enabled:
             return
         if self.domain == DOMAIN_0:
             return
         self._check_generation(self.domain, pc)
-        if self.trusted_memory.contains(address):
+        if (self.trusted_memory.contains(address)
+                or self.trusted_memory.contains(address + size - 1)):
             raise TrustedMemoryFault(address, domain=self.domain, address=pc)

@@ -841,14 +841,18 @@ class PrivilegeCheckUnit:
     # ------------------------------------------------------------------
     # Trusted memory enforcement (Section 4.5).
     # ------------------------------------------------------------------
-    def check_memory_access(self, address: int, pc: int = 0) -> None:
+    def check_memory_access(self, address: int, pc: int = 0,
+                            size: int = 1) -> None:
         """Software load/store filter: trusted memory is domain-0-only.
 
         Every load and store a CPU performs on behalf of software goes
-        through this check.  The CPUs look it up on ``cpu.pcu`` at each
+        through this check, with the ``size`` bytes it touches from
+        ``address``.  The CPUs look it up on ``cpu.pcu`` at each
         access, so an instance attribute shadowing it (the lockstep
-        monitor's) sees every one.  Thanks to the power-of-two range,
-        the bound test is one mask compare.
+        monitor's) sees every one.  The trusted range is a power-of-two
+        block at least as large as any access, so the access reaches it
+        exactly when its first or its last byte lies in it: two mask
+        compares.
         """
         if not self.enabled:
             return
@@ -863,7 +867,9 @@ class PrivilegeCheckUnit:
                     address=pc,
                 )
             )
-        if (address & self._tmem_mask) == self._tmem_base:
+        mask = self._tmem_mask
+        base = self._tmem_base
+        if (address & mask) == base or ((address + size - 1) & mask) == base:
             self._fault(
                 TrustedMemoryFault(address, domain=domain, address=pc)
             )

@@ -276,15 +276,15 @@ class LockstepMonitor:
             raise real_fault
         return target, stall
 
-    def _check_memory_access(self, address, pc=0):
+    def _check_memory_access(self, address, pc=0, size=1):
         real_fault = None
         try:
-            self._real_mem(address, pc)
+            self._real_mem(address, pc, size)
         except PrivilegeFault as fault:
             real_fault = fault
         oracle_fault = None
         try:
-            self.oracle.check_memory_access(address, pc)
+            self.oracle.check_memory_access(address, pc, size)
         except PrivilegeFault as fault:
             oracle_fault = fault
         if self._fault_name(real_fault) != self._fault_name(oracle_fault):

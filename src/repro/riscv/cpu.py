@@ -17,7 +17,7 @@ from repro.core.isa_extension import AccessInfo, CacheId, GateKind
 from repro.core.pcu import PrivilegeCheckUnit
 from repro.sim import blocks
 from repro.sim.machine import Machine
-from repro.sim.pipeline import InOrderPipelineModel, StepInfo
+from repro.sim.pipeline import StepInfo
 from repro.sim.trap import Trap, TrapKind
 
 from .encoding import (
@@ -421,15 +421,23 @@ _ALU_SPEC = {
 }
 
 
-# Per-mnemonic branch comparators, resolved once at decode time.
-_BRANCH_TAKEN = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: to_signed(a) < to_signed(b),
-    "bge": lambda a, b: to_signed(a) >= to_signed(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
+# Per-mnemonic branch comparators over the operands ``a`` and ``b``,
+# as source: block fragments inline them, and the comparators the
+# handlers resolve once at decode time are compiled from them.
+_BRANCH_SOURCE = {
+    "beq": "a == b",
+    "bne": "a != b",
+    "blt": "to_signed(a) < to_signed(b)",
+    "bge": "to_signed(a) >= to_signed(b)",
+    "bltu": "a < b",
+    "bgeu": "a >= b",
 }
+_BRANCH_TAKEN = {m: eval("lambda a, b: " + source)
+                 for m, source in _BRANCH_SOURCE.items()}
+
+#: The instruction classes that may be block members without ending
+#: their block.
+_MEMBER_CLASSES = frozenset({"alu", "mul", "fence", "load", "store"})
 
 
 class RiscvCpu:
@@ -478,27 +486,14 @@ class RiscvCpu:
         # and an epoch ends at every reference step, where such an edit
         # runs.
         self._block_cache: Dict[int, object] = {}
-        # Block formation bakes the Rocket timing model into the member
-        # closures, so any other pipeline falls back to the
-        # per-instruction loop.
+        # The handles through which shared blocks' generated code
+        # reaches this CPU's timing model (DESIGN §3.18).
         pipeline = machine.pipeline
-        self.blocks_supported = type(pipeline) is InOrderPipelineModel
-        # The handles through which shared member closures reach this
-        # CPU's timing model, and the constants they bake in: (L1I line
-        # bytes, warm-fetch cost, mispredict penalty).  A warm fetch is
-        # an L1I MRU hit (DESIGN §3.18), costing what
-        # ``instruction_cycles`` charges.
-        l1i = pipeline.hierarchy.l1i
         self._fetch = pipeline._access_instruction
         self._data = pipeline._access_data
-        self._l1i_stats = l1i.stats
+        self._l1i_stats = pipeline.hierarchy.l1i.stats
         self._branch_stats = pipeline.branch_stats
         self._predict = pipeline._predictor_update
-        self._timing = None
-        if self.blocks_supported:
-            f = l1i.latency
-            self._timing = (l1i.line, 1.0 + (f - 1) if f > 1 else 1.0,
-                            pipeline._mispredict_penalty)
         # Optional Sv39 translation: identity (Bare) until software
         # writes a Sv39-mode SATP.  The decode cache is keyed by
         # *physical* address, so address-space switches stay coherent.
@@ -691,71 +686,10 @@ class RiscvCpu:
     # ------------------------------------------------------------------
     # Block-summary execution (DESIGN §3.18).
     # ------------------------------------------------------------------
-    def _block_op_pure(self, handler, inst, pc: int, extra, warm: bool):
-        """Fused member closure: no memory access, no branch predictor."""
-        hit = self._timing[1]
-
-        def op(cpu, h=handler, inst=inst, pc=pc, info=blocks.MEMBER_INFO,
-               extra=extra, warm=warm, hit=hit):
-            h(cpu, inst, pc, info, extra)
-            if warm:
-                cpu._l1i_stats.hits += 1
-                return hit
-            f = cpu._fetch(pc)
-            if f > 1:
-                return 1.0 + (f - 1)
-            return 1.0
-
-        return op
-
-    def _block_op_mem(self, handler, inst, pc: int, extra, is_store: bool,
-                      warm: bool):
-        """Fused member closure for loads and stores."""
-        hit = self._timing[1]
-
-        def op(cpu, h=handler, inst=inst, pc=pc, info=blocks.MEMBER_INFO,
-               extra=extra, is_store=is_store, warm=warm, hit=hit):
-            h(cpu, inst, pc, info, extra)
-            if warm:
-                cpu._l1i_stats.hits += 1
-                c = hit
-            else:
-                f = cpu._fetch(pc)
-                c = 1.0 + (f - 1) if f > 1 else 1.0
-            d = cpu._data(info.mem_address, is_store)
-            if d > 1:
-                c += d - 1
-            return c
-
-        return op
-
-    def _block_op_branch(self, handler, inst, pc: int, extra, warm: bool):
-        """Fused member closure for conditional branches."""
-        _, hit, mp = self._timing
-
-        def op(cpu, h=handler, inst=inst, pc=pc, info=blocks.MEMBER_INFO,
-               extra=extra, mp=mp, warm=warm, hit=hit):
-            h(cpu, inst, pc, info, extra)
-            if warm:
-                cpu._l1i_stats.hits += 1
-                c = hit
-            else:
-                f = cpu._fetch(pc)
-                c = 1.0 + (f - 1) if f > 1 else 1.0
-            stats = cpu._branch_stats
-            stats.predictions += 1
-            if cpu._predict(pc, info.branch_taken):
-                stats.mispredictions += 1
-                c += mp
-            return c
-
-        return op
-
-    def _block_member(self, entry: tuple, pc: int, warm: bool):
-        """Block membership (DESIGN §3.18): ``(op, size, inst_class,
-        ends)`` for the instruction decoded as ``entry``, or ``None``.
-        ``warm`` says the member before it fetched the same L1I line, so
-        the op charges an L1I hit without calling the hierarchy.
+    def _block_member(self, entry: tuple, pc: int, bind):
+        """Block membership (DESIGN §3.18): ``(fragment, size,
+        inst_class, ends)`` for the instruction decoded as ``entry``, or
+        ``None``.
 
         Members are straight-line instructions whose only PCU
         interaction is the plain instruction-class check; the first
@@ -763,29 +697,39 @@ class RiscvCpu:
         member.  Gates, CSR access, sret/wfi/sfence, ecall/ebreak,
         pfch/pflh and halt refuse membership, so a block can never
         contain a domain switch, privilege edit or satp write.
+
+        The fragment (DESIGN §3.18 "Generated blocks") inlines a load,
+        store or branch (:func:`_member_fragment`) and calls an ALU
+        instruction's ``_ALU_SPEC`` closure directly; a member whose
+        handler only advances the pc has an empty one, and any other
+        calls its handler.  ``bind(obj)`` names an object the fragment
+        uses.
         """
         inst, handler, access, extra = entry
         if access is None:
             return None
         cls = inst.inst_class
-        mnemonic = inst.mnemonic
-        ends = False
-        if cls == "alu" or cls == "mul" or cls == "fence":
-            op = self._block_op_pure(handler, inst, pc, extra, warm)
-        elif cls == "load":
-            op = self._block_op_mem(handler, inst, pc, extra, False, warm)
-        elif cls == "store":
-            op = self._block_op_mem(handler, inst, pc, extra, True, warm)
-        elif cls == "branch":
-            op = self._block_op_branch(handler, inst, pc, extra, warm)
-            ends = True
-        elif mnemonic == "jal" or mnemonic == "jalr":
-            op = self._block_op_pure(handler, inst, pc, extra, warm)
-            ends = True
-        else:
+        ends = cls == "branch" or inst.mnemonic in ("jal", "jalr")
+        if not ends and cls not in _MEMBER_CLASSES:
             # ecall/ebreak/pfch/pflh/halt: never block members.
             return None
-        return op, 4, access.inst_class, ends
+        if handler is RiscvCpu._op_alu_spec:
+            fragment = blocks.Fragment(["%s(r)" % bind(extra)])
+        elif handler is RiscvCpu._op_alu_x0 or handler is RiscvCpu._op_fence:
+            fragment = blocks.Fragment()
+        elif cls == "load" or cls == "store" or cls == "branch":
+            fragment = _member_fragment(inst, pc, extra)
+        else:
+            fragment = blocks.Fragment(
+                ["%s(cpu, %s, %d, info, %s)"
+                 % (bind(handler), bind(inst), pc, bind(extra))],
+                raises=True)
+        return fragment, 4, access.inst_class, ends
+
+    #: The globals of every RISC-V block's generated function.
+    _block_globals = blocks.block_globals(
+        sign_extend=sign_extend, to_signed=to_signed,
+        ACCESS_LOAD=ACCESS_LOAD, ACCESS_STORE=ACCESS_STORE)
 
     def _block_gate(self) -> bool:
         """Blocks are formed and entered only while translation is Bare
@@ -895,6 +839,7 @@ class RiscvCpu:
         self.pc = pc + 4
 
     def _op_load(self, inst: Instruction, pc: int, info: StepInfo, extra) -> None:
+        width, unsigned = extra
         address = (self.regs[inst.rs1] + inst.imm) & MASK64
         satp = self.csrs[self._satp_address]
         if satp >> SATP_MODE_SHIFT:
@@ -903,8 +848,7 @@ class RiscvCpu:
             physical = address
         pcu = self.pcu
         if pcu is not None:
-            pcu.check_memory_access(physical, pc)
-        width, unsigned = extra
+            pcu.check_memory_access(physical, pc, width)
         value = self._mem_load(physical, width)
         if not unsigned:
             value = sign_extend(value, 8 * width) & MASK64
@@ -924,7 +868,7 @@ class RiscvCpu:
             physical = address
         pcu = self.pcu
         if pcu is not None:
-            pcu.check_memory_access(physical, pc)
+            pcu.check_memory_access(physical, pc, width)
         self._mem_store(physical, self.regs[inst.rs2], width)
         info.is_store = True
         info.mem_address = physical
@@ -1086,3 +1030,41 @@ class RiscvCpu:
         )
         info.pcu_stall += stall
         self.pc = target
+
+
+def _member_fragment(inst: Instruction, pc: int, extra):
+    """The block fragment (DESIGN §3.18 "Generated blocks") of a load,
+    store or branch, exactly as its handler computes it: a load or
+    store keeps the handler's satp test, so it translates wherever its
+    handler would."""
+    cls = inst.inst_class
+    if cls == "branch":
+        source = _BRANCH_SOURCE.get(inst.mnemonic, _BRANCH_SOURCE["bgeu"])
+        return blocks.Fragment(
+            ["a = r[%d]" % inst.rs1,
+             "b = r[%d]" % inst.rs2,
+             "t = %s" % source,
+             "cpu.pc = %d if t else %d" % ((pc + inst.imm) & MASK64, pc + 4)],
+            taken="t")
+    load = cls == "load"
+    width = extra[0] if load else extra
+    lines = [
+        "a = (r[%d] + %d) & %d" % (inst.rs1, inst.imm, MASK64),
+        "satp = cpu.csrs[%d]" % CSR_ADDRESS["satp"],
+        "if satp >> %d:" % SATP_MODE_SHIFT,
+        "    a = cpu._translate(a, %s, info, satp)"
+        % ("ACCESS_LOAD" if load else "ACCESS_STORE"),
+        "pcu = cpu.pcu",
+        "if pcu is not None:",
+        "    pcu.check_memory_access(a, %d, %d)" % (pc, width),
+    ]
+    if not load:
+        lines.append("cpu._mem_store(a, r[%d], %d)" % (inst.rs2, width))
+    elif not inst.rd:
+        lines.append("cpu._mem_load(a, %d)" % width)
+    elif extra[1] or width == 8:
+        lines.append("r[%d] = cpu._mem_load(a, %d)" % (inst.rd, width))
+    else:
+        lines.append("r[%d] = sign_extend(cpu._mem_load(a, %d), %d) & %d"
+                     % (inst.rd, width, 8 * width, MASK64))
+    return blocks.Fragment(lines, raises=True, address="a", is_store=not load)

@@ -7,29 +7,31 @@ control transfer — each carrying a summary of every instruction-class
 privilege the run needs.  A block then costs one
 :meth:`~repro.core.pcu.PrivilegeCheckUnit.check_block_summary` probe
 per *epoch* (the blocks retired between two reference steps) instead
-of N per-instruction checks per entry, and its members execute through
-pre-fused closures that fold the work and the pipeline-timing model of
-each instruction into a single call.
+of N per-instruction checks per entry, and its members execute as one
+generated Python function, ``run(cpu, cyc) -> cyc``, that does the work
+and the pipeline-timing accounting of every member in turn.
 
 Block formation (:func:`form_block`) and the executor
 (:func:`run_blocks`) live here and serve both backends; each CPU class
 binds ``run_blocks = blocks.run_blocks`` and supplies only what is ISA-
 or pipeline-specific:
 
-* ``_block_member(entry, pc, warm)`` — the membership rule over one
-  decode entry, returning ``(op, size, inst_class, ends)`` for a member
-  (its fused closure, its byte size, its inst-bitmap class, and whether
-  it is the control transfer that ends the block) or ``None``.  ``op``
-  takes the CPU as its one argument and reaches the timing model
-  through handles the CPU binds at construction (``_fetch``, ``_data``,
-  ``_l1i_stats``, ``_branch_stats``, ``_predict``), so a block serves
-  every CPU of its class with the same timing constants.  ``warm`` is
-  true when the member before it in the block fetched the same L1I
-  line: its op then counts an L1I hit and charges the hit latency
-  instead of calling the hierarchy (DESIGN §3.18 states why that is
-  exact);
-* ``_timing`` — the tuple of timing constants the member closures bake
-  in, L1I line bytes first; part of the shared-block key;
+* ``_block_member(entry, pc, bind)`` — the membership rule over one
+  decode entry, returning ``(fragment, size, inst_class, ends)`` for a
+  member (its :class:`Fragment` of source, its byte size, its
+  inst-bitmap class, and whether it is the control transfer that ends
+  the block) or ``None``.  A fragment writes the hot families'
+  semantics inline and calls the handler for every other member;
+  ``bind(obj)`` returns the name under which the generated function
+  sees an object (a handler, an ``Instruction``, a closure), which is
+  never rendered into the source.  The member's cycles come from the
+  machine's timing model (:meth:`~repro.sim.pipeline.PipelineModel.
+  member_tail`), which reaches it through handles the CPU binds at
+  construction (``_fetch``, ``_data``, ``_l1i_stats``, ``_branch_stats``,
+  ``_predict``), so a block serves every CPU of its class on the same
+  timing model;
+* ``_block_globals`` — the one globals dict of its ISA's generated
+  functions (:func:`block_globals`);
 * ``_decode_window`` — how many bytes ``_decode_entry`` reads at a pc;
 * ``_dispatch_fault(error, pc, info)`` — the trap path ``step()`` takes;
 * ``_block_gate`` — ``None``, or a method saying whether blocks may run
@@ -58,7 +60,7 @@ and enforced by the block lockstep test suite.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import PrivilegeFault
 from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT
@@ -84,12 +86,29 @@ MAX_EPOCH_BLOCKS = 256
 #: takes one ordinary ``step()`` and re-probes at the next pc.
 NO_BLOCK = False
 
-#: The one ``StepInfo`` every member closure passes its handler.  A
-#: handler writes the fields its closure reads (``mem_address``,
-#: ``branch_taken``) just before the closure reads them, and the
+#: The one ``StepInfo`` that generated code passes every handler it
+#: calls, as ``info``.  A handler writes the fields its member's timing
+#: reads (``mem_address``) just before the timing reads them, and the
 #: simulator runs one instruction at a time, so members of every block
 #: and CPU can share it.
 MEMBER_INFO = StepInfo()
+
+
+class MemberFault:
+    """Where the last block member that raised stood: its index in its
+    block, and the cycle sum of the members before it.  A generated
+    function's exception path records both, as ``fault``, just before it
+    re-raises; :func:`run_blocks` reads them at once."""
+
+    __slots__ = ("index", "cycles")
+
+    def __init__(self):
+        self.index = 0
+        self.cycles = 0.0
+
+
+#: The one ``MemberFault`` of the process, shared like ``MEMBER_INFO``.
+MEMBER_FAULT = MemberFault()
 
 #: Bound on the process's shared blocks, and on the blocks kept for one
 #: start pc (one per distinct code there, such as each variant of a
@@ -99,6 +118,35 @@ MEMBER_INFO = StepInfo()
 #: at the one pc where 32 of those programs start.
 SHARED_BLOCK_CAP = 2048
 SHARED_BLOCKS_PER_PC = 32
+
+
+def block_globals(**names) -> dict:
+    """The globals dict that every generated function of one ISA
+    shares: ``info`` (:data:`MEMBER_INFO`), ``fault``
+    (:data:`MEMBER_FAULT`) and the ISA's own ``names``."""
+    return dict(names, info=MEMBER_INFO, fault=MEMBER_FAULT)
+
+
+class Fragment(NamedTuple):
+    """One block member's semantics, as source for its block's generated
+    function (DESIGN §3.18 "Generated blocks").
+
+    ``lines`` are statements that see ``cpu``, ``r`` (``cpu.regs``), the
+    ISA's :func:`block_globals` and the names ``bind`` returned; they
+    may use the scratch names ``a``, ``b``, ``v``, ``t``, ``pcu`` and
+    ``satp`` (the timing model's lines use ``c``, ``d``, ``f`` and
+    ``s``).  ``raises`` says whether they can raise.  ``address`` is
+    an expression for the data address of a load or store, and
+    ``taken`` one for the outcome of a predicted branch; both are read
+    after ``lines`` ran.  ``lines`` need not write ``cpu.pc``, except
+    in a member that ends its block.
+    """
+
+    lines: Sequence[str] = ()
+    raises: bool = False
+    address: Optional[str] = None
+    is_store: bool = False
+    taken: Optional[str] = None
 
 
 def summarize_classes(inst_classes: Iterable[int]) -> Tuple[Tuple[int, int], ...]:
@@ -113,24 +161,24 @@ def summarize_classes(inst_classes: Iterable[int]) -> Tuple[Tuple[int, int], ...
 
 
 class CompiledBlock:
-    """One formed superblock: summary + fused member closures.
+    """One formed superblock: summary + generated function.
 
     ``summary`` is the :func:`summarize_classes` union of the members'
     instruction classes.  Loads and stores keep their *live*
-    ``cpu.pcu.check_memory_access`` call inside their closures
-    (trusted-memory ranges and generations are enforced per access, not
-    summarized — addresses are dynamic).
+    ``cpu.pcu.check_memory_access`` call (trusted-memory ranges and
+    generations are enforced per access, not summarized — addresses are
+    dynamic).
 
-    ``ops[i](cpu)`` performs member ``i``'s architectural work *and* its
-    pipeline-timing accounting (instruction fetch, data access, branch
-    prediction) on ``cpu`` in the exact operation order of the
-    per-instruction path, returning the float cycle cost — so
-    accumulating the returns sequentially is bit-identical to the
+    ``run(cpu, cyc)`` performs every member's architectural work *and*
+    its pipeline-timing accounting (instruction fetch, data access,
+    branch prediction) on ``cpu`` in the exact operation order of the
+    per-instruction path, adding each member's float cycle cost to
+    ``cyc`` on its own and returning the sum — bit-identical to the
     reference loop's ``stats.cycles += instruction_cycles(info)`` adds.
-    ``pcs`` and ``sizes`` attribute a mid-block fault to its member;
-    ``sets_pc`` records that the final member is a control transfer
-    which wrote ``cpu.pc`` itself (otherwise the executor stores
-    ``end_pc`` once).
+    It leaves ``cpu.pc`` at ``end_pc``, or where the control transfer
+    that ends the block sent it.  A member that raises leaves
+    ``cpu.pc`` at its own pc and its index and the cycles before it in
+    :data:`MEMBER_FAULT`; ``pcs`` and ``sizes`` attribute the fault.
 
     ``classes`` holds the members' decoded instruction classes, in
     order, as ``_block_member`` returned them.  The contract monitor's
@@ -144,35 +192,33 @@ class CompiledBlock:
     instruction at ``end_pc`` (``None`` if it did not decode).
     """
 
-    __slots__ = ("summary", "classes", "ops", "pcs", "sizes", "n",
-                 "end_pc", "sets_pc", "code", "insts")
+    __slots__ = ("summary", "classes", "run", "pcs", "sizes", "n",
+                 "end_pc", "code", "insts")
 
     def __init__(
         self,
         summary: Tuple[Tuple[int, int], ...],
         classes: Sequence[int],
-        ops: Sequence,
+        run,
         pcs: Sequence[int],
         sizes: Sequence[int],
         end_pc: int,
-        sets_pc: bool,
         code: bytes,
         insts: Sequence,
     ):
         self.summary = summary
         self.classes = tuple(classes)
-        self.ops = list(ops)
+        self.run = run
         self.pcs = tuple(pcs)
         self.sizes = tuple(sizes)
-        self.n = len(self.ops)
+        self.n = len(self.pcs)
         self.end_pc = end_pc
-        self.sets_pc = sets_pc
         self.code = code
         self.insts = tuple(insts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "CompiledBlock(n=%d, pc=0x%x..0x%x, sets_pc=%r)" % (
-            self.n, self.pcs[0], self.pcs[-1], self.sets_pc
+        return "CompiledBlock(n=%d, pc=0x%x..0x%x)" % (
+            self.n, self.pcs[0], self.pcs[-1]
         )
 
 
@@ -198,7 +244,9 @@ def _reusable(cpu, block: CompiledBlock) -> bool:
 class SharedBlocks:
     """The process's compiled blocks (DESIGN §3.18 "Shared blocks").
 
-    Keyed by ``(CPU class, cpu._timing, start pc)``, with one block per
+    Keyed by ``(CPU class, timing model class, L1I line bytes, L1I
+    latency, start pc)`` — everything a block's generated code depends
+    on besides the bytes it was formed from — with one block per
     distinct code at that pc, at most ``SHARED_BLOCKS_PER_PC`` of them;
     beyond ``SHARED_BLOCK_CAP`` blocks in all, the least recently used
     keys go first.  ``clear()`` gives the next formation a cold cache.
@@ -248,6 +296,57 @@ def _decodes_to(cpu, pc: int, inst) -> bool:
         return False
 
 
+def _generate(cpu, pipeline, fragments, pcs, warm, end_pc, bound):
+    """Compile one block's ``run(cpu, cyc) -> cyc`` (DESIGN §3.18
+    "Generated blocks").
+
+    Each member's fragment is followed by the timing model's tail for
+    it.  A warm member's L1I hit is counted with the others' in one add
+    at the end.  A member that can raise first records its index in
+    ``m``; the exception path puts ``cpu.pc`` on that member, counts the
+    warm hits before it, records ``m`` and the cycles before it in
+    ``fault`` and re-raises.  ``end_pc`` is ``None`` when the last
+    member sets ``cpu.pc`` itself.  ``bound`` holds the objects the
+    fragments named through ``bind``, in order.
+    """
+    body = []
+    hits = 0
+    hits_before = []
+    for index, fragment in enumerate(fragments):
+        hits_before.append(hits)
+        if fragment.raises and index:
+            body.append("m = %d" % index)
+        body += fragment.lines
+        body += pipeline.member_tail(pcs[index], warm[index], fragment.address,
+                                     fragment.is_store, fragment.taken)
+        hits += warm[index]
+    raised = ["cpu.pc = %r[m]" % (tuple(pcs),)]
+    if any(hits_before):
+        raised.append("cpu._l1i_stats.hits += %r[m]" % (tuple(hits_before),))
+    raised += ["fault.index = m", "fault.cycles = cyc", "raise"]
+    tail = []
+    if hits:
+        tail.append("cpu._l1i_stats.hits += %d" % hits)
+    if end_pc is not None:
+        tail.append("cpu.pc = %d" % end_pc)
+    tail.append("return cyc")
+    source = "\n".join(
+        ["def bind(%s):" % ", ".join("b%d" % i for i in range(len(bound))),
+         "    def run(cpu, cyc):",
+         "        r = cpu.regs",
+         "        m = 0",
+         "        try:"]
+        + ["            " + line for line in body]
+        + ["        except BaseException:"]
+        + ["            " + line for line in raised]
+        + ["        " + line for line in tail]
+        + ["    return run", ""])
+    scope = {}
+    exec(compile(source, "<block 0x%x>" % pcs[0], "exec"), cpu._block_globals,
+         scope)
+    return scope["bind"](*bound)
+
+
 def form_block(cpu, start: int):
     """The superblock at ``start`` for ``cpu``, or ``NO_BLOCK``.
 
@@ -261,23 +360,32 @@ def form_block(cpu, start: int):
     it used no longer matches memory.  Only called where pc == pa
     (RISC-V forms under Bare translation only).
     """
-    key = (type(cpu), cpu._timing, start)
+    pipeline = cpu.machine.pipeline
+    l1i = pipeline.hierarchy.l1i
+    key = (type(cpu), type(pipeline), l1i.line, l1i.latency, start)
     block = shared_blocks.reuse(cpu, key)
     if block is not None:
         return block
     decode_cache = cpu._decode_cache
     member = cpu._block_member
-    line_bytes = cpu._timing[0]
-    ops = []
+    line_bytes = l1i.line
+    bound = []
+
+    def bind(obj) -> str:
+        bound.append(obj)
+        return "b%d" % (len(bound) - 1)
+
+    fragments = []
     pcs = []
     sizes = []
     classes = []
+    warm = []
     insts = []
     shareable = True
     ends = False
     pc = start
     previous_line = None
-    while not ends and len(ops) < MAX_BLOCK_LEN:
+    while not ends and len(pcs) < MAX_BLOCK_LEN:
         entry = decode_cache.get(pc)
         if entry is None:
             try:
@@ -292,23 +400,26 @@ def form_block(cpu, start: int):
         elif shareable:
             shareable = _decodes_to(cpu, pc, entry[0])
         insts.append(entry[0])
-        line = pc // line_bytes
-        fused = member(entry, pc, line == previous_line)
-        if fused is None:
+        formed = member(entry, pc, bind)
+        if formed is None:
             break
-        op, size, inst_class, ends = fused
-        ops.append(op)
+        fragment, size, inst_class, ends = formed
+        line = pc // line_bytes
+        fragments.append(fragment)
         pcs.append(pc)
         sizes.append(size)
         classes.append(inst_class)
+        warm.append(line == previous_line)
         previous_line = line
         pc = (pc + size) & MASK64
-    if not ops:
+    if not pcs:
         return NO_BLOCK
-    last = pc if len(insts) > len(ops) else pcs[-1]
+    last = pc if len(insts) > len(pcs) else pcs[-1]
     code = cpu.memory.load_bytes(start, last + cpu._decode_window - start)
-    block = CompiledBlock(summarize_classes(classes), classes, ops, pcs,
-                          sizes, pc, ends, code, insts)
+    run = _generate(cpu, pipeline, fragments, pcs, warm,
+                    None if ends else pc, bound)
+    block = CompiledBlock(summarize_classes(classes), classes, run, pcs,
+                          sizes, pc, code, insts)
     if shareable:
         shared_blocks.add(key, block)
     return block
@@ -398,10 +509,8 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
             if verdict == BLOCK_REFUSED:
                 error = None
             else:
-                ops = block.ops
                 try:
-                    for op in ops:
-                        cyc += op(cpu)
+                    cyc = block.run(cpu, cyc)
                 except (Trap, PrivilegeFault) as fault:
                     # Mid-block fault: members [0, i) retired normally;
                     # the faulting member's check preceded its trap on
@@ -410,7 +519,8 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
                     # faulted before its fetch, so the reference
                     # instruction_cycles below does that fetch.
                     error = fault
-                    i = ops.index(op)
+                    i = MEMBER_FAULT.index
+                    cyc = MEMBER_FAULT.cycles
                     insts += i
                     remaining -= i
                     retired.append(block.classes[:i + 1])
@@ -419,15 +529,14 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
                     # per-instruction path; the retired members and the
                     # faulting one, whose check preceded its memory
                     # access there, are settled on the way out.
-                    i = ops.index(op)
+                    i = MEMBER_FAULT.index
+                    cyc = MEMBER_FAULT.cycles
                     insts += i
                     retired.append(block.classes[:i + 1])
                     raise
                 else:
                     insts += block.n
                     remaining -= block.n
-                    if not block.sets_pc:
-                        cpu.pc = block.end_pc
                     retired.append(block.classes)
                     if len(retired) == MAX_EPOCH_BLOCKS:
                         _settle(pipeline, account, mode, retired,

@@ -111,20 +111,20 @@ class Machine:
         :class:`SimulationLimitExceeded` — runaway programs are a bug in
         the experiment, not a result.
 
-        Two loops.  Without a step hook, and when the CPU formed its
-        member closures against this pipeline model and its PCU (if
-        any) is block-capable, the block-summary executor (DESIGN
-        §3.18) retires straight-line blocks, probing each once per
-        epoch, and falls back to the reference ``step()`` per
-        instruction wherever a probe refuses, so results are
-        bit-identical to the per-instruction loop.  Otherwise that
-        loop runs, with :meth:`step` inlined and the per-instruction
-        lookups hoisted into locals.  The ``instructions`` and
-        ``cycles`` counters stay live on ``self.stats`` every
-        iteration — the CPUs serve them architecturally mid-run
-        (RISC-V ``cycle``/``instret`` CSRs, x86 ``rdtsc``) — so only
-        the trap count, which nothing reads mid-run, is accumulated in
-        a local and flushed on every exit path.  Both loops decide from
+        Two loops.  Without a step hook, and when the CPU has a block
+        executor and its PCU (if any) is block-capable, the
+        block-summary executor (DESIGN §3.18) retires straight-line
+        blocks, probing each once per epoch, and falls back to the
+        reference ``step()`` per instruction wherever a probe refuses,
+        so results are bit-identical to the per-instruction loop.
+        Otherwise that loop runs, with :meth:`step` inlined and the
+        per-instruction lookups hoisted into locals.  The
+        ``instructions`` and ``cycles`` counters stay live on
+        ``self.stats`` every iteration — the CPUs serve them
+        architecturally mid-run (RISC-V ``cycle``/``instret`` CSRs, x86
+        ``rdtsc``) — so only the trap count, which nothing reads
+        mid-run, is accumulated in a local and flushed on every exit
+        path.  Both loops decide from
         whether *this* run halted, never from ``stats.halted``, which
         an earlier run may have left set.
         """
@@ -138,7 +138,6 @@ class Machine:
             hook is None
             and self.block_summaries
             and run_blocks is not None
-            and cpu.blocks_supported
             and (cpu.pcu is None or cpu.pcu._block_capable)
         ):
             if run_blocks(max_steps, stats, self.pipeline.instruction_cycles):

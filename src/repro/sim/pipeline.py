@@ -17,12 +17,14 @@ load/store full miss             >120    >200
 core; :class:`OutOfOrderPipelineModel` approximates the paper's 8-wide,
 192-entry-ROB Gem5 O3 core.  Both consume :class:`StepInfo` records
 produced by the functional CPUs and return the cycle cost of each
-retired instruction.
+retired instruction.  Each also renders, from the same constants, the
+source that charges a block member's cycles inside a compiled block's
+generated function (:meth:`PipelineModel.member_tail`, DESIGN §3.18).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.core.isa_extension import GateKind
 
@@ -89,6 +91,54 @@ class PipelineModel:
     def instruction_cycles(self, info: StepInfo) -> float:
         raise NotImplementedError
 
+    # ------------------------------------------------------------------
+    # Block members' timing, as source (DESIGN §3.18 "Generated blocks").
+    # The lines run in a block's generated function, where ``cpu`` is
+    # the CPU and ``cyc`` the cycle sum; they reach this model through
+    # the handles every CPU binds (``_fetch``, ``_data``,
+    # ``_branch_stats``, ``_predict``).  Only numbers are rendered in.
+    # ------------------------------------------------------------------
+    def member_tail(self, pc: int, warm: bool, address: Optional[str] = None,
+                    is_store: bool = False,
+                    taken: Optional[str] = None) -> List[str]:
+        """Source that adds one block member's cycles to ``cyc``.
+
+        The cost is what :meth:`instruction_cycles` charges such an
+        instruction, summed in its order: the fetch at ``pc`` (an L1I
+        hit, counted by the block in one go, when ``warm``), the data
+        access at the expression ``address``, and the prediction of a
+        branch whose outcome is the expression ``taken``.  It is added
+        to ``cyc`` on its own, so the block's sum is the per-instruction
+        loop's sum.
+        """
+        fetch, cost = self._fetch_tail(pc, warm)
+        rest = []
+        if address is not None:
+            rest += self._data_tail(address, is_store)
+        if taken is not None:
+            rest += self._branch_tail(pc, taken)
+        if not rest:
+            return fetch + ["cyc += %s" % cost]
+        return fetch + ["c = %s" % cost] + rest + ["cyc += c"]
+
+    def _fetch_tail(self, pc: int, warm: bool) -> Tuple[List[str], str]:
+        """Statements and an expression: the base and fetch cycles."""
+        raise NotImplementedError
+
+    def _data_tail(self, address: str, is_store: bool) -> List[str]:
+        """Statements adding a data access's cycles to ``c``."""
+        raise NotImplementedError
+
+    def _branch_tail(self, pc: int, taken: str) -> List[str]:
+        """Statements that predict a branch and add a mispredict to ``c``."""
+        return [
+            "s = cpu._branch_stats",
+            "s.predictions += 1",
+            "if cpu._predict(%d, %s):" % (pc, taken),
+            "    s.mispredictions += 1",
+            "    c += %r" % self._mispredict_penalty,
+        ]
+
     def _branch_penalty(self, info: StepInfo, penalty: int) -> float:
         self.branch_stats.predictions += 1
         mispredicted = self.predictor.update(info.pc, info.branch_taken)
@@ -147,6 +197,18 @@ class InOrderPipelineModel(PipelineModel):
             cycles += self.TRAP_RETURN
         cycles += info.pcu_stall + info.extra_cycles
         return cycles
+
+    def _fetch_tail(self, pc: int, warm: bool) -> Tuple[List[str], str]:
+        if warm:
+            f = self.hierarchy.l1i.latency
+            return [], repr(1.0 + (f - 1) if f > 1 else 1.0)
+        return ["f = cpu._fetch(%d)" % pc], "1.0 + (f - 1) if f > 1 else 1.0"
+
+    def _data_tail(self, address: str, is_store: bool) -> List[str]:
+        # A D-cache hit (2 cycles) costs one extra cycle over ALU ops.
+        return ["d = cpu._data(%s, %r)" % (address, is_store),
+                "if d > 1:",
+                "    c += d - 1"]
 
     def _gate_cycles(self, info: StepInfo) -> float:
         cycles = float(self.GATE_FLUSH + self.GATE_REDIRECT)
@@ -227,6 +289,20 @@ class OutOfOrderPipelineModel(PipelineModel):
             cycles += self.TRAP_RETURN
         cycles += info.pcu_stall + info.extra_cycles
         return cycles
+
+    def _fetch_tail(self, pc: int, warm: bool) -> Tuple[List[str], str]:
+        inv, factor = self._inv_width, self.ICACHE_MISS_FACTOR
+        if warm:
+            f = self.hierarchy.l1i.latency
+            return [], repr(inv + (f - 2) * factor if f > 2 else inv)
+        return (["f = cpu._fetch(%d)" % pc],
+                "%r + (f - 2) * %r if f > 2 else %r" % (inv, factor, inv))
+
+    def _data_tail(self, address: str, is_store: bool) -> List[str]:
+        factor = self.STORE_MISS_FACTOR if is_store else self.LOAD_MISS_FACTOR
+        return ["d = cpu._data(%s, %r)" % (address, is_store),
+                "if d > 2:",
+                "    c += (d - 2) * %r" % factor]
 
     def _gate_cycles(self, info: StepInfo) -> float:
         cycles = float(self.GATE_SQUASH)

@@ -21,7 +21,7 @@ from repro.core.isa_extension import AccessInfo, CacheId, GateKind
 from repro.core.pcu import PrivilegeCheckUnit
 from repro.sim import blocks
 from repro.sim.machine import Machine
-from repro.sim.pipeline import OutOfOrderPipelineModel, StepInfo
+from repro.sim.pipeline import StepInfo
 from repro.sim.trap import Trap, TrapKind
 
 from .encoding import EncodingError, Instruction, decode
@@ -88,22 +88,34 @@ class CpuPanic(Exception):
 
 
 #: Binary-ALU semantics, resolved once at decode time (``cmp`` computes
-#: like ``sub``, ``test`` like ``and``; neither writes the result back).
+#: like ``sub``, ``test`` like ``and``; neither writes the result back),
+#: and the same operators as block fragments write them.
 _ARITH_FN = {
     "add": operator.add, "sub": operator.sub, "cmp": operator.sub,
     "and": operator.and_, "test": operator.and_, "or": operator.or_,
     "xor": operator.xor,
 }
-
-#: Conditional-branch predicates over the flag state.
-_JCC_TAKEN = {
-    "je": lambda c: c.zf, "jne": lambda c: not c.zf,
-    "jl": lambda c: c.sf_lt, "jge": lambda c: not c.sf_lt,
-    "jb": lambda c: c.cf, "jae": lambda c: not c.cf,
-    "jbe": lambda c: c.cf or c.zf, "ja": lambda c: not c.cf and not c.zf,
-    "jle": lambda c: c.sf_lt or c.zf,
-    "jg": lambda c: not c.sf_lt and not c.zf,
+_ARITH_SYMBOL = {
+    "add": "+", "sub": "-", "cmp": "-", "and": "&", "test": "&", "or": "|",
+    "xor": "^",
 }
+
+#: Conditional-branch predicates over the flag state, as source over
+#: ``cpu``: block fragments inline them, and the handlers' predicates
+#: are compiled from them.
+_JCC_SOURCE = {
+    "je": "cpu.zf", "jne": "not cpu.zf",
+    "jl": "cpu.sf_lt", "jge": "not cpu.sf_lt",
+    "jb": "cpu.cf", "jae": "not cpu.cf",
+    "jbe": "cpu.cf or cpu.zf", "ja": "not cpu.cf and not cpu.zf",
+    "jle": "cpu.sf_lt or cpu.zf",
+    "jg": "not cpu.sf_lt and not cpu.zf",
+}
+_JCC_TAKEN = {m: eval("lambda cpu: " + source)
+              for m, source in _JCC_SOURCE.items()}
+
+#: The instruction classes that may be block members.
+_MEMBER_CLASSES = frozenset({"nop", "alu", "mov", "stack", "branch", "call"})
 
 
 class X86Cpu:
@@ -144,32 +156,14 @@ class X86Cpu:
         # against the *live* bypass register in every epoch, and an
         # epoch ends at every reference step, where such an edit runs.
         self._block_cache: Dict[int, object] = {}
-        # Block formation bakes the O3 timing model into the member
-        # closures, so any other pipeline falls back to the
-        # per-instruction loop.
+        # The handles through which shared blocks' generated code
+        # reaches this CPU's timing model (DESIGN §3.18).
         pipeline = machine.pipeline
-        self.blocks_supported = type(pipeline) is OutOfOrderPipelineModel
-        # The handles through which shared member closures reach this
-        # CPU's timing model, and the constants they bake in: (L1I line
-        # bytes, warm-fetch cost, 1/width, I-cache, load and store miss
-        # factors, mispredict penalty).  A warm fetch is an L1I MRU hit
-        # (DESIGN §3.18), costing what ``instruction_cycles`` charges.
-        l1i = pipeline.hierarchy.l1i
         self._fetch = pipeline._access_instruction
         self._data = pipeline._access_data
-        self._l1i_stats = l1i.stats
+        self._l1i_stats = pipeline.hierarchy.l1i.stats
         self._branch_stats = pipeline.branch_stats
         self._predict = pipeline._predictor_update
-        self._timing = None
-        if self.blocks_supported:
-            inv = pipeline._inv_width
-            icf = pipeline.ICACHE_MISS_FACTOR
-            f = l1i.latency
-            self._timing = (
-                l1i.line, inv + (f - 2) * icf if f > 2 else inv, inv, icf,
-                pipeline.LOAD_MISS_FACTOR, pipeline.STORE_MISS_FACTOR,
-                pipeline._mispredict_penalty,
-            )
         machine.attach_cpu(self)
 
     # ------------------------------------------------------------------
@@ -293,75 +287,10 @@ class X86Cpu:
     # ------------------------------------------------------------------
     # Block-summary execution (DESIGN §3.18).
     # ------------------------------------------------------------------
-    def _block_op_pure(self, handler, inst, rip: int, warm: bool):
-        """Fused member closure: no memory access, no branch predictor."""
-        _, hit, inv, icf = self._timing[:4]
-
-        def op(cpu, h=handler, inst=inst, rip=rip, info=blocks.MEMBER_INFO,
-               inv=inv, icf=icf, warm=warm, hit=hit):
-            h(cpu, inst, rip, info)
-            if warm:
-                cpu._l1i_stats.hits += 1
-                return hit
-            f = cpu._fetch(rip)
-            if f > 2:
-                return inv + (f - 2) * icf
-            return inv
-
-        return op
-
-    def _block_op_mem(self, handler, inst, rip: int, is_store: bool,
-                      warm: bool):
-        """Fused member closure for loads/stores (mov/stack/call/ret)."""
-        _, hit, inv, icf, load_factor, store_factor, _ = self._timing
-        factor = store_factor if is_store else load_factor
-
-        def op(cpu, h=handler, inst=inst, rip=rip, info=blocks.MEMBER_INFO,
-               inv=inv, icf=icf, is_store=is_store, factor=factor, warm=warm,
-               hit=hit):
-            h(cpu, inst, rip, info)
-            if warm:
-                cpu._l1i_stats.hits += 1
-                c = hit
-            else:
-                f = cpu._fetch(rip)
-                c = inv + (f - 2) * icf if f > 2 else inv
-            d = cpu._data(info.mem_address, is_store)
-            if d > 2:
-                c += (d - 2) * factor
-            return c
-
-        return op
-
-    def _block_op_jcc(self, handler, inst, rip: int, size: int, warm: bool):
-        """Fused member closure for conditional branches."""
-        _, hit, inv, icf, _, _, mp = self._timing
-        fall_through = (rip + size) & MASK64
-
-        def op(cpu, h=handler, inst=inst, rip=rip, info=blocks.MEMBER_INFO,
-               inv=inv, icf=icf, mp=mp, fall=fall_through, warm=warm, hit=hit):
-            if not h(cpu, inst, rip, info):
-                cpu.pc = fall
-            if warm:
-                cpu._l1i_stats.hits += 1
-                c = hit
-            else:
-                f = cpu._fetch(rip)
-                c = inv + (f - 2) * icf if f > 2 else inv
-            stats = cpu._branch_stats
-            stats.predictions += 1
-            if cpu._predict(rip, info.branch_taken):
-                stats.mispredictions += 1
-                c += mp
-            return c
-
-        return op
-
-    def _block_member(self, entry: tuple, rip: int, warm: bool):
-        """Block membership (DESIGN §3.18): ``(op, size, inst_class,
-        ends)`` for the instruction decoded as ``entry``, or ``None``.
-        ``warm`` says the member before it fetched the same L1I line, so
-        the op charges an L1I hit without calling the hierarchy.
+    def _block_member(self, entry: tuple, rip: int, bind):
+        """Block membership (DESIGN §3.18): ``(fragment, size,
+        inst_class, ends)`` for the instruction decoded as ``entry``, or
+        ``None``.
 
         Members are straight-line ring-3-eligible instructions whose
         only PCU interaction is the plain instruction-class check and
@@ -370,39 +299,31 @@ class X86Cpu:
         Everything else — gates, CSR/MSR access, ring-0 instructions,
         rdtsc/rdpmc, syscall/int/iret, hlt — refuses membership, so a
         block can never contain a domain switch or privilege edit.
+
+        The fragment (DESIGN §3.18 "Generated blocks") writes a hot
+        mnemonic's semantics inline (:func:`_member_fragment`) and calls
+        the handler of any other member.  ``bind(obj)`` names an object
+        the fragment uses.
         """
         inst, handler, size, extra_cycles, needs_ring0, special, access = entry
-        if access is None or needs_ring0 or special or extra_cycles:
-            return None
-        cls = inst.inst_class
-        mnemonic = inst.mnemonic
-        ends = False
-        if cls in ("nop", "alu"):
-            op = self._block_op_pure(handler, inst, rip, warm)
-        elif cls == "mov":
-            if mnemonic == "mov_load":
-                op = self._block_op_mem(handler, inst, rip, False, warm)
-            elif mnemonic == "mov_store":
-                op = self._block_op_mem(handler, inst, rip, True, warm)
-            else:
-                op = self._block_op_pure(handler, inst, rip, warm)
-        elif cls == "stack":
-            op = self._block_op_mem(handler, inst, rip, mnemonic == "push",
-                                    warm)
-        elif cls == "branch":
-            ends = True
-            if mnemonic == "jmp":
-                op = self._block_op_pure(handler, inst, rip, warm)
-            else:
-                op = self._block_op_jcc(handler, inst, rip, size, warm)
-        elif cls == "call":
-            ends = True
-            op = self._block_op_mem(handler, inst, rip, mnemonic == "call",
-                                    warm)
-        else:
+        if (access is None or needs_ring0 or special or extra_cycles
+                or inst.inst_class not in _MEMBER_CLASSES):
             # string (reserved), syscall/int/iret: never members.
             return None
-        return op, size, access.inst_class, ends
+        fragment = _member_fragment(inst, rip)
+        if fragment is None:
+            is_store = inst.mnemonic in ("push", "call")
+            fragment = blocks.Fragment(
+                ["%s(cpu, %s, %d, info)" % (bind(handler), bind(inst), rip)],
+                raises=True,
+                address="info.mem_address"
+                if inst.inst_class in ("stack", "call") else None,
+                is_store=is_store)
+        return (fragment, size, access.inst_class,
+                inst.inst_class in ("branch", "call"))
+
+    #: The globals of every x86 block's generated function.
+    _block_globals = blocks.block_globals()
 
     #: Blocks may run in any state; only RISC-V gates them.
     _block_gate = None
@@ -515,7 +436,7 @@ class X86Cpu:
         address = (self.regs[inst.base] + inst.disp) & MASK64
         pcu = self.pcu
         if pcu is not None:
-            pcu.check_memory_access(address, rip)
+            pcu.check_memory_access(address, rip, 8)
         self.regs[inst.reg] = self.memory.load(address, 8) & MASK64
         info.is_load = True
         info.mem_address = address
@@ -525,7 +446,7 @@ class X86Cpu:
         address = (self.regs[inst.base] + inst.disp) & MASK64
         pcu = self.pcu
         if pcu is not None:
-            pcu.check_memory_access(address, rip)
+            pcu.check_memory_access(address, rip, 8)
         self.memory.store(address, self.regs[inst.reg], 8)
         info.is_store = True
         info.mem_address = address
@@ -610,7 +531,7 @@ class X86Cpu:
             rsp = (r[4] - 8) & MASK64
             pcu = self.pcu
             if pcu is not None:
-                pcu.check_memory_access(rsp, rip)
+                pcu.check_memory_access(rsp, rip, 8)
             self.memory.store(rsp, r[inst.reg], 8)
             r[4] = rsp
             info.is_store = True
@@ -619,7 +540,7 @@ class X86Cpu:
             rsp = r[4]
             pcu = self.pcu
             if pcu is not None:
-                pcu.check_memory_access(rsp, rip)
+                pcu.check_memory_access(rsp, rip, 8)
             self.set_reg(inst.reg, self.memory.load(rsp, 8))
             r[4] = (rsp + 8) & MASK64
             info.is_load = True
@@ -636,7 +557,7 @@ class X86Cpu:
             rsp = (r[4] - 8) & MASK64
             pcu = self.pcu
             if pcu is not None:
-                pcu.check_memory_access(rsp, rip)
+                pcu.check_memory_access(rsp, rip, 8)
             self.memory.store(rsp, rip + inst.size, 8)
             r[4] = rsp
             self.rip = (rip + inst.size + inst.imm) & MASK64
@@ -647,7 +568,7 @@ class X86Cpu:
         rsp = r[4]
         pcu = self.pcu
         if pcu is not None:
-            pcu.check_memory_access(rsp, rip)
+            pcu.check_memory_access(rsp, rip, 8)
         self.rip = self.memory.load(rsp, 8)
         r[4] = (rsp + 8) & MASK64
         info.is_load = True
@@ -787,7 +708,7 @@ class X86Cpu:
         address = (self.regs[inst.base] + inst.disp) & MASK64
         pcu = self.pcu
         if pcu is not None:
-            pcu.check_memory_access(address, rip)
+            pcu.check_memory_access(address, rip, 16)
         info.mem_address = address
         if write:
             new_base = self.memory.load(address, 8)
@@ -988,3 +909,74 @@ def _resolve_handler(inst: Instruction):
 
 #: mnemonic -> handler, filled by ``_resolve_handler`` on first decode.
 _HANDLERS: Dict[str, object] = {}
+
+
+def _member_fragment(inst: Instruction, rip: int):
+    """The block fragment (DESIGN §3.18 "Generated blocks") that writes
+    a hot member mnemonic's semantics inline, exactly as its handler
+    computes them, or ``None`` for a member whose handler the block
+    calls.  ``nop`` has an empty fragment."""
+    m = inst.mnemonic
+    if m == "nop":
+        return blocks.Fragment()
+    if m == "mov_imm":
+        return blocks.Fragment(["r[%d] = %d" % (inst.reg, inst.imm & MASK64)])
+    if m == "mov_rr":
+        return blocks.Fragment(["r[%d] = r[%d]" % (inst.reg, inst.rm)])
+    if m == "mov_load" or m == "mov_store":
+        lines = ["a = (r[%d] + %d) & %d" % (inst.base, inst.disp, MASK64),
+                 "pcu = cpu.pcu",
+                 "if pcu is not None:",
+                 "    pcu.check_memory_access(a, %d, 8)" % rip]
+        if m == "mov_load":
+            lines.append("r[%d] = cpu.memory.load(a, 8) & %d" % (inst.reg, MASK64))
+        else:
+            lines.append("cpu.memory.store(a, r[%d], 8)" % inst.reg)
+        return blocks.Fragment(lines, raises=True, address="a",
+                               is_store=m == "mov_store")
+    target = (rip + inst.size + inst.imm) & MASK64
+    if m == "jmp":
+        return blocks.Fragment(["cpu.pc = %d" % target])
+    if m in _JCC_SOURCE:
+        return blocks.Fragment(
+            ["t = %s" % _JCC_SOURCE[m],
+             "cpu.pc = %d if t else %d" % (target, (rip + inst.size) & MASK64)],
+            taken="t")
+    rm = inst.rm
+    if m in ("shl", "shr", "sar"):
+        amount = inst.imm & 63
+        if m == "sar":
+            value = "(v if v < %d else v - %d)" % (1 << 63, 1 << 64)
+            lines = ["v = r[%d]" % rm]
+        else:
+            value = "r[%d]" % rm
+            lines = []
+        shift = "<<" if m == "shl" else ">>"
+        return blocks.Fragment(lines + [
+            "v = (%s %s %d) & %d" % (value, shift, amount, MASK64),
+            "r[%d] = v" % rm,
+            "cpu.zf = v == 0"])
+    base = m[:-4] if m.endswith("_imm") else m
+    symbol = _ARITH_SYMBOL.get(base)
+    if symbol is None:
+        return None
+    lines = ["a = r[%d]" % rm]
+    if m.endswith("_imm"):
+        b = inst.imm & MASK64
+        operand = "%d" % b
+        signed = "%d" % (b - (1 << 64) if b >> 63 else b)
+    else:
+        lines.append("b = r[%d]" % inst.reg)
+        operand = "b"
+        signed = "(b - %d if b >> 63 else b)" % (1 << 64)
+    lines += ["v = (a %s %s) & %d" % (symbol, operand, MASK64),
+              "cpu.zf = v == 0"]
+    if base == "sub" or base == "cmp":
+        lines += ["cpu.cf = a < %s" % operand,
+                  "cpu.sf_lt = (a - %d if a >> 63 else a) < %s"
+                  % (1 << 64, signed)]
+    else:
+        lines += ["cpu.cf = False", "cpu.sf_lt = v >> 63 == 1"]
+    if base != "cmp" and base != "test":
+        lines.append("r[%d] = v" % rm)
+    return blocks.Fragment(lines)

@@ -357,9 +357,9 @@ class TestMemoryFilterMatchesTheOracle:
         return near + inside + far
 
     @staticmethod
-    def outcome(check, address):
+    def outcome(check, address, size=1):
         try:
-            check(address, 0x40)
+            check(address, 0x40, size)
         except PrivilegeFault as fault:
             return type(fault).__name__, str(fault)
         return None
@@ -388,6 +388,27 @@ class TestMemoryFilterMatchesTheOracle:
             assert faulted == len(addresses)
         else:
             assert faulted == 0
+
+    @pytest.mark.parametrize("size", [2, 8, 16])
+    @pytest.mark.parametrize("isa", ["x86", "riscv"])
+    def test_wide_accesses(self, isa, size):
+        # An access faults in domain 1 when its first or its last byte
+        # is trusted: the 8-byte access at base - 4 runs into it.
+        pcu, oracle = self.build(isa)
+        pcu.registers.domain = oracle.domain = 1
+        trusted = pcu.trusted_memory
+        addresses = self.addresses(trusted)
+        real = [self.outcome(pcu.check_memory_access, a, size)
+                for a in addresses]
+        reference = [self.outcome(oracle.check_memory_access, a, size)
+                     for a in addresses]
+        assert real == reference
+        reaching = [trusted.contains(a) or trusted.contains(a + size - 1)
+                    for a in addresses]
+        assert [r is not None for r in real] == reaching
+        for check in (pcu.check_memory_access, oracle.check_memory_access):
+            assert self.outcome(check, trusted.base - 4, 8) is not None
+            assert self.outcome(check, trusted.base - 4, 4) is None
 
 
 class TestReset:

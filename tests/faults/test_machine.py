@@ -12,6 +12,7 @@ import pytest
 
 from repro import orchestrator
 from repro.conformance.oracle import OraclePcu
+from repro.core.errors import TrustedMemoryFault
 from repro.faults import (
     CLASSIFICATIONS,
     MACHINE_FAULT_KINDS,
@@ -103,9 +104,9 @@ class TestLockstepSeesEveryDataAccess:
         judged = []
         reference = OraclePcu.check_memory_access
 
-        def counted(oracle, address, pc=0):
+        def counted(oracle, address, pc=0, size=1):
             judged.append(address)
-            return reference(oracle, address, pc)
+            return reference(oracle, address, pc, size)
 
         monkeypatch.setattr(OraclePcu, "check_memory_access", counted)
         kernel = _build_kernel(backend)
@@ -133,6 +134,28 @@ class TestLockstepSeesEveryDataAccess:
         assert monitor.divergence is None
         assert len(accessed) > 1000
         assert judged == accessed
+
+    @pytest.mark.parametrize("backend", ["riscv", "x86"])
+    def test_the_width_reaches_both_sides(self, backend):
+        # An 8-byte access that starts 4 bytes below trusted memory
+        # reaches into it: both the PCU and the oracle must fault, so a
+        # wrapper that dropped the width on either side would fail here.
+        system = _build_kernel(backend).system
+        pcu = system.pcu
+        registers = pcu.registers
+        oracle = OraclePcu(
+            pcu.isa_map, pcu.hpt, pcu.sgt, pcu.trusted_memory,
+            stack_frames=(registers.hcsl - registers.hcsb) // 16)
+        monitor = LockstepMonitor(pcu, oracle, system.machine.stats)
+        monitor.install()
+        registers.domain = oracle.domain = 1
+        try:
+            with pytest.raises(TrustedMemoryFault):
+                pcu.check_memory_access(pcu.trusted_memory.base - 4, 0x40, 8)
+            pcu.check_memory_access(pcu.trusted_memory.base - 4, 0x40, 4)
+        finally:
+            monitor.uninstall()
+        assert monitor.divergence is None
 
 
 @pytest.fixture(scope="module")

@@ -397,6 +397,32 @@ def summary_without_stack(inst_classes, summarize=blocks.summarize_classes):
     return summarize(c for c in inst_classes if c != stack)
 
 
+#: Sets up the IDT, then runs a 6-member block whose ``div`` (member 3)
+#: faults into ``handler``.
+MID_BLOCK_DIV = """
+entry:
+    mov rsp, 0x6e0000
+    mov rax, %d
+    mov rbx, handler
+    mov [rax+%d], rbx
+    mov rbx, %d
+    mov rcx, 0x610000
+    mov [rcx+0], rbx
+    mov rbx, 4095
+    mov [rcx+8], rbx
+    lidt [rcx+0]
+    mov rax, 8
+    mov rbx, 0
+    add rax, 4
+    div rbx
+    add rax, 1
+    add rax, 2
+    hlt
+handler:
+    mov rdi, 99
+    hlt
+""" % (IDT_BASE, 8 * VEC_UD, IDT_BASE)
+
 #: A loop that never halts and takes no reference step: every block it
 #: retires belongs to one epoch until the budget runs out.
 SPIN = """
@@ -460,29 +486,7 @@ class TestX86Identity:
         # and the monitor's block event, cover members 0..3 only, as
         # the per-instruction path's four checks do.  That event is the
         # last one recorded before the trap is dispatched.
-        source = """
-        entry:
-            mov rsp, 0x6e0000
-            mov rax, %d
-            mov rbx, handler
-            mov [rax+%d], rbx
-            mov rbx, %d
-            mov rcx, 0x610000
-            mov [rcx+0], rbx
-            mov rbx, 4095
-            mov [rcx+8], rbx
-            lidt [rcx+0]
-            mov rax, 8
-            mov rbx, 0
-            add rax, 4
-            div rbx
-            add rax, 1
-            add rax, 2
-            hlt
-        handler:
-            mov rdi, 99
-            hlt
-        """ % (IDT_BASE, 8 * VEC_UD, IDT_BASE)
+        source = MID_BLOCK_DIV
         runs = []
         for config in (CONFIG_8E, BLOCK_OFF):
             system = build_x86_system(config)
@@ -510,12 +514,14 @@ class TestX86Identity:
 
     def test_escaping_exception_inside_a_block(self):
         # An out-of-range load escapes the run on the reference path;
-        # mid-block it must escape with identical attribution.
+        # mid-block it must escape with identical attribution, rip on
+        # the load included.
         source = """
         entry:
             mov rbx, 0x40000000
             mov rax, 1
             add rax, 2
+        load:
             mov rcx, [rbx]
             hlt
         """
@@ -528,8 +534,9 @@ class TestX86Identity:
             system.load(program)
             with pytest.raises(MemoryAccessError):
                 system.run(program.symbol("entry"))
-            snaps.append(snapshot(system))
+            snaps.append(dict(snapshot(system), pc=system.cpu.pc))
         assert snaps[0] == snaps[1]
+        assert snaps[0]["pc"] == program.symbol("load")
 
     def test_budget_cutoff_is_identical(self):
         # A non-halting program must stop after exactly max_steps in
@@ -579,6 +586,24 @@ class TestX86Identity:
         system.load(program)  # icache coherence: flush_decode_cache
         assert not system.cpu._block_cache
         assert system.pcu.block_stats.invalidations == invalidations + 1
+
+
+class TestSeededFaultIndexBug:
+    """A generated block whose exception path names the member after the
+    one that faulted must fail the mid-block fault identity: the trap
+    vectors from the wrong rip, and one instruction too many retires."""
+
+    @pytest.mark.usefixtures("cold_shared_blocks")
+    def test_seeded_fault_index_bug_is_caught(self, monkeypatch):
+        reference = snapshot(run_x86(BLOCK_OFF, MID_BLOCK_DIV))
+        assert snapshot(run_x86(CONFIG_8E, MID_BLOCK_DIV)) == reference
+        blocks.shared_blocks.clear()
+        monkeypatch.setattr(blocks, "_generate", seeded_mutant(
+            blocks._generate, 'body.append("m = %d" % index)',
+            'body.append("m = %d" % (index + 1))'))
+        observed = snapshot(run_x86(CONFIG_8E, MID_BLOCK_DIV))
+        assert observed["instructions"] == reference["instructions"] + 1
+        assert observed != reference
 
 
 class TestLongEpoch:
@@ -689,6 +714,7 @@ class TestRiscvIdentity:
             addi t0, x0, 1
             addi t1, x0, 2
             li t2, 0x40000000
+        load:
             ld t3, 0(t2)
             halt
         """
@@ -701,8 +727,9 @@ class TestRiscvIdentity:
             system.load(program)
             with pytest.raises(MemoryAccessError):
                 system.run(program.symbol("entry"))
-            snaps.append(snapshot(system))
+            snaps.append(dict(snapshot(system), pc=system.cpu.pc))
         assert snaps[0] == snaps[1]
+        assert snaps[0]["pc"] == program.symbol("load")
 
 
 class TestRiscvTranslationGate:
@@ -860,17 +887,18 @@ class TestKernelWorkloadIdentity:
         assert stats.coverage > 0.9
         assert stats.insts > 0.9 * reference["instructions"]
 
-    @pytest.mark.parametrize("kernel_class, user_program, cpu_class", [
-        (X86Kernel, x86_user_program, X86Cpu),
-        (RiscvKernel, riscv_user_program, RiscvCpu),
+    @pytest.mark.parametrize("kernel_class, user_program", [
+        (X86Kernel, x86_user_program),
+        (RiscvKernel, riscv_user_program),
     ], ids=["x86", "riscv"])
     @pytest.mark.usefixtures("cold_shared_blocks")
     def test_seeded_warm_fetch_bugs_are_caught(self, monkeypatch, kernel_class,
-                                               user_program, cpu_class):
+                                               user_program):
         # A warm member skips the hierarchy call.  Two seeded bugs in
         # that shortcut must each move the compared cache statistics:
         # a former that forms every block's first member warm too, and
-        # a warm member that charges the hit but does not count it.
+        # generated blocks that charge their warm hits but do not count
+        # them.
         reference = self.run_kernel(kernel_class, user_program, BLOCK_OFF)[0]
         first_warm = seeded_mutant(blocks.form_block, "previous_line = None",
                                    "previous_line = start // line_bytes")
@@ -879,9 +907,10 @@ class TestKernelWorkloadIdentity:
             observed = self.run_kernel(kernel_class, user_program, CONFIG_8E)[0]
         assert observed["caches"] != reference["caches"]
         blocks.shared_blocks.clear()  # drop the first mutant's blocks
-        uncounted = seeded_mutant(cpu_class._block_op_pure,
-                                  "cpu._l1i_stats.hits += 1", "pass")
-        monkeypatch.setattr(cpu_class, "_block_op_pure", uncounted)
+        uncounted = seeded_mutant(
+            blocks._generate,
+            'tail.append("cpu._l1i_stats.hits += %d" % hits)', "pass")
+        monkeypatch.setattr(blocks, "_generate", uncounted)
         observed = self.run_kernel(kernel_class, user_program, CONFIG_8E)[0]
         assert observed["cycles"] == reference["cycles"]
         assert observed["caches"] != reference["caches"]
