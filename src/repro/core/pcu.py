@@ -442,7 +442,9 @@ class PrivilegeCheckUnit:
         (:data:`BLOCK_SILENT`) runs no checks, so it emits nothing.
         """
         count = sum(map(len, retired))
-        self.block_stats.insts += count
+        block_stats = self.block_stats
+        block_stats.insts += count
+        block_stats.blocks += len(retired)
         if mode == BLOCK_SILENT:
             return
         stats = self.stats

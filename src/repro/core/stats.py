@@ -62,12 +62,18 @@ class BlockSummaryStats:
     block pays nothing for the explanation.  ``coverage`` is the share
     of the executor's instructions that retired inside blocks: where
     ``hit_rate`` reads 1.0 for an executor that almost never probes,
-    ``coverage`` reads near 0.
+    ``coverage`` reads near 0.  ``blocks`` counts block runs where an
+    epoch settles and ``looped`` the runs a loop block's function
+    retired past its first, where the executor exits, so ``dispatches``
+    is the executor's calls into blocks and ``looped / blocks`` the share
+    of block runs that stayed inside a loop block.
     """
 
     probes: int = 0         # check_block_summary calls (one per block per epoch)
     hits: int = 0           # probes that served the whole block
     insts: int = 0          # instructions retired under a block summary
+    blocks: int = 0         # block runs retired (one ``block`` event each)
+    looped: int = 0         # block runs retired inside a loop block's run
     invalidations: int = 0  # block-cache flushes (icache coherence)
     # Probe refusals, by reason.
     refused_decompiled: int = 0  # not block-capable, or no verdict plan
@@ -91,6 +97,11 @@ class BlockSummaryStats:
         """Instructions the executor ran through the reference step()."""
         return (self.fallback_translated + self.fallback_no_block
                 + self.fallback_budget + self.fallback_refused)
+
+    @property
+    def dispatches(self) -> int:
+        """The executor's calls into blocks."""
+        return self.blocks - self.looped
 
     @property
     def hit_rate(self) -> float:
@@ -128,6 +139,7 @@ class BlockSummaryStats:
             **asdict(self),
             "refusals": self.refusals,
             "fallbacks": self.fallbacks,
+            "dispatches": self.dispatches,
             "hit_rate": self.hit_rate,
             "coverage": self.coverage,
         }

@@ -487,13 +487,11 @@ class RiscvCpu:
         # runs.
         self._block_cache: Dict[int, object] = {}
         # The handles through which shared blocks' generated code
-        # reaches this CPU's timing model (DESIGN §3.18).
-        pipeline = machine.pipeline
-        self._fetch = pipeline._access_instruction
-        self._data = pipeline._access_data
-        self._l1i_stats = pipeline.hierarchy.l1i.stats
-        self._branch_stats = pipeline.branch_stats
-        self._predict = pipeline._predictor_update
+        # reaches this CPU's timing model (DESIGN §3.18), set one by
+        # one: updating ``vars(self)`` instead makes every attribute
+        # read of this CPU slower on CPython 3.11.
+        for name, handle in machine.pipeline.block_handles().items():
+            setattr(self, name, handle)
         # Optional Sv39 translation: identity (Bare) until software
         # writes a Sv39-mode SATP.  The decode cache is keyed by
         # *physical* address, so address-space switches stay coherent.
@@ -1040,12 +1038,13 @@ def _member_fragment(inst: Instruction, pc: int, extra):
     cls = inst.inst_class
     if cls == "branch":
         source = _BRANCH_SOURCE.get(inst.mnemonic, _BRANCH_SOURCE["bgeu"])
+        target = (pc + inst.imm) & MASK64
         return blocks.Fragment(
             ["a = r[%d]" % inst.rs1,
              "b = r[%d]" % inst.rs2,
              "t = %s" % source,
-             "cpu.pc = %d if t else %d" % ((pc + inst.imm) & MASK64, pc + 4)],
-            taken="t")
+             "cpu.pc = %d if t else %d" % (target, pc + 4)],
+            taken="t", target=target)
     load = cls == "load"
     width = extra[0] if load else extra
     lines = [

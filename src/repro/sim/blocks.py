@@ -26,10 +26,12 @@ or pipeline-specific:
   sees an object (a handler, an ``Instruction``, a closure), which is
   never rendered into the source.  The member's cycles come from the
   machine's timing model (:meth:`~repro.sim.pipeline.PipelineModel.
-  member_tail`), which reaches it through handles the CPU binds at
-  construction (``_fetch``, ``_data``, ``_l1i_stats``, ``_branch_stats``,
-  ``_predict``), so a block serves every CPU of its class on the same
-  timing model;
+  member_tail`), whose hierarchy renders its L1 hit tests and whose
+  predictor renders its update, from their constants.  They reach the
+  model through the handles the CPU binds at construction
+  (:meth:`~repro.sim.pipeline.PipelineModel.block_handles`), so a block
+  serves every CPU of its class on a timing model with the same
+  :meth:`~repro.sim.pipeline.PipelineModel.block_key`;
 * ``_block_globals`` — the one globals dict of its ISA's generated
   functions (:func:`block_globals`);
 * ``_decode_window`` — how many bytes ``_decode_entry`` reads at a pc;
@@ -44,6 +46,11 @@ Compiled blocks outlive the CPU that formed them: :data:`shared_blocks`
 keeps them per process, and :func:`form_block` reuses one only where
 forming it again would read the same bytes and decode entries (DESIGN
 §3.18 "Shared blocks").
+
+A block whose last member is a direct branch or jump back to its first
+pc is a *loop block*: its function runs the members again while that
+branch is taken, up to a limit the executor passes, so a hot loop
+iterates without a dispatch (DESIGN §3.18 "Loop blocks").
 
 Within an epoch nothing can change what a probe reads, so the executor
 proves each block once and settles the epoch's bookkeeping in one step
@@ -96,15 +103,17 @@ MEMBER_INFO = StepInfo()
 
 class MemberFault:
     """Where the last block member that raised stood: its index in its
-    block, and the cycle sum of the members before it.  A generated
-    function's exception path records both, as ``fault``, just before it
-    re-raises; :func:`run_blocks` reads them at once."""
+    block, the cycle sum of the members before it, and how many whole
+    iterations its loop block completed first (0 outside a loop block).
+    A generated function's exception path records them, as ``fault``,
+    just before it re-raises; :func:`run_blocks` reads them at once."""
 
-    __slots__ = ("index", "cycles")
+    __slots__ = ("index", "cycles", "iterations")
 
     def __init__(self):
         self.index = 0
         self.cycles = 0.0
+        self.iterations = 0
 
 
 #: The one ``MemberFault`` of the process, shared like ``MEMBER_INFO``.
@@ -114,8 +123,10 @@ MEMBER_FAULT = MemberFault()
 #: start pc (one per distinct code there, such as each variant of a
 #: workload that loads its program at the same address).  One pass of
 #: every variant of the benchmark's three Machine workloads on seeds 0
-#: and 1, in one process, forms 1,182 blocks of about 5 KB each, and 32
-#: at the one pc where 32 of those programs start.
+#: and 1, in one process, forms 1,182 blocks, 12 of them loop blocks,
+#: and 32 at the one pc where 32 of those programs start.  Clearing
+#: them frees about 9 KB per block (by tracemalloc; 7 KB before the L1
+#: hit tests and the predictor update were rendered inline).
 SHARED_BLOCK_CAP = 2048
 SHARED_BLOCKS_PER_PC = 32
 
@@ -134,12 +145,15 @@ class Fragment(NamedTuple):
     ``lines`` are statements that see ``cpu``, ``r`` (``cpu.regs``), the
     ISA's :func:`block_globals` and the names ``bind`` returned; they
     may use the scratch names ``a``, ``b``, ``v``, ``t``, ``pcu`` and
-    ``satp`` (the timing model's lines use ``c``, ``d``, ``f`` and
-    ``s``).  ``raises`` says whether they can raise.  ``address`` is
-    an expression for the data address of a load or store, and
-    ``taken`` one for the outcome of a predicted branch; both are read
-    after ``lines`` ran.  ``lines`` need not write ``cpu.pc``, except
-    in a member that ends its block.
+    ``satp`` (the timing model's lines use ``c``, ``d``, ``e``, ``f``,
+    ``g``, ``h``, ``p``, ``s``, ``u``, ``w``, ``x``, ``y`` and ``z``).
+    ``raises`` says whether they can raise.  ``address`` is an
+    expression for the data address of a load or store, and ``taken``
+    one for the outcome of a predicted branch; both are read after
+    ``lines`` ran.  ``lines`` need not write ``cpu.pc``, except in a
+    member that ends its block.  ``target`` is the static target of a
+    direct branch or jump written inline, which makes its block a loop
+    block when it is the block's first pc.
     """
 
     lines: Sequence[str] = ()
@@ -147,6 +161,7 @@ class Fragment(NamedTuple):
     address: Optional[str] = None
     is_store: bool = False
     taken: Optional[str] = None
+    target: Optional[int] = None
 
 
 def summarize_classes(inst_classes: Iterable[int]) -> Tuple[Tuple[int, int], ...]:
@@ -180,6 +195,13 @@ class CompiledBlock:
     ``cpu.pc`` at its own pc and its index and the cycles before it in
     :data:`MEMBER_FAULT`; ``pcs`` and ``sizes`` attribute the fault.
 
+    A *loop block* (``loops``) is one whose last member branches back to
+    its first pc.  Its ``run(cpu, cyc, limit) -> (cyc, iterations)``
+    runs the members again while that branch is taken, at most
+    ``limit`` times in all, and returns how many times it ran them; a
+    member that raises records the iterations completed before its own
+    in :data:`MEMBER_FAULT` too.
+
     ``classes`` holds the members' decoded instruction classes, in
     order, as ``_block_member`` returned them.  The contract monitor's
     ``block`` event is built from them, never from ``summary``: a
@@ -192,7 +214,7 @@ class CompiledBlock:
     instruction at ``end_pc`` (``None`` if it did not decode).
     """
 
-    __slots__ = ("summary", "classes", "run", "pcs", "sizes", "n",
+    __slots__ = ("summary", "classes", "run", "loops", "pcs", "sizes", "n",
                  "end_pc", "code", "insts")
 
     def __init__(
@@ -200,6 +222,7 @@ class CompiledBlock:
         summary: Tuple[Tuple[int, int], ...],
         classes: Sequence[int],
         run,
+        loops: bool,
         pcs: Sequence[int],
         sizes: Sequence[int],
         end_pc: int,
@@ -209,6 +232,7 @@ class CompiledBlock:
         self.summary = summary
         self.classes = tuple(classes)
         self.run = run
+        self.loops = loops
         self.pcs = tuple(pcs)
         self.sizes = tuple(sizes)
         self.n = len(self.pcs)
@@ -244,9 +268,9 @@ def _reusable(cpu, block: CompiledBlock) -> bool:
 class SharedBlocks:
     """The process's compiled blocks (DESIGN §3.18 "Shared blocks").
 
-    Keyed by ``(CPU class, timing model class, L1I line bytes, L1I
-    latency, start pc)`` — everything a block's generated code depends
-    on besides the bytes it was formed from — with one block per
+    Keyed by ``(CPU class, the timing model's block_key(), start pc)`` —
+    everything a block's generated code depends on besides the bytes it
+    was formed from — with one block per
     distinct code at that pc, at most ``SHARED_BLOCKS_PER_PC`` of them;
     beyond ``SHARED_BLOCK_CAP`` blocks in all, the least recently used
     keys go first.  ``clear()`` gives the next formation a cold cache.
@@ -296,46 +320,67 @@ def _decodes_to(cpu, pc: int, inst) -> bool:
         return False
 
 
-def _generate(cpu, pipeline, fragments, pcs, warm, end_pc, bound):
+def _generate(cpu, pipeline, fragments, pcs, warm, end_pc, bound, loops):
     """Compile one block's ``run(cpu, cyc) -> cyc`` (DESIGN §3.18
-    "Generated blocks").
+    "Generated blocks"), or a loop block's ``run(cpu, cyc, limit) ->
+    (cyc, iterations)`` when ``loops``.
 
     Each member's fragment is followed by the timing model's tail for
     it.  A warm member's L1I hit is counted with the others' in one add
     at the end.  A member that can raise first records its index in
     ``m``; the exception path puts ``cpu.pc`` on that member, counts the
-    warm hits before it, records ``m`` and the cycles before it in
-    ``fault`` and re-raises.  ``end_pc`` is ``None`` when the last
-    member sets ``cpu.pc`` itself.  ``bound`` holds the objects the
-    fragments named through ``bind``, in order.
+    warm hits before it, records ``m``, the cycles before it and the
+    iterations completed in ``fault`` and re-raises.  ``end_pc`` is
+    ``None`` when the last member sets ``cpu.pc`` itself.  ``bound``
+    holds the objects the fragments named through ``bind``, in order.
+
+    A loop block runs its one copy of the members in a ``while`` loop,
+    counting iterations in ``k``, until its last member's branch falls
+    through or ``k`` reaches ``limit``.  Its first member fetches on
+    every iteration, and its warm hits are counted ``k`` times at exit.
     """
     body = []
     hits = 0
     hits_before = []
     for index, fragment in enumerate(fragments):
         hits_before.append(hits)
-        if fragment.raises and index:
+        if fragment.raises and (index or loops):
             body.append("m = %d" % index)
         body += fragment.lines
         body += pipeline.member_tail(pcs[index], warm[index], fragment.address,
                                      fragment.is_store, fragment.taken)
         hits += warm[index]
+    counted = ["%r[m]" % (tuple(hits_before),)] if any(hits_before) else []
+    if loops:
+        taken = fragments[-1].taken
+        body = (["while True:"] + ["    " + line for line in body]
+                + ["    k += 1",
+                   "    if %sk == limit:"
+                   % ("" if taken is None else "not %s or " % taken),
+                   "        break"])
+        if hits:
+            counted.append("k * %d" % hits)
     raised = ["cpu.pc = %r[m]" % (tuple(pcs),)]
-    if any(hits_before):
-        raised.append("cpu._l1i_stats.hits += %r[m]" % (tuple(hits_before),))
-    raised += ["fault.index = m", "fault.cycles = cyc", "raise"]
+    if counted:
+        raised.append("cpu._l1i_stats.hits += " + " + ".join(counted))
+    raised += ["fault.index = m", "fault.cycles = cyc",
+               "fault.iterations = %s" % ("k" if loops else "0"), "raise"]
     tail = []
     if hits:
-        tail.append("cpu._l1i_stats.hits += %d" % hits)
+        if loops:
+            tail.append("cpu._l1i_stats.hits += k * %d" % hits)
+        else:
+            tail.append("cpu._l1i_stats.hits += %d" % hits)
     if end_pc is not None:
         tail.append("cpu.pc = %d" % end_pc)
-    tail.append("return cyc")
+    tail.append("return cyc, k" if loops else "return cyc")
     source = "\n".join(
         ["def bind(%s):" % ", ".join("b%d" % i for i in range(len(bound))),
-         "    def run(cpu, cyc):",
+         "    def run(cpu, cyc%s):" % (", limit" if loops else ""),
          "        r = cpu.regs",
-         "        m = 0",
-         "        try:"]
+         "        m = 0"]
+        + (["        k = 0"] if loops else [])
+        + ["        try:"]
         + ["            " + line for line in body]
         + ["        except BaseException:"]
         + ["            " + line for line in raised]
@@ -355,20 +400,20 @@ def form_block(cpu, start: int):
     Otherwise walks the decode cache from ``start`` while
     ``cpu._block_member`` admits each instruction, up to
     ``MAX_BLOCK_LEN`` members; a member that ends the block is included
-    as its last.  A member whose pc lies in the previous member's L1I
-    line is formed warm.  The new block is shared unless a decode entry
-    it used no longer matches memory.  Only called where pc == pa
-    (RISC-V forms under Bare translation only).
+    as its last, and makes it a loop block when it is a direct branch
+    or jump back to ``start``.  A member whose pc lies in the previous
+    member's L1I line is formed warm.  The new block is shared unless a
+    decode entry it used no longer matches memory.  Only called where
+    pc == pa (RISC-V forms under Bare translation only).
     """
     pipeline = cpu.machine.pipeline
-    l1i = pipeline.hierarchy.l1i
-    key = (type(cpu), type(pipeline), l1i.line, l1i.latency, start)
+    key = (type(cpu), pipeline.block_key(), start)
     block = shared_blocks.reuse(cpu, key)
     if block is not None:
         return block
     decode_cache = cpu._decode_cache
     member = cpu._block_member
-    line_bytes = l1i.line
+    line_bytes = pipeline.hierarchy.l1i.line
     bound = []
 
     def bind(obj) -> str:
@@ -416,10 +461,11 @@ def form_block(cpu, start: int):
         return NO_BLOCK
     last = pc if len(insts) > len(pcs) else pcs[-1]
     code = cpu.memory.load_bytes(start, last + cpu._decode_window - start)
+    loops = ends and fragments[-1].target == start
     run = _generate(cpu, pipeline, fragments, pcs, warm,
-                    None if ends else pc, bound)
-    block = CompiledBlock(summarize_classes(classes), classes, run, pcs,
-                          sizes, pc, code, insts)
+                    None if ends else pc, bound, loops)
+    block = CompiledBlock(summarize_classes(classes), classes, run, loops,
+                          pcs, sizes, pc, code, insts)
     if shareable:
         shared_blocks.add(key, block)
     return block
@@ -448,12 +494,15 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
     refused probe falls back to the reference ``step()`` for exactly one
     instruction, so semantics, cycles and statistics are bit-identical
     to the per-instruction loop by construction.  Each fallback is
-    counted by reason into the PCU's ``block_stats`` on exit.
+    counted by reason into the PCU's ``block_stats`` on exit, and so
+    are the block runs retired inside loop blocks' calls.
 
     The blocks retired between two reference steps form an *epoch*
     (DESIGN §3.18 "Epochs"): nothing a block member does can change
     what the probe reads, so each block is probed once per epoch and
-    later entries replay under the epoch's mode.  Their bookkeeping
+    later entries replay under the epoch's mode.  A loop block's call
+    retires one block per iteration, at most as many as the budget and
+    the epoch cap leave room for (DESIGN §3.18 "Loop blocks").  Their bookkeeping
     (the checks' counters, an armed tap's ``block`` events and the
     store-queue window) is settled in one go when the epoch ends,
     before the next reference step or fault dispatch and on every exit,
@@ -483,6 +532,8 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
     mode = BLOCK_REFUSED
     retired = []
     settled = insts
+    # Block runs retired inside a loop block's function, past its first.
+    looped = 0
     try:
         while remaining > 0:
             verdict = BLOCK_REFUSED
@@ -509,35 +560,53 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
             if verdict == BLOCK_REFUSED:
                 error = None
             else:
+                n = block.n
                 try:
-                    cyc = block.run(cpu, cyc)
+                    if block.loops:
+                        # One run is k iterations, each a retired block
+                        # of the epoch, which the limit keeps within
+                        # the budget and the epoch cap.
+                        cyc, k = block.run(cpu, cyc, min(
+                            remaining // n, MAX_EPOCH_BLOCKS - len(retired)))
+                        looped += k - 1
+                        retired += [block.classes] * k
+                        n *= k
+                    else:
+                        cyc = block.run(cpu, cyc)
+                        retired.append(block.classes)
                 except (Trap, PrivilegeFault) as fault:
-                    # Mid-block fault: members [0, i) retired normally;
-                    # the faulting member's check preceded its trap on
-                    # the reference path, so its class joins the epoch
-                    # too, and it vectors below exactly like step().  It
-                    # faulted before its fetch, so the reference
-                    # instruction_cycles below does that fetch.
+                    # Mid-block fault: k whole iterations and members
+                    # [0, i) retired normally; the faulting member's
+                    # check preceded its trap on the reference path, so
+                    # its class joins the epoch too, and it vectors
+                    # below exactly like step().  It faulted before its
+                    # fetch, so the reference instruction_cycles below
+                    # does that fetch.
                     error = fault
+                    k = MEMBER_FAULT.iterations
                     i = MEMBER_FAULT.index
                     cyc = MEMBER_FAULT.cycles
-                    insts += i
-                    remaining -= i
+                    insts += k * n + i
+                    remaining -= k * n + i
+                    looped += k
+                    retired += [block.classes] * k
                     retired.append(block.classes[:i + 1])
                 except BaseException:
                     # e.g. MemoryAccessError escaping the run, as on the
                     # per-instruction path; the retired members and the
                     # faulting one, whose check preceded its memory
                     # access there, are settled on the way out.
+                    k = MEMBER_FAULT.iterations
                     i = MEMBER_FAULT.index
                     cyc = MEMBER_FAULT.cycles
-                    insts += i
+                    insts += k * n + i
+                    looped += k
+                    retired += [block.classes] * k
                     retired.append(block.classes[:i + 1])
                     raise
                 else:
-                    insts += block.n
-                    remaining -= block.n
-                    retired.append(block.classes)
+                    insts += n
+                    remaining -= n
                     if len(retired) == MAX_EPOCH_BLOCKS:
                         _settle(pipeline, account, mode, retired,
                                 insts - settled)
@@ -578,4 +647,6 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
         mstats.cycles = cyc
         mstats.traps += traps
         if pcu is not None:
-            pcu.block_stats.add_fallbacks(no_block, budget, refused, translated)
+            stats = pcu.block_stats
+            stats.add_fallbacks(no_block, budget, refused, translated)
+            stats.looped += looped

@@ -106,3 +106,54 @@ class TournamentPredictor:
                 global_[global_index] = global_counter - 1
             self._history = (self._history << 1) & self._global_mask
         return prediction != taken
+
+    # ------------------------------------------------------------------
+    # The update, as source for a compiled block (DESIGN §3.18
+    # "Generated blocks").  The lines reach this predictor as
+    # ``cpu._predictor`` and use the scratch names ``p``, ``h``, ``g``,
+    # ``x``, ``y``, ``z`` and ``u``.
+    # ------------------------------------------------------------------
+    def render_key(self) -> "tuple[int, int]":
+        """The constants :meth:`update_source` renders besides the pc."""
+        return self._local_mask, self._global_mask
+
+    def update_source(self, pc: int, taken: str) -> "tuple[list, str]":
+        """Statements that do what :meth:`update` does for the constant
+        ``pc`` and the outcome expression ``taken``, and an expression
+        that reads true after them when the prediction was wrong.
+
+        The fold and the local index are constants; so is the fold's
+        part of the global index, because the history never exceeds the
+        global mask.
+        """
+        folded = (pc >> 2) ^ (pc >> 13) ^ (pc >> 21)
+        local_index = folded & self._local_mask
+        mask = self._global_mask
+        return [
+            "p = cpu._predictor",
+            "h = p._history",
+            "g = h ^ %d" % (folded & mask),
+            "x = p._local[%d]" % local_index,
+            "y = p._global[g]",
+            "z = p._chooser[%d]" % local_index,
+            "u = y >= 2 if z >= 2 else x >= 2",
+            # The chooser learns toward whichever component was right.
+            "if (x >= 2) != (y >= 2):",
+            "    if (y >= 2) == %s:" % taken,
+            "        if z < 3:",
+            "            p._chooser[%d] = z + 1" % local_index,
+            "    elif z > 0:",
+            "        p._chooser[%d] = z - 1" % local_index,
+            "if %s:" % taken,
+            "    if x < 3:",
+            "        p._local[%d] = x + 1" % local_index,
+            "    if y < 3:",
+            "        p._global[g] = y + 1",
+            "    p._history = (h << 1 | 1) & %d" % mask,
+            "else:",
+            "    if x:",
+            "        p._local[%d] = x - 1" % local_index,
+            "    if y:",
+            "        p._global[g] = y - 1",
+            "    p._history = (h << 1) & %d" % mask,
+        ], "u != %s" % taken

@@ -142,6 +142,54 @@ class MemoryHierarchy:
             return self._l1d_latency
         return self._walk(self.l1d, address)
 
+    # ------------------------------------------------------------------
+    # The L1 hit paths above, as source for a compiled block (DESIGN
+    # §3.18 "Generated blocks").  The lines reach this hierarchy through
+    # the CPU attributes :meth:`block_handles` names, and use the
+    # scratch names ``e`` and ``w``.
+    # ------------------------------------------------------------------
+    def block_handles(self) -> Dict[str, object]:
+        """The CPU attributes the rendered lines read, and their values."""
+        return {
+            "_fetch": self.access_instruction,
+            "_l1i_sets_get": self._l1i_sets_get,
+            "_l1i_stats": self._l1i_stats,
+            "_data": self.access_data,
+            "_l1d_sets_get": self._l1d_sets_get,
+            "_l1d_stats": self._l1d_stats,
+        }
+
+    def render_key(self) -> tuple:
+        """The constants the rendered lines hold besides a pc."""
+        return (self._l1i_line, self._l1i_n_sets, self._l1i_latency,
+                self._l1d_line, self._l1d_n_sets, self._l1d_latency)
+
+    def fetch_source(self, pc: int) -> List[str]:
+        """Statements that leave in ``f`` what :meth:`access_instruction`
+        returns for the constant ``pc``: its L1I MRU-hit test, with the
+        set and the tag folded from ``pc``, and a call of it on a miss."""
+        line_address = pc // self._l1i_line
+        n_sets = self._l1i_n_sets
+        return ["w = cpu._l1i_sets_get(%d)" % (line_address % n_sets),
+                "if w is not None and w[-1] == %d:" % (line_address // n_sets),
+                "    cpu._l1i_stats.hits += 1",
+                "    f = %d" % self._l1i_latency,
+                "else:",
+                "    f = cpu._fetch(%d)" % pc]
+
+    def data_source(self, address: str, write: bool) -> List[str]:
+        """Statements that leave in ``d`` what :meth:`access_data`
+        returns for the expression ``address``: its L1D MRU-hit test,
+        and a call of it on a miss."""
+        n_sets = self._l1d_n_sets
+        return ["e = (%s) // %d" % (address, self._l1d_line),
+                "w = cpu._l1d_sets_get(e %% %d)" % n_sets,
+                "if w is not None and w[-1] == e // %d:" % n_sets,
+                "    cpu._l1d_stats.hits += 1",
+                "    d = %d" % self._l1d_latency,
+                "else:",
+                "    d = cpu._data(%s, %r)" % (address, write)]
+
     @property
     def miss_path_latency(self) -> int:
         """Full L1-to-DRAM miss latency (the ">120 / >200 cycles" rows)."""

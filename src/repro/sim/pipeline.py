@@ -95,9 +95,21 @@ class PipelineModel:
     # Block members' timing, as source (DESIGN §3.18 "Generated blocks").
     # The lines run in a block's generated function, where ``cpu`` is
     # the CPU and ``cyc`` the cycle sum; they reach this model through
-    # the handles every CPU binds (``_fetch``, ``_data``,
-    # ``_branch_stats``, ``_predict``).  Only numbers are rendered in.
+    # the handles of :meth:`block_handles`, which every CPU binds.  The
+    # hierarchy renders its L1 hit paths and the predictor its update.
+    # Only numbers are rendered in.
     # ------------------------------------------------------------------
+    def block_handles(self) -> dict:
+        """The CPU attributes the rendered lines read, and their values."""
+        return dict(self.hierarchy.block_handles(),
+                    _branch_stats=self.branch_stats, _predictor=self.predictor)
+
+    def block_key(self) -> tuple:
+        """Every constant this model renders into a block besides a pc:
+        blocks formed on models with equal keys are interchangeable."""
+        return ((type(self),) + self.hierarchy.render_key()
+                + self.predictor.render_key())
+
     def member_tail(self, pc: int, warm: bool, address: Optional[str] = None,
                     is_store: bool = False,
                     taken: Optional[str] = None) -> List[str]:
@@ -131,13 +143,12 @@ class PipelineModel:
 
     def _branch_tail(self, pc: int, taken: str) -> List[str]:
         """Statements that predict a branch and add a mispredict to ``c``."""
-        return [
-            "s = cpu._branch_stats",
-            "s.predictions += 1",
-            "if cpu._predict(%d, %s):" % (pc, taken),
+        update, mispredicted = self.predictor.update_source(pc, taken)
+        return (["s = cpu._branch_stats", "s.predictions += 1"] + update + [
+            "if %s:" % mispredicted,
             "    s.mispredictions += 1",
             "    c += %r" % self._mispredict_penalty,
-        ]
+        ])
 
     def _branch_penalty(self, info: StepInfo, penalty: int) -> float:
         self.branch_stats.predictions += 1
@@ -202,13 +213,14 @@ class InOrderPipelineModel(PipelineModel):
         if warm:
             f = self.hierarchy.l1i.latency
             return [], repr(1.0 + (f - 1) if f > 1 else 1.0)
-        return ["f = cpu._fetch(%d)" % pc], "1.0 + (f - 1) if f > 1 else 1.0"
+        return (self.hierarchy.fetch_source(pc),
+                "1.0 + (f - 1) if f > 1 else 1.0")
 
     def _data_tail(self, address: str, is_store: bool) -> List[str]:
         # A D-cache hit (2 cycles) costs one extra cycle over ALU ops.
-        return ["d = cpu._data(%s, %r)" % (address, is_store),
-                "if d > 1:",
-                "    c += d - 1"]
+        return self.hierarchy.data_source(address, is_store) + [
+            "if d > 1:",
+            "    c += d - 1"]
 
     def _gate_cycles(self, info: StepInfo) -> float:
         cycles = float(self.GATE_FLUSH + self.GATE_REDIRECT)
@@ -295,14 +307,14 @@ class OutOfOrderPipelineModel(PipelineModel):
         if warm:
             f = self.hierarchy.l1i.latency
             return [], repr(inv + (f - 2) * factor if f > 2 else inv)
-        return (["f = cpu._fetch(%d)" % pc],
+        return (self.hierarchy.fetch_source(pc),
                 "%r + (f - 2) * %r if f > 2 else %r" % (inv, factor, inv))
 
     def _data_tail(self, address: str, is_store: bool) -> List[str]:
         factor = self.STORE_MISS_FACTOR if is_store else self.LOAD_MISS_FACTOR
-        return ["d = cpu._data(%s, %r)" % (address, is_store),
-                "if d > 2:",
-                "    c += (d - 2) * %r" % factor]
+        return self.hierarchy.data_source(address, is_store) + [
+            "if d > 2:",
+            "    c += (d - 2) * %r" % factor]
 
     def _gate_cycles(self, info: StepInfo) -> float:
         cycles = float(self.GATE_SQUASH)

@@ -157,13 +157,11 @@ class X86Cpu:
         # epoch ends at every reference step, where such an edit runs.
         self._block_cache: Dict[int, object] = {}
         # The handles through which shared blocks' generated code
-        # reaches this CPU's timing model (DESIGN §3.18).
-        pipeline = machine.pipeline
-        self._fetch = pipeline._access_instruction
-        self._data = pipeline._access_data
-        self._l1i_stats = pipeline.hierarchy.l1i.stats
-        self._branch_stats = pipeline.branch_stats
-        self._predict = pipeline._predictor_update
+        # reaches this CPU's timing model (DESIGN §3.18), set one by
+        # one: updating ``vars(self)`` instead makes every attribute
+        # read of this CPU slower on CPython 3.11.
+        for name, handle in machine.pipeline.block_handles().items():
+            setattr(self, name, handle)
         machine.attach_cpu(self)
 
     # ------------------------------------------------------------------
@@ -936,12 +934,12 @@ def _member_fragment(inst: Instruction, rip: int):
                                is_store=m == "mov_store")
     target = (rip + inst.size + inst.imm) & MASK64
     if m == "jmp":
-        return blocks.Fragment(["cpu.pc = %d" % target])
+        return blocks.Fragment(["cpu.pc = %d" % target], target=target)
     if m in _JCC_SOURCE:
         return blocks.Fragment(
             ["t = %s" % _JCC_SOURCE[m],
              "cpu.pc = %d if t else %d" % (target, (rip + inst.size) & MASK64)],
-            taken="t")
+            taken="t", target=target)
     rm = inst.rm
     if m in ("shl", "shr", "sar"):
         amount = inst.imm & 63

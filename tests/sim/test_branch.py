@@ -1,6 +1,16 @@
-"""Tournament branch predictor."""
+"""Tournament branch predictor, and the update it renders for blocks."""
+
+from types import SimpleNamespace
+
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import TournamentPredictor
+
+from ..profiles import NIGHTLY_SCALE, PROFILE
+from .test_block_executor import seeded_mutant
+
+#: Hypothesis budgets scale by this under the nightly profile.
+NIGHTLY_FACTOR = NIGHTLY_SCALE if PROFILE == "nightly" else 1
 
 
 class TestPredictor:
@@ -60,3 +70,74 @@ class TestPredictor:
             mispredictions += predictor.update(0x1000, taken=True)
             mispredictions += predictor.update(0x2000, taken=False)
         assert mispredictions <= 5
+
+
+# ----------------------------------------------------------------------
+# The update a compiled block runs (DESIGN §3.18 "Generated blocks") is
+# rendered by the predictor from its constants; it must be the method.
+# ----------------------------------------------------------------------
+def rendered_update(predictor, pc, source=TournamentPredictor.update_source):
+    """``predictor.update_source`` (or a mutant ``source`` of it) for
+    ``pc``, compiled on its own as ``update(cpu, taken) ->
+    mispredicted``."""
+    lines, mispredicted = source(predictor, pc, "taken")
+    text = "def update(cpu, taken):\n%s    return %s\n" % (
+        "".join("    %s\n" % line for line in lines), mispredicted)
+    scope = {}
+    exec(compile(text, "<update 0x%x>" % pc, "exec"), {}, scope)
+    return scope["update"]
+
+
+def predictor_state(predictor):
+    return (predictor._local, predictor._global, predictor._chooser,
+            predictor._history)
+
+
+def drive_both(bits, outcomes, source=TournamentPredictor.update_source):
+    """Feed ``outcomes`` to ``update`` on one predictor and to the
+    rendered update (from ``source``) on another; return each one's
+    mispredictions and final state."""
+    method, rendered = (TournamentPredictor(*bits) for _ in range(2))
+    cpu = SimpleNamespace(_predictor=rendered)
+    updates = {}
+    results = [[], []]
+    for pc, taken in outcomes:
+        if pc not in updates:
+            updates[pc] = rendered_update(rendered, pc, source)
+        results[0].append(method.update(pc, taken))
+        results[1].append(updates[pc](cpu, taken))
+    return ((results[0], predictor_state(method)),
+            (results[1], predictor_state(rendered)))
+
+
+#: A few pcs that share local and global entries, and any other.
+PCS = st.one_of(
+    st.sampled_from([0x1000, 0x1004, 0x2000, 0x3000, 0x100694, 0x102000,
+                     0x201000, 0x400000]),
+    st.integers(min_value=0, max_value=(1 << 48) - 1))
+OUTCOMES = st.lists(st.tuples(PCS, st.booleans()), max_size=400)
+BITS = st.sampled_from([(10, 10), (12, 12), (14, 14), (10, 14), (14, 4)])
+
+
+class TestRenderedUpdate:
+    @settings(max_examples=40 * NIGHTLY_FACTOR, deadline=None)
+    @given(bits=BITS, outcomes=OUTCOMES)
+    def test_matches_the_method(self, bits, outcomes):
+        method, rendered = drive_both(bits, outcomes)
+        assert rendered == method
+
+    def test_render_key_holds_the_masks(self):
+        assert TournamentPredictor(12, 14).render_key() == (4095, 16383)
+
+    def test_seeded_history_bug_is_caught(self):
+        # A rendered update that skips the history shift on a taken
+        # branch: the history, and with it the global index, drifts.
+        mutant = seeded_mutant(
+            TournamentPredictor.update_source,
+            '"    p._history = (h << 1 | 1) & %d" % mask,',
+            '"    p._history = (h | 1) & %d" % mask,')
+        outcomes = [(0x1000 + 4 * (i % 5), i % 3 != 0) for i in range(200)]
+        method, rendered = drive_both((10, 10), outcomes)
+        assert rendered == method
+        method, rendered = drive_both((10, 10), outcomes, mutant)
+        assert rendered != method
