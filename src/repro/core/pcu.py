@@ -17,7 +17,7 @@ which the simulated machine turns into architectural traps.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cache import FullyAssociativeCache, HptCacheSet, InstPrivilegeRegister, SgtCache
 from .config import PcuConfig
@@ -849,9 +849,11 @@ class PrivilegeCheckUnit:
 
         Every load and store a CPU performs on behalf of software goes
         through this check, with the ``size`` bytes it touches from
-        ``address``.  The CPUs look it up on ``cpu.pcu`` at each
-        access, so an instance attribute shadowing it (the lockstep
-        monitor's) sees every one.  The trusted range is a power-of-two
+        ``address``: the handlers call it, looked up on ``cpu.pcu`` at
+        each access, so an instance attribute shadowing it (the lockstep
+        monitor's) sees every one, and a compiled block calls it only
+        where its rendered compares against :meth:`memory_window` hit
+        (:meth:`filter_source`).  The trusted range is a power-of-two
         block at least as large as any access, so the access reaches it
         exactly when its first or its last byte lies in it: two mask
         compares.
@@ -875,3 +877,47 @@ class PrivilegeCheckUnit:
             self._fault(
                 TrustedMemoryFault(address, domain=domain, address=pc)
             )
+
+    # ------------------------------------------------------------------
+    # The filter, as source for a compiled block (DESIGN §3.18
+    # "Generated blocks").  A block reads the window once per call, in
+    # its prologue, into ``tmask`` and ``tbase``.
+    # ------------------------------------------------------------------
+    #: What a block's prologue reads for :meth:`filter_source`, as
+    #: ``(locals, expression)``: the window, or on a CPU with no PCU
+    #: ``(0, 1)``, which no address matches.
+    BLOCK_PROLOGUE = (("tmask, tbase",
+                       "(0, 1) if cpu.pcu is None else cpu.pcu.memory_window()"),)
+
+    def memory_window(self) -> Tuple[int, int]:
+        """``(mask, base)`` such that :meth:`check_memory_access` can
+        fault on an access of ``size`` bytes at ``a`` only when
+        ``a & mask == base`` or ``(a + size - 1) & mask == base``.
+
+        Disabled or in domain 0 the filter passes everything, so the
+        window is ``(0, 1)``, which no address matches; under a stale
+        generation it faults on everything, so the window is ``(0, 0)``,
+        which every address matches; otherwise it is the trusted range.
+        No block member changes ``enabled``, the domain, the generation
+        table or the range, so a block reads the window once per call.
+        """
+        if not self.enabled:
+            return 0, 1
+        domain = self.registers.domain
+        if domain == DOMAIN_0:
+            return 0, 1
+        table = self.generation_table
+        if table is not None and table.get(domain, 0) != self._entry_generation:
+            return 0, 0
+        return self._tmem_mask, self._tmem_base
+
+    @staticmethod
+    def filter_source(address: str, pc: int, size: int) -> List[str]:
+        """Statements that do what ``check_memory_access(address, pc,
+        size)`` does, for the expression ``address``: the method's two
+        mask compares against the window, and a call of the method,
+        looked up on ``cpu.pcu``, when one of them hits."""
+        return ["if (%s & tmask) == tbase or ((%s + %d) & tmask) == tbase:"
+                % (address, address, size - 1),
+                "    cpu.pcu.check_memory_access(%s, %d, %d)"
+                % (address, pc, size)]

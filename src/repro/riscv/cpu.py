@@ -17,6 +17,7 @@ from repro.core.isa_extension import AccessInfo, CacheId, GateKind
 from repro.core.pcu import PrivilegeCheckUnit
 from repro.sim import blocks
 from repro.sim.machine import Machine
+from repro.sim.memory import PhysicalMemory
 from repro.sim.pipeline import StepInfo
 from repro.sim.trap import Trap, TrapKind
 
@@ -80,11 +81,7 @@ class CpuPanic(Exception):
     """A trap occurred with no handler installed (stvec == 0)."""
 
 
-def to_signed(value: int) -> int:
-    return sign_extend(value & MASK64, 64)
-
-
-def _div_trunc(a: int, b: int) -> int:
+def _div(a: int, b: int) -> int:
     """RISC-V signed division: truncate toward zero, div-by-zero = -1."""
     if b == 0:
         return -1
@@ -92,343 +89,127 @@ def _div_trunc(a: int, b: int) -> int:
     return -quotient if (a < 0) != (b < 0) else quotient
 
 
-def _remw(r, inst, pc):
-    aw = sign_extend(r[inst.rs1] & 0xFFFFFFFF, 32)
-    bw = sign_extend(r[inst.rs2] & 0xFFFFFFFF, 32)
-    rem = aw if bw == 0 else aw - _div_trunc(aw, bw) * bw
-    return sign_extend(rem & 0xFFFFFFFF, 32)
+def _rem(a: int, b: int) -> int:
+    """RISC-V signed remainder: the sign of the dividend, a by zero = a."""
+    return a if b == 0 else a - _div(a, b) * b
 
 
-def _rem(r, inst, pc):
-    sa, sb = to_signed(r[inst.rs1]), to_signed(r[inst.rs2])
-    return sa if sb == 0 else sa - _div_trunc(sa, sb) * sb
+def _word(expression: str) -> str:
+    """Source for the low 32 bits of ``expression``, sign-extended to 64
+    bits and masked: an RV64 word op's result."""
+    return "(((%s) & 0xFFFFFFFF ^ 0x80000000) - 0x80000000) & {M}" % expression
 
 
-def _divw(r, inst, pc):
-    aw = sign_extend(r[inst.rs1] & 0xFFFFFFFF, 32)
-    bw = sign_extend(r[inst.rs2] & 0xFFFFFFFF, 32)
-    return sign_extend(_div_trunc(aw, bw) & 0xFFFFFFFF, 32)
-
-
-def _divuw(r, inst, pc):
-    aw, bw = r[inst.rs1] & 0xFFFFFFFF, r[inst.rs2] & 0xFFFFFFFF
-    return -1 if bw == 0 else sign_extend(aw // bw, 32)
-
-
-def _remuw(r, inst, pc):
-    aw, bw = r[inst.rs1] & 0xFFFFFFFF, r[inst.rs2] & 0xFFFFFFFF
-    return sign_extend(aw if bw == 0 else aw % bw, 32)
-
-
-# Per-mnemonic ALU evaluators, resolved once at decode time; each takes
-# (regs, inst, pc) and returns the (unmasked) rd value.  The expressions
-# are the same ones the old mnemonic if-chain computed.
-_ALU_OPS = {
-    "lui": lambda r, inst, pc: inst.imm,
-    "auipc": lambda r, inst, pc: pc + inst.imm,
-    "addi": lambda r, inst, pc: r[inst.rs1] + inst.imm,
-    "slti": lambda r, inst, pc: int(to_signed(r[inst.rs1]) < inst.imm),
-    "sltiu": lambda r, inst, pc: int(r[inst.rs1] < inst.imm & MASK64),
-    "xori": lambda r, inst, pc: r[inst.rs1] ^ inst.imm & MASK64,
-    "ori": lambda r, inst, pc: r[inst.rs1] | inst.imm & MASK64,
-    "andi": lambda r, inst, pc: r[inst.rs1] & inst.imm & MASK64,
-    "slli": lambda r, inst, pc: r[inst.rs1] << inst.imm,
-    "srli": lambda r, inst, pc: r[inst.rs1] >> inst.imm,
-    "srai": lambda r, inst, pc: to_signed(r[inst.rs1]) >> inst.imm,
-    "addiw": lambda r, inst, pc: sign_extend((r[inst.rs1] + inst.imm) & 0xFFFFFFFF, 32),
-    "slliw": lambda r, inst, pc: sign_extend((r[inst.rs1] << inst.imm) & 0xFFFFFFFF, 32),
-    "srliw": lambda r, inst, pc: sign_extend((r[inst.rs1] & 0xFFFFFFFF) >> inst.imm, 32),
-    "sraiw": lambda r, inst, pc: sign_extend(r[inst.rs1] & 0xFFFFFFFF, 32) >> inst.imm,
-    "add": lambda r, inst, pc: r[inst.rs1] + r[inst.rs2],
-    "sub": lambda r, inst, pc: r[inst.rs1] - r[inst.rs2],
-    "sll": lambda r, inst, pc: r[inst.rs1] << (r[inst.rs2] & 63),
-    "slt": lambda r, inst, pc: int(to_signed(r[inst.rs1]) < to_signed(r[inst.rs2])),
-    "sltu": lambda r, inst, pc: int(r[inst.rs1] < r[inst.rs2]),
-    "xor": lambda r, inst, pc: r[inst.rs1] ^ r[inst.rs2],
-    "srl": lambda r, inst, pc: r[inst.rs1] >> (r[inst.rs2] & 63),
-    "sra": lambda r, inst, pc: to_signed(r[inst.rs1]) >> (r[inst.rs2] & 63),
-    "or": lambda r, inst, pc: r[inst.rs1] | r[inst.rs2],
-    "and": lambda r, inst, pc: r[inst.rs1] & r[inst.rs2],
-    "mul": lambda r, inst, pc: to_signed(r[inst.rs1]) * to_signed(r[inst.rs2]),
-    "mulh": lambda r, inst, pc: (to_signed(r[inst.rs1]) * to_signed(r[inst.rs2])) >> 64,
-    "mulhu": lambda r, inst, pc: (r[inst.rs1] * r[inst.rs2]) >> 64,
-    "mulhsu": lambda r, inst, pc: (to_signed(r[inst.rs1]) * r[inst.rs2]) >> 64,
-    "div": lambda r, inst, pc: _div_trunc(to_signed(r[inst.rs1]), to_signed(r[inst.rs2])),
-    "divu": lambda r, inst, pc: MASK64 if r[inst.rs2] == 0 else r[inst.rs1] // r[inst.rs2],
-    "rem": _rem,
-    "remu": lambda r, inst, pc: r[inst.rs1] if r[inst.rs2] == 0 else r[inst.rs1] % r[inst.rs2],
-    "addw": lambda r, inst, pc: sign_extend((r[inst.rs1] + r[inst.rs2]) & 0xFFFFFFFF, 32),
-    "subw": lambda r, inst, pc: sign_extend((r[inst.rs1] - r[inst.rs2]) & 0xFFFFFFFF, 32),
-    "sllw": lambda r, inst, pc: sign_extend((r[inst.rs1] << (r[inst.rs2] & 31)) & 0xFFFFFFFF, 32),
-    "srlw": lambda r, inst, pc: sign_extend((r[inst.rs1] & 0xFFFFFFFF) >> (r[inst.rs2] & 31), 32),
-    "sraw": lambda r, inst, pc: sign_extend(r[inst.rs1] & 0xFFFFFFFF, 32) >> (r[inst.rs2] & 31),
-    "mulw": lambda r, inst, pc: sign_extend((r[inst.rs1] * r[inst.rs2]) & 0xFFFFFFFF, 32),
-    "divw": _divw,
-    "divuw": _divuw,
-    "remw": _remw,
-    "remuw": _remuw,
+#: RV64 ALU semantics as source: the one statement of each op (DESIGN
+#: §3.18 "Generated blocks").  Each is an expression for the value rd
+#: receives, already in [0, 2**64), over the fields ``{a}`` and ``{b}``
+#: (rs1's and rs2's values), ``{sa}`` and ``{sb}`` (the same, signed),
+#: ``{wa}`` and ``{wb}`` (their low words, signed), ``{imm}`` (the
+#: immediate), ``{uimm}`` (the immediate as 64 bits) and ``{M}`` (the
+#: 64-bit mask).  A block member writes its expression inline, operands
+#: and immediate rendered in (:func:`_alu_line`); ``step()`` runs a
+#: closure made from the same expression (:func:`_alu_closure`).
+#: ``auipc`` is not here: its value needs the runtime pc.
+_ALU_SOURCE = {
+    "lui": "{uimm}",
+    "addi": "({a} + {imm}) & {M}",
+    "slti": "1 if {sa} < {imm} else 0",
+    "sltiu": "1 if {a} < {uimm} else 0",
+    "xori": "{a} ^ {uimm}",
+    "ori": "{a} | {uimm}",
+    "andi": "{a} & {uimm}",
+    "slli": "({a} << {imm}) & {M}",
+    "srli": "{a} >> {imm}",
+    "srai": "({sa} >> {imm}) & {M}",
+    "addiw": _word("{a} + {imm}"),
+    "slliw": _word("{a} << {imm}"),
+    "srliw": _word("({a} & 0xFFFFFFFF) >> {imm}"),
+    "sraiw": "({wa} >> {imm}) & {M}",
+    "add": "({a} + {b}) & {M}",
+    "sub": "({a} - {b}) & {M}",
+    "sll": "({a} << ({b} & 63)) & {M}",
+    "slt": "1 if {sa} < {sb} else 0",
+    "sltu": "1 if {a} < {b} else 0",
+    "xor": "{a} ^ {b}",
+    "srl": "{a} >> ({b} & 63)",
+    "sra": "({sa} >> ({b} & 63)) & {M}",
+    "or": "{a} | {b}",
+    "and": "{a} & {b}",
+    "mul": "({a} * {b}) & {M}",
+    "mulh": "({sa} * {sb} >> 64) & {M}",
+    "mulhu": "{a} * {b} >> 64",
+    "mulhsu": "({sa} * {b} >> 64) & {M}",
+    "div": "_div({sa}, {sb}) & {M}",
+    "divu": "{a} // {b} if {b} else {M}",
+    "rem": "_rem({sa}, {sb}) & {M}",
+    "remu": "{a} % {b} if {b} else {a}",
+    "addw": _word("{a} + {b}"),
+    "subw": _word("{a} - {b}"),
+    "sllw": _word("{a} << ({b} & 31)"),
+    "srlw": _word("({a} & 0xFFFFFFFF) >> ({b} & 31)"),
+    "sraw": "({wa} >> ({b} & 31)) & {M}",
+    "mulw": _word("{a} * {b}"),
+    "divw": _word("_div({wa}, {wb})"),
+    "divuw": _word("({a} & 0xFFFFFFFF) // ({b} & 0xFFFFFFFF)"
+                   " if {b} & 0xFFFFFFFF else -1"),
+    "remw": _word("_rem({wa}, {wb})"),
+    "remuw": _word("({a} & 0xFFFFFFFF) % ({b} & 0xFFFFFFFF)"
+                   " if {b} & 0xFFFFFFFF else {a}"),
 }
 
-# Fully specialized ALU factories for the mnemonics that dominate the
-# microbenchmarks: called once at decode with the Instruction, they
-# return a closure over the *integer* operand fields, so the per-step
-# call reads no ``inst`` attributes at all.  Each body is the matching
-# ``_ALU_OPS`` expression with the ``& MASK64`` kept exactly where the
-# result can leave [0, MASK64] (operands themselves are always stored
-# masked).  ``auipc`` stays on the generic path — it needs the runtime
-# pc, which translated aliases make per-step, not per-entry.
-def _spec_lui(inst):
-    rd, value = inst.rd, inst.imm & MASK64
 
-    def op(r):
-        r[rd] = value
-
-    return op
-
-
-def _spec_addi(inst):
-    rd, rs1, imm = inst.rd, inst.rs1, inst.imm
-
-    def op(r):
-        r[rd] = (r[rs1] + imm) & MASK64
-
-    return op
-
-
-def _spec_slti(inst):
-    rd, rs1, imm = inst.rd, inst.rs1, inst.imm
-
-    def op(r):
-        r[rd] = int(to_signed(r[rs1]) < imm)
-
-    return op
-
-
-def _spec_sltiu(inst):
-    rd, rs1, value = inst.rd, inst.rs1, inst.imm & MASK64
-
-    def op(r):
-        r[rd] = int(r[rs1] < value)
-
-    return op
-
-
-def _spec_xori(inst):
-    rd, rs1, value = inst.rd, inst.rs1, inst.imm & MASK64
-
-    def op(r):
-        r[rd] = r[rs1] ^ value
-
-    return op
-
-
-def _spec_ori(inst):
-    rd, rs1, value = inst.rd, inst.rs1, inst.imm & MASK64
-
-    def op(r):
-        r[rd] = r[rs1] | value
-
-    return op
-
-
-def _spec_andi(inst):
-    rd, rs1, value = inst.rd, inst.rs1, inst.imm & MASK64
-
-    def op(r):
-        r[rd] = r[rs1] & value
-
-    return op
-
-
-def _spec_slli(inst):
-    rd, rs1, shamt = inst.rd, inst.rs1, inst.imm
-
-    def op(r):
-        r[rd] = (r[rs1] << shamt) & MASK64
-
-    return op
-
-
-def _spec_srli(inst):
-    rd, rs1, shamt = inst.rd, inst.rs1, inst.imm
-
-    def op(r):
-        r[rd] = r[rs1] >> shamt
-
-    return op
-
-
-def _spec_srai(inst):
-    rd, rs1, shamt = inst.rd, inst.rs1, inst.imm
-
-    def op(r):
-        r[rd] = (to_signed(r[rs1]) >> shamt) & MASK64
-
-    return op
-
-
-def _spec_addiw(inst):
-    rd, rs1, imm = inst.rd, inst.rs1, inst.imm
-
-    def op(r):
-        r[rd] = sign_extend((r[rs1] + imm) & 0xFFFFFFFF, 32) & MASK64
-
-    return op
-
-
-def _spec_add(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = (r[rs1] + r[rs2]) & MASK64
-
-    return op
-
-
-def _spec_sub(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = (r[rs1] - r[rs2]) & MASK64
-
-    return op
-
-
-def _spec_sll(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = (r[rs1] << (r[rs2] & 63)) & MASK64
-
-    return op
-
-
-def _spec_slt(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = int(to_signed(r[rs1]) < to_signed(r[rs2]))
-
-    return op
-
-
-def _spec_sltu(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = int(r[rs1] < r[rs2])
-
-    return op
-
-
-def _spec_xor(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = r[rs1] ^ r[rs2]
-
-    return op
-
-
-def _spec_srl(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = r[rs1] >> (r[rs2] & 63)
-
-    return op
-
-
-def _spec_sra(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = (to_signed(r[rs1]) >> (r[rs2] & 63)) & MASK64
-
-    return op
-
-
-def _spec_or(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = r[rs1] | r[rs2]
-
-    return op
-
-
-def _spec_and(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = r[rs1] & r[rs2]
-
-    return op
-
-
-def _spec_mul(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = (to_signed(r[rs1]) * to_signed(r[rs2])) & MASK64
-
-    return op
-
-
-def _spec_addw(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = sign_extend((r[rs1] + r[rs2]) & 0xFFFFFFFF, 32) & MASK64
-
-    return op
-
-
-def _spec_subw(inst):
-    rd, rs1, rs2 = inst.rd, inst.rs1, inst.rs2
-
-    def op(r):
-        r[rd] = sign_extend((r[rs1] - r[rs2]) & 0xFFFFFFFF, 32) & MASK64
-
-    return op
-
-
-_ALU_SPEC = {
-    "lui": _spec_lui,
-    "addi": _spec_addi,
-    "slti": _spec_slti,
-    "sltiu": _spec_sltiu,
-    "xori": _spec_xori,
-    "ori": _spec_ori,
-    "andi": _spec_andi,
-    "slli": _spec_slli,
-    "srli": _spec_srli,
-    "srai": _spec_srai,
-    "addiw": _spec_addiw,
-    "add": _spec_add,
-    "sub": _spec_sub,
-    "sll": _spec_sll,
-    "slt": _spec_slt,
-    "sltu": _spec_sltu,
-    "xor": _spec_xor,
-    "srl": _spec_srl,
-    "sra": _spec_sra,
-    "or": _spec_or,
-    "and": _spec_and,
-    "mul": _spec_mul,
-    "addw": _spec_addw,
-    "subw": _spec_subw,
-}
+def _alu_fields(a: str, b: str, imm: str, uimm: str) -> dict:
+    """The fields of an :data:`_ALU_SOURCE` expression, given the
+    source of rs1's and rs2's values and of the immediate."""
+    return dict(
+        a=a, b=b, imm=imm, uimm=uimm, M="0xFFFFFFFFFFFFFFFF",
+        sa="((%s ^ 0x8000000000000000) - 0x8000000000000000)" % a,
+        sb="((%s ^ 0x8000000000000000) - 0x8000000000000000)" % b,
+        wa="((%s & 0xFFFFFFFF ^ 0x80000000) - 0x80000000)" % a,
+        wb="((%s & 0xFFFFFFFF ^ 0x80000000) - 0x80000000)" % b)
+
+
+def _alu_line(inst: Instruction) -> str:
+    """The statement that executes the ALU instruction ``inst`` inline."""
+    return "r[%d] = %s" % (inst.rd, _ALU_SOURCE[inst.mnemonic].format(
+        **_alu_fields("r[%d]" % inst.rs1, "r[%d]" % inst.rs2,
+                      "%d" % inst.imm, "%d" % (inst.imm & MASK64))))
+
+
+#: mnemonic -> ``make(rd, rs1, rs2, imm, uimm)``, compiled from the
+#: mnemonic's :data:`_ALU_SOURCE` expression when it is first decoded.
+_ALU_FACTORIES: Dict[str, object] = {}
+
+
+def _alu_closure(inst: Instruction):
+    """The closure ``op(regs)`` that ``step()`` runs for the ALU
+    instruction ``inst``: its :data:`_ALU_SOURCE` expression over the
+    operand fields, bound to ``inst``'s."""
+    make = _ALU_FACTORIES.get(inst.mnemonic)
+    if make is None:
+        source = ("def make(rd, rs1, rs2, imm, uimm):\n"
+                  "    def op(r):\n"
+                  "        r[rd] = %s\n"
+                  "    return op\n"
+                  % _ALU_SOURCE[inst.mnemonic].format(**_alu_fields(
+                      "r[rs1]", "r[rs2]", "imm", "uimm")))
+        scope = {}
+        exec(compile(source, "<%s>" % inst.mnemonic, "exec"),
+             {"_div": _div, "_rem": _rem}, scope)
+        make = _ALU_FACTORIES[inst.mnemonic] = scope["make"]
+    return make(inst.rd, inst.rs1, inst.rs2, inst.imm, inst.imm & MASK64)
 
 
 # Per-mnemonic branch comparators over the operands ``a`` and ``b``,
 # as source: block fragments inline them, and the comparators the
-# handlers resolve once at decode time are compiled from them.
+# handlers resolve once at decode time are compiled from them.  For
+# 64-bit values, the signed order is the unsigned order of the values
+# with their sign bits flipped.
 _BRANCH_SOURCE = {
     "beq": "a == b",
     "bne": "a != b",
-    "blt": "to_signed(a) < to_signed(b)",
-    "bge": "to_signed(a) >= to_signed(b)",
+    "blt": "a ^ 0x8000000000000000 < b ^ 0x8000000000000000",
+    "bge": "a ^ 0x8000000000000000 >= b ^ 0x8000000000000000",
     "bltu": "a < b",
     "bgeu": "a >= b",
 }
@@ -696,12 +477,12 @@ class RiscvCpu:
         pfch/pflh and halt refuse membership, so a block can never
         contain a domain switch, privilege edit or satp write.
 
-        The fragment (DESIGN §3.18 "Generated blocks") inlines a load,
-        store or branch (:func:`_member_fragment`) and calls an ALU
-        instruction's ``_ALU_SPEC`` closure directly; a member whose
-        handler only advances the pc has an empty one, and any other
-        calls its handler.  ``bind(obj)`` names an object the fragment
-        uses.
+        The fragment (DESIGN §3.18 "Generated blocks") writes an ALU
+        instruction's :data:`_ALU_SOURCE` expression inline
+        (:func:`_alu_line`) and a load, store or branch
+        (:func:`_member_fragment`); a member whose handler only advances
+        the pc has an empty one, and any other (``auipc``) calls its
+        handler.  ``bind(obj)`` names an object the fragment uses.
         """
         inst, handler, access, extra = entry
         if access is None:
@@ -712,7 +493,7 @@ class RiscvCpu:
             # ecall/ebreak/pfch/pflh/halt: never block members.
             return None
         if handler is RiscvCpu._op_alu_spec:
-            fragment = blocks.Fragment(["%s(r)" % bind(extra)])
+            fragment = blocks.Fragment([_alu_line(inst)])
         elif handler is RiscvCpu._op_alu_x0 or handler is RiscvCpu._op_fence:
             fragment = blocks.Fragment()
         elif cls == "load" or cls == "store" or cls == "branch":
@@ -726,8 +507,11 @@ class RiscvCpu:
 
     #: The globals of every RISC-V block's generated function.
     _block_globals = blocks.block_globals(
-        sign_extend=sign_extend, to_signed=to_signed,
-        ACCESS_LOAD=ACCESS_LOAD, ACCESS_STORE=ACCESS_STORE)
+        _div=_div, _rem=_rem, ACCESS_LOAD=ACCESS_LOAD,
+        ACCESS_STORE=ACCESS_STORE)
+
+    #: What a block's prologue may read for the fragments.
+    _block_prologue = blocks.PROLOGUE + (("csrs", "cpu.csrs"),)
 
     def _block_gate(self) -> bool:
         """Blocks are formed and entered only while translation is Bare
@@ -786,17 +570,15 @@ class RiscvCpu:
             return inst, RiscvCpu._op_sfence, None, None
         access = AccessInfo(inst_class=self._class_index[cls], address=pc)
         if cls == "alu" or cls == "mul":
-            op = _ALU_OPS.get(m)
-            if op is None:  # pragma: no cover - decoder/executor sync
+            if m not in _ALU_SOURCE and m != "auipc":  # pragma: no cover - decoder/executor sync
                 return inst, RiscvCpu._op_illegal, access, None
             if inst.rd == 0:
                 # rd == x0 discards the result, and no ALU op has side
                 # effects or can fault, so the evaluation is elided.
                 return inst, RiscvCpu._op_alu_x0, access, None
-            spec = _ALU_SPEC.get(m)
-            if spec is not None:
-                return inst, RiscvCpu._op_alu_spec, access, spec(inst)
-            return inst, RiscvCpu._op_alu, access, op
+            if m == "auipc":
+                return inst, RiscvCpu._op_auipc, access, None
+            return inst, RiscvCpu._op_alu_spec, access, _alu_closure(inst)
         if cls == "load":
             return inst, RiscvCpu._op_load, access, (
                 load_width(m), is_unsigned_load(m)
@@ -823,14 +605,12 @@ class RiscvCpu:
             )
 
     # -- handlers (the plain PCU check already ran when access was set) --
-    def _op_alu(self, inst: Instruction, pc: int, info: StepInfo, op) -> None:
-        rd = inst.rd
-        if rd:
-            self.regs[rd] = op(self.regs, inst, pc) & MASK64
-        self.pc = pc + 4
-
     def _op_alu_spec(self, inst: Instruction, pc: int, info: StepInfo, op) -> None:
         op(self.regs)
+        self.pc = pc + 4
+
+    def _op_auipc(self, inst: Instruction, pc: int, info: StepInfo, extra) -> None:
+        self.regs[inst.rd] = (pc + inst.imm) & MASK64
         self.pc = pc + 4
 
     def _op_alu_x0(self, inst: Instruction, pc: int, info: StepInfo, extra) -> None:
@@ -1034,7 +814,8 @@ def _member_fragment(inst: Instruction, pc: int, extra):
     """The block fragment (DESIGN §3.18 "Generated blocks") of a load,
     store or branch, exactly as its handler computes it: a load or
     store keeps the handler's satp test, so it translates wherever its
-    handler would."""
+    handler would, and the PCU and the memory render its filter and
+    its access."""
     cls = inst.inst_class
     if cls == "branch":
         source = _BRANCH_SOURCE.get(inst.mnemonic, _BRANCH_SOURCE["bgeu"])
@@ -1049,21 +830,19 @@ def _member_fragment(inst: Instruction, pc: int, extra):
     width = extra[0] if load else extra
     lines = [
         "a = (r[%d] + %d) & %d" % (inst.rs1, inst.imm, MASK64),
-        "satp = cpu.csrs[%d]" % CSR_ADDRESS["satp"],
+        "satp = csrs[%d]" % CSR_ADDRESS["satp"],
         "if satp >> %d:" % SATP_MODE_SHIFT,
         "    a = cpu._translate(a, %s, info, satp)"
         % ("ACCESS_LOAD" if load else "ACCESS_STORE"),
-        "pcu = cpu.pcu",
-        "if pcu is not None:",
-        "    pcu.check_memory_access(a, %d, %d)" % (pc, width),
-    ]
+    ] + PrivilegeCheckUnit.filter_source("a", pc, width)
     if not load:
-        lines.append("cpu._mem_store(a, r[%d], %d)" % (inst.rs2, width))
-    elif not inst.rd:
-        lines.append("cpu._mem_load(a, %d)" % width)
-    elif extra[1] or width == 8:
-        lines.append("r[%d] = cpu._mem_load(a, %d)" % (inst.rd, width))
+        lines += PhysicalMemory.store_source("a", "r[%d]" % inst.rs2, width)
+    elif inst.rd and (extra[1] or width == 8):
+        lines += PhysicalMemory.load_source("a", width, "r[%d]" % inst.rd)
     else:
-        lines.append("r[%d] = sign_extend(cpu._mem_load(a, %d), %d) & %d"
-                     % (inst.rd, width, 8 * width, MASK64))
+        lines += PhysicalMemory.load_source("a", width, "v")
+        if inst.rd:
+            sign = 1 << 8 * width - 1
+            lines.append("r[%d] = ((v ^ %d) - %d) & %d"
+                         % (inst.rd, sign, sign, MASK64))
     return blocks.Fragment(lines, raises=True, address="a", is_store=not load)

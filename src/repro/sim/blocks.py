@@ -31,9 +31,14 @@ or pipeline-specific:
   model through the handles the CPU binds at construction
   (:meth:`~repro.sim.pipeline.PipelineModel.block_handles`), so a block
   serves every CPU of its class on a timing model with the same
-  :meth:`~repro.sim.pipeline.PipelineModel.block_key`;
+  :meth:`~repro.sim.pipeline.PipelineModel.block_key`.  A load's or
+  store's trusted-memory filter and its access are rendered by the PCU
+  (:meth:`~repro.core.pcu.PrivilegeCheckUnit.filter_source`) and the
+  memory (:meth:`~repro.sim.memory.PhysicalMemory.load_source`);
 * ``_block_globals`` — the one globals dict of its ISA's generated
   functions (:func:`block_globals`);
+* ``_block_prologue`` — what a generated function may read into locals
+  once per call for the fragments (:data:`PROLOGUE` and the CPU's own);
 * ``_decode_window`` — how many bytes ``_decode_entry`` reads at a pc;
 * ``_dispatch_fault(error, pc, info)`` — the trap path ``step()`` takes;
 * ``_block_gate`` — ``None``, or a method saying whether blocks may run
@@ -67,12 +72,13 @@ and enforced by the block lockstep test suite.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import PrivilegeFault
-from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT
+from repro.core.pcu import BLOCK_REFUSED, BLOCK_SILENT, PrivilegeCheckUnit
 
-from .memory import MemoryAccessError
+from .memory import MemoryAccessError, PhysicalMemory
 from .pipeline import StepInfo
 from .trap import Trap
 
@@ -131,6 +137,14 @@ SHARED_BLOCK_CAP = 2048
 SHARED_BLOCKS_PER_PC = 32
 
 
+#: What a generated function's prologue may read for its fragments, as
+#: ``(locals, expression)``: the registers, the memory and its page-view
+#: getter, and the trusted-memory window.  Each CPU class's
+#: ``_block_prologue`` starts with these.
+PROLOGUE = ((("r", "cpu.regs"),) + PhysicalMemory.BLOCK_PROLOGUE
+            + PrivilegeCheckUnit.BLOCK_PROLOGUE)
+
+
 def block_globals(**names) -> dict:
     """The globals dict that every generated function of one ISA
     shares: ``info`` (:data:`MEMBER_INFO`), ``fault``
@@ -142,11 +156,13 @@ class Fragment(NamedTuple):
     """One block member's semantics, as source for its block's generated
     function (DESIGN §3.18 "Generated blocks").
 
-    ``lines`` are statements that see ``cpu``, ``r`` (``cpu.regs``), the
-    ISA's :func:`block_globals` and the names ``bind`` returned; they
-    may use the scratch names ``a``, ``b``, ``v``, ``t``, ``pcu`` and
-    ``satp`` (the timing model's lines use ``c``, ``d``, ``e``, ``f``,
-    ``g``, ``h``, ``p``, ``s``, ``u``, ``w``, ``x``, ``y`` and ``z``).
+    ``lines`` are statements that see ``cpu``, the locals of the CPU
+    class's ``_block_prologue`` (``r`` is ``cpu.regs``), the ISA's
+    :func:`block_globals` and the names ``bind`` returned; they may use
+    the scratch names ``a``, ``b``, ``v``, ``t`` and ``satp``, and
+    ``q`` through :class:`~repro.sim.memory.PhysicalMemory`'s lines
+    (the timing model's lines use ``c``, ``d``, ``e``, ``f``, ``g``,
+    ``h``, ``u``, ``w``, ``x``, ``y`` and ``z``).
     ``raises`` says whether they can raise.  ``address`` is an
     expression for the data address of a load or store, and ``taken``
     one for the outcome of a predicted branch; both are read after
@@ -179,10 +195,9 @@ class CompiledBlock:
     """One formed superblock: summary + generated function.
 
     ``summary`` is the :func:`summarize_classes` union of the members'
-    instruction classes.  Loads and stores keep their *live*
-    ``cpu.pcu.check_memory_access`` call (trusted-memory ranges and
-    generations are enforced per access, not summarized — addresses are
-    dynamic).
+    instruction classes.  Trusted memory is not summarized (addresses
+    are dynamic): each call reads the PCU's window, and a load or store
+    calls ``cpu.pcu.check_memory_access`` wherever its access meets it.
 
     ``run(cpu, cyc)`` performs every member's architectural work *and*
     its pipeline-timing accounting (instruction fetch, data access,
@@ -325,6 +340,10 @@ def _generate(cpu, pipeline, fragments, pcs, warm, end_pc, bound, loops):
     "Generated blocks"), or a loop block's ``run(cpu, cyc, limit) ->
     (cyc, iterations)`` when ``loops``.
 
+    The function opens with a prologue that reads into locals, once per
+    call, every handle of ``cpu._block_prologue`` and the timing
+    model's ``block_prologue()`` whose locals the body uses; nothing
+    replaces any of them during a call (DESIGN §3.18 "The prologue").
     Each member's fragment is followed by the timing model's tail for
     it.  A warm member's L1I hit is counted with the others' in one add
     at the end.  A member that can raise first records its index in
@@ -362,23 +381,27 @@ def _generate(cpu, pipeline, fragments, pcs, warm, end_pc, bound, loops):
             counted.append("k * %d" % hits)
     raised = ["cpu.pc = %r[m]" % (tuple(pcs),)]
     if counted:
-        raised.append("cpu._l1i_stats.hits += " + " + ".join(counted))
+        raised.append("l1i_stats.hits += " + " + ".join(counted))
     raised += ["fault.index = m", "fault.cycles = cyc",
                "fault.iterations = %s" % ("k" if loops else "0"), "raise"]
     tail = []
     if hits:
         if loops:
-            tail.append("cpu._l1i_stats.hits += k * %d" % hits)
+            tail.append("l1i_stats.hits += k * %d" % hits)
         else:
-            tail.append("cpu._l1i_stats.hits += %d" % hits)
+            tail.append("l1i_stats.hits += %d" % hits)
     if end_pc is not None:
         tail.append("cpu.pc = %d" % end_pc)
     tail.append("return cyc, k" if loops else "return cyc")
+    used = set(re.findall(r"[A-Za-z_]\w*", "\n".join(body + raised + tail)))
+    prologue = ["%s = %s" % (names, expression) for names, expression
+                in cpu._block_prologue + pipeline.block_prologue()
+                if used.intersection(names.split(", "))]
     source = "\n".join(
         ["def bind(%s):" % ", ".join("b%d" % i for i in range(len(bound))),
-         "    def run(cpu, cyc%s):" % (", limit" if loops else ""),
-         "        r = cpu.regs",
-         "        m = 0"]
+         "    def run(cpu, cyc%s):" % (", limit" if loops else "")]
+        + ["        " + line for line in prologue]
+        + ["        m = 0"]
         + (["        k = 0"] if loops else [])
         + ["        try:"]
         + ["            " + line for line in body]

@@ -109,10 +109,20 @@ class TournamentPredictor:
 
     # ------------------------------------------------------------------
     # The update, as source for a compiled block (DESIGN §3.18
-    # "Generated blocks").  The lines reach this predictor as
-    # ``cpu._predictor`` and use the scratch names ``p``, ``h``, ``g``,
-    # ``x``, ``y``, ``z`` and ``u``.
+    # "Generated blocks").  The lines reach this predictor, which the
+    # CPU holds as ``cpu._predictor``, and its three tables through
+    # locals the block's prologue reads once per call
+    # (``BLOCK_PROLOGUE``), and use the scratch names ``h``, ``g``,
+    # ``x``, ``y``, ``z`` and ``u``.  The history is an integer, so it
+    # is read and written on the predictor at each update.
     # ------------------------------------------------------------------
+    #: What a block's prologue reads for the lines below, as
+    #: ``(local, expression)``.  Nothing replaces the tables.
+    BLOCK_PROLOGUE = (("predictor", "cpu._predictor"),
+                      ("p_local", "cpu._predictor._local"),
+                      ("p_global", "cpu._predictor._global"),
+                      ("p_chooser", "cpu._predictor._chooser"))
+
     def render_key(self) -> "tuple[int, int]":
         """The constants :meth:`update_source` renders besides the pc."""
         return self._local_mask, self._global_mask
@@ -130,30 +140,29 @@ class TournamentPredictor:
         local_index = folded & self._local_mask
         mask = self._global_mask
         return [
-            "p = cpu._predictor",
-            "h = p._history",
+            "h = predictor._history",
             "g = h ^ %d" % (folded & mask),
-            "x = p._local[%d]" % local_index,
-            "y = p._global[g]",
-            "z = p._chooser[%d]" % local_index,
+            "x = p_local[%d]" % local_index,
+            "y = p_global[g]",
+            "z = p_chooser[%d]" % local_index,
             "u = y >= 2 if z >= 2 else x >= 2",
             # The chooser learns toward whichever component was right.
             "if (x >= 2) != (y >= 2):",
             "    if (y >= 2) == %s:" % taken,
             "        if z < 3:",
-            "            p._chooser[%d] = z + 1" % local_index,
+            "            p_chooser[%d] = z + 1" % local_index,
             "    elif z > 0:",
-            "        p._chooser[%d] = z - 1" % local_index,
+            "        p_chooser[%d] = z - 1" % local_index,
             "if %s:" % taken,
             "    if x < 3:",
-            "        p._local[%d] = x + 1" % local_index,
+            "        p_local[%d] = x + 1" % local_index,
             "    if y < 3:",
-            "        p._global[g] = y + 1",
-            "    p._history = (h << 1 | 1) & %d" % mask,
+            "        p_global[g] = y + 1",
+            "    predictor._history = (h << 1 | 1) & %d" % mask,
             "else:",
             "    if x:",
-            "        p._local[%d] = x - 1" % local_index,
+            "        p_local[%d] = x - 1" % local_index,
             "    if y:",
-            "        p._global[g] = y - 1",
-            "    p._history = (h << 1) & %d" % mask,
+            "        p_global[g] = y - 1",
+            "    predictor._history = (h << 1) & %d" % mask,
         ], "u != %s" % taken

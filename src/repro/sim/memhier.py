@@ -145,9 +145,19 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # The L1 hit paths above, as source for a compiled block (DESIGN
     # §3.18 "Generated blocks").  The lines reach this hierarchy through
-    # the CPU attributes :meth:`block_handles` names, and use the
+    # the CPU attributes :meth:`block_handles` names: the L1 getters and
+    # stats through locals the block's prologue reads once per call
+    # (``BLOCK_PROLOGUE``), the miss paths on the CPU.  They use the
     # scratch names ``e`` and ``w``.
     # ------------------------------------------------------------------
+    #: What a block's prologue reads for the lines below, as
+    #: ``(local, expression)``.  Nothing replaces a level's ``_sets`` or
+    #: ``stats`` (see ``__init__``).
+    BLOCK_PROLOGUE = (("l1i_get", "cpu._l1i_sets_get"),
+                      ("l1i_stats", "cpu._l1i_stats"),
+                      ("l1d_get", "cpu._l1d_sets_get"),
+                      ("l1d_stats", "cpu._l1d_stats"))
+
     def block_handles(self) -> Dict[str, object]:
         """The CPU attributes the rendered lines read, and their values."""
         return {
@@ -170,9 +180,9 @@ class MemoryHierarchy:
         set and the tag folded from ``pc``, and a call of it on a miss."""
         line_address = pc // self._l1i_line
         n_sets = self._l1i_n_sets
-        return ["w = cpu._l1i_sets_get(%d)" % (line_address % n_sets),
+        return ["w = l1i_get(%d)" % (line_address % n_sets),
                 "if w is not None and w[-1] == %d:" % (line_address // n_sets),
-                "    cpu._l1i_stats.hits += 1",
+                "    l1i_stats.hits += 1",
                 "    f = %d" % self._l1i_latency,
                 "else:",
                 "    f = cpu._fetch(%d)" % pc]
@@ -183,9 +193,9 @@ class MemoryHierarchy:
         and a call of it on a miss."""
         n_sets = self._l1d_n_sets
         return ["e = (%s) // %d" % (address, self._l1d_line),
-                "w = cpu._l1d_sets_get(e %% %d)" % n_sets,
+                "w = l1d_get(e %% %d)" % n_sets,
                 "if w is not None and w[-1] == e // %d:" % n_sets,
-                "    cpu._l1d_stats.hits += 1",
+                "    l1d_stats.hits += 1",
                 "    d = %d" % self._l1d_latency,
                 "else:",
                 "    d = cpu._data(%s, %r)" % (address, write)]

@@ -5,17 +5,25 @@ satisfies the :class:`repro.core.trusted_memory.WordBacking` protocol).
 Pages are allocated lazily so a 1 GB address space costs nothing until
 it is touched.
 
-On a little-endian host each page also has a 64-bit word view,
-``memoryview(page).cast("Q")``, made with it: an aligned 8-byte load or
-store is one index into that view instead of a slice plus an ``int``
-conversion.  Every other width, and every misaligned or page-crossing
-access, takes the byte path.
+On a little-endian host each page that lies wholly inside the memory's
+range also has a 64-bit word view, ``memoryview(page).cast("Q")``,
+made with it: an aligned 8-byte load or store is one index into that
+view instead of a slice plus an ``int`` conversion.  Every other width,
+and every misaligned or page-crossing access, takes the byte path.
+
+A compiled block (DESIGN §3.18 "Generated blocks") renders the view
+access itself (:meth:`PhysicalMemory.load_source`, :meth:`PhysicalMemory.
+store_source`) and calls :meth:`PhysicalMemory.load` or
+:meth:`PhysicalMemory.store` for any other access.  Because a page has a
+view only when all of it is in range, an access the view serves needs
+no range test, and one that must raise finds no view and takes the
+method, which raises.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict
+from typing import Dict, List
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -49,9 +57,11 @@ class PhysicalMemory:
         self._words: Dict[int, memoryview] = {}
 
     def _new_page(self, number: int) -> bytearray:
-        """Allocate page ``number``: the one place pages are made."""
+        """Allocate page ``number``: the one place pages are made.  It
+        gets a word view only when all of it lies in ``[base, limit)``."""
         page = self._pages[number] = bytearray(PAGE_SIZE)
-        if _WORD_VIEWS:
+        start = number << PAGE_SHIFT
+        if _WORD_VIEWS and self.base <= start <= self.limit - PAGE_SIZE:
             self._words[number] = memoryview(page).cast("Q")
         return page
 
@@ -152,3 +162,43 @@ class PhysicalMemory:
     @property
     def pages_allocated(self) -> int:
         return len(self._pages)
+
+    # ------------------------------------------------------------------
+    # The aligned 8-byte access, as source for a compiled block (DESIGN
+    # §3.18 "Generated blocks").  The lines read the memory as ``mem``
+    # and its view getter as ``views``, both read once per call in the
+    # block's prologue, and use the scratch name ``q``.
+    # ------------------------------------------------------------------
+    #: What a block's prologue reads for the lines below, as
+    #: ``(local, expression)``.
+    BLOCK_PROLOGUE = (("mem", "cpu.memory"), ("views", "cpu.memory._words.get"))
+
+    @staticmethod
+    def load_source(address: str, width: int, target: str) -> List[str]:
+        """Statements that assign to ``target`` what ``load(address,
+        width)`` returns, for the expression ``address``."""
+        return _view_source(
+            address, width, "%s = mem.load(%s, %d)" % (target, address, width),
+            "%s = q[(%s & %d) >> 3]" % (target, address, PAGE_MASK))
+
+    @staticmethod
+    def store_source(address: str, value: str, width: int) -> List[str]:
+        """Statements that do what ``store(address, value, width)``
+        does, for the expressions ``address`` and ``value``."""
+        return _view_source(
+            address, width, "mem.store(%s, %s, %d)" % (address, value, width),
+            "q[(%s & %d) >> 3] = %s & %d" % (address, PAGE_MASK, value, _MASK64))
+
+
+def _view_source(address: str, width: int, call: str, access: str) -> List[str]:
+    """An 8-byte access at ``address`` as ``access``, a statement on its
+    page's view ``q``, when the page has a view and the address is
+    aligned, and as ``call``, a statement that calls the method, for any
+    other access."""
+    if width != 8:
+        return [call]
+    return ["q = views(%s >> %d)" % (address, PAGE_SHIFT),
+            "if q is None or %s & 7:" % address,
+            "    " + call,
+            "else:",
+            "    " + access]

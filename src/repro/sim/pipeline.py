@@ -95,7 +95,8 @@ class PipelineModel:
     # Block members' timing, as source (DESIGN §3.18 "Generated blocks").
     # The lines run in a block's generated function, where ``cpu`` is
     # the CPU and ``cyc`` the cycle sum; they reach this model through
-    # the handles of :meth:`block_handles`, which every CPU binds.  The
+    # the handles of :meth:`block_handles`, which every CPU binds, read
+    # into locals by the block's prologue (:meth:`block_prologue`).  The
     # hierarchy renders its L1 hit paths and the predictor its update.
     # Only numbers are rendered in.
     # ------------------------------------------------------------------
@@ -103,6 +104,12 @@ class PipelineModel:
         """The CPU attributes the rendered lines read, and their values."""
         return dict(self.hierarchy.block_handles(),
                     _branch_stats=self.branch_stats, _predictor=self.predictor)
+
+    def block_prologue(self) -> tuple:
+        """What a block's prologue reads for the rendered lines, as
+        ``(local, expression)``."""
+        return (self.hierarchy.BLOCK_PROLOGUE + self.predictor.BLOCK_PROLOGUE
+                + (("branch_stats", "cpu._branch_stats"),))
 
     def block_key(self) -> tuple:
         """Every constant this model renders into a block besides a pc:
@@ -144,19 +151,11 @@ class PipelineModel:
     def _branch_tail(self, pc: int, taken: str) -> List[str]:
         """Statements that predict a branch and add a mispredict to ``c``."""
         update, mispredicted = self.predictor.update_source(pc, taken)
-        return (["s = cpu._branch_stats", "s.predictions += 1"] + update + [
+        return (["branch_stats.predictions += 1"] + update + [
             "if %s:" % mispredicted,
-            "    s.mispredictions += 1",
+            "    branch_stats.mispredictions += 1",
             "    c += %r" % self._mispredict_penalty,
         ])
-
-    def _branch_penalty(self, info: StepInfo, penalty: int) -> float:
-        self.branch_stats.predictions += 1
-        mispredicted = self.predictor.update(info.pc, info.branch_taken)
-        if mispredicted:
-            self.branch_stats.mispredictions += 1
-            return float(penalty)
-        return 0.0
 
 
 class InOrderPipelineModel(PipelineModel):
@@ -194,7 +193,9 @@ class InOrderPipelineModel(PipelineModel):
             if data > 1:
                 cycles += data - 1
         if info.is_branch:
-            # _branch_penalty, inlined for the per-branch hot path.
+            # The branch rule, as _branch_tail renders it for block
+            # members: count the prediction, update the predictor,
+            # and charge a misprediction MISPREDICT_PENALTY.
             stats = self.branch_stats
             stats.predictions += 1
             if self._predictor_update(info.pc, info.branch_taken):
@@ -287,7 +288,9 @@ class OutOfOrderPipelineModel(PipelineModel):
                 factor = self.STORE_MISS_FACTOR if info.is_store else self.LOAD_MISS_FACTOR
                 cycles += (data - 2) * factor
         if info.is_branch:
-            # _branch_penalty, inlined for the per-branch hot path.
+            # The branch rule, as _branch_tail renders it for block
+            # members: count the prediction, update the predictor,
+            # and charge a misprediction MISPREDICT_PENALTY.
             stats = self.branch_stats
             stats.predictions += 1
             if self._predictor_update(info.pc, info.branch_taken):

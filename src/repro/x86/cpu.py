@@ -8,7 +8,8 @@ mechanism) and the PCU check; either rejection vectors through the IDT.
 
 Simplified IDT: the descriptor for vector ``v`` is the 8-byte handler
 address at ``idtr.base + 8 * v``.  Interrupt entry pushes (rip, ring)
-on the current stack; ``iret`` pops them.
+on the current stack; ``iret`` pops them.  Both pass the 16-byte frame
+through the trusted-memory filter first, as every load and store does.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.core.isa_extension import AccessInfo, CacheId, GateKind
 from repro.core.pcu import PrivilegeCheckUnit
 from repro.sim import blocks
 from repro.sim.machine import Machine
+from repro.sim.memory import PhysicalMemory
 from repro.sim.pipeline import StepInfo
 from repro.sim.trap import Trap, TrapKind
 
@@ -207,8 +209,12 @@ class X86Cpu:
                 % (vector, return_rip, trap)
             )
         # Push (rip, ring) on the current stack, like a long-mode
-        # interrupt frame (simplified).
+        # interrupt frame (simplified).  A frame the filter refuses
+        # escapes the run unwritten, as a missing handler does.
         rsp = (self.regs[4] - 16) & MASK64
+        pcu = self.pcu
+        if pcu is not None:
+            pcu.check_memory_access(rsp, trap.pc, 16)
         self.memory.store(rsp + 8, return_rip, 8)
         self.memory.store(rsp, self.ring, 8)
         self.regs[4] = rsp
@@ -216,8 +222,11 @@ class X86Cpu:
         self.rip = handler
         info.trapped = True
 
-    def _iret(self, info: StepInfo) -> None:
+    def _iret(self, rip: int, info: StepInfo) -> None:
         rsp = self.regs[4]
+        pcu = self.pcu
+        if pcu is not None:
+            pcu.check_memory_access(rsp, rip, 16)
         self.ring = self.memory.load(rsp, 8) & 3
         self.rip = self.memory.load(rsp + 8, 8)
         self.regs[4] = (rsp + 16) & MASK64
@@ -322,6 +331,9 @@ class X86Cpu:
 
     #: The globals of every x86 block's generated function.
     _block_globals = blocks.block_globals()
+
+    #: What a block's prologue may read for the fragments.
+    _block_prologue = blocks.PROLOGUE
 
     #: Blocks may run in any state; only RISC-V gates them.
     _block_gate = None
@@ -600,7 +612,7 @@ class X86Cpu:
         return True
 
     def _op_iret(self, inst, rip, info):
-        self._iret(info)
+        self._iret(rip, info)
         return True
 
     # -- system registers -------------------------------------------------
@@ -922,14 +934,13 @@ def _member_fragment(inst: Instruction, rip: int):
     if m == "mov_rr":
         return blocks.Fragment(["r[%d] = r[%d]" % (inst.reg, inst.rm)])
     if m == "mov_load" or m == "mov_store":
-        lines = ["a = (r[%d] + %d) & %d" % (inst.base, inst.disp, MASK64),
-                 "pcu = cpu.pcu",
-                 "if pcu is not None:",
-                 "    pcu.check_memory_access(a, %d, 8)" % rip]
+        lines = (["a = (r[%d] + %d) & %d" % (inst.base, inst.disp, MASK64)]
+                 + PrivilegeCheckUnit.filter_source("a", rip, 8))
+        register = "r[%d]" % inst.reg
         if m == "mov_load":
-            lines.append("r[%d] = cpu.memory.load(a, 8) & %d" % (inst.reg, MASK64))
+            lines += PhysicalMemory.load_source("a", 8, register)
         else:
-            lines.append("cpu.memory.store(a, r[%d], 8)" % inst.reg)
+            lines += PhysicalMemory.store_source("a", register, 8)
         return blocks.Fragment(lines, raises=True, address="a",
                                is_store=m == "mov_store")
     target = (rip + inst.size + inst.imm) & MASK64

@@ -1,6 +1,9 @@
 """The Privilege Check Unit: hybrid checks, gates, caches, domain-0."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AccessInfo,
@@ -17,7 +20,12 @@ from repro.core import (
 )
 from repro.conformance.oracle import OraclePcu
 from repro.core.errors import PrivilegeFault
-from repro.core.pcu import DOMAIN_0
+from repro.core.pcu import DOMAIN_0, PrivilegeCheckUnit
+
+from ..profiles import NIGHTLY_SCALE, PROFILE
+from ..sim.test_block_executor import seeded_mutant
+
+NIGHTLY_FACTOR = NIGHTLY_SCALE if PROFILE == "nightly" else 1
 
 
 def enter(pcu, manager, domain_id, *, at=0x1000, to=0x2000):
@@ -409,6 +417,124 @@ class TestMemoryFilterMatchesTheOracle:
         for check in (pcu.check_memory_access, oracle.check_memory_access):
             assert self.outcome(check, trusted.base - 4, 8) is not None
             assert self.outcome(check, trusted.base - 4, 4) is None
+
+
+# ----------------------------------------------------------------------
+# The filter a compiled block runs (DESIGN §3.18 "Generated blocks") is
+# rendered by the PCU: two mask compares against the window it reads
+# once per call, and a call of the method when one hits.  With that
+# call it must be the method.
+# ----------------------------------------------------------------------
+def rendered_filter(size, source=PrivilegeCheckUnit.filter_source,
+                    prologue=PrivilegeCheckUnit.BLOCK_PROLOGUE):
+    """``filter_source`` (or a mutant ``source`` of it) for an access of
+    ``size`` bytes, compiled on its own as ``f(cpu, a)`` behind the
+    prologue line that reads the window."""
+    lines = (["%s = %s" % pair for pair in prologue]
+             + source("a", 0x40, size))
+    text = "def f(cpu, a):\n%s" % "".join("    %s\n" % line for line in lines)
+    scope = {}
+    exec(compile(text, "<filter %d>" % size, "exec"), {}, scope)
+    return scope["f"]
+
+
+#: Each draw's PCU state: domain, enabled, and the generation table
+#: (absent, fresh or stale for the domain).
+STATES = st.tuples(st.sampled_from([0, 1, 2]), st.booleans(),
+                   st.sampled_from(["absent", "fresh", "stale"]))
+SIZES = [1, 2, 4, 8, 16]
+
+
+def filter_pcu(isa, state):
+    domain, enabled, generation = state
+    pcu = TestMemoryFilterMatchesTheOracle.build(isa)[0]
+    pcu.registers.domain = domain
+    pcu.enabled = enabled
+    if generation != "absent":
+        pcu.generation_table = {domain: int(generation == "stale")}
+    return pcu
+
+
+def filter_outcome(check, *args):
+    try:
+        check(*args)
+    except PrivilegeFault as fault:
+        return type(fault).__name__
+    return None
+
+
+def drive_filters(isa, state, accesses, source=PrivilegeCheckUnit.filter_source):
+    """Run ``accesses`` through ``check_memory_access`` on one PCU and
+    through the rendered filter (from ``source``) on another in the same
+    ``state``; return each one's outcomes and ``PcuStats``."""
+    method, rendered = filter_pcu(isa, state), filter_pcu(isa, state)
+    cpu = SimpleNamespace(pcu=rendered)
+    filters = {size: rendered_filter(size, source) for size in SIZES}
+    outcomes = [[], []]
+    for address, size in accesses:
+        outcomes[0].append(filter_outcome(method.check_memory_access,
+                                          address, 0x40, size))
+        outcomes[1].append(filter_outcome(filters[size], cpu, address))
+    return ((outcomes[0], method.stats.as_dict()),
+            (outcomes[1], rendered.stats.as_dict()))
+
+
+def edge_addresses(trusted):
+    """Every byte within 16 of either bound of ``trusted``, and a few far
+    from it."""
+    base, limit = trusted.base, trusted.limit
+    return [*range(base - 16, base + 17), *range(limit - 16, limit + 17),
+            0, base + 4093, (1 << 64) - 16, (1 << 64) - 1]
+
+
+class TestRenderedFilter:
+    @pytest.mark.parametrize("isa", ["x86", "riscv"])
+    @settings(max_examples=40 * NIGHTLY_FACTOR, deadline=None)
+    @given(state=STATES, data=st.data())
+    def test_matches_the_method(self, isa, state, data):
+        trusted = filter_pcu(isa, state).trusted_memory
+        accesses = data.draw(st.lists(st.tuples(
+            st.one_of(st.sampled_from(edge_addresses(trusted)),
+                      st.integers(min_value=0, max_value=(1 << 64) - 1)),
+            st.sampled_from(SIZES)), max_size=200))
+        method, rendered = drive_filters(isa, state, accesses)
+        assert rendered == method
+
+    @pytest.mark.parametrize("state", [(1, True, "absent"), (2, True, "fresh"),
+                                       (1, True, "stale")],
+                             ids=["absent", "fresh", "stale"])
+    def test_every_edge_and_size(self, state):
+        trusted = filter_pcu("x86", state).trusted_memory
+        accesses = [(address, size) for address in edge_addresses(trusted)
+                    for size in SIZES]
+        (outcomes, stats), rendered = drive_filters("x86", state, accesses)
+        assert rendered == (outcomes, stats)
+        assert any(outcomes) and (state[2] == "stale") == all(outcomes)
+
+    def test_no_pcu_filters_nothing(self):
+        for size in SIZES:
+            rendered_filter(size)(SimpleNamespace(pcu=None), 0)
+
+    def test_seeded_first_byte_filter_is_caught(self):
+        # A rendered filter that tests only the access's first byte: an
+        # 8-byte access 4 bytes below trusted memory passes it.
+        mutant = seeded_mutant(PrivilegeCheckUnit.filter_source,
+                               "% (address, address, size - 1),",
+                               "% (address, address, 0),")
+        state = (1, True, "absent")
+        base = filter_pcu("x86", state).trusted_memory.base
+        method, rendered = drive_filters("x86", state, [(base - 4, 8)], mutant)
+        assert method[0] == ["TrustedMemoryFault"] and rendered[0] == [None]
+
+    def test_seeded_window_blind_to_stale_generation_is_caught(self, monkeypatch):
+        # A window that ignores a stale generation: an access outside
+        # trusted memory passes, where the method raises.
+        monkeypatch.setattr(PrivilegeCheckUnit, "memory_window", seeded_mutant(
+            PrivilegeCheckUnit.memory_window, "return 0, 0",
+            "return self._tmem_mask, self._tmem_base"))
+        method, rendered = drive_filters("riscv", (1, True, "stale"),
+                                         [(0x4000, 8)])
+        assert method[0] == ["StaleGenerationFault"] and rendered[0] == [None]
 
 
 class TestReset:

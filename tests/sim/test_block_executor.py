@@ -909,7 +909,7 @@ class TestKernelWorkloadIdentity:
         blocks.shared_blocks.clear()  # drop the first mutant's blocks
         uncounted = seeded_mutant(
             blocks._generate,
-            'tail.append("cpu._l1i_stats.hits += %d" % hits)', "pass")
+            'tail.append("l1i_stats.hits += %d" % hits)', "pass")
         monkeypatch.setattr(blocks, "_generate", uncounted)
         observed = self.run_kernel(kernel_class, user_program, CONFIG_8E)[0]
         assert observed["cycles"] == reference["cycles"]

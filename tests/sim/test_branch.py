@@ -79,8 +79,9 @@ class TestPredictor:
 def rendered_update(predictor, pc, source=TournamentPredictor.update_source):
     """``predictor.update_source`` (or a mutant ``source`` of it) for
     ``pc``, compiled on its own as ``update(cpu, taken) ->
-    mispredicted``."""
+    mispredicted`` behind the prologue lines it reads."""
     lines, mispredicted = source(predictor, pc, "taken")
+    lines = ["%s = %s" % pair for pair in predictor.BLOCK_PROLOGUE] + lines
     text = "def update(cpu, taken):\n%s    return %s\n" % (
         "".join("    %s\n" % line for line in lines), mispredicted)
     scope = {}
@@ -134,8 +135,8 @@ class TestRenderedUpdate:
         # branch: the history, and with it the global index, drifts.
         mutant = seeded_mutant(
             TournamentPredictor.update_source,
-            '"    p._history = (h << 1 | 1) & %d" % mask,',
-            '"    p._history = (h | 1) & %d" % mask,')
+            '"    predictor._history = (h << 1 | 1) & %d" % mask,',
+            '"    predictor._history = (h | 1) & %d" % mask,')
         outcomes = [(0x1000 + 4 * (i % 5), i % 3 != 0) for i in range(200)]
         method, rendered = drive_both((10, 10), outcomes)
         assert rendered == method

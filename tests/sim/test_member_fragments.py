@@ -27,7 +27,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CONFIG_8E
+from repro.core import CONFIG_8E, TrustedMemoryFault
 from repro.riscv import (
     KERNEL_BASE as RISCV_BASE,
     TRUSTED_BASE as RISCV_TRUSTED_BASE,
@@ -150,7 +150,7 @@ def run(isa, config, source, gates=()):
         system.machine.run(2000)
         outcome = None
     except (MemoryAccessError, SimulationLimitExceeded, RiscvPanic,
-            x86_cpu.CpuPanic) as error:
+            x86_cpu.CpuPanic, TrustedMemoryFault) as error:
         outcome = type(error).__name__
     return system, program, state(system, outcome)
 
@@ -481,18 +481,38 @@ handler:
 """ % (address, filler, riscv_encoding.encode(mnemonic, rd=5, rs1=6, rs2=7))
 
 
+def x86_escaping_rsp(mnemonic, place):
+    """rsp as the x86 stack member ``mnemonic`` faults at ``place``, when
+    the trap frame, the 16 bytes below it, reaches trusted memory; else
+    ``None``."""
+    if X86_MEMORY[mnemonic][0] != "rsp" or place == "out_of_range":
+        return None
+    rsp = fault_address(place, X86_TRUSTED_BASE, 8)
+    if mnemonic in ("push", "call"):
+        rsp += 8
+    return rsp if rsp - 1 >= X86_TRUSTED_BASE else None
+
+
 def check_fault(isa, mnemonic, place, position):
     """The faulting member at ``position`` of its block, in domain 1:
     both loops agree, an access that reaches trusted memory traps as a
     trusted-memory fault, and one past the end of memory escapes with
-    pc on the member."""
+    pc on the member.  On x86 a trap frame that would reach trusted
+    memory faults as it is pushed, and escapes the run unwritten."""
     build = x86_fault_program if isa == "x86" else riscv_fault_program
     system, program = compare(isa, build(mnemonic, place, position),
                               gates=[("g0", "attack")])
     stats = system.machine.stats
+    rsp = x86_escaping_rsp(mnemonic, place) if isa == "x86" else None
     if place == "out_of_range":
         assert not stats.halted and stats.traps == 0
         assert system.cpu.pc == program.symbol("member")
+    elif rsp is not None:
+        assert not stats.halted and stats.traps == 0
+        assert system.cpu.last_trap.kind is TrapKind.TRUSTED_MEMORY_FAULT
+        assert system.cpu.last_trap.pc == program.symbol("member")
+        assert system.pcu.stats.total_faults == 2
+        assert system.cpu.regs[4] == rsp
     else:
         assert stats.halted and stats.traps == 1
         assert system.cpu.last_trap.kind is TrapKind.TRUSTED_MEMORY_FAULT

@@ -134,7 +134,8 @@ HIERARCHIES = {"gem5": gem5_o3_hierarchy, "rocket": rocket_hierarchy,
 
 def compiled(lines, result, argument=""):
     """``lines`` compiled on their own as ``f(cpu[, argument]) ->
-    result``."""
+    result``, behind the prologue lines they read."""
+    lines = ["%s = %s" % pair for pair in MemoryHierarchy.BLOCK_PROLOGUE] + lines
     source = "def f(cpu%s):\n%s    return %s\n" % (
         ", " + argument if argument else "",
         "".join("    %s\n" % line for line in lines), result)
@@ -206,7 +207,7 @@ class TestRenderedHitPaths:
         # itself: latencies and LRU order agree, the L1D hits do not.
         mutant = seeded_mutant(
             MemoryHierarchy.data_source,
-            '"    cpu._l1d_stats.hits += 1",', '"    pass",')
+            '"    l1d_stats.hits += 1",', '"    pass",')
         operations = [("data", 0x1000, False)] * 3 + [("data", 0x1008, True)]
         (latencies, levels), (observed, observed_levels) = drive_both(
             rocket_hierarchy, operations, mutant)

@@ -1,11 +1,19 @@
 """Sparse physical memory."""
 
+import hashlib
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from repro.sim import MemoryAccessError, PhysicalMemory
 from repro.sim import memory as memory_module
 from repro.sim.memory import PAGE_SHIFT, PAGE_SIZE
+
+from ..profiles import NIGHTLY_SCALE, PROFILE
+from .test_block_executor import seeded_mutant
+
+NIGHTLY_FACTOR = NIGHTLY_SCALE if PROFILE == "nightly" else 1
 
 
 class TestScalarAccess:
@@ -167,3 +175,143 @@ def test_big_endian_hosts_make_no_views(monkeypatch):
     assert memory.load(PAGE_SIZE - 8, 8) == 0x0102030405060708
     assert memory.load_bytes(PAGE_SIZE - 8, 1) == b"\x08"
     assert memory.load(PAGE_SIZE, 8) == 0x2A
+
+
+# ----------------------------------------------------------------------
+# The access a compiled block runs (DESIGN §3.18 "Generated blocks") is
+# rendered by the memory: the aligned 8-byte page-view access, and a
+# call of the method for any other.  It must be the method.
+# ----------------------------------------------------------------------
+def rendered_accessors():
+    """The rendered load and store of each width, compiled on their own
+    as ``load(cpu, a)`` and ``store(cpu, a, value)`` behind the prologue
+    lines they read."""
+    prologue = ["%s = %s" % pair for pair in PhysicalMemory.BLOCK_PROLOGUE]
+    accessors = {}
+    for width in (1, 2, 4, 8):
+        for name, lines, result in (
+                ("load", PhysicalMemory.load_source("a", width, "v"), "v"),
+                ("store", PhysicalMemory.store_source("a", "value", width),
+                 "None")):
+            text = "def f(cpu, a, value=None):\n%s    return %s\n" % (
+                "".join("    %s\n" % line for line in prologue + lines),
+                result)
+            scope = {}
+            exec(compile(text, "<%s %d>" % (name, width), "exec"), {}, scope)
+            accessors[name, width] = scope["f"]
+    return accessors
+
+
+#: A memory with a base that is neither zero nor page-aligned, and one
+#: whose limit is not page-aligned: their first and last pages lie
+#: partly out of range.
+MEMORIES = {"base": lambda: PhysicalMemory(size=3 * PAGE_SIZE, base=0x8404),
+            "limit": lambda: PhysicalMemory(size=3 * PAGE_SIZE + 0x804)}
+
+
+def access_addresses(memory):
+    """Anywhere in range, aligned words, within 16 bytes of a page edge,
+    and out of range within 16 bytes of either end."""
+    base, limit = memory.base, memory.limit
+    return st.one_of(
+        st.integers(min_value=base, max_value=limit - 1),
+        st.integers(min_value=base // 8, max_value=limit // 8).map(
+            lambda w: 8 * w),
+        st.builds(lambda page, delta: page * PAGE_SIZE + delta,
+                  st.integers(min_value=base // PAGE_SIZE,
+                              max_value=limit // PAGE_SIZE),
+                  st.integers(min_value=-16, max_value=15)),
+        st.integers(min_value=base - 16, max_value=base + 16),
+        st.integers(min_value=limit - 16, max_value=limit + 16))
+
+
+def drive_accesses(make, accesses):
+    """Run ``accesses`` through the methods on one memory and through
+    the rendered accessors on another; return each one's results (a
+    value, ``None`` for a store, or the exception's type), pages and
+    pages with views."""
+    accessors = rendered_accessors()
+    method, rendered = make(), make()
+    cpu = SimpleNamespace(memory=rendered)
+    results = [[], []]
+    for name, address, width, value in accesses:
+        calls = ((method.load, (address, width)),
+                 (accessors[name, width], (cpu, address)))
+        if name == "store":
+            calls = ((method.store, (address, value, width)),
+                     (accessors[name, width], (cpu, address, value)))
+        for outcome, (function, args) in zip(results, calls):
+            try:
+                outcome.append(function(*args))
+            except MemoryAccessError:
+                outcome.append(MemoryAccessError)
+    # Pages as digests, so a failing draw's report stays short.
+    return [(outcome, {number: hashlib.sha256(page).hexdigest()
+                       for number, page in memory._pages.items()},
+             set(memory._words))
+            for outcome, memory in zip(results, (method, rendered))]
+
+
+@st.composite
+def accesses(draw, memory):
+    return draw(st.lists(st.tuples(
+        st.sampled_from(["load", "store"]), access_addresses(memory),
+        st.sampled_from([1, 2, 4, 8]),
+        st.integers(min_value=0, max_value=(1 << 64) - 1)), max_size=80))
+
+
+class TestRenderedAccess:
+    @pytest.mark.parametrize("name", sorted(MEMORIES))
+    # Without the explain phase: on a failing draw it re-ran the test
+    # for minutes (over 110 s under a seeded alignment bug, 0.9 s
+    # without it).
+    @settings(max_examples=40 * NIGHTLY_FACTOR, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.explain])
+    @given(data=st.data())
+    def test_matches_the_methods(self, name, data):
+        make = MEMORIES[name]
+        method, rendered = drive_accesses(make, data.draw(accesses(make())))
+        assert rendered == method
+
+    @pytest.mark.parametrize("name", sorted(MEMORIES))
+    def test_every_edge(self, name):
+        # Each end of the range, each page edge, aligned and not, with a
+        # first touch of each page by either path.
+        memory = MEMORIES[name]()
+        starts = [memory.base, memory.limit, *range(
+            memory.base // PAGE_SIZE * PAGE_SIZE, memory.limit, PAGE_SIZE)]
+        plan = [(kind, start + delta, 8, 0x0102030405060708 + delta)
+                for start in starts for delta in range(-12, 12)
+                for kind in ("load", "store", "load")]
+        method, rendered = drive_accesses(MEMORIES[name], plan)
+        assert rendered == method
+        assert MemoryAccessError in method[0]
+        # Exactly the pages that lie wholly in range have views.
+        assert method[2] == {number for number in method[1]
+                             if memory.base <= number * PAGE_SIZE
+                             <= memory.limit - PAGE_SIZE}
+
+    def test_seeded_view_without_alignment_test_is_caught(self, monkeypatch):
+        # A view access that does not test alignment reads the aligned
+        # word below a misaligned address.
+        monkeypatch.setattr(memory_module, "_view_source", seeded_mutant(
+            memory_module._view_source, '"if q is None or %s & 7:" % address,',
+            '"if q is None:",'))
+        plan = [("store", 0x9000, 8, 0x1122334455667788),
+                ("load", 0x9003, 8, 0)]
+        method, rendered = drive_accesses(MEMORIES["base"], plan)
+        assert rendered[0][1] != method[0][1]
+
+    def test_seeded_view_past_the_limit_is_caught(self, monkeypatch):
+        # A page that runs past the limit gets a view: the rendered load
+        # of an aligned word that runs past the limit reads it, where
+        # the method raises.
+        monkeypatch.setattr(PhysicalMemory, "_new_page", seeded_mutant(
+            PhysicalMemory._new_page,
+            "if _WORD_VIEWS and self.base <= start <= self.limit - PAGE_SIZE:",
+            "if _WORD_VIEWS:"))
+        limit = MEMORIES["limit"]().limit
+        plan = [("store", limit - 8, 8, 1), ("load", limit - 4, 8, 0)]
+        method, rendered = drive_accesses(MEMORIES["limit"], plan)
+        assert method[0] == [None, MemoryAccessError]
+        assert rendered[0] == [None, 0]

@@ -1,7 +1,13 @@
 """The x86 functional CPU: semantics, rings, IDT, ISA-Grid."""
 
+import dataclasses
+
 import pytest
 
+from repro.conformance.oracle import OraclePcu
+from repro.core import CONFIG_8E, TrustedMemoryFault
+from repro.faults.machine import LockstepMonitor
+from repro.sim import TrapKind
 from repro.x86 import (
     CR4_TSD,
     CpuPanic,
@@ -9,11 +15,13 @@ from repro.x86 import (
     KERNEL_BASE,
     RING0,
     RING3,
+    TRUSTED_BASE,
     VEC_GP,
     VEC_UD,
     assemble,
     build_x86_system,
 )
+from repro.x86.cpu import VEC_TRUSTED_MEMORY
 from repro.x86.registers import MSR_LSTAR
 
 
@@ -189,6 +197,110 @@ class TestInterrupts:
         """
         system, _ = run_program(source)
         assert system.cpu.regs[7] == 99
+
+
+class TestTrapFramesAreFiltered:
+    """``int`` pushes a 16-byte frame and ``iret`` pops one, so the frame
+    passes the trusted-memory filter first, as every load and store
+    does.  In domain 1 a frame that reaches trusted memory faults the
+    same way on both loops and under the lockstep monitor, whose oracle
+    agrees."""
+
+    SOURCE = TestInterrupts.IDT_SETUP + """
+        mov rax, %d
+        mov rbx, fault_handler
+        mov [rax+%d], rbx
+        mov r10, 0
+    g0:
+        hccall r10
+    attack:
+        mov rsp, %%d
+    victim:
+        %%s
+        hlt
+    handler:
+        mov rdi, 42
+        hlt
+    fault_handler:
+        mov rdi, 33
+        hlt
+    """ % (IDT_BASE, 8 * VEC_TRUSTED_MEMORY)
+
+    MODES = ("blocks", "steps", "lockstep")
+
+    def run(self, mode, rsp, instruction):
+        """Run the frame at ``rsp`` from domain 1; return the system, the
+        program, what escaped the run (or ``None``), the 16 bytes below
+        ``rsp`` before the run and the oracle's judged (address, size)
+        pairs under the monitor."""
+        config = CONFIG_8E
+        if mode == "steps":
+            config = dataclasses.replace(CONFIG_8E, block_summaries=False)
+        system = build_x86_system(config)
+        manager = system.manager
+        domain = manager.create_domain("all")
+        manager.allow_all_instructions(domain.domain_id)
+        program = assemble(self.SOURCE % (rsp, instruction), base=KERNEL_BASE)
+        system.load(program)
+        manager.register_gate(program.symbol("g0"), program.symbol("attack"),
+                              domain.domain_id)
+        judged = []
+        monitor = None
+        if mode == "lockstep":
+            pcu = system.pcu
+            oracle = OraclePcu(pcu.isa_map, pcu.hpt, pcu.sgt,
+                               pcu.trusted_memory, stack_frames=0)
+            reference = oracle.check_memory_access
+
+            def judge(address, pc=0, size=1):
+                judged.append((address, size))
+                return reference(address, pc, size)
+
+            oracle.check_memory_access = judge
+            monitor = LockstepMonitor(pcu, oracle, system.machine.stats)
+            monitor.install()
+        below = system.machine.memory.load_bytes(rsp - 16, 16)
+        system.cpu.pc = program.symbol("entry")
+        try:
+            system.machine.run(1000)
+            escaped = None
+        except TrustedMemoryFault as fault:
+            escaped = fault
+        if monitor is not None:
+            monitor.uninstall()
+            assert monitor.divergence is None
+        return system, program, escaped, below, judged
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_int_frame_into_trusted_memory_escapes_unwritten(self, mode):
+        # The push faults; so does the push of that fault's own frame at
+        # the same rsp, which escapes the run before anything is stored.
+        rsp = TRUSTED_BASE + 16
+        system, program, escaped, below, judged = self.run(mode, rsp,
+                                                           "int 0x21")
+        assert escaped is not None and escaped.address == program.symbol("victim")
+        assert system.machine.memory.load_bytes(rsp - 16, 16) == below
+        assert system.cpu.regs[4] == rsp and system.cpu.regs[7] == 0
+        assert system.pcu.stats.faults == {"TrustedMemoryFault": 2}
+        if mode == "lockstep":
+            assert judged[-2:] == [(rsp - 16, 16)] * 2
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_iret_frame_in_trusted_memory_is_dispatched(self, mode):
+        # The pop faults like any instruction; its fault's frame, below
+        # trusted memory, is pushed and the handler runs.
+        rsp = TRUSTED_BASE - 8
+        system, program, escaped, _, judged = self.run(mode, rsp, "iret")
+        cpu = system.cpu
+        assert escaped is None and system.machine.stats.halted
+        assert cpu.regs[7] == 33
+        assert cpu.last_trap.kind is TrapKind.TRUSTED_MEMORY_FAULT
+        assert cpu.last_trap.pc == program.symbol("victim")
+        assert cpu.regs[4] == rsp - 16
+        assert system.machine.memory.load(rsp - 8, 8) == program.symbol("victim")
+        assert system.pcu.stats.faults == {"TrustedMemoryFault": 1}
+        if mode == "lockstep":
+            assert judged[-2:] == [(rsp, 16), (rsp - 16, 16)]
 
 
 class TestSyscall:
