@@ -66,7 +66,9 @@ class BlockSummaryStats:
     epoch settles and ``looped`` the runs a loop block's function
     retired past its first, where the executor exits, so ``dispatches``
     is the executor's calls into blocks and ``looped / blocks`` the share
-    of block runs that stayed inside a loop block.
+    of block runs that stayed inside a loop block.  ``steady`` counts,
+    where ``looped`` is counted, the loop iterations that ran in a loop
+    block's steady body (DESIGN §3.18 "Loop blocks").
     """
 
     probes: int = 0         # check_block_summary calls (one per block per epoch)
@@ -74,6 +76,7 @@ class BlockSummaryStats:
     insts: int = 0          # instructions retired under a block summary
     blocks: int = 0         # block runs retired (one ``block`` event each)
     looped: int = 0         # block runs retired inside a loop block's run
+    steady: int = 0         # loop iterations run in a steady body
     invalidations: int = 0  # block-cache flushes (icache coherence)
     # Probe refusals, by reason.
     refused_decompiled: int = 0  # not block-capable, or no verdict plan

@@ -823,8 +823,7 @@ def _member_fragment(inst: Instruction, pc: int, extra):
         return blocks.Fragment(
             ["a = r[%d]" % inst.rs1,
              "b = r[%d]" % inst.rs2,
-             "t = %s" % source,
-             "cpu.pc = %d if t else %d" % (target, pc + 4)],
+             "t = %s" % source],
             taken="t", target=target)
     load = cls == "load"
     width = extra[0] if load else extra

@@ -1,10 +1,11 @@
 """Superblocks: privilege summaries for basic blocks, and their executor.
 
 DESIGN §3.18.  The per-pc decode caches resolve one instruction at a
-time; the block cache extends them with straight-line *superblocks* —
-maximal runs of block-eligible decoded instructions ending at the first
-control transfer — each carrying a summary of every instruction-class
-privilege the run needs.  A block then costs one
+time; the block cache extends them with *superblocks* — maximal runs of
+block-eligible decoded instructions ending at the first control
+transfer, where formation follows an unconditional direct jump — each
+carrying a summary of every instruction-class privilege the run
+needs.  A block then costs one
 :meth:`~repro.core.pcu.PrivilegeCheckUnit.check_block_summary` probe
 per *epoch* (the blocks retired between two reference steps) instead
 of N per-instruction checks per entry, and its members execute as one
@@ -53,9 +54,13 @@ forming it again would read the same bytes and decode entries (DESIGN
 §3.18 "Shared blocks").
 
 A block whose last member is a direct branch or jump back to its first
-pc is a *loop block*: its function runs the members again while that
-branch is taken, up to a limit the executor passes, so a hot loop
-iterates without a dispatch (DESIGN §3.18 "Loop blocks").
+pc, or a conditional branch that falls through to it, is a *loop
+block*: its function runs the members again while that branch leads
+back, up to a limit the executor passes, so a hot loop iterates
+without a dispatch.  Once the predictor sits at the back edge's fixed
+point, a loop that ends in a conditional branch finishes the call in
+its *steady body*, which has no predictor or L1I code on the path that
+goes round (DESIGN §3.18 "Loop blocks").
 
 Within an epoch nothing can change what a probe reads, so the executor
 proves each block once and settles the epoch's bookkeeping in one step
@@ -109,17 +114,19 @@ MEMBER_INFO = StepInfo()
 
 class MemberFault:
     """Where the last block member that raised stood: its index in its
-    block, the cycle sum of the members before it, and how many whole
-    iterations its loop block completed first (0 outside a loop block).
-    A generated function's exception path records them, as ``fault``,
-    just before it re-raises; :func:`run_blocks` reads them at once."""
+    block, the cycle sum of the members before it, how many whole
+    iterations its loop block completed first (0 outside a loop block),
+    and how many of those ran in its steady body.  A generated
+    function's exception path records them, as ``fault``, just before
+    it re-raises; :func:`run_blocks` reads them at once."""
 
-    __slots__ = ("index", "cycles", "iterations")
+    __slots__ = ("index", "cycles", "iterations", "steady")
 
     def __init__(self):
         self.index = 0
         self.cycles = 0.0
         self.iterations = 0
+        self.steady = 0
 
 
 #: The one ``MemberFault`` of the process, shared like ``MEMBER_INFO``.
@@ -162,14 +169,24 @@ class Fragment(NamedTuple):
     the scratch names ``a``, ``b``, ``v``, ``t`` and ``satp``, and
     ``q`` through :class:`~repro.sim.memory.PhysicalMemory`'s lines
     (the timing model's lines use ``c``, ``d``, ``e``, ``f``, ``g``,
-    ``h``, ``u``, ``w``, ``x``, ``y`` and ``z``).
-    ``raises`` says whether they can raise.  ``address`` is an
-    expression for the data address of a load or store, and ``taken``
-    one for the outcome of a predicted branch; both are read after
-    ``lines`` ran.  ``lines`` need not write ``cpu.pc``, except in a
-    member that ends its block.  ``target`` is the static target of a
-    direct branch or jump written inline, which makes its block a loop
-    block when it is the block's first pc.
+    ``h``, ``u``, ``w``, ``x``, ``y``, ``z`` and ``l1d_hits``, and the
+    block's own ``m``, ``k`` and ``j``).  ``raises`` says whether they
+    can raise.  ``address`` is an expression for the data address of a
+    load or store, and ``taken`` one for the outcome of a predicted
+    branch; both are read after ``lines`` ran.  ``flags`` are statements, each
+    writing one flag (``cpu.<flag> = <expression>``), that run after
+    ``lines``; a block leaves out a write that a later member of the
+    same pass overwrites first (:func:`_flag_writes`).  ``reads_flags``
+    says whether ``lines`` read a flag.
+
+    ``lines`` need not write ``cpu.pc``, except in a handler member that
+    ends its block.  ``target`` is the static target of a direct branch
+    or jump written inline, whose block writes the pc where it leaves:
+    a conditional branch (with ``taken``) ends its block and falls
+    through to its next pc, and its block is a loop block when either
+    way leads back to its first pc; an unconditional jump ends its
+    block at its first pc or at a member, and formation follows it
+    anywhere else (:func:`form_block`).
     """
 
     lines: Sequence[str] = ()
@@ -178,6 +195,8 @@ class Fragment(NamedTuple):
     is_store: bool = False
     taken: Optional[str] = None
     target: Optional[int] = None
+    flags: Sequence[str] = ()
+    reads_flags: bool = False
 
 
 def summarize_classes(inst_classes: Iterable[int]) -> Tuple[Tuple[int, int], ...]:
@@ -210,10 +229,12 @@ class CompiledBlock:
     ``cpu.pc`` at its own pc and its index and the cycles before it in
     :data:`MEMBER_FAULT`; ``pcs`` and ``sizes`` attribute the fault.
 
-    A *loop block* (``loops``) is one whose last member branches back to
-    its first pc.  Its ``run(cpu, cyc, limit) -> (cyc, iterations)``
-    runs the members again while that branch is taken, at most
-    ``limit`` times in all, and returns how many times it ran them; a
+    A *loop block* (``loops``) is one whose last member is a direct
+    branch or jump back to its first pc, or a conditional branch that
+    falls through to it.  Its ``run(cpu, cyc, limit) -> (cyc,
+    iterations, steady)`` runs the members again while that branch
+    leads back, at most ``limit`` times in all, and returns how many
+    times it ran them and how many of those ran in its steady body; a
     member that raises records the iterations completed before its own
     in :data:`MEMBER_FAULT` too.
 
@@ -222,8 +243,10 @@ class CompiledBlock:
     ``block`` event is built from them, never from ``summary``: a
     summary that lost a class must not lose it from the event too.
 
-    ``code`` and ``insts`` record what formation read: the memory bytes
-    from the first pc through the last decode window, and the decoded
+    ``code`` and ``insts`` record what formation read.  ``code`` holds
+    one ``(first pc, bytes)`` pair per stretch of code formation read
+    without a followed jump: the memory bytes from the stretch's first
+    pc through its last decode window.  ``insts`` holds the decoded
     instruction of each member followed, where formation stopped at an
     instruction that refused membership or did not decode, by that
     instruction at ``end_pc`` (``None`` if it did not decode).
@@ -241,7 +264,7 @@ class CompiledBlock:
         pcs: Sequence[int],
         sizes: Sequence[int],
         end_pc: int,
-        code: bytes,
+        code: Sequence[Tuple[int, bytes]],
         insts: Sequence,
     ):
         self.summary = summary
@@ -252,7 +275,7 @@ class CompiledBlock:
         self.sizes = tuple(sizes)
         self.n = len(self.pcs)
         self.end_pc = end_pc
-        self.code = code
+        self.code = tuple(code)
         self.insts = tuple(insts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -263,14 +286,16 @@ class CompiledBlock:
 
 def _reusable(cpu, block: CompiledBlock) -> bool:
     """Whether forming at ``block``'s start on ``cpu`` now would read
-    exactly what forming ``block`` read: the same bytes in memory, and
-    no entry for another instruction at its pcs in ``cpu``'s decode
-    cache (an entry is a function of its instruction and pc)."""
+    exactly what forming ``block`` read: the same bytes in memory, in
+    every stretch, and no entry for another instruction at its pcs in
+    ``cpu``'s decode cache (an entry is a function of its instruction
+    and pc)."""
+    load = cpu.memory.load_bytes
     try:
-        code = cpu.memory.load_bytes(block.pcs[0], len(block.code))
+        for first, code in block.code:
+            if load(first, len(code)) != code:
+                return False
     except MemoryAccessError:
-        return False
-    if code != block.code:
         return False
     decode_cache = cpu._decode_cache
     for pc, inst in zip(block.pcs + (block.end_pc,), block.insts):
@@ -335,84 +360,183 @@ def _decodes_to(cpu, pc: int, inst) -> bool:
         return False
 
 
-def _generate(cpu, pipeline, fragments, pcs, warm, end_pc, bound, loops):
+def _flag_writes(fragments) -> List[List[str]]:
+    """Each member's flag writes that its block keeps (DESIGN §3.18
+    "Generated blocks"): all but those a later member of the same pass
+    overwrites before any member reads a flag or can raise.  Calling a
+    handler can raise, and a loop's pass ends at its back edge, so every
+    flag holds its reference value wherever the block can be seen."""
+    kept = []
+    overwritten = set()
+    for fragment in reversed(fragments):
+        writes = [(line.partition(" = ")[0], line) for line in fragment.flags]
+        kept.append([line for flag, line in writes if flag not in overwritten])
+        if fragment.raises or fragment.reads_flags:
+            overwritten = set()
+        else:
+            overwritten.update(flag for flag, _ in writes)
+    return kept[::-1]
+
+
+def _indent(lines, depth=1) -> List[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _generate(cpu, pipeline, fragments, pcs, warm, leave, bound, continues,
+              steady):
     """Compile one block's ``run(cpu, cyc) -> cyc`` (DESIGN §3.18
     "Generated blocks"), or a loop block's ``run(cpu, cyc, limit) ->
-    (cyc, iterations)`` when ``loops``.
+    (cyc, iterations, steady iterations)`` when ``continues`` is not
+    ``None``.
 
     The function opens with a prologue that reads into locals, once per
     call, every handle of ``cpu._block_prologue`` and the timing
-    model's ``block_prologue()`` whose locals the body uses; nothing
-    replaces any of them during a call (DESIGN §3.18 "The prologue").
-    Each member's fragment is followed by the timing model's tail for
-    it.  A warm member's L1I hit is counted with the others' in one add
-    at the end.  A member that can raise first records its index in
+    model's ``block_prologue()`` whose locals the body uses, and starts
+    the hierarchy's ``BLOCK_COUNTERS`` at zero; nothing replaces any of
+    the handles during a call (DESIGN §3.18 "The prologue").  Each
+    member's fragment, with the flag writes :func:`_flag_writes` keeps,
+    is followed by the timing model's tail for it.  A warm member's L1I
+    hit is counted with the others' in one add at the end, with the
+    counters.  A member that can raise first records its index in
     ``m``; the exception path puts ``cpu.pc`` on that member, counts the
-    warm hits before it, records ``m``, the cycles before it and the
-    iterations completed in ``fault`` and re-raises.  ``end_pc`` is
-    ``None`` when the last member sets ``cpu.pc`` itself.  ``bound``
-    holds the objects the fragments named through ``bind``, in order.
+    warm hits before it and the counters, records ``m``, the cycles
+    before it and the iterations completed in ``fault`` and re-raises.
+    ``leave`` sets ``cpu.pc`` where the block ends, or is ``None`` when
+    the last member's handler sets it.  ``bound`` holds the objects the
+    fragments named through ``bind``, in order.
 
     A loop block runs its one copy of the members in a ``while`` loop,
-    counting iterations in ``k``, until its last member's branch falls
-    through or ``k`` reaches ``limit``.  Its first member fetches on
-    every iteration, and its warm hits are counted ``k`` times at exit.
+    counting iterations in ``k``, until its last member's branch leads
+    away (it goes round when the branch's outcome reads ``continues``;
+    an unconditional jump always does) or ``k`` reaches ``limit``.  Its
+    first member fetches on every iteration, and its warm hits are
+    counted ``k`` times at exit.  With ``steady``, after each iteration
+    that goes round, it tests whether the predictor is at its back
+    edge's fixed point (``TournamentPredictor.steady_source``); once it
+    is, the call finishes in the *steady body*: the members again, each
+    fetch an L1I hit and the branch's prediction, while it goes round,
+    counted at exit (``PipelineModel.steady_tail``), from ``j``, the
+    full-body iterations, to ``k``.  Both bodies leave through the one
+    exit test.
     """
+    loops = continues is not None
+    taken = fragments[-1].taken
     body = []
+    calm = []
     hits = 0
     hits_before = []
-    for index, fragment in enumerate(fragments):
+    for index, (fragment, flags) in enumerate(zip(fragments,
+                                                  _flag_writes(fragments))):
         hits_before.append(hits)
+        first = len(body)
         if fragment.raises and (index or loops):
             body.append("m = %d" % index)
         body += fragment.lines
+        body += flags
+        if steady:
+            calm += body[first:] + pipeline.steady_tail(
+                pcs[index], fragment.address, fragment.is_store,
+                fragment.taken, continues)
         body += pipeline.member_tail(pcs[index], warm[index], fragment.address,
                                      fragment.is_store, fragment.taken)
         hits += warm[index]
     counted = ["%r[m]" % (tuple(hits_before),)] if any(hits_before) else []
     if loops:
-        taken = fragments[-1].taken
-        body = (["while True:"] + ["    " + line for line in body]
-                + ["    k += 1",
-                   "    if %sk == limit:"
-                   % ("" if taken is None else "not %s or " % taken),
-                   "        break"])
+        if taken is None:
+            leaves = ""
+        elif continues:
+            leaves = "not %s or " % taken
+        else:
+            leaves = "%s or " % taken
+        again = ["k += 1", "if %sk == limit:" % leaves, "    break"]
+        loop = body + again
+        if steady:
+            loop += (["if %s:" % pipeline.predictor.steady_source(pcs[-1],
+                                                                  continues),
+                      "    j = k",
+                      "    while True:"]
+                     + _indent(calm + again, 2) + ["    break"])
+        body = ["while True:"] + _indent(loop)
         if hits:
             counted.append("k * %d" % hits)
     raised = ["cpu.pc = %r[m]" % (tuple(pcs),)]
     if counted:
         raised.append("l1i_stats.hits += " + " + ".join(counted))
-    raised += ["fault.index = m", "fault.cycles = cyc",
-               "fault.iterations = %s" % ("k" if loops else "0"), "raise"]
     tail = []
     if hits:
         if loops:
             tail.append("l1i_stats.hits += k * %d" % hits)
         else:
             tail.append("l1i_stats.hits += %d" % hits)
-    if end_pc is not None:
-        tail.append("cpu.pc = %d" % end_pc)
-    tail.append("return cyc, k" if loops else "return cyc")
+    if steady:
+        # Steady iterations fetch every member as a counted hit and
+        # count their predictions here.
+        calm_hits = ["(k - j) * %d" % len(pcs)] + (
+            ["j * %d" % hits] if hits else [])
+        predicted = "branch_stats.predictions += k - j"
+        steady_raised = [
+            "l1i_stats.hits += %s" % " + ".join(
+                ["%r[m]" % (tuple(range(len(pcs))),)] + calm_hits),
+            predicted, "fault.steady = k - j"]
+        raised = ([raised[0], "if j:"] + _indent(steady_raised) + ["else:"]
+                  + _indent(raised[1:] + ["fault.steady = 0"]))
+        tail = (["if j:"]
+                + _indent(["l1i_stats.hits += " + " + ".join(calm_hits),
+                           predicted])
+                + (["else:"] + _indent(tail) if tail else []))
+    else:
+        raised.append("fault.steady = 0")
+    text = "\n".join(body)
+    counters = [(local, counter) for local, counter
+                in pipeline.hierarchy.BLOCK_COUNTERS
+                if re.search(r"\b%s\b" % local, text)]
+    flush = ["%s += %s" % (counter, local) for local, counter in counters]
+    raised += flush + [
+        "fault.index = m", "fault.cycles = cyc",
+        "fault.iterations = %s" % ("k" if loops else "0"), "raise"]
+    tail += flush
+    if leave is not None:
+        tail.append(leave)
+    if steady:
+        tail.append("return cyc, k, k - j if j else 0")
+    else:
+        tail.append("return cyc, k, 0" if loops else "return cyc")
     used = set(re.findall(r"[A-Za-z_]\w*", "\n".join(body + raised + tail)))
     prologue = ["%s = %s" % (names, expression) for names, expression
                 in cpu._block_prologue + pipeline.block_prologue()
                 if used.intersection(names.split(", "))]
+    prologue += ["%s = 0" % local for local, _ in counters]
+    prologue.append("m = 0")
+    if loops:
+        prologue.append("k = 0")
+    if steady:
+        prologue.append("j = 0")
     source = "\n".join(
         ["def bind(%s):" % ", ".join("b%d" % i for i in range(len(bound))),
          "    def run(cpu, cyc%s):" % (", limit" if loops else "")]
-        + ["        " + line for line in prologue]
-        + ["        m = 0"]
-        + (["        k = 0"] if loops else [])
-        + ["        try:"]
-        + ["            " + line for line in body]
-        + ["        except BaseException:"]
-        + ["            " + line for line in raised]
-        + ["        " + line for line in tail]
-        + ["    return run", ""])
+        + _indent(prologue, 2) + ["        try:"] + _indent(body, 3)
+        + ["        except BaseException:"] + _indent(raised, 3)
+        + _indent(tail, 2) + ["    return run", ""])
     scope = {}
     exec(compile(source, "<block 0x%x>" % pcs[0], "exec"), cpu._block_globals,
          scope)
     return scope["bind"](*bound)
+
+
+def _followed(cpu, fragment: Fragment, pcs: Sequence[int]) -> bool:
+    """Whether formation continues at ``fragment``'s target: an
+    unconditional direct jump, written inline, to neither the block's
+    first pc nor another member, whose decode window lies in memory (a
+    jump out of memory ends its block, and the reference step at its
+    target raises as it would without blocks)."""
+    target = fragment.target
+    if target is None or fragment.taken is not None or target in pcs:
+        return False
+    try:
+        cpu.memory.load_bytes(target, cpu._decode_window)
+    except MemoryAccessError:
+        return False
+    return True
 
 
 def form_block(cpu, start: int):
@@ -423,11 +547,16 @@ def form_block(cpu, start: int):
     Otherwise walks the decode cache from ``start`` while
     ``cpu._block_member`` admits each instruction, up to
     ``MAX_BLOCK_LEN`` members; a member that ends the block is included
-    as its last, and makes it a loop block when it is a direct branch
-    or jump back to ``start``.  A member whose pc lies in the previous
-    member's L1I line is formed warm.  The new block is shared unless a
-    decode entry it used no longer matches memory.  Only called where
-    pc == pa (RISC-V forms under Bare translation only).
+    as its last, except that formation follows an unconditional direct
+    jump written inline (:func:`_followed`) to its target, where a new
+    stretch of code starts.  The block is a loop block when its last
+    member is a direct branch or jump back to ``start``, or a
+    conditional branch that falls through to ``start``; such a loop
+    ending in a conditional branch gets a steady body when the L1I
+    lines of its members lie in distinct sets.  A member whose pc lies
+    in the previous member's L1I line is formed warm.  The new block is
+    shared unless a decode entry it used no longer matches memory.  Only
+    called where pc == pa (RISC-V forms under Bare translation only).
     """
     pipeline = cpu.machine.pipeline
     key = (type(cpu), pipeline.block_key(), start)
@@ -436,7 +565,8 @@ def form_block(cpu, start: int):
         return block
     decode_cache = cpu._decode_cache
     member = cpu._block_member
-    line_bytes = pipeline.hierarchy.l1i.line
+    hierarchy = pipeline.hierarchy
+    line_bytes = hierarchy.l1i.line
     bound = []
 
     def bind(obj) -> str:
@@ -449,11 +579,15 @@ def form_block(cpu, start: int):
     classes = []
     warm = []
     insts = []
+    # Each stretch's first pc and the last pc formation decoded in it.
+    stretches = []
     shareable = True
     ends = False
-    pc = start
+    pc = first = start
+    read = None
     previous_line = None
     while not ends and len(pcs) < MAX_BLOCK_LEN:
+        read = pc
         entry = decode_cache.get(pc)
         if entry is None:
             try:
@@ -479,16 +613,39 @@ def form_block(cpu, start: int):
         classes.append(inst_class)
         warm.append(line == previous_line)
         previous_line = line
-        pc = (pc + size) & MASK64
+        if ends and _followed(cpu, fragment, pcs):
+            stretches.append((first, read))
+            pc = first = fragment.target
+            read = None
+            ends = False
+        else:
+            pc = (pc + size) & MASK64
     if not pcs:
         return NO_BLOCK
-    last = pc if len(insts) > len(pcs) else pcs[-1]
-    code = cpu.memory.load_bytes(start, last + cpu._decode_window - start)
-    loops = ends and fragments[-1].target == start
-    run = _generate(cpu, pipeline, fragments, pcs, warm,
-                    None if ends else pc, bound, loops)
-    block = CompiledBlock(summarize_classes(classes), classes, run, loops,
-                          pcs, sizes, pc, code, insts)
+    if read is not None:
+        stretches.append((first, read))
+    window = cpu._decode_window
+    code = [(begin, cpu.memory.load_bytes(begin, end + window - begin))
+            for begin, end in stretches]
+    last = fragments[-1]
+    continues = leave = None
+    if not ends:
+        leave = "cpu.pc = %d" % pc
+    elif last.target is not None:
+        if last.taken is None:
+            leave = "cpu.pc = %d" % last.target
+        else:
+            leave = "cpu.pc = %d if %s else %d" % (last.target, last.taken, pc)
+        if last.target == start:
+            continues = True
+        elif last.taken is not None and pc == start:
+            continues = False
+    steady = (continues is not None and last.taken is not None
+              and hierarchy.fetch_sets_distinct(pcs))
+    run = _generate(cpu, pipeline, fragments, pcs, warm, leave, bound,
+                    continues, steady)
+    block = CompiledBlock(summarize_classes(classes), classes, run,
+                          continues is not None, pcs, sizes, pc, code, insts)
     if shareable:
         shared_blocks.add(key, block)
     return block
@@ -516,9 +673,11 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
     whether this run halted.  Any closed gate, cold/ineligible pc or
     refused probe falls back to the reference ``step()`` for exactly one
     instruction, so semantics, cycles and statistics are bit-identical
-    to the per-instruction loop by construction.  Each fallback is
-    counted by reason into the PCU's ``block_stats`` on exit, and so
-    are the block runs retired inside loop blocks' calls.
+    to the per-instruction loop by construction; after a probe that
+    refused for a missing class, so do the block's other members while
+    the pc stays on them.  Each fallback is counted by reason into the
+    PCU's ``block_stats`` on exit, and so are the block runs retired
+    inside loop blocks' calls and the iterations run in steady bodies.
 
     The blocks retired between two reference steps form an *epoch*
     (DESIGN §3.18 "Epochs"): nothing a block member does can change
@@ -555,8 +714,14 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
     mode = BLOCK_REFUSED
     retired = []
     settled = insts
-    # Block runs retired inside a loop block's function, past its first.
-    looped = 0
+    # Block runs retired inside a loop block's function, past its first,
+    # and loop iterations run in a steady body.
+    looped = steady = 0
+    # After a probe refuses a block for a class its domain lacks, the
+    # rest of its members, while the pc stays on them, take reference
+    # steps too: ``walk`` yields their pcs, and ``walking`` is the next.
+    class_refusals = 0 if pcu is None else pcu.block_stats.refused_class
+    walk = walking = None
     try:
         while remaining > 0:
             verdict = BLOCK_REFUSED
@@ -564,11 +729,15 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
                 translated += 1
             else:
                 pc = cpu.pc
-                block = blocks.get(pc)
+                # The pc a walk steps through forms and probes nothing.
+                block = NO_BLOCK if pc == walking else blocks.get(pc)
                 if block is None:
                     block = blocks[pc] = form_block(cpu, pc)
                 if block is NO_BLOCK:
-                    no_block += 1
+                    if walking is None:
+                        no_block += 1
+                    else:
+                        refused += 1
                 elif block.n > remaining:
                     budget += 1
                 elif block in proven:
@@ -577,6 +746,11 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
                     verdict = BLOCK_SILENT if probe is None else probe(block.summary)
                     if verdict == BLOCK_REFUSED:
                         refused += 1
+                        if pcu.block_stats.refused_class != class_refusals:
+                            # The class stays missing while the members
+                            # run, so their pcs would refuse too.
+                            class_refusals = pcu.block_stats.refused_class
+                            walk = iter(block.pcs[1:])
                     else:
                         mode = verdict
                         proven.add(block)
@@ -589,9 +763,10 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
                         # One run is k iterations, each a retired block
                         # of the epoch, which the limit keeps within
                         # the budget and the epoch cap.
-                        cyc, k = block.run(cpu, cyc, min(
+                        cyc, k, calm = block.run(cpu, cyc, min(
                             remaining // n, MAX_EPOCH_BLOCKS - len(retired)))
                         looped += k - 1
+                        steady += calm
                         retired += [block.classes] * k
                         n *= k
                     else:
@@ -612,6 +787,7 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
                     insts += k * n + i
                     remaining -= k * n + i
                     looped += k
+                    steady += MEMBER_FAULT.steady
                     retired += [block.classes] * k
                     retired.append(block.classes[:i + 1])
                 except BaseException:
@@ -624,6 +800,7 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
                     cyc = MEMBER_FAULT.cycles
                     insts += k * n + i
                     looped += k
+                    steady += MEMBER_FAULT.steady
                     retired += [block.classes] * k
                     retired.append(block.classes[:i + 1])
                     raise
@@ -662,6 +839,10 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
                 return True
             if gate is not None:
                 gate_open = gate()
+            if walk is not None:
+                walking = next(walk, None)
+                if cpu.pc != walking:
+                    walk = walking = None
         return False
     finally:
         if retired:
@@ -673,3 +854,4 @@ def run_blocks(cpu, max_steps: int, mstats, instruction_cycles) -> bool:
             stats = pcu.block_stats
             stats.add_fallbacks(no_block, budget, refused, translated)
             stats.looped += looped
+            stats.steady += steady

@@ -114,7 +114,9 @@ class TournamentPredictor:
     # locals the block's prologue reads once per call
     # (``BLOCK_PROLOGUE``), and use the scratch names ``h``, ``g``,
     # ``x``, ``y``, ``z`` and ``u``.  The history is an integer, so it
-    # is read and written on the predictor at each update.
+    # is read and written on the predictor at each update.  A loop
+    # block also tests the fixed point of its back edge
+    # (:meth:`steady_source`, DESIGN §3.18 "Loop blocks").
     # ------------------------------------------------------------------
     #: What a block's prologue reads for the lines below, as
     #: ``(local, expression)``.  Nothing replaces the tables.
@@ -166,3 +168,26 @@ class TournamentPredictor:
             "        p_global[g] = y - 1",
             "    predictor._history = (h << 1) & %d" % mask,
         ], "u != %s" % taken
+
+    def steady_source(self, pc: int, continues: bool) -> str:
+        """An expression that reads true when this predictor is at the
+        fixed point of the constant ``pc`` for the outcome ``continues``:
+        then :meth:`update` with that outcome predicts it, writes no
+        table and leaves the history as it was, so only the caller's
+        prediction count moves.
+
+        Taken, the history is all ones, so the global index is the
+        mask's complement of the fold's part, and the local and global
+        counters are saturated taken.  Not taken is the mirror image: a
+        history of zeros and both counters at zero.  Either way the two
+        components agree, so the chooser is not touched either.
+        """
+        folded = (pc >> 2) ^ (pc >> 13) ^ (pc >> 21)
+        local_index = folded & self._local_mask
+        mask = self._global_mask
+        if continues:
+            return ("predictor._history == %d and p_local[%d] == 3"
+                    " and p_global[%d] == 3"
+                    % (mask, local_index, mask ^ (folded & mask)))
+        return ("predictor._history == 0 and p_local[%d] == 0"
+                " and p_global[%d] == 0" % (local_index, folded & mask))

@@ -158,6 +158,13 @@ class MemoryHierarchy:
                       ("l1d_get", "cpu._l1d_sets_get"),
                       ("l1d_stats", "cpu._l1d_stats"))
 
+    #: Counters the lines below bump in a local, as ``(local,
+    #: counter)``: a block starts the local at zero and adds it to the
+    #: counter once per call, and on its exception path.  Nothing reads
+    #: the L1D hit counter during a call, and a miss path's own adds to
+    #: it commute with that one.
+    BLOCK_COUNTERS = (("l1d_hits", "l1d_stats.hits"),)
+
     def block_handles(self) -> Dict[str, object]:
         """The CPU attributes the rendered lines read, and their values."""
         return {
@@ -190,15 +197,28 @@ class MemoryHierarchy:
     def data_source(self, address: str, write: bool) -> List[str]:
         """Statements that leave in ``d`` what :meth:`access_data`
         returns for the expression ``address``: its L1D MRU-hit test,
-        and a call of it on a miss."""
+        counted in the local ``l1d_hits`` (``BLOCK_COUNTERS``), and a
+        call of it on a miss."""
         n_sets = self._l1d_n_sets
         return ["e = (%s) // %d" % (address, self._l1d_line),
                 "w = l1d_get(e %% %d)" % n_sets,
                 "if w is not None and w[-1] == e // %d:" % n_sets,
-                "    l1d_stats.hits += 1",
+                "    l1d_hits += 1",
                 "    d = %d" % self._l1d_latency,
                 "else:",
                 "    d = cpu._data(%s, %r)" % (address, write)]
+
+    def fetch_sets_distinct(self, pcs) -> bool:
+        """Whether the L1I lines that hold ``pcs`` lie in distinct sets.
+
+        Then a loop body's fetches leave each of its lines most
+        recently used in its set after one iteration, and no later
+        iteration moves any of them (DESIGN §3.18 "Loop blocks").  Code
+        that spans less than the set count times the line size never
+        shares a set; a followed jump can land anywhere.
+        """
+        lines = {pc // self._l1i_line for pc in pcs}
+        return len({line % self._l1i_n_sets for line in lines}) == len(lines)
 
     @property
     def miss_path_latency(self) -> int:

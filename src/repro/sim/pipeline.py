@@ -118,15 +118,16 @@ class PipelineModel:
                 + self.predictor.render_key())
 
     def member_tail(self, pc: int, warm: bool, address: Optional[str] = None,
-                    is_store: bool = False,
-                    taken: Optional[str] = None) -> List[str]:
+                    is_store: bool = False, taken: Optional[str] = None,
+                    counted: bool = True) -> List[str]:
         """Source that adds one block member's cycles to ``cyc``.
 
         The cost is what :meth:`instruction_cycles` charges such an
         instruction, summed in its order: the fetch at ``pc`` (an L1I
         hit, counted by the block in one go, when ``warm``), the data
         access at the expression ``address``, and the prediction of a
-        branch whose outcome is the expression ``taken``.  It is added
+        branch whose outcome is the expression ``taken`` (counted here
+        unless the block counts it, when not ``counted``).  It is added
         to ``cyc`` on its own, so the block's sum is the per-instruction
         loop's sum.
         """
@@ -135,10 +136,31 @@ class PipelineModel:
         if address is not None:
             rest += self._data_tail(address, is_store)
         if taken is not None:
+            if counted:
+                rest.append("branch_stats.predictions += 1")
             rest += self._branch_tail(pc, taken)
         if not rest:
             return fetch + ["cyc += %s" % cost]
         return fetch + ["c = %s" % cost] + rest + ["cyc += c"]
+
+    def steady_tail(self, pc: int, address: Optional[str] = None,
+                    is_store: bool = False, taken: Optional[str] = None,
+                    continues: bool = True) -> List[str]:
+        """:meth:`member_tail` in a loop block's steady body (DESIGN
+        §3.18 "Loop blocks"), where every fetch is an L1I hit that the
+        block counts, and the predictor sits at the fixed point of the
+        back edge, whose outcome ``taken`` continues the loop when it
+        reads ``continues``.  Such a branch adds its base cost alone,
+        and the block counts its prediction; one that leaves updates
+        the predictor as :meth:`member_tail` does, uncounted too."""
+        stays = self.member_tail(pc, True, address, is_store)
+        if taken is None:
+            return stays
+        leaves = self.member_tail(pc, True, address, is_store, taken,
+                                  counted=False)
+        return (["if %s%s:" % ("" if continues else "not ", taken)]
+                + ["    " + line for line in stays] + ["else:"]
+                + ["    " + line for line in leaves])
 
     def _fetch_tail(self, pc: int, warm: bool) -> Tuple[List[str], str]:
         """Statements and an expression: the base and fetch cycles."""
@@ -149,9 +171,10 @@ class PipelineModel:
         raise NotImplementedError
 
     def _branch_tail(self, pc: int, taken: str) -> List[str]:
-        """Statements that predict a branch and add a mispredict to ``c``."""
+        """Statements that update the predictor with a branch's outcome
+        and add a mispredict to ``c``."""
         update, mispredicted = self.predictor.update_source(pc, taken)
-        return (["branch_stats.predictions += 1"] + update + [
+        return (update + [
             "if %s:" % mispredicted,
             "    branch_stats.mispredictions += 1",
             "    c += %r" % self._mispredict_penalty,
@@ -193,7 +216,7 @@ class InOrderPipelineModel(PipelineModel):
             if data > 1:
                 cycles += data - 1
         if info.is_branch:
-            # The branch rule, as _branch_tail renders it for block
+            # The branch rule, as member_tail renders it for block
             # members: count the prediction, update the predictor,
             # and charge a misprediction MISPREDICT_PENALTY.
             stats = self.branch_stats
@@ -288,7 +311,7 @@ class OutOfOrderPipelineModel(PipelineModel):
                 factor = self.STORE_MISS_FACTOR if info.is_store else self.LOAD_MISS_FACTOR
                 cycles += (data - 2) * factor
         if info.is_branch:
-            # The branch rule, as _branch_tail renders it for block
+            # The branch rule, as member_tail renders it for block
             # members: count the prediction, update the predictor,
             # and charge a misprediction MISPREDICT_PENALTY.
             stats = self.branch_stats

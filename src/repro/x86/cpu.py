@@ -925,7 +925,10 @@ def _member_fragment(inst: Instruction, rip: int):
     """The block fragment (DESIGN §3.18 "Generated blocks") that writes
     a hot member mnemonic's semantics inline, exactly as its handler
     computes them, or ``None`` for a member whose handler the block
-    calls.  ``nop`` has an empty fragment."""
+    calls.  ``nop`` has an empty fragment, and so has ``jmp``, whose
+    block follows it or writes the pc.  An ALU op's flag writes are
+    its fragment's ``flags``, so its block can leave out the dead ones;
+    a jcc reads the flags."""
     m = inst.mnemonic
     if m == "nop":
         return blocks.Fragment()
@@ -945,12 +948,10 @@ def _member_fragment(inst: Instruction, rip: int):
                                is_store=m == "mov_store")
     target = (rip + inst.size + inst.imm) & MASK64
     if m == "jmp":
-        return blocks.Fragment(["cpu.pc = %d" % target], target=target)
+        return blocks.Fragment(target=target)
     if m in _JCC_SOURCE:
-        return blocks.Fragment(
-            ["t = %s" % _JCC_SOURCE[m],
-             "cpu.pc = %d if t else %d" % (target, (rip + inst.size) & MASK64)],
-            taken="t", target=target)
+        return blocks.Fragment(["t = %s" % _JCC_SOURCE[m]], taken="t",
+                               target=target, reads_flags=True)
     rm = inst.rm
     if m in ("shl", "shr", "sar"):
         amount = inst.imm & 63
@@ -963,8 +964,7 @@ def _member_fragment(inst: Instruction, rip: int):
         shift = "<<" if m == "shl" else ">>"
         return blocks.Fragment(lines + [
             "v = (%s %s %d) & %d" % (value, shift, amount, MASK64),
-            "r[%d] = v" % rm,
-            "cpu.zf = v == 0"])
+            "r[%d] = v" % rm], flags=["cpu.zf = v == 0"])
     base = m[:-4] if m.endswith("_imm") else m
     symbol = _ARITH_SYMBOL.get(base)
     if symbol is None:
@@ -978,14 +978,15 @@ def _member_fragment(inst: Instruction, rip: int):
         lines.append("b = r[%d]" % inst.reg)
         operand = "b"
         signed = "(b - %d if b >> 63 else b)" % (1 << 64)
-    lines += ["v = (a %s %s) & %d" % (symbol, operand, MASK64),
-              "cpu.zf = v == 0"]
+    lines.append("v = (a %s %s) & %d" % (symbol, operand, MASK64))
+    if base != "cmp" and base != "test":
+        lines.append("r[%d] = v" % rm)
+    # The flags are functions of the locals a, b and v.
+    flags = ["cpu.zf = v == 0"]
     if base == "sub" or base == "cmp":
-        lines += ["cpu.cf = a < %s" % operand,
+        flags += ["cpu.cf = a < %s" % operand,
                   "cpu.sf_lt = (a - %d if a >> 63 else a) < %s"
                   % (1 << 64, signed)]
     else:
-        lines += ["cpu.cf = False", "cpu.sf_lt = v >> 63 == 1"]
-    if base != "cmp" and base != "test":
-        lines.append("r[%d] = v" % rm)
-    return blocks.Fragment(lines)
+        flags += ["cpu.cf = False", "cpu.sf_lt = v >> 63 == 1"]
+    return blocks.Fragment(lines, flags=flags)

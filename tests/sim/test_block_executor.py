@@ -57,7 +57,7 @@ from repro.sim import (
     TrapKind,
     blocks,
 )
-from repro.workloads import GATE_STRESS
+from repro.workloads import APPLICATIONS, GATE_STRESS
 from repro.workloads.generator import riscv_user_program, x86_user_program
 from repro.workloads.micro import _X86_GATE_LOOP
 from repro.x86 import (
@@ -841,13 +841,18 @@ class TestKernelWorkloadIdentity:
     ITERATIONS = 8
     MAX_STEPS = 1_000_000
 
-    def run_kernel(self, kernel_class, user_program, config, monitor=None):
-        profile = dataclasses.replace(GATE_STRESS,
-                                      outer_iterations=self.ITERATIONS)
+    def run_kernel(self, kernel_class, user_program, config, monitor=None,
+                   profile=None):
+        if profile is None:
+            profile = dataclasses.replace(GATE_STRESS,
+                                          outer_iterations=self.ITERATIONS)
         kernel = kernel_class("decomposed", config)
         if monitor is not None:
             monitor.attach(kernel.system.pcu, kernel.system.manager)
         stats = kernel.run(user_program(profile), max_steps=self.MAX_STEPS)
+        machine = kernel.system.machine
+        hierarchy = machine.hierarchy
+        predictor = machine.pipeline.predictor
         observed = {
             "instructions": stats.instructions,
             "cycles": stats.cycles,
@@ -855,7 +860,11 @@ class TestKernelWorkloadIdentity:
             "pcu": kernel.system.pcu.stats.as_dict(),
             "syscalls": kernel.syscall_count,
             "faults": kernel.fault_count,
-            **timing_stats(kernel.system.machine),
+            **timing_stats(machine),
+            "sets": [dict(level._sets) for level
+                     in (hierarchy.l1i, hierarchy.l1d, *hierarchy.shared)],
+            "predictor": (predictor._local, predictor._global,
+                          predictor._chooser, predictor._history),
         }
         return observed, kernel
 
@@ -886,6 +895,29 @@ class TestKernelWorkloadIdentity:
         stats = results[True, True][1].system.pcu.block_stats
         assert stats.coverage > 0.9
         assert stats.insts > 0.9 * reference["instructions"]
+
+    def test_x86_app_three_way(self):
+        # SQLite at 1/10 of its Figure-7 length copies through the
+        # kernel's top-tested read/write loops, which run as loop
+        # blocks whose je falls through to their first pc.
+        app = APPLICATIONS[0]
+        profile = dataclasses.replace(
+            app, outer_iterations=app.outer_iterations // 10)
+        results = {}
+        for config in ALL_MODES:
+            results[config.fast_path, config.block_summaries] = (
+                self.run_kernel(X86Kernel, x86_user_program, config,
+                                profile=profile))
+        reference = results[True, False][0]
+        assert reference["faults"] == 0
+        for key, (observed, _) in results.items():
+            assert observed == reference, "mode %r diverged" % (key,)
+        kernel = results[True, True][1]
+        read_loop = kernel.symbol("read_loop")
+        assert any(block is not blocks.NO_BLOCK and block.loops
+                   and read_loop in block.pcs
+                   for block in kernel.system.cpu._block_cache.values())
+        assert kernel.system.pcu.block_stats.steady
 
     @pytest.mark.parametrize("kernel_class, user_program", [
         (X86Kernel, x86_user_program),
@@ -1035,7 +1067,8 @@ class TestSharedBlocks:
 
     def test_seeded_byte_check_bug_is_caught(self, monkeypatch, isa):
         monkeypatch.setattr(blocks, "_reusable", seeded_mutant(
-            blocks._reusable, "if code != block.code:", "if False:"))
+            blocks._reusable, "if load(first, len(code)) != code:",
+            "if False:"))
         _, second, reference = self.reform(isa)
         assert snapshot(second) != reference
 
@@ -1078,6 +1111,49 @@ class TestSharedBlocks:
             "pass"))
         observed, reference = self.after_stale(isa)
         assert observed != reference
+
+
+#: An x86 loop whose block follows ``jmp far``: its code is two
+#: stretches, and the two versions differ only in the second.
+STRETCHED = """
+entry:
+    mov rcx, 20
+    .align 64
+loop:
+    add rax, 1
+    jmp far
+    .align 64
+far:
+    add rbx, %d
+    sub rcx, 1
+    jne loop
+    hlt
+"""
+
+
+@pytest.mark.usefixtures("cold_shared_blocks")
+class TestStretchedBlocks:
+    """A block that follows a jump is reused only where every stretch
+    of its code reads as formation read it."""
+
+    def run(self, increment, config=CONFIG_8E):
+        return run_x86(config, STRETCHED % increment)
+
+    def test_a_changed_second_stretch_reforms_the_block(self):
+        first = self.run(2)
+        loop = x86_assemble(STRETCHED % 2, base=X86_BASE).symbol("loop")
+        formed = first.cpu._block_cache[loop]
+        assert formed.loops and len(formed.code) == 2
+        second = self.run(3)
+        assert second.cpu._block_cache[loop] is not formed
+        assert snapshot(second) == snapshot(self.run(3, BLOCK_OFF))
+
+    def test_seeded_first_stretch_only_bug_is_caught(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_reusable", seeded_mutant(
+            blocks._reusable, "for first, code in block.code:",
+            "for first, code in block.code[:1]:"))
+        self.run(2)
+        assert snapshot(self.run(3)) != snapshot(self.run(3, BLOCK_OFF))
 
 
 @pytest.mark.parametrize("isa", sorted(LOOPS))
@@ -1238,6 +1314,18 @@ class TestOneBlockUnderThreeVerdicts:
         assert off.cpu.last_trap.kind is TrapKind.ISA_GRID_FAULT
         assert snapshot(blocky) == reference
         assert snapshot(slow) == reference
+
+    def test_a_class_refusal_steps_through_the_block(self, isa):
+        # ``denied`` lacks a class of ``body``: its probe refuses once,
+        # and the members before the trapping one take reference steps
+        # with nothing formed or probed at their pcs.
+        system, _ = run_three_verdicts(isa, CONFIG_8E)
+        stats = system.pcu.block_stats
+        assert stats.refused_class == 1
+        body = system.cpu._block_cache[
+            LOOPS[isa].assemble(THREE_VERDICTS[isa],
+                                base=LOOPS[isa].base).symbol("body")]
+        assert not any(pc in system.cpu._block_cache for pc in body.pcs[1:])
 
     def test_monitored_streams_agree(self, isa):
         streams = []

@@ -1,7 +1,10 @@
-"""Tournament branch predictor, and the update it renders for blocks."""
+"""Tournament branch predictor, and the update and the fixed-point test
+it renders for blocks."""
 
+import copy
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import TournamentPredictor
@@ -142,3 +145,61 @@ class TestRenderedUpdate:
         assert rendered == method
         method, rendered = drive_both((10, 10), outcomes, mutant)
         assert rendered != method
+
+
+# ----------------------------------------------------------------------
+# The fixed point a loop block's steady body relies on (DESIGN §3.18
+# "Loop blocks"): where the rendered test holds, the update with the
+# loop's continuing outcome changes nothing but the prediction count.
+# ----------------------------------------------------------------------
+def steady_holds(predictor, pc, continues,
+                 source=TournamentPredictor.steady_source):
+    """Whether ``source``'s rendered test for ``pc`` holds now."""
+    return eval(source(predictor, pc, continues), {}, {
+        "predictor": predictor, "p_local": predictor._local,
+        "p_global": predictor._global})
+
+
+def drive_back_edge(predictor, pc, continues, repeats,
+                    source=TournamentPredictor.steady_source):
+    """Take the back edge at ``pc`` ``repeats`` times; each time the
+    rendered test holds, the update must predict the outcome and leave
+    the tables and history as they were.  How often it held."""
+    held = 0
+    for _ in range(repeats):
+        if steady_holds(predictor, pc, continues, source):
+            before = copy.deepcopy(predictor_state(predictor))
+            assert predictor.update(pc, continues) is False
+            assert predictor_state(predictor) == before
+            held += 1
+        else:
+            predictor.update(pc, continues)
+    return held
+
+
+class TestSteadyTest:
+    @settings(max_examples=40 * NIGHTLY_FACTOR, deadline=None)
+    @given(bits=BITS, outcomes=OUTCOMES, pc=PCS, continues=st.booleans())
+    def test_holds_only_at_the_fixed_point(self, bits, outcomes, pc,
+                                           continues):
+        # After any history, a back edge taken the same way more often
+        # than the history is wide (plus three, to saturate a counter)
+        # reaches the fixed point, where the test must hold.
+        predictor = TournamentPredictor(*bits)
+        for other, taken in outcomes:
+            predictor.update(other, taken)
+        assert drive_back_edge(predictor, pc, continues, max(bits) + 8)
+
+    def test_seeded_test_without_history_is_caught(self):
+        # Saturated counters alone are not the fixed point: after a
+        # not-taken branch elsewhere, the history still moves.
+        mutant = seeded_mutant(
+            TournamentPredictor.steady_source,
+            '"predictor._history == %d and p_local[%d] == 3"',
+            '"%d and p_local[%d] == 3"')
+        predictor = TournamentPredictor(10, 10)
+        drive_back_edge(predictor, 0x1000, True, 20)
+        predictor.update(0x2000, False)
+        assert not steady_holds(predictor, 0x1000, True)
+        with pytest.raises(AssertionError):
+            drive_back_edge(predictor, 0x1000, True, 20, mutant)

@@ -1,24 +1,35 @@
-"""Loop blocks: a block whose last member branches back to its first pc
-runs its iterations inside its generated function (DESIGN §3.18 "Loop
-blocks").
+"""Loop blocks: a block whose last member branches back to its first pc,
+or falls through to it, runs its iterations inside its generated
+function, and finishes them in its steady body once the predictor sits
+at the back edge's fixed point (DESIGN §3.18 "Loop blocks").
 
-A strategy per ISA draws self-loop programs whose body takes one to six
+A strategy per ISA draws loop programs whose body takes one to six
 members from the decoders' class tables (those ``_block_member`` admits
 without ending a block), with a conditional or an unconditional
-back-edge, trip counts up to 600 (past ``MAX_EPOCH_BLOCKS``), a body
-placed anywhere in its L1I line (so it may straddle two), and a walking
-pointer whose accesses stay in data, or walk into trusted memory or
-past the end of memory on a drawn iteration.  Each program runs from a
-domain that may not touch trusted memory, under a drawn budget that may
-end mid-iteration, and then again on the same machine.  Blocks on and
-off must agree after each run on the outcome, registers, flags, memory,
-pc, instructions, cycles, traps, every cache level, the branch
-statistics and the predictor's tables, ``PcuStats`` and, when one is
-attached, a recording contract monitor's expanded stream.
+back-edge, trip counts up to 600 (past ``MAX_EPOCH_BLOCKS``, and often
+past the predictor's history width plus three, where the steady body
+takes over), a body placed anywhere in its L1I line (so it may straddle
+two), and a walking pointer whose accesses stay in data, or walk into
+trusted memory or past the end of memory on a drawn iteration, often a
+steady one.  x86 loops are also drawn top-tested (``cmp; je out; body;
+jmp top``, a loop that falls through to its first pc), and with a
+forward ``jmp`` inside the body that formation follows, landing in the
+same L1I line or beyond it.  Each program runs from a domain that may
+not touch trusted memory, under a drawn budget that may end
+mid-iteration, often in a steady one, and then again on the same
+machine.  Blocks on and off must agree after each run on the outcome,
+registers, flags, memory, pc, instructions, cycles, traps, every cache
+level, the branch statistics and the predictor's tables, ``PcuStats``
+and, when one is attached, a recording contract monitor's expanded
+stream.  The tier-1 draws of each ISA must run steady iterations.
 
-Seeded bugs in the loop's limit, in the iterations its fault path
-reports and in the shared-block key must each fail a comparison, and
-the executor's block counters must read exactly on ``STACK_LOOP``.
+Written cases cover followed jumps that put two body lines in one L1I
+set (no steady body) and five (which thrash it).  Seeded bugs in the
+loop's limit, in the iterations its fault path reports, in the
+shared-block key, in the steady body's prediction count and its fault
+path's hits, in a fall-through loop's exit test, in the dead-flag rule
+and in the set-collision check must each fail a comparison, and the
+executor's block counters must read exactly on ``STACK_LOOP``.
 """
 
 import dataclasses
@@ -41,6 +52,7 @@ from repro.riscv.cpu import CpuPanic as RiscvPanic
 from repro.sim import (
     InOrderPipelineModel,
     MemoryAccessError,
+    MemoryHierarchy,
     PipelineModel,
     SimulationLimitExceeded,
     TournamentPredictor,
@@ -72,6 +84,7 @@ from .test_member_fragments import (
     X86_PROLOGUE,
     riscv_operands,
     riscv_word,
+    run as run_written,
     state,
     x86_operands,
 )
@@ -84,6 +97,11 @@ EXAMPLES = 40 * (NIGHTLY_SCALE if PROFILE == "nightly" else 1)
 #: Longest trip count drawn: a loop this long crosses the epoch cap.
 MAX_TRIP = 600
 assert blocks.MAX_EPOCH_BLOCKS < MAX_TRIP
+
+#: Iterations after which a loop's back edge has saturated the wider
+#: (x86's 14-bit) predictor history and its counters, so the steady
+#: body runs the rest.
+STEADY = 14 + 3
 
 #: The walking pointer's data region, away from every edge.
 DATA = 0x620000
@@ -118,21 +136,29 @@ def walks(draw, trusted_base, memory_size):
     """Where the walking pointer starts and how far it moves per
     iteration: within data, or onto trusted memory or the end of memory
     at a drawn iteration of a loop of ``trip`` iterations."""
-    trip = draw(st.integers(min_value=1, max_value=MAX_TRIP))
+    trip = draw(st.one_of(st.integers(min_value=1, max_value=MAX_TRIP),
+                          st.integers(min_value=STEADY + 1,
+                                      max_value=4 * STEADY)))
     stride = draw(st.integers(min_value=0, max_value=64))
     place = draw(st.sampled_from(["data", "trusted", "end"]))
     if place == "data" or not stride:
         return trip, DATA, stride
     edge = trusted_base if place == "trusted" else memory_size
-    at = draw(st.integers(min_value=0, max_value=trip - 1))
+    at = draw(st.one_of(st.integers(min_value=0, max_value=trip - 1),
+                        st.integers(min_value=min(STEADY, trip - 1),
+                                    max_value=trip - 1)))
     return trip, edge - at * stride, stride
 
 
 def budgets(draw, trip, body):
     """The first run's budget, which may end anywhere up to the loop's
-    natural end, and the rerun's, which covers what is left."""
-    whole = 80 + trip * (body + 3)
-    return draw(st.integers(min_value=1, max_value=whole)), whole
+    natural end, often past the steady body's start, and the rerun's,
+    which covers what is left."""
+    whole = 80 + trip * (body + 4)
+    steady = min(80 + STEADY * (body + 4), whole)
+    return draw(st.one_of(st.integers(min_value=1, max_value=whole),
+                          st.integers(min_value=steady,
+                                      max_value=whole))), whole
 
 
 X86_LOOP = X86_PROLOGUE + """
@@ -155,11 +181,33 @@ handler:
     hlt
 """
 
+#: :data:`X86_LOOP` tested at the top: its loop block starts at
+#: ``loop`` and ends at ``je``, which falls through to ``loop``.
+X86_TOP_LOOP = X86_LOOP.replace("""loop:
+%(body)s
+    add r14, %(stride)d
+    sub r15, 1
+    %(back)s loop
+    hlt
+""", """top:
+    cmp r15, 0
+    je out
+loop:
+%(body)s
+    add r14, %(stride)d
+    sub r15, 1
+    jmp top
+out:
+    hlt
+""")
+
 
 @st.composite
 def x86_loops(draw):
-    """An x86 self-loop: ``r15`` counts, ``r14`` walks and is the base
-    of every ``[base+disp]`` member, and ``rsp`` is the stack."""
+    """An x86 loop: ``r15`` counts, ``r14`` walks and is the base of
+    every ``[base+disp]`` member, and ``rsp`` is the stack.  It is
+    tested at the bottom (``back``) or at the top, and its body may
+    hold a forward ``jmp`` over a few bytes or over a line or more."""
     trip, walker, stride = draw(walks(X86_TRUSTED_BASE, X86_MEMORY_SIZE))
     mnemonics = draw(st.lists(st.sampled_from(X86_BODY), min_size=1,
                               max_size=6))
@@ -169,14 +217,20 @@ def x86_loops(draw):
         operands = dict(draw(x86_operands()), base="r14")
         values.update(operands["values"])
         body.append("    " + X86_FORMS[mnemonic].format(**operands))
+    skip = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=4),
+                          st.integers(min_value=60, max_value=140)))
+    if skip is not None:
+        at = draw(st.integers(min_value=0, max_value=len(body)))
+        body[at:at] = ["    jmp over", "    .zero %d" % skip, "over:"]
     first, rerun = budgets(draw, trip, len(body))
-    source = X86_LOOP % {
+    shape = draw(st.sampled_from(["jne", "jmp", "top"]))
+    source = (X86_TOP_LOOP if shape == "top" else X86_LOOP) % {
         "trip": trip, "walker": walker, "stride": stride,
         "values": "".join("    mov %s, %d\n" % item
                           for item in values.items()),
         "pad": "    nop\n" * draw(st.integers(min_value=0, max_value=63)),
         "body": "\n".join(body),
-        "back": draw(st.sampled_from(["jne", "jmp"])),
+        "back": shape,
     }
     return LoopProgram("x86", source, first, rerun, draw(st.booleans()))
 
@@ -290,16 +344,26 @@ def compare(program):
     return system
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
-@given(program=x86_loops())
-def test_x86_loops_match_step(program):
-    compare(program)
+def steady_iterations(loops):
+    """Compare every program the strategy ``loops`` draws; the loop
+    iterations they ran in steady bodies, in all."""
+    steady = []
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(program=loops)
+    def check(program):
+        steady.append(compare(program).pcu.block_stats.steady)
+
+    check()
+    return sum(steady)
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
-@given(program=riscv_loops())
-def test_riscv_loops_match_step(program):
-    compare(program)
+def test_x86_loops_match_step():
+    assert steady_iterations(x86_loops()) > 0
+
+
+def test_riscv_loops_match_step():
+    assert steady_iterations(riscv_loops()) > 0
 
 
 # ----------------------------------------------------------------------
@@ -307,25 +371,40 @@ def test_riscv_loops_match_step(program):
 # blocks it compares are formed by the mutant.
 # ----------------------------------------------------------------------
 def x86_program(trip, walker=DATA, stride=8, first=1000, rerun=4000,
-                body="    mov [r14+0], rax\n    add rax, 1"):
+                body="    mov [r14+0], rax\n    add rax, 1", top=False):
     """A fixed x86 loop of :data:`X86_LOOP` with a conditional
-    back-edge, not monitored."""
-    return LoopProgram("x86", X86_LOOP % {
+    back-edge, or of :data:`X86_TOP_LOOP` when ``top``, not
+    monitored."""
+    return LoopProgram("x86", (X86_TOP_LOOP if top else X86_LOOP) % {
         "trip": trip, "walker": walker, "stride": stride, "values": "",
         "pad": "", "body": body, "back": "jne"}, first, rerun, False)
 
 
-@pytest.mark.usefixtures("cold_shared_blocks")
-def test_seeded_limit_bug_is_caught(monkeypatch):
-    # A loop that ignores its limit runs to its exit branch, past a
-    # budget that ends mid-loop (and past the epoch cap).
-    program = x86_program(MAX_TRIP)
+def blocks_agree(program):
+    """The reference runs of ``program``, after checking that blocks on
+    agree; and the blocks-on system."""
     reference = run_loop(program, BLOCK_OFF)[2]
+    system, _, runs = run_loop(program, CONFIG_8E)
+    assert runs == reference
+    return reference, system
+
+
+@pytest.mark.parametrize("first, steady", [(60, False), (1000, True)],
+                         ids=["full-body", "steady-body"])
+@pytest.mark.usefixtures("cold_shared_blocks")
+def test_seeded_limit_bug_is_caught(monkeypatch, first, steady):
+    # A loop that ignores its limit runs to its exit branch, past a
+    # budget that ends mid-loop (and past the epoch cap).  Both bodies
+    # leave through the one exit test, so the bug shows whether the
+    # budget ends in the full body or in the steady one.
+    program = x86_program(MAX_TRIP, first=first, rerun=1)
+    reference, system = blocks_agree(program)
     assert reference[0]["outcome"] == "SimulationLimitExceeded"
-    assert run_loop(program, CONFIG_8E)[2] == reference
+    assert bool(system.pcu.block_stats.steady) == steady
     blocks.shared_blocks.clear()
     monkeypatch.setattr(blocks, "_generate", seeded_mutant(
-        blocks._generate, '"    if %sk == limit:"', '"    if %sFalse:"'))
+        blocks._generate, '"if %sk == limit:" % leaves',
+        '"if %sFalse:" % leaves'))
     mutant = run_loop(program, CONFIG_8E)[2]
     assert mutant[0]["instructions"] > reference[0]["instructions"]
 
@@ -382,6 +461,129 @@ def test_seeded_key_without_predictor_masks_is_caught(monkeypatch):
     (blocky, off), (twelve_blocky, twelve_off) = default_then_twelve_bit()
     assert blocky == off
     assert twelve_blocky != twelve_off
+
+
+#: A fault in a steady iteration: the store, the body's second member,
+#: reaches trusted memory on iteration 31 of 40.
+STEADY_FAULT = x86_program(
+    40, walker=X86_TRUSTED_BASE - 30 * 8,
+    body="    add rax, 1\n    mov [r14+0], rax")
+
+
+@pytest.mark.usefixtures("cold_shared_blocks")
+def test_seeded_steady_prediction_count_bug_is_caught(monkeypatch):
+    # A steady body that does not count its predictions, at its exit or
+    # on its fault path, leaves the branch statistics short.
+    reference, system = blocks_agree(STEADY_FAULT)
+    assert reference[0]["traps"] == 1 and system.pcu.block_stats.steady
+    blocks.shared_blocks.clear()
+    monkeypatch.setattr(blocks, "_generate", seeded_mutant(
+        blocks._generate, 'predicted = "branch_stats.predictions += k - j"',
+        'predicted = "pass"'))
+    mutant = run_loop(STEADY_FAULT, CONFIG_8E)[2]
+    assert mutant[0]["branches"] != reference[0]["branches"]
+    assert mutant[0]["cycles"] == reference[0]["cycles"]
+
+
+@pytest.mark.usefixtures("cold_shared_blocks")
+def test_seeded_steady_fault_hits_bug_is_caught(monkeypatch):
+    # Every steady member's fetch is a hit the block counts, so a fault
+    # path that counts the hits before the store from the full body's
+    # table, where the first member fetched for itself, loses one.
+    reference, _ = blocks_agree(STEADY_FAULT)
+    blocks.shared_blocks.clear()
+    monkeypatch.setattr(blocks, "_generate", seeded_mutant(
+        blocks._generate, '["%r[m]" % (tuple(range(len(pcs))),)]',
+        '["%r[m]" % (tuple(hits_before),)]'))
+    mutant = run_loop(STEADY_FAULT, CONFIG_8E)[2]
+    assert mutant[0]["caches"] != reference[0]["caches"]
+    assert mutant[0]["cycles"] == reference[0]["cycles"]
+
+
+@pytest.mark.usefixtures("cold_shared_blocks")
+def test_seeded_fall_through_exit_bug_is_caught(monkeypatch):
+    # A top-tested loop goes round while its je is not taken.  Given a
+    # taken loop's exit test, it leaves after every iteration (which
+    # only costs a dispatch) and goes round once more when je is taken.
+    program = x86_program(30, body="    add rax, 1", top=True)
+    reference, system = blocks_agree(program)
+    stats = system.pcu.block_stats
+    assert stats.looped and stats.steady
+    blocks.shared_blocks.clear()
+    monkeypatch.setattr(blocks, "_generate", seeded_mutant(
+        blocks._generate, 'leaves = "%s or " % taken',
+        'leaves = "not %s or " % taken'))
+    mutant = run_loop(program, CONFIG_8E)[2]
+    assert mutant != reference
+
+
+@pytest.mark.usefixtures("cold_shared_blocks")
+def test_seeded_dead_flag_rule_bug_is_caught(monkeypatch):
+    # ``cmp rax, rax`` sets zf, and ``add r14`` overwrites it two
+    # members later; the store between them faults on iteration 4 into
+    # a handler that halts, which must see the cmp's flags.  A rule that
+    # drops the cmp's writes there leaves the last iteration's.
+    program = x86_program(20, walker=X86_TRUSTED_BASE - 3 * 8,
+                          body="    cmp rax, rax\n    mov [r14+0], rax")
+    reference, _ = blocks_agree(program)
+    assert reference[0]["traps"] == 1 and reference[0]["flags"][0]
+    blocks.shared_blocks.clear()
+    monkeypatch.setattr(blocks, "_flag_writes", seeded_mutant(
+        blocks._flag_writes, "if fragment.raises or fragment.reads_flags:",
+        "if fragment.reads_flags:"))
+    mutant = run_loop(program, CONFIG_8E)[2]
+    assert mutant[0]["flags"] != reference[0]["flags"]
+
+
+#: A loop whose body the followed jumps spread over ``lines`` L1I lines
+#: 8 KB apart, so all of them fall in one set of the O3 model's L1I
+#: (128 sets of 64 bytes, four ways).
+COLLIDING = """
+entry:
+    mov r15, 40
+    jmp loop
+    .align 8192
+loop:
+%s    sub r15, 1
+    jne loop
+    hlt
+"""
+
+
+def colliding(lines):
+    return COLLIDING % "".join(
+        "    add rax, %d\n    jmp far%d\n    .align 8192\nfar%d:\n"
+        % (i, i, i) for i in range(lines - 1))
+
+
+@pytest.mark.parametrize("lines", [2, 5])
+@pytest.mark.usefixtures("cold_shared_blocks")
+def test_colliding_lines_get_no_steady_body(lines):
+    # Two lines share their set and both stay in it; five thrash its
+    # four ways, so every iteration misses.  Either way the loop block
+    # runs no steady iteration and matches step().
+    source = colliding(lines)
+    system, program, observed = run_written("x86", CONFIG_8E, source)
+    assert observed == run_written("x86", BLOCK_OFF, source)[2]
+    block = system.cpu._block_cache[program.symbol("loop")]
+    assert block.loops and len(block.code) == lines
+    stats = system.pcu.block_stats
+    assert stats.looped and not stats.steady
+
+
+@pytest.mark.usefixtures("cold_shared_blocks")
+def test_seeded_set_collision_bug_is_caught(monkeypatch):
+    # A check that passes every body gives the thrashing loop a steady
+    # body, which charges hits for lines that miss.
+    source = colliding(5)
+    reference = run_written("x86", BLOCK_OFF, source)[2]
+    monkeypatch.setattr(MemoryHierarchy, "fetch_sets_distinct", seeded_mutant(
+        MemoryHierarchy.fetch_sets_distinct,
+        "return len({line % self._l1i_n_sets for line in lines}) == len(lines)",
+        "return True"))
+    system, _, observed = run_written("x86", CONFIG_8E, source)
+    assert system.pcu.block_stats.steady
+    assert observed["cycles"] != reference["cycles"]
 
 
 # ----------------------------------------------------------------------

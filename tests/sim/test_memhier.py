@@ -134,8 +134,13 @@ HIERARCHIES = {"gem5": gem5_o3_hierarchy, "rocket": rocket_hierarchy,
 
 def compiled(lines, result, argument=""):
     """``lines`` compiled on their own as ``f(cpu[, argument]) ->
-    result``, behind the prologue lines they read."""
-    lines = ["%s = %s" % pair for pair in MemoryHierarchy.BLOCK_PROLOGUE] + lines
+    result``, behind the prologue lines they read, with the counters
+    they bump in locals started at zero and added to their own after
+    them, as a block does."""
+    counters = MemoryHierarchy.BLOCK_COUNTERS
+    lines = (["%s = %s" % pair for pair in MemoryHierarchy.BLOCK_PROLOGUE]
+             + ["%s = 0" % local for local, _ in counters] + lines
+             + ["%s += %s" % (counter, local) for local, counter in counters])
     source = "def f(cpu%s):\n%s    return %s\n" % (
         ", " + argument if argument else "",
         "".join("    %s\n" % line for line in lines), result)
@@ -207,7 +212,7 @@ class TestRenderedHitPaths:
         # itself: latencies and LRU order agree, the L1D hits do not.
         mutant = seeded_mutant(
             MemoryHierarchy.data_source,
-            '"    l1d_stats.hits += 1",', '"    pass",')
+            '"    l1d_hits += 1",', '"    pass",')
         operations = [("data", 0x1000, False)] * 3 + [("data", 0x1008, True)]
         (latencies, levels), (observed, observed_levels) = drive_both(
             rocket_hierarchy, operations, mutant)
